@@ -2,7 +2,8 @@
 # Tier-1 check: configure, build, run the full test suite (tier1, then the
 # real-thread engine tests, then the chaos soak), re-run it under ASan+UBSan,
 # run the threads label again under ThreadSanitizer, then a tracing smoke test
-# (the trace-vs-counter EMC cross-check must hold with the tracer enabled).
+# (the trace-vs-counter EMC cross-check must hold with the tracer enabled), then
+# short perfbench runs whose correctness gates must pass.
 #
 # Usage: scripts/check.sh [build-dir]   (default: build)
 #   EREBOR_SKIP_SANITIZE=1 skips the sanitizer passes (e.g. on memory-tight CI).
@@ -65,5 +66,17 @@ grep -q '"traceEvents"' "$TRACE_JSON" || {
   echo "check.sh: Chrome trace JSON missing or empty" >&2
   exit 1
 }
+
+# Benchmark smoke test: short jobs and serve runs of perfbench, whose
+# end-to-end gates (quote verification, CheckOutput, replay, invariant audits)
+# must report "correct": true on the last line.
+for workload in jobs serve; do
+  python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 3 --trace 0 \
+    | tail -n 1 \
+    | python3 -c 'import json, sys; sys.exit(0 if json.load(sys.stdin)["correct"] is True else 1)' || {
+      echo "check.sh: perfbench $workload run not correct" >&2
+      exit 1
+    }
+done
 
 echo "check.sh: all checks passed"

@@ -11,11 +11,16 @@
 
 namespace erebor {
 
-// Group parameters: p a safe prime (p = 2q + 1), g a generator of the order-q subgroup.
+// Group parameters: p a safe prime (p = 2q + 1), g a generator of the order-q subgroup,
+// with the Montgomery contexts for arithmetic mod p and mod q precomputed.
 struct GroupParams {
+  GroupParams(const U256& modulus, const U256& order, const U256& generator);
+
   U256 p;  // modulus
   U256 q;  // subgroup order
   U256 g;  // generator
+  MontgomeryContext mod_p;
+  MontgomeryContext mod_q;
 
   // The fixed simulation-wide group (a 256-bit safe prime).
   static const GroupParams& Default();

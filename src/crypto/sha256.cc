@@ -74,11 +74,33 @@ void ProcessBlocksScalar(uint32_t h[8], const uint8_t* data, size_t block_count)
 
 #ifdef EREBOR_SHA256_X86
 
+// Rounds 4j..4j+3 of SHA-NI compression on the schedule words in `cur`
+// (W[4j..4j+3]). The schedule runs ahead of the rounds, exactly as in Intel's
+// reference flow: `next` (W[4j+4..]) gets its sha256msg2 finish from `cur` and
+// `prev` (W[4j-4..]) via one PALIGNR, and `prev` gets its sha256msg1 start
+// towards W[4j+12..]. J is a template parameter so each of the 16 call sites
+// inlines with fixed register roles and no branch.
+template <int J>
+__attribute__((target("sha,sse4.1,ssse3"), always_inline)) inline void ShaNiRounds(
+    __m128i& state0, __m128i& state1, const __m128i& cur, __m128i& next, __m128i& prev) {
+  __m128i m =
+      _mm_add_epi32(cur, _mm_loadu_si128(reinterpret_cast<const __m128i*>(&kK[4 * J])));
+  state1 = _mm_sha256rnds2_epu32(state1, state0, m);
+  if constexpr (J >= 3 && J < 15) {
+    next = _mm_sha256msg2_epu32(_mm_add_epi32(next, _mm_alignr_epi8(cur, prev, 4)), cur);
+  }
+  m = _mm_shuffle_epi32(m, 0x0E);
+  state0 = _mm_sha256rnds2_epu32(state0, state1, m);
+  if constexpr (J >= 1 && J <= 12) {
+    prev = _mm_sha256msg1_epu32(prev, cur);
+  }
+}
+
 // SHA-NI compression. The SHA256RNDS2 instruction consumes the state as two
 // packed registers in ABEF/CDGH order, so the plain {a..h} words are permuted on
-// entry and exit. Message-schedule registers msgs[0..3] each hold four schedule
-// words; sha256msg1/msg2 plus one PALIGNR per group advance the schedule 16
-// rounds behind the round computation, exactly as in Intel's reference flow.
+// entry and exit. The four message-schedule registers m0..m3 each hold four
+// schedule words and rotate roles every four rounds; the rounds are fully
+// unrolled so the schedule stays in registers.
 __attribute__((target("sha,sse4.1,ssse3")))
 void ProcessBlocksShaNi(uint32_t h[8], const uint8_t* data, size_t block_count) {
   const __m128i kByteSwap =
@@ -95,28 +117,28 @@ void ProcessBlocksShaNi(uint32_t h[8], const uint8_t* data, size_t block_count) 
     const __m128i abef_save = state0;
     const __m128i cdgh_save = state1;
 
-    __m128i msgs[4];
-    for (int i = 0; i < 4; ++i) {
-      msgs[i] = _mm_shuffle_epi8(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * i)),
-          kByteSwap);
-    }
+    const __m128i* in = reinterpret_cast<const __m128i*>(data);
+    __m128i m0 = _mm_shuffle_epi8(_mm_loadu_si128(in), kByteSwap);
+    __m128i m1 = _mm_shuffle_epi8(_mm_loadu_si128(in + 1), kByteSwap);
+    __m128i m2 = _mm_shuffle_epi8(_mm_loadu_si128(in + 2), kByteSwap);
+    __m128i m3 = _mm_shuffle_epi8(_mm_loadu_si128(in + 3), kByteSwap);
 
-    for (int j = 0; j < 16; ++j) {
-      __m128i m = _mm_add_epi32(
-          msgs[j & 3], _mm_loadu_si128(reinterpret_cast<const __m128i*>(&kK[4 * j])));
-      state1 = _mm_sha256rnds2_epu32(state1, state0, m);
-      if (j >= 3 && j < 15) {
-        const __m128i carry = _mm_alignr_epi8(msgs[j & 3], msgs[(j + 3) & 3], 4);
-        msgs[(j + 1) & 3] = _mm_add_epi32(msgs[(j + 1) & 3], carry);
-        msgs[(j + 1) & 3] = _mm_sha256msg2_epu32(msgs[(j + 1) & 3], msgs[j & 3]);
-      }
-      m = _mm_shuffle_epi32(m, 0x0E);
-      state0 = _mm_sha256rnds2_epu32(state0, state1, m);
-      if (j >= 1 && j <= 12) {
-        msgs[(j + 3) & 3] = _mm_sha256msg1_epu32(msgs[(j + 3) & 3], msgs[j & 3]);
-      }
-    }
+    ShaNiRounds<0>(state0, state1, m0, m1, m3);
+    ShaNiRounds<1>(state0, state1, m1, m2, m0);
+    ShaNiRounds<2>(state0, state1, m2, m3, m1);
+    ShaNiRounds<3>(state0, state1, m3, m0, m2);
+    ShaNiRounds<4>(state0, state1, m0, m1, m3);
+    ShaNiRounds<5>(state0, state1, m1, m2, m0);
+    ShaNiRounds<6>(state0, state1, m2, m3, m1);
+    ShaNiRounds<7>(state0, state1, m3, m0, m2);
+    ShaNiRounds<8>(state0, state1, m0, m1, m3);
+    ShaNiRounds<9>(state0, state1, m1, m2, m0);
+    ShaNiRounds<10>(state0, state1, m2, m3, m1);
+    ShaNiRounds<11>(state0, state1, m3, m0, m2);
+    ShaNiRounds<12>(state0, state1, m0, m1, m3);
+    ShaNiRounds<13>(state0, state1, m1, m2, m0);
+    ShaNiRounds<14>(state0, state1, m2, m3, m1);
+    ShaNiRounds<15>(state0, state1, m3, m0, m2);
 
     state0 = _mm_add_epi32(state0, abef_save);
     state1 = _mm_add_epi32(state1, cdgh_save);

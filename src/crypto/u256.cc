@@ -1,84 +1,19 @@
 #include "src/crypto/u256.h"
 
-#include <cstring>
+#include <cassert>
 
 namespace erebor {
 
 namespace {
 
-// 512-bit intermediate used for products and reduction.
-struct U512 {
-  uint64_t limb[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-
-  bool Bit(int i) const { return (limb[i / 64] >> (i % 64)) & 1; }
-
-  int BitLength() const {
-    for (int i = 7; i >= 0; --i) {
-      if (limb[i] != 0) {
-        return 64 * i + 64 - __builtin_clzll(limb[i]);
-      }
-    }
-    return 0;
+// -m^-1 mod 2^64 for odd m. Newton's step x <- x * (2 - m * x) doubles the
+// number of correct low bits; x = m is already correct to 3 (m * m == 1 mod 8).
+uint64_t NegInverse64(uint64_t m) {
+  uint64_t inv = m;
+  for (int i = 0; i < 5; ++i) {
+    inv *= 2 - m * inv;
   }
-};
-
-U512 MulFull(const U256& a, const U256& b) {
-  U512 out;
-  for (int i = 0; i < 4; ++i) {
-    uint64_t carry = 0;
-    for (int j = 0; j < 4; ++j) {
-      const __uint128_t cur = static_cast<__uint128_t>(a.limb(i)) * b.limb(j) +
-                              out.limb[i + j] + carry;
-      out.limb[i + j] = static_cast<uint64_t>(cur);
-      carry = static_cast<uint64_t>(cur >> 64);
-    }
-    out.limb[i + 4] = carry;
-  }
-  return out;
-}
-
-// Reduce a 512-bit value modulo a 256-bit modulus via binary long division.
-U256 Reduce(const U512& value, const U256& mod) {
-  // Remainder held in 320 bits (mod < 2^256, so remainder fits in 257 bits; use 5 limbs).
-  uint64_t rem[5] = {0, 0, 0, 0, 0};
-  const int nbits = value.BitLength();
-  for (int i = nbits - 1; i >= 0; --i) {
-    // rem = (rem << 1) | bit.
-    uint64_t carry = value.Bit(i) ? 1u : 0u;
-    for (int l = 0; l < 5; ++l) {
-      const uint64_t next_carry = rem[l] >> 63;
-      rem[l] = (rem[l] << 1) | carry;
-      carry = next_carry;
-    }
-    // If rem >= mod, subtract.
-    bool ge = rem[4] != 0;
-    if (!ge) {
-      int cmp = 0;
-      for (int l = 3; l >= 0; --l) {
-        if (rem[l] != mod.limb(l)) {
-          cmp = rem[l] > mod.limb(l) ? 1 : -1;
-          break;
-        }
-      }
-      ge = cmp >= 0;
-    }
-    if (ge) {
-      uint64_t borrow = 0;
-      for (int l = 0; l < 5; ++l) {
-        const uint64_t m = (l < 4) ? mod.limb(l) : 0;
-        const __uint128_t rhs = static_cast<__uint128_t>(m) + borrow;
-        if (static_cast<__uint128_t>(rem[l]) >= rhs) {
-          rem[l] = static_cast<uint64_t>(rem[l] - rhs);
-          borrow = 0;
-        } else {
-          rem[l] =
-              static_cast<uint64_t>((static_cast<__uint128_t>(1) << 64) + rem[l] - rhs);
-          borrow = 1;
-        }
-      }
-    }
-  }
-  return U256(rem[0], rem[1], rem[2], rem[3]);
+  return 0 - inv;
 }
 
 }  // namespace
@@ -198,29 +133,78 @@ U256 U256::SubMod(const U256& a, const U256& b, const U256& mod) {
   return Sub(Add(a, mod), b);
 }
 
-U256 U256::MulMod(const U256& a, const U256& b, const U256& mod) {
-  return Reduce(MulFull(a, b), mod);
-}
-
-U256 U256::Mod(const U256& a, const U256& mod) {
-  U512 wide;
-  for (int i = 0; i < 4; ++i) {
-    wide.limb[i] = a.limb_[i];
-  }
-  return Reduce(wide, mod);
-}
-
-U256 U256::PowMod(const U256& base, const U256& exp, const U256& mod) {
-  U256 result(1);
-  U256 acc = Mod(base, mod);
-  const int nbits = exp.BitLength();
-  for (int i = 0; i < nbits; ++i) {
-    if (exp.Bit(i)) {
-      result = MulMod(result, acc, mod);
+MontgomeryContext::MontgomeryContext(const U256& modulus)
+    : m_(modulus), neg_inv_(NegInverse64(modulus.limb(0))) {
+  assert(modulus.Bit(0) && modulus.BitLength() > 1);
+  // R mod m and R^2 mod m: double 1 modulo m, 256 and 512 times.
+  U256 x(1);
+  for (int i = 1; i <= 512; ++i) {
+    uint64_t carry = 0;
+    x = U256::Add(x, x, &carry);
+    if (carry != 0 || x >= m_) {
+      x = U256::Sub(x, m_);
     }
-    acc = MulMod(acc, acc, mod);
+    if (i == 256) {
+      r_ = x;
+    }
   }
-  return result;
+  r2_ = x;
+}
+
+U256 MontgomeryContext::Mul(const U256& a, const U256& b) const {
+  // CIOS: per limb of b, t += a * b[i], then t = (t + u * m) / 2^64 with u
+  // chosen so the low limb cancels. a * b < R * m keeps the result t < 2m,
+  // which needs one limb above the four (t[4]); t[5] takes its carry.
+  uint64_t t[6] = {0, 0, 0, 0, 0, 0};
+  for (int i = 0; i < 4; ++i) {
+    uint64_t carry = 0;
+    for (int j = 0; j < 4; ++j) {
+      const __uint128_t cur =
+          static_cast<__uint128_t>(a.limb(j)) * b.limb(i) + t[j] + carry;
+      t[j] = static_cast<uint64_t>(cur);
+      carry = static_cast<uint64_t>(cur >> 64);
+    }
+    __uint128_t cur = static_cast<__uint128_t>(t[4]) + carry;
+    t[4] = static_cast<uint64_t>(cur);
+    t[5] = static_cast<uint64_t>(cur >> 64);
+
+    const uint64_t u = t[0] * neg_inv_;
+    cur = static_cast<__uint128_t>(u) * m_.limb(0) + t[0];
+    carry = static_cast<uint64_t>(cur >> 64);
+    for (int j = 1; j < 4; ++j) {
+      cur = static_cast<__uint128_t>(u) * m_.limb(j) + t[j] + carry;
+      t[j - 1] = static_cast<uint64_t>(cur);
+      carry = static_cast<uint64_t>(cur >> 64);
+    }
+    cur = static_cast<__uint128_t>(t[4]) + carry;
+    t[3] = static_cast<uint64_t>(cur);
+    t[4] = t[5] + static_cast<uint64_t>(cur >> 64);
+  }
+  U256 out(t[0], t[1], t[2], t[3]);
+  if (t[4] != 0 || out >= m_) {
+    out = U256::Sub(out, m_);
+  }
+  return out;
+}
+
+// Any a < R times r2_ < m meets Mul's bound, so every operand first enters
+// Montgomery form that way; multiplying by 1 leaves it.
+U256 MontgomeryContext::Reduce(const U256& a) const { return Mul(Mul(a, r2_), U256(1)); }
+
+U256 MontgomeryContext::MulMod(const U256& a, const U256& b) const {
+  return Mul(Mul(a, r2_), b);
+}
+
+U256 MontgomeryContext::PowMod(const U256& base, const U256& exp) const {
+  const U256 x = Mul(base, r2_);
+  U256 acc = r_;
+  for (int i = exp.BitLength() - 1; i >= 0; --i) {
+    acc = Mul(acc, acc);
+    if (exp.Bit(i)) {
+      acc = Mul(acc, x);
+    }
+  }
+  return Mul(acc, U256(1));
 }
 
 }  // namespace erebor

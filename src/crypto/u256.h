@@ -43,15 +43,36 @@ class U256 {
   static U256 Add(const U256& a, const U256& b, uint64_t* carry_out = nullptr);
   static U256 Sub(const U256& a, const U256& b, uint64_t* borrow_out = nullptr);
 
-  // Modular arithmetic; all operands must already be < mod.
+  // Modular addition/subtraction; both operands must already be < mod.
   static U256 AddMod(const U256& a, const U256& b, const U256& mod);
   static U256 SubMod(const U256& a, const U256& b, const U256& mod);
-  static U256 MulMod(const U256& a, const U256& b, const U256& mod);
-  static U256 PowMod(const U256& base, const U256& exp, const U256& mod);
-  static U256 Mod(const U256& a, const U256& mod);
 
  private:
   std::array<uint64_t, 4> limb_;
+};
+
+// Multiplicative arithmetic modulo one fixed odd modulus m > 1, by 4-limb
+// Montgomery (CIOS) multiplication with R = 2^256. -m^-1 mod 2^64, R mod m and
+// R^2 mod m are computed once, at construction. Operands may be any 256-bit
+// value, including values >= m; every result is fully reduced (< m).
+class MontgomeryContext {
+ public:
+  explicit MontgomeryContext(const U256& modulus);  // modulus odd and > 1
+
+  const U256& modulus() const { return m_; }
+
+  U256 Reduce(const U256& a) const;                      // a mod m
+  U256 MulMod(const U256& a, const U256& b) const;       // a * b mod m
+  U256 PowMod(const U256& base, const U256& exp) const;  // base^exp mod m
+
+ private:
+  // Montgomery product a * b * R^-1 mod m; requires a * b < R * m.
+  U256 Mul(const U256& a, const U256& b) const;
+
+  U256 m_;
+  uint64_t neg_inv_;  // -m^-1 mod 2^64
+  U256 r_;            // R mod m: 1 in Montgomery form
+  U256 r2_;           // R^2 mod m: multiplying by it enters Montgomery form
 };
 
 }  // namespace erebor

@@ -1,6 +1,7 @@
 #include "src/fleet/supervisor.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "src/common/metrics.h"
 #include "src/kernel/mmu_ring.h"
@@ -428,8 +429,9 @@ void FleetSupervisor::ServeOne(TenantState& t, int round) {
   Bytes payload(config_.payload_bytes);
   SplitMix64 fill(config_.seed ^ (static_cast<uint64_t>(t.tenant) << 32) ^
                   static_cast<uint64_t>(round));
-  for (uint8_t& b : payload) {
-    b = static_cast<uint8_t>(fill.Next());
+  for (size_t off = 0; off < payload.size(); off += 8) {
+    const uint64_t word = fill.Next();
+    std::memcpy(payload.data() + off, &word, std::min<size_t>(8, payload.size() - off));
   }
   Bytes expected = payload;
   for (uint8_t& b : expected) {

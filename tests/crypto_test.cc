@@ -143,6 +143,7 @@ TEST_P(U256ModTest, ModularIdentitiesAgainstSmallModel) {
   Rng rng(GetParam());
   const uint64_t m64 = (rng.Next() | (1ULL << 62)) | 1;  // large odd modulus
   const U256 mod(m64);
+  const MontgomeryContext ctx(mod);
   for (int i = 0; i < 64; ++i) {
     const uint64_t a64 = rng.Next() % m64;
     const uint64_t b64 = rng.Next() % m64;
@@ -151,24 +152,29 @@ TEST_P(U256ModTest, ModularIdentitiesAgainstSmallModel) {
               static_cast<uint64_t>((static_cast<__uint128_t>(a64) + b64) % m64));
     EXPECT_EQ(U256::SubMod(a, b, mod).limb(0),
               a64 >= b64 ? a64 - b64 : m64 - (b64 - a64));
-    EXPECT_EQ(U256::MulMod(a, b, mod).limb(0),
+    EXPECT_EQ(ctx.MulMod(a, b).limb(0),
               static_cast<uint64_t>(static_cast<__uint128_t>(a64) * b64 % m64));
+    // Unreduced operands (possibly >= m) reduce first.
+    const uint64_t x64 = rng.Next(), y64 = rng.Next();
+    EXPECT_EQ(ctx.Reduce(U256(x64)).limb(0), x64 % m64);
+    EXPECT_EQ(ctx.MulMod(U256(x64), U256(y64)).limb(0),
+              static_cast<uint64_t>(static_cast<__uint128_t>(x64) * y64 % m64));
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, U256ModTest, testing::Values(11, 22, 33, 44));
 
 TEST(U256Test, PowModSmall) {
-  // 3^10 = 59049; mod 100000 stays as-is.
-  EXPECT_EQ(U256::PowMod(U256(3), U256(10), U256(100000)).limb(0), 59049u);
+  // 3^10 = 59049; mod 100001 stays as-is.
+  EXPECT_EQ(MontgomeryContext(U256(100001)).PowMod(U256(3), U256(10)).limb(0), 59049u);
   // Fermat: a^(p-1) = 1 mod p for prime p = 1000003.
-  EXPECT_EQ(U256::PowMod(U256(7), U256(1000002), U256(1000003)).limb(0), 1u);
+  EXPECT_EQ(MontgomeryContext(U256(1000003)).PowMod(U256(7), U256(1000002)).limb(0), 1u);
 }
 
 TEST(U256Test, PowModLargeGroupOrder) {
   // g^q == 1 mod p for the simulation group (g generates the order-q subgroup).
   const GroupParams& g = GroupParams::Default();
-  EXPECT_EQ(U256::PowMod(g.g, g.q, g.p), U256(1));
+  EXPECT_EQ(g.mod_p.PowMod(g.g, g.q), U256(1));
 }
 
 // ---- DH + Schnorr ----
