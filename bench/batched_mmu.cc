@@ -2,10 +2,9 @@
 // benchmarks (fork/mmap/pagefault — Fig8's worst bars):
 //
 //   per-op   one EMC gate crossing per PTE store (the paper's measured config)
-//   batched  monitor-validated PTE-write batches (section 9.1's remark)
-//   ring     submission/completion rings: descriptors staged in shared memory,
-//            one doorbell crossing per drained window, demand faults served
-//            with a fault-around window
+//   ring     submission/completion rings (section 9.1's batched MMU updates):
+//            descriptors staged in shared memory, one doorbell crossing per
+//            drained window, demand faults served with a fault-around window
 //
 // Also runs a ring-vs-oracle burst: the same multi-vCPU ring workload on the
 // real-thread engine and the deterministic engine must agree bit-for-bit on
@@ -13,7 +12,7 @@
 // to skip the threaded half).
 //
 // Iterations come from EREBOR_BENCH_ITERS (default 500). With
-// EREBOR_BENCH_JSON set, per-bench cycles/op for all four configurations land
+// EREBOR_BENCH_JSON set, per-bench cycles/op for native, per-op and ring land
 // in BENCH_batched_mmu.json.
 #include <cstdio>
 #include <cstdlib>
@@ -67,7 +66,6 @@ bool RunRingOracleCell(ExecMode exec, RingOracleCell* out) {
   }
   EreborMonitor* monitor = world.monitor();
   monitor->EnableMmuRings(true);
-  monitor->SetEmcLocking(EmcLocking::kSharded);
   monitor->SetLockContention(false);
   LockAudit::Global().Reset();
 
@@ -126,10 +124,10 @@ bool RunRingOracleCell(ExecMode exec, RingOracleCell* out) {
 
 int main() {
   const uint64_t iterations = IterationsFromEnv();
-  std::printf("=== Batched/ring MMU updates ablation (%llu iterations) ===\n",
+  std::printf("=== Ring MMU updates ablation (%llu iterations) ===\n",
               static_cast<unsigned long long>(iterations));
-  std::printf("%-10s %13s %13s %13s %13s %9s %9s\n", "bench", "native c/op",
-              "per-op c/op", "batched c/op", "ring c/op", "rec.batch", "rec.ring");
+  std::printf("%-10s %13s %13s %13s %9s\n", "bench", "native c/op", "per-op c/op",
+              "ring c/op", "rec.ring");
 
   Json benches = Json::Array();
   bool ok = true;
@@ -138,24 +136,19 @@ int main() {
     const auto native = RunLmbench(name, SimMode::kNative, iterations);
     const auto plain =
         RunLmbench(name, SimMode::kEreborFull, iterations, MmuUpdateMode::kPerOp);
-    const auto batched =
-        RunLmbench(name, SimMode::kEreborFull, iterations, MmuUpdateMode::kBatched);
     const auto ring =
         RunLmbench(name, SimMode::kEreborFull, iterations, MmuUpdateMode::kRing);
-    if (!native.ok() || !plain.ok() || !batched.ok() || !ring.ok()) {
+    if (!native.ok() || !plain.ok() || !ring.ok()) {
       std::printf("%-10s FAILED\n", name.c_str());
       ok = false;
       continue;
     }
-    // Fraction of the Erebor-added cost recovered by each submission scheme.
+    // Fraction of the Erebor-added cost the rings recover.
     const double added = plain->cycles_per_op() - native->cycles_per_op();
-    const double rec_batched =
-        added > 0 ? (plain->cycles_per_op() - batched->cycles_per_op()) / added : 0;
     const double rec_ring =
         added > 0 ? (plain->cycles_per_op() - ring->cycles_per_op()) / added : 0;
-    std::printf("%-10s %13.0f %13.0f %13.0f %13.0f %8.0f%% %8.0f%%\n", name.c_str(),
-                native->cycles_per_op(), plain->cycles_per_op(),
-                batched->cycles_per_op(), ring->cycles_per_op(), 100 * rec_batched,
+    std::printf("%-10s %13.0f %13.0f %13.0f %8.0f%%\n", name.c_str(),
+                native->cycles_per_op(), plain->cycles_per_op(), ring->cycles_per_op(),
                 100 * rec_ring);
     if (rec_ring < 0.5) {
       std::printf("%-10s FAIL: ring recovers %.0f%% of the added cost (target > 50%%)\n",
@@ -166,12 +159,9 @@ int main() {
                      .Set("name", name)
                      .Set("native_cyc_per_op", native->cycles_per_op())
                      .Set("per_op_cyc_per_op", plain->cycles_per_op())
-                     .Set("batched_cyc_per_op", batched->cycles_per_op())
                      .Set("ring_cyc_per_op", ring->cycles_per_op())
                      .Set("per_op_emc", plain->emc_count)
-                     .Set("batched_emc", batched->emc_count)
                      .Set("ring_emc", ring->emc_count)
-                     .Set("recovered_batched", rec_batched)
                      .Set("recovered_ring", rec_ring));
   }
   ok = ok && ring_majority;

@@ -9,12 +9,12 @@
 // the new path must be >= 4x at 64 KiB records.
 //
 // Part B (simulated cycles): multi-session ingest aggregate through
-// ProxyDeliverBatch on an 8-vCPU machine, 1/4/16 concurrent sessions, global
-// versus sharded EMC locking with deterministic lock-contention simulation.
-// Throughput is bytes * 2.1e9 / max-per-vCPU-cycle-delta. Sharded locking at
-// 16 sessions must be >= 2x the 1-session aggregate.
+// ProxyDeliverBatch on an 8-vCPU machine, 1/4/16 concurrent sessions, with
+// deterministic lock-contention simulation. Throughput is bytes * 2.1e9 /
+// max-per-vCPU-cycle-delta. The 16-session aggregate must be >= 2x the
+// 1-session aggregate.
 //
-// Part B also re-runs the sharded ingest cells on the real-thread execution
+// Part B also re-runs the ingest cells on the real-thread execution
 // engine (one OS thread per vCPU, real mutexes instead of simulated
 // contention); every threaded cell must ingest exactly the same per-session
 // record counts as a fresh deterministic oracle run. Set
@@ -170,7 +170,7 @@ bool RunPipelineCell(size_t record_bytes, PipelineCell* out) {
   return true;
 }
 
-// ---- Part B: multi-session batched ingest under the EMC lock plans ----
+// ---- Part B: multi-session batched ingest under the EMC lock plan ----
 
 constexpr int kVcpus = 8;
 constexpr int kRounds = 120;
@@ -178,7 +178,6 @@ constexpr uint64_t kIngestPayload = 4096;
 
 struct IngestCell {
   int sessions = 0;
-  EmcLocking locking = EmcLocking::kGlobal;
   uint64_t bytes = 0;
   Cycles wall_cycles = 0;
   uint64_t wall_ns = 0;  // host wall clock (meaningful on the threaded engine)
@@ -194,7 +193,7 @@ struct IngestCell {
   }
 };
 
-bool RunIngestCell(int sessions, EmcLocking locking, IngestCell* out,
+bool RunIngestCell(int sessions, IngestCell* out,
                    ExecMode exec = ExecMode::kDeterministic) {
   WorldConfig config;
   config.mode = SimMode::kEreborFull;
@@ -260,9 +259,8 @@ bool RunIngestCell(int sessions, EmcLocking locking, IngestCell* out,
   }
 
   EreborMonitor* monitor = world.monitor();
-  monitor->SetEmcLocking(locking);
   // Deterministic cells charge simulated contention; under real threads the
-  // lock plans are backed by real mutexes and wall time is the signal.
+  // locks are backed by real mutexes and wall time is the signal.
   monitor->SetLockContention(exec == ExecMode::kDeterministic);
   LockAudit::Global().Reset();
 
@@ -348,7 +346,6 @@ bool RunIngestCell(int sessions, EmcLocking locking, IngestCell* out,
   }
 
   out->sessions = sessions;
-  out->locking = locking;
   out->bytes = static_cast<uint64_t>(sessions) * kRounds * kIngestPayload;
   out->wall_cycles = wall;
   out->wall_ns = static_cast<uint64_t>(
@@ -406,40 +403,29 @@ int main() {
   // Part B.
   std::printf("\n-- multi-session batched ingest (simulated cycles, %d vCPUs) --\n",
               kVcpus);
-  std::printf("%-9s %14s %14s %9s\n", "sessions", "global MB/s", "sharded MB/s",
-              "speedup");
+  std::printf("%-9s %14s\n", "sessions", "MB/s");
   Json ingest = Json::Array();
-  double sharded_1 = 0, sharded_16 = 0;
+  double mbps_1 = 0, mbps_16 = 0;
   for (const int sessions : {1, 4, 16}) {
-    IngestCell global_cell, sharded_cell;
-    if (!RunIngestCell(sessions, EmcLocking::kGlobal, &global_cell) ||
-        !RunIngestCell(sessions, EmcLocking::kSharded, &sharded_cell)) {
+    IngestCell cell;
+    if (!RunIngestCell(sessions, &cell)) {
       return 1;
     }
     if (sessions == 1) {
-      sharded_1 = sharded_cell.mbps();
+      mbps_1 = cell.mbps();
     }
     if (sessions == 16) {
-      sharded_16 = sharded_cell.mbps();
+      mbps_16 = cell.mbps();
     }
-    const double speedup =
-        global_cell.mbps() == 0 ? 0 : sharded_cell.mbps() / global_cell.mbps();
-    std::printf("%-9d %14.1f %14.1f %8.2fx\n", sessions, global_cell.mbps(),
-                sharded_cell.mbps(), speedup);
-    for (const IngestCell& cell : {global_cell, sharded_cell}) {
-      ingest.Push(Json::Object()
-                      .Set("sessions", cell.sessions)
-                      .Set("locking", cell.locking == EmcLocking::kGlobal
-                                          ? "global"
-                                          : "sharded")
-                      .Set("bytes", cell.bytes)
-                      .Set("wall_cycles", static_cast<uint64_t>(cell.wall_cycles))
-                      .Set("aggregate_mbps", cell.mbps()));
-    }
+    std::printf("%-9d %14.1f\n", sessions, cell.mbps());
+    ingest.Push(Json::Object()
+                    .Set("sessions", cell.sessions)
+                    .Set("bytes", cell.bytes)
+                    .Set("wall_cycles", static_cast<uint64_t>(cell.wall_cycles))
+                    .Set("aggregate_mbps", cell.mbps()));
   }
-  const double scale_16 = sharded_1 == 0 ? 0 : sharded_16 / sharded_1;
-  std::printf("\nsharded aggregate, 16 sessions vs 1: %.2fx (target >= 2x)\n",
-              scale_16);
+  const double scale_16 = mbps_1 == 0 ? 0 : mbps_16 / mbps_1;
+  std::printf("\naggregate, 16 sessions vs 1: %.2fx (target >= 2x)\n", scale_16);
   if (scale_16 < 2.0) {
     std::printf("channel_throughput: FAIL 16-session aggregate below 2x\n");
     ok = false;
@@ -455,10 +441,8 @@ int main() {
     std::printf("%-9s %14s %9s\n", "sessions", "wall MB/s", "oracle");
     for (const int sessions : {4, 16}) {
       IngestCell threaded, oracle;
-      if (!RunIngestCell(sessions, EmcLocking::kSharded, &threaded,
-                         ExecMode::kRealThreads) ||
-          !RunIngestCell(sessions, EmcLocking::kSharded, &oracle,
-                         ExecMode::kDeterministic)) {
+      if (!RunIngestCell(sessions, &threaded, ExecMode::kRealThreads) ||
+          !RunIngestCell(sessions, &oracle, ExecMode::kDeterministic)) {
         return 1;
       }
       const bool match = threaded.recv_seqs == oracle.recv_seqs;
@@ -472,7 +456,6 @@ int main() {
                   match ? "match" : "MISMATCH");
       ingest_engine.Push(Json::Object()
                              .Set("sessions", sessions)
-                             .Set("locking", "sharded")
                              .Set("bytes", threaded.bytes)
                              .Set("wall_ns", threaded.wall_ns)
                              .Set("wall_mbps", threaded.wall_mbps())

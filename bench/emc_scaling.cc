@@ -1,29 +1,30 @@
-// EMC scaling bench: multi-vCPU EMC throughput under the one-big-lock baseline
-// (EmcLocking::kGlobal) versus the per-sandbox + sharded-frame-table plan
-// (EmcLocking::kSharded). Four sandboxes each receive channel-op EMCs
-// round-robin from 1/2/4/8 vCPUs with deterministic lock-contention simulation
-// enabled; throughput is ops / max-per-vCPU-cycle-delta at 2.1 GHz.
+// EMC scaling bench: multi-vCPU EMC throughput under the monitor's
+// per-sandbox + sharded-frame-table lock plan. Four sandboxes each receive
+// channel-op EMCs round-robin from 1/2/4/8 vCPUs with deterministic
+// lock-contention simulation enabled; throughput is ops /
+// max-per-vCPU-cycle-delta at 2.1 GHz.
 //
-// The global lock serializes every EMC regardless of which sandbox it targets,
-// so throughput stays flat as vCPUs grow. Sharded locking only serializes EMCs
-// that touch the *same* sandbox, so throughput scales until vCPUs outnumber
-// sandboxes (the 8-vCPU point plateaus at ~4x: two vCPUs pair up per sandbox).
+// The plan only serializes EMCs that touch the *same* sandbox, so throughput
+// scales linearly until vCPUs outnumber sandboxes (the 8-vCPU point reaches
+// only ~4.8x: two vCPUs pair up per sandbox).
 //
-// Exits non-zero if sharded locking is not at least 2x the global baseline at
-// 4 vCPUs, or if the lock-discipline audit records any violation.
+// Exits non-zero if 4-vCPU throughput is below 3x the 1-vCPU cell (ideal
+// linear scaling is 4x), or if the lock-discipline audit records any violation.
 //
 // A second sweep re-runs the same cells on the real-thread execution engine
 // (ExecMode::kRealThreads, one OS thread per vCPU, contention *simulation* off
-// so mutex waits are real instead of charged): wall-clock nanoseconds are the
-// figure of merit there, and every threaded cell is checked bit-for-bit against
-// a fresh deterministic oracle run (EMC counters + per-vCPU charged cycles).
-// Set EREBOR_EXEC=deterministic to skip the threaded sweep.
+// so mutex waits are real instead of charged): wall-clock nanoseconds are
+// reported there without a gate, and every threaded cell is checked
+// bit-for-bit against a fresh deterministic oracle run (EMC counters +
+// per-vCPU charged cycles). Set EREBOR_EXEC=deterministic to skip the
+// threaded sweep.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -40,13 +41,11 @@ constexpr int kRounds = 500;  // EMC ops per vCPU
 // One page per record: the per-byte decrypt/copy cost is charged inside the
 // lock (it mutates sandbox state), so page-sized records give the critical
 // section its realistic data-path weight relative to the out-of-lock gate
-// round trip. Tiny records make even the global lock uncontended and the
-// comparison meaningless.
+// round trip.
 constexpr uint64_t kPayload = 4096;
 
 struct Cell {
   int vcpus = 0;
-  EmcLocking locking = EmcLocking::kGlobal;
   uint64_t ops = 0;
   Cycles wall_cycles = 0;
   uint64_t lock_waits = 0;
@@ -56,24 +55,13 @@ struct Cell {
   }
 };
 
-bool RunCell(int vcpus, EmcLocking locking, Cell* out) {
-  WorldConfig config;
-  config.mode = SimMode::kEreborFull;
-  config.machine.num_cpus = vcpus;
-  config.machine.memory_frames = 32 * 1024;
-  World world(config);
-  if (!world.Boot().ok()) {
-    std::printf("emc_scaling: boot failed (%d vCPUs)\n", vcpus);
-    return false;
-  }
-
-  // Launch the sandbox fleet and let every libos initialize (declares confined
-  // memory so the install path has something to seal).
+// Launches the sandbox fleet and lets every libos initialize (declares confined
+// memory so the install path has something to seal).
+bool LaunchFleet(World& world, const std::string& prefix, std::vector<Sandbox*>* fleet) {
   int initialized = 0;
-  std::vector<Sandbox*> fleet;
   for (int i = 0; i < kSandboxes; ++i) {
     SandboxSpec spec;
-    spec.name = "scale" + std::to_string(i);
+    spec.name = prefix + std::to_string(i);
     spec.confined_budget_bytes = (1 << 20) + (1 << 20);
     auto env = std::make_shared<LibosEnv>(
         LibosManifest{.name = spec.name, .heap_bytes = 1 << 20},
@@ -94,15 +82,31 @@ bool RunCell(int vcpus, EmcLocking locking, Cell* out) {
                   sandbox.status().ToString().c_str());
       return false;
     }
-    fleet.push_back(*sandbox);
+    fleet->push_back(*sandbox);
   }
   if (!world.RunUntil([&] { return initialized == kSandboxes; }, 200'000).ok()) {
     std::printf("emc_scaling: sandboxes failed to initialize\n");
     return false;
   }
+  return true;
+}
+
+bool RunCell(int vcpus, Cell* out) {
+  WorldConfig config;
+  config.mode = SimMode::kEreborFull;
+  config.machine.num_cpus = vcpus;
+  config.machine.memory_frames = 32 * 1024;
+  World world(config);
+  if (!world.Boot().ok()) {
+    std::printf("emc_scaling: boot failed (%d vCPUs)\n", vcpus);
+    return false;
+  }
+  std::vector<Sandbox*> fleet;
+  if (!LaunchFleet(world, "scale", &fleet)) {
+    return false;
+  }
 
   EreborMonitor* monitor = world.monitor();
-  monitor->SetEmcLocking(locking);
   monitor->SetLockContention(true);
   LockAudit::Global().Reset();
 
@@ -145,8 +149,6 @@ bool RunCell(int vcpus, EmcLocking locking, Cell* out) {
   uint64_t waits = 0;
   Cycles wait_cycles = 0;
   EmcLockTable& locks = monitor->locks();
-  waits += locks.global().contended();
-  wait_cycles += locks.global().contention_cycles();
   waits += locks.monitor_state().contended();
   wait_cycles += locks.monitor_state().contention_cycles();
   for (int i = 0; i < EmcLockTable::kFrameShards; ++i) {
@@ -168,7 +170,6 @@ bool RunCell(int vcpus, EmcLocking locking, Cell* out) {
   }
 
   out->vcpus = vcpus;
-  out->locking = locking;
   out->ops = static_cast<uint64_t>(kRounds) * vcpus;
   out->wall_cycles = wall;
   out->lock_waits = waits;
@@ -180,13 +181,12 @@ bool RunCell(int vcpus, EmcLocking locking, Cell* out) {
 //
 // Same workload shape as RunCell, but the per-vCPU EMC burst runs through
 // World::RunOnThreads so it can execute on real OS threads. Contention
-// simulation is off: under kRealThreads the lock plans are backed by real
+// simulation is off: under kRealThreads the locks are backed by real
 // mutexes and wall-clock time *is* the contention signal; under kDeterministic
 // the same cell is the oracle whose counters and per-vCPU cycles the threaded
 // run must reproduce exactly.
 struct EngineCell {
   int vcpus = 0;
-  EmcLocking locking = EmcLocking::kGlobal;
   ExecMode exec = ExecMode::kDeterministic;
   uint64_t ops = 0;
   uint64_t wall_ns = 0;
@@ -198,7 +198,7 @@ struct EngineCell {
   }
 };
 
-bool RunEngineCell(int vcpus, EmcLocking locking, ExecMode exec, EngineCell* out) {
+bool RunEngineCell(int vcpus, ExecMode exec, EngineCell* out) {
   WorldConfig config;
   config.mode = SimMode::kEreborFull;
   config.exec = exec;
@@ -210,41 +210,12 @@ bool RunEngineCell(int vcpus, EmcLocking locking, ExecMode exec, EngineCell* out
                 ExecModeName(exec));
     return false;
   }
-
-  int initialized = 0;
   std::vector<Sandbox*> fleet;
-  for (int i = 0; i < kSandboxes; ++i) {
-    SandboxSpec spec;
-    spec.name = "engine" + std::to_string(i);
-    spec.confined_budget_bytes = (1 << 20) + (1 << 20);
-    auto env = std::make_shared<LibosEnv>(
-        LibosManifest{.name = spec.name, .heap_bytes = 1 << 20},
-        LibosBackend::kSandboxed);
-    auto sandbox = world.LaunchSandboxProcess(
-        spec.name, spec, [env, &initialized](SyscallContext& ctx) -> StepOutcome {
-          if (!env->initialized()) {
-            if (!env->Initialize(ctx).ok()) {
-              return StepOutcome::kExited;
-            }
-            ++initialized;
-          }
-          ctx.Compute(10'000);
-          return StepOutcome::kYield;
-        });
-    if (!sandbox.ok()) {
-      std::printf("emc_scaling: launch failed: %s\n",
-                  sandbox.status().ToString().c_str());
-      return false;
-    }
-    fleet.push_back(*sandbox);
-  }
-  if (!world.RunUntil([&] { return initialized == kSandboxes; }, 200'000).ok()) {
-    std::printf("emc_scaling: sandboxes failed to initialize\n");
+  if (!LaunchFleet(world, "engine", &fleet)) {
     return false;
   }
 
   EreborMonitor* monitor = world.monitor();
-  monitor->SetEmcLocking(locking);
   monitor->SetLockContention(false);  // real or no contention — never charged
   LockAudit::Global().Reset();
 
@@ -305,7 +276,6 @@ bool RunEngineCell(int vcpus, EmcLocking locking, ExecMode exec, EngineCell* out
   }
 
   out->vcpus = vcpus;
-  out->locking = locking;
   out->exec = exec;
   out->ops = static_cast<uint64_t>(kRounds) * vcpus;
   out->wall_ns = static_cast<uint64_t>(
@@ -320,8 +290,7 @@ bool RunEngineCell(int vcpus, EmcLocking locking, ExecMode exec, EngineCell* out
     out->cpu_cycles.push_back(
         static_cast<uint64_t>(machine.cpu(c).cycles().now() - start[c]));
   }
-  out->real_waits = monitor->locks().global().real_contended() +
-                    monitor->locks().monitor_state().real_contended();
+  out->real_waits = monitor->locks().monitor_state().real_contended();
   for (int i = 0; i < EmcLockTable::kFrameShards; ++i) {
     out->real_waits += monitor->locks().shard(i).real_contended();
   }
@@ -335,9 +304,8 @@ bool RunEngineCell(int vcpus, EmcLocking locking, ExecMode exec, EngineCell* out
 // deterministic twin in every simulated observable.
 bool OracleMatch(const EngineCell& threaded, const EngineCell& oracle) {
   if (threaded.cpu_cycles != oracle.cpu_cycles) {
-    std::printf("emc_scaling: ORACLE MISMATCH per-vCPU cycles (%d vCPUs, %s)\n",
-                threaded.vcpus,
-                threaded.locking == EmcLocking::kGlobal ? "global" : "sharded");
+    std::printf("emc_scaling: ORACLE MISMATCH per-vCPU cycles (%d vCPUs)\n",
+                threaded.vcpus);
     for (size_t c = 0; c < threaded.cpu_cycles.size(); ++c) {
       std::printf("  cpu%zu: threaded=%llu oracle=%llu\n", c,
                   static_cast<unsigned long long>(threaded.cpu_cycles[c]),
@@ -348,10 +316,9 @@ bool OracleMatch(const EngineCell& threaded, const EngineCell& oracle) {
   if (std::memcmp(&threaded.counters, &oracle.counters,
                   sizeof(MonitorCounters)) != 0) {
     std::printf(
-        "emc_scaling: ORACLE MISMATCH monitor counters (%d vCPUs, %s): "
+        "emc_scaling: ORACLE MISMATCH monitor counters (%d vCPUs): "
         "emc_total %llu vs %llu\n",
         threaded.vcpus,
-        threaded.locking == EmcLocking::kGlobal ? "global" : "sharded",
         static_cast<unsigned long long>(threaded.counters.emc_total),
         static_cast<unsigned long long>(oracle.counters.emc_total));
     return false;
@@ -362,63 +329,46 @@ bool OracleMatch(const EngineCell& threaded, const EngineCell& oracle) {
 }  // namespace
 
 int main() {
-  std::printf("=== EMC scaling: global vs sharded locking (%d sandboxes, %d ops/vCPU) ===\n",
+  std::printf("=== EMC scaling: sharded locking (%d sandboxes, %d ops/vCPU) ===\n",
               kSandboxes, kRounds);
-  std::printf("%-6s %12s %12s %10s %12s %12s %9s\n", "vcpus", "global op/s",
-              "sharded op/s", "speedup", "glob waits", "shard waits", "scale");
+  std::printf("%-6s %12s %12s %9s\n", "vcpus", "op/s", "lock waits", "scale");
 
   Json cells = Json::Array();
-  double speedup_4vcpu = 0;
-  double sharded_1vcpu = 0;
+  double scale_4vcpu = 0;
+  double throughput_1vcpu = 0;
   bool ok = true;
   for (const int vcpus : {1, 2, 4, 8}) {
-    Cell global_cell, sharded_cell;
-    if (!RunCell(vcpus, EmcLocking::kGlobal, &global_cell) ||
-        !RunCell(vcpus, EmcLocking::kSharded, &sharded_cell)) {
+    Cell cell;
+    if (!RunCell(vcpus, &cell)) {
       return 1;
     }
-    const double speedup =
-        global_cell.throughput() == 0
-            ? 0
-            : sharded_cell.throughput() / global_cell.throughput();
     if (vcpus == 1) {
-      sharded_1vcpu = sharded_cell.throughput();
+      throughput_1vcpu = cell.throughput();
     }
+    const double scale = throughput_1vcpu == 0 ? 0 : cell.throughput() / throughput_1vcpu;
     if (vcpus == 4) {
-      speedup_4vcpu = speedup;
+      scale_4vcpu = scale;
     }
-    const double scale =
-        sharded_1vcpu == 0 ? 0 : sharded_cell.throughput() / sharded_1vcpu;
-    std::printf("%-6d %12.3e %12.3e %9.2fx %12llu %12llu %8.2fx\n", vcpus,
-                global_cell.throughput(), sharded_cell.throughput(), speedup,
-                static_cast<unsigned long long>(global_cell.lock_waits),
-                static_cast<unsigned long long>(sharded_cell.lock_waits), scale);
-
-    for (const Cell& cell : {global_cell, sharded_cell}) {
-      cells.Push(Json::Object()
-                     .Set("vcpus", cell.vcpus)
-                     .Set("locking", cell.locking == EmcLocking::kGlobal
-                                         ? "global"
-                                         : "sharded")
-                     .Set("ops", cell.ops)
-                     .Set("wall_cycles", static_cast<uint64_t>(cell.wall_cycles))
-                     .Set("throughput_ops_per_sec", cell.throughput())
-                     .Set("lock_waits", cell.lock_waits)
-                     .Set("lock_wait_cycles",
-                          static_cast<uint64_t>(cell.lock_wait_cycles)));
-    }
+    std::printf("%-6d %12.3e %12llu %8.2fx\n", vcpus, cell.throughput(),
+                static_cast<unsigned long long>(cell.lock_waits), scale);
+    cells.Push(Json::Object()
+                   .Set("vcpus", cell.vcpus)
+                   .Set("ops", cell.ops)
+                   .Set("wall_cycles", static_cast<uint64_t>(cell.wall_cycles))
+                   .Set("throughput_ops_per_sec", cell.throughput())
+                   .Set("lock_waits", cell.lock_waits)
+                   .Set("lock_wait_cycles", static_cast<uint64_t>(cell.lock_wait_cycles)));
   }
 
-  std::printf("\nsharded/global speedup at 4 vCPUs: %.2fx (target >= 2x)\n",
-              speedup_4vcpu);
-  if (speedup_4vcpu < 2.0) {
-    std::printf("emc_scaling: FAIL sharded locking below 2x at 4 vCPUs\n");
+  std::printf("\n4-vCPU throughput over 1 vCPU: %.2fx (target >= 3x, ideal 4x)\n",
+              scale_4vcpu);
+  if (scale_4vcpu < 3.0) {
+    std::printf("emc_scaling: FAIL 4-vCPU throughput below 3x one vCPU\n");
     ok = false;
   }
 
   // ---- Real-thread sweep: wall-clock series + oracle equivalence ----
   Json engine_cells = Json::Array();
-  double wall_speedup_8vcpu = 0;
   const char* exec_env = std::getenv("EREBOR_EXEC");
   const bool run_threads =
       exec_env == nullptr || std::string(exec_env) != "deterministic";
@@ -426,9 +376,8 @@ int main() {
     const unsigned hw = std::thread::hardware_concurrency();
     std::printf("\n=== Real-thread engine (%u hardware threads): wall-clock vs oracle ===\n",
                 hw);
-    std::printf("%-6s %-8s %12s %12s %10s %8s\n", "vcpus", "locking",
-                "wall op/s", "oracle ns", "real waits", "oracle");
-    double global_8vcpu_ops = 0, sharded_8vcpu_ops = 0;
+    std::printf("%-6s %12s %12s %10s %8s\n", "vcpus", "wall op/s", "oracle ns",
+                "real waits", "oracle");
     // Wide cells only where the host can actually run them in parallel: a
     // 64-vCPU sweep on a 4-core box measures the scheduler, not the locking
     // plan. LockAudit::kMaxCpus bounds the top end.
@@ -440,64 +389,35 @@ int main() {
       }
     }
     for (const int vcpus : engine_vcpus) {
-      for (const EmcLocking locking : {EmcLocking::kGlobal, EmcLocking::kSharded}) {
-        EngineCell threaded, oracle;
-        if (!RunEngineCell(vcpus, locking, ExecMode::kRealThreads, &threaded) ||
-            !RunEngineCell(vcpus, locking, ExecMode::kDeterministic, &oracle)) {
-          return 1;
-        }
-        const bool match = OracleMatch(threaded, oracle);
-        if (!match) {
-          ok = false;
-        }
-        const char* lname =
-            locking == EmcLocking::kGlobal ? "global" : "sharded";
-        std::printf("%-6d %-8s %12.3e %12llu %10llu %8s\n", vcpus, lname,
-                    threaded.wall_ops_per_sec(),
-                    static_cast<unsigned long long>(oracle.wall_ns),
-                    static_cast<unsigned long long>(threaded.real_waits),
-                    match ? "match" : "MISMATCH");
-        if (vcpus == 8) {
-          (locking == EmcLocking::kGlobal ? global_8vcpu_ops
-                                          : sharded_8vcpu_ops) =
-              threaded.wall_ops_per_sec();
-        }
-        for (const EngineCell* cell : {&threaded, &oracle}) {
-          Json cycles = Json::Array();
-          for (const uint64_t c : cell->cpu_cycles) {
-            cycles.Push(Json::Number(c));
-          }
-          engine_cells.Push(
-              Json::Object()
-                  .Set("vcpus", cell->vcpus)
-                  .Set("locking", lname)
-                  .Set("engine", ExecModeName(cell->exec))
-                  .Set("ops", cell->ops)
-                  .Set("wall_ns", cell->wall_ns)
-                  .Set("wall_ops_per_sec", cell->wall_ops_per_sec())
-                  .Set("real_lock_waits", cell->real_waits)
-                  .Set("emc_total", cell->counters.emc_total)
-                  .Set("cpu_cycles", std::move(cycles))
-                  .Set("oracle_match", match));
-        }
+      EngineCell threaded, oracle;
+      if (!RunEngineCell(vcpus, ExecMode::kRealThreads, &threaded) ||
+          !RunEngineCell(vcpus, ExecMode::kDeterministic, &oracle)) {
+        return 1;
       }
-    }
-    if (global_8vcpu_ops > 0) {
-      wall_speedup_8vcpu = sharded_8vcpu_ops / global_8vcpu_ops;
-    }
-    std::printf("\nsharded/global wall-clock speedup at 8 vCPUs: %.2fx\n",
-                wall_speedup_8vcpu);
-    // The wall-clock scaling gate only means something with real parallelism:
-    // on a 1-2 core host every plan serializes on the scheduler, so the gate
-    // is informational there and hard only when >= 4 hardware threads exist.
-    if (hw >= 4 && wall_speedup_8vcpu < 1.0) {
-      std::printf(
-          "emc_scaling: FAIL sharded slower than global wall-clock at 8 vCPUs\n");
-      ok = false;
-    } else if (hw < 4) {
-      std::printf(
-          "emc_scaling: wall-clock gate informational (%u hardware threads)\n",
-          hw);
+      const bool match = OracleMatch(threaded, oracle);
+      if (!match) {
+        ok = false;
+      }
+      std::printf("%-6d %12.3e %12llu %10llu %8s\n", vcpus, threaded.wall_ops_per_sec(),
+                  static_cast<unsigned long long>(oracle.wall_ns),
+                  static_cast<unsigned long long>(threaded.real_waits),
+                  match ? "match" : "MISMATCH");
+      for (const EngineCell* cell : {&threaded, &oracle}) {
+        Json cycles = Json::Array();
+        for (const uint64_t c : cell->cpu_cycles) {
+          cycles.Push(Json::Number(c));
+        }
+        engine_cells.Push(Json::Object()
+                              .Set("vcpus", cell->vcpus)
+                              .Set("engine", ExecModeName(cell->exec))
+                              .Set("ops", cell->ops)
+                              .Set("wall_ns", cell->wall_ns)
+                              .Set("wall_ops_per_sec", cell->wall_ops_per_sec())
+                              .Set("real_lock_waits", cell->real_waits)
+                              .Set("emc_total", cell->counters.emc_total)
+                              .Set("cpu_cycles", std::move(cycles))
+                              .Set("oracle_match", match));
+      }
     }
   } else {
     std::printf("\nEREBOR_EXEC=deterministic: skipping real-thread sweep\n");
@@ -510,8 +430,7 @@ int main() {
       .Set("payload_bytes", kPayload)
       .Set("cells", std::move(cells))
       .Set("engine_cells", std::move(engine_cells))
-      .Set("speedup_4vcpu", speedup_4vcpu)
-      .Set("wall_speedup_8vcpu", wall_speedup_8vcpu)
+      .Set("scale_4vcpu", scale_4vcpu)
       .Set("hardware_threads",
            static_cast<uint64_t>(std::thread::hardware_concurrency()))
       .Set("pass", ok);

@@ -3,6 +3,7 @@
 # real-thread engine tests, then the chaos soak), re-run it under ASan+UBSan,
 # run the threads label again under ThreadSanitizer, then a tracing smoke test
 # (the trace-vs-counter EMC cross-check must hold with the tracer enabled), then
+# the deterministic halves of the emc_scaling and batched_mmu bench gates, then
 # short perfbench runs whose correctness gates must pass.
 #
 # Usage: scripts/check.sh [build-dir]   (default: build)
@@ -66,6 +67,12 @@ grep -q '"traceEvents"' "$TRACE_JSON" || {
   echo "check.sh: Chrome trace JSON missing or empty" >&2
   exit 1
 }
+
+# Bench gates that run in well under a second on the deterministic engine:
+# emc_scaling (4-vCPU throughput >= 3x one vCPU) and batched_mmu (the MMU rings
+# recover a majority of the Erebor-added fork/mmap/pagefault cost).
+EREBOR_EXEC=deterministic "$BUILD_DIR/bench/emc_scaling"
+EREBOR_EXEC=deterministic "$BUILD_DIR/bench/batched_mmu"
 
 # Benchmark smoke test: short jobs and serve runs of perfbench, whose
 # end-to-end gates (quote verification, CheckOutput, replay, invariant audits)

@@ -37,7 +37,7 @@ enum class TraceEvent : uint16_t {
   kIntGateRestore,
   // EMC dispatch (src/monitor/monitor.cc); payload = gated cycles for the op.
   kEmcPte,
-  kEmcPteBatch,
+  kEmcPteBatch,  // one MMU-ring kPteSpan (all entries charged together)
   kEmcPtpRegister,
   kEmcCr,
   kEmcMsr,

@@ -720,7 +720,6 @@ StatusOr<std::vector<uint64_t>> FleetSupervisor::RunBurstIngest(int rounds) {
   }
 
   EreborMonitor* monitor = world_->monitor();
-  monitor->SetEmcLocking(EmcLocking::kSharded);
   monitor->SetLockContention(config_.exec == ExecMode::kDeterministic);
   LockAudit::Global().Reset();
 

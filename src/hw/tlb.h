@@ -15,7 +15,7 @@
 //   - The kernel's invlpg-equivalent broadcasts a single-page invalidation on
 //     unmap/protect (PrivilegedOps::InvlPg via AddressSpace).
 //   - The monitor shoots down by leaf-PTE physical address on every
-//     permission-revoking EmcWritePte/EmcWritePteBatch, on RetrofitKey, and on the
+//     permission-revoking EmcWritePte and ring PTE descriptor, on RetrofitKey, and on the
 //     trusted sandbox-manager PTE writes (confinement unmaps, seal-time W strips).
 //   - flush_on_exit really flushes the exiting CPU's TLB (same cycle charge).
 // Each hook has a test-only disable toggle so the stale-TLB security test can show

@@ -25,8 +25,8 @@ PteWriter AddressSpace::MakeWriter(Cpu& cpu, int* pte_writes) {
     EREBOR_RETURN_IF_ERROR(ops_->WritePte(cpu, entry_pa, value));
     // Kernel-side TLB maintenance: rewriting a previously present entry (remap,
     // U/S widening of an intermediate, unmap, protect) invalidates any cached
-    // translation that depends on it. Batched leaf writes skip this wrapper but
-    // only ever target non-present slots.
+    // translation that depends on it. MapRange's leaf writes skip this wrapper
+    // but only ever target non-present slots.
     if (Tlb::hooks().invlpg && pte::Present(old) && old != value) {
       machine_->ShootdownTlbLeaf(entry_pa, cpu.index());
     }
@@ -170,17 +170,16 @@ Status AddressSpace::MapRangeRing(Cpu& cpu, EmcRing* ring,
   return RingFlush(cpu, ring, batch);
 }
 
-Status AddressSpace::MapRangeBatched(Cpu& cpu, const std::vector<PageMapping>& mappings) {
+Status AddressSpace::MapRange(Cpu& cpu, const std::vector<PageMapping>& mappings) {
   if (EmcRing* ring = ops_->mmu_ring(cpu.index()); ring != nullptr) {
     return MapRangeRing(cpu, ring, mappings);
   }
-  // Phase 1: materialize the leaf slots (may create intermediate PTPs; those writes
-  // stay per-entry because each links a fresh table).
-  std::vector<PrivilegedOps::PteUpdate> updates;
-  updates.reserve(mappings.size());
+  // Phase 1: materialize the leaf slots (may create intermediate PTPs).
+  std::vector<std::pair<Paddr, Pte>> leaves;
+  leaves.reserve(mappings.size());
   PteWriter writer = MakeWriter(cpu);
   for (const PageMapping& mapping : mappings) {
-    // Walk down, creating levels, but defer the leaf store into the batch.
+    // Walk down, creating levels, but defer the leaf store to phase 2.
     Paddr table = root_;
     const bool user = (mapping.flags & pte::kUser) != 0;
     for (int level = kPagingLevels - 1; level >= 1; --level) {
@@ -199,17 +198,20 @@ Status AddressSpace::MapRangeBatched(Cpu& cpu, const std::vector<PageMapping>& m
       }
       table = pte::Frame(entry) << kPageShift;
     }
-    updates.push_back({table + PteIndex(mapping.va, 0) * sizeof(Pte),
-                       pte::Make(mapping.frame, mapping.flags | pte::kPresent)});
+    leaves.emplace_back(table + PteIndex(mapping.va, 0) * sizeof(Pte),
+                        pte::Make(mapping.frame, mapping.flags | pte::kPresent));
     if (user) {
       ++mapped_user_pages_;
     }
   }
-  // Phase 2: one privileged call for all leaf entries.
-  return ops_->WritePteBatch(cpu, updates.data(), updates.size());
+  // Phase 2: the leaf stores, in mapping order.
+  for (const auto& [entry_pa, value] : leaves) {
+    EREBOR_RETURN_IF_ERROR(ops_->WritePte(cpu, entry_pa, value));
+  }
+  return OkStatus();
 }
 
-Status AddressSpace::PopulateVmaBatched(Cpu& cpu, Vaddr start) {
+Status AddressSpace::PopulateVma(Cpu& cpu, Vaddr start) {
   Vma* vma = FindVma(start);
   if (vma == nullptr) {
     return NotFoundError("no VMA to populate");
@@ -235,7 +237,7 @@ Status AddressSpace::PopulateVmaBatched(Cpu& cpu, Vaddr start) {
     }
     mappings.push_back({va, frame, vma->flags});
   }
-  return MapRangeBatched(cpu, mappings);
+  return MapRange(cpu, mappings);
 }
 
 Status AddressSpace::UnmapPage(Cpu& cpu, Vaddr va) {
@@ -441,7 +443,7 @@ Status AddressSpace::CloneUserMappings(Cpu& cpu, const AddressSpace& src) {
       mappings.push_back({va, frame, vma.flags});
     }
   }
-  return MapRangeBatched(cpu, mappings);
+  return MapRange(cpu, mappings);
 }
 
 bool AddressSpace::ReclaimFramesRing(Cpu& cpu, EmcRing* ring) {

@@ -49,23 +49,23 @@ class AddressSpace {
 
   // ---- Raw mapping primitives (PTE writes via PrivilegedOps) ----
   Status MapFrame(Cpu& cpu, Vaddr va, FrameNum frame, Pte flags);
-  // Maps many pages with one batched privileged call for the leaf entries
-  // (intermediate page-table pages are still created individually). This is the
-  // batched-MMU-update optimization of paper section 9.1.
+  // Maps many pages: first every missing intermediate page-table page, then the
+  // leaf entries in mapping order, one WritePte each.
   struct PageMapping {
     Vaddr va;
     FrameNum frame;
     Pte flags;
   };
-  Status MapRangeBatched(Cpu& cpu, const std::vector<PageMapping>& mappings);
+  Status MapRange(Cpu& cpu, const std::vector<PageMapping>& mappings);
   // When the backend exposes an MMU ring for `cpu` (PrivilegedOps::mmu_ring),
-  // MapRangeBatched, DestroyVma, HandleDemandFault, and ReleaseUserFrames all
-  // switch to staging descriptors and crossing the gate once per doorbell; the
-  // synchronous per-op paths above remain byte-for-byte what they were.
+  // MapRange, DestroyVma, HandleDemandFault, and ReleaseUserFrames all switch to
+  // staging descriptors and crossing the gate once per doorbell (the batched MMU
+  // updates of paper section 9.1); the synchronous per-op paths above remain
+  // byte-for-byte what they were.
 
   // Populates every not-yet-mapped page of the VMA at `start` (anon/file kinds get
-  // fresh zeroed frames; common kinds use their backing), with leaf writes batched.
-  Status PopulateVmaBatched(Cpu& cpu, Vaddr start);
+  // fresh zeroed frames; common kinds use their backing) through MapRange.
+  Status PopulateVma(Cpu& cpu, Vaddr start);
   Status UnmapPage(Cpu& cpu, Vaddr va);
   Status ProtectPage(Cpu& cpu, Vaddr va, Pte flags);
   StatusOr<WalkResult> Lookup(Vaddr va) const;

@@ -596,7 +596,7 @@ StatusOr<uint64_t> Kernel::SysMmap(SyscallContext& ctx, Task& task, const uint64
     stats_.page_faults += pages;
     task.minor_faults += pages;
     ctx.cpu().cycles().Charge(pages * ctx.cpu().costs().page_fault_service_native);
-    EREBOR_RETURN_IF_ERROR(task.aspace->PopulateVmaBatched(ctx.cpu(), va));
+    EREBOR_RETURN_IF_ERROR(task.aspace->PopulateVma(ctx.cpu(), va));
   }
   return va;
 }

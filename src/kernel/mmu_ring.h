@@ -30,8 +30,8 @@
 namespace erebor {
 
 // Descriptor opcodes. A kPteSpan header is followed by `count` payload slots
-// (flagged kSpanPayload), giving the ring the same all-or-nothing PTE-batch
-// shape as EmcWritePteBatch without a variable-length SQE.
+// (flagged kSpanPayload): an all-or-nothing PTE batch without a
+// variable-length SQE.
 enum class RingOp : uint8_t {
   kNop = 0,
   kWritePte,      // arg0 = entry_pa, arg1 = value
@@ -100,7 +100,7 @@ struct EmcRing {
 //
 // The builder also keeps a write overlay — entry_pa -> staged PTE value — so
 // page-table walks made while a batch is open observe staged-but-unapplied
-// entries (MapRangeBatched creates an intermediate PTP and immediately links
+// entries (MapRange creates an intermediate PTP and immediately links
 // leaves under it within one batch). The overlay is cleared after a doorbell,
 // once the monitor has applied the writes to real memory.
 class MmuRingBatch {

@@ -21,23 +21,6 @@ class PrivilegedOps {
 
   // Page-table entry store (native_set_pte / EMC.WritePte).
   virtual Status WritePte(Cpu& cpu, Paddr entry_pa, Pte value) = 0;
-  // Batched PTE stores: the paper (section 9.1) notes fork/pagefault costs "could be
-  // lowered if batched MMU update is enabled [Nested Kernel]" — one privilege
-  // transition amortized over many validated writes. Entries are (entry_pa, value)
-  // pairs; the batch fails atomically on the first policy denial.
-  struct PteUpdate {
-    Paddr entry_pa;
-    Pte value;
-  };
-  virtual Status WritePteBatch(Cpu& cpu, const PteUpdate* updates, size_t count) {
-    if (count == 0) {
-      return OkStatus();
-    }
-    for (size_t i = 0; i < count; ++i) {
-      EREBOR_RETURN_IF_ERROR(WritePte(cpu, updates[i].entry_pa, updates[i].value));
-    }
-    return OkStatus();
-  }
   // Single-page TLB invalidation after unmap/protect. invlpg is privileged but not
   // in the paper's sensitive set (Table 2), so both backends execute it directly on
   // the vCPUs — no EMC round trip. Overridable so tests can interpose.

@@ -84,6 +84,34 @@ EmcValidation ValidateRingDoorbell(const EmcArgs& args) {
   return EmcValidation{OkStatus(), false};
 }
 
+// The locks one dispatch holds, released in reverse acquisition order. The
+// capacity covers the largest plan — one sandbox lock, the monitor-state lock
+// and every frame shard — so taking the set never allocates.
+class DispatchLocks {
+ public:
+  DispatchLocks(Cpu& cpu, bool simulate_contention)
+      : cpu_(cpu), simulate_(simulate_contention) {}
+  ~DispatchLocks() { ReleaseAll(); }
+  DispatchLocks(const DispatchLocks&) = delete;
+  DispatchLocks& operator=(const DispatchLocks&) = delete;
+
+  void Acquire(SimLock& lock) {
+    lock.Acquire(cpu_, simulate_);
+    held_[count_++] = &lock;
+  }
+  void ReleaseAll() {
+    while (count_ > 0) {
+      held_[--count_]->Release(cpu_, simulate_);
+    }
+  }
+
+ private:
+  Cpu& cpu_;
+  bool simulate_;
+  std::array<SimLock*, 2 + EmcLockTable::kFrameShards> held_{};
+  size_t count_ = 0;
+};
+
 using Table = std::array<EmcDescriptor, static_cast<size_t>(EmcOp::kCount)>;
 
 Table BuildTable() {
@@ -95,9 +123,6 @@ Table BuildTable() {
        &CycleModel::monitor_pte_op, &MonitorCounters::emc_pte,
        /*requires_attached_kernel=*/false, /*locks_monitor_state=*/false,
        /*locks_target_sandbox=*/false, /*locks_frame_shards=*/true, ValidateOk});
-  row({EmcOp::kWritePteBatch, "write_pte_batch", "emc.write_pte_batch",
-       TraceEvent::kEmcPteBatch, &CycleModel::monitor_pte_op,
-       &MonitorCounters::emc_pte, false, false, false, true, ValidateOk});
   row({EmcOp::kRegisterPtp, "register_ptp", "emc.register_ptp",
        TraceEvent::kEmcPtpRegister, &CycleModel::monitor_pte_op,
        &MonitorCounters::emc_ptp_register, false, false, false, true, ValidateOk});
@@ -187,35 +212,25 @@ Status EreborMonitor::EmcDispatch(Cpu& cpu, const EmcCall& call,
   }
   EREBOR_RETURN_IF_ERROR(enter);
 
-  // Lock plan: kGlobal takes the one big lock; kSharded takes sandbox ->
-  // monitor-state -> frame shards in ascending rank (LockAudit enforces it).
-  const bool simulate = locks_.simulate_contention();
-  std::vector<SimLockGuard> guards;
-  if (locks_.mode() == EmcLocking::kGlobal) {
-    guards.emplace_back(&locks_.global(), &cpu, simulate);
-  } else {
-    if (d.locks_target_sandbox && call.sandbox_id >= 0) {
-      Sandbox* target = sandbox_mgr_->Find(call.sandbox_id);
-      if (target != nullptr) {
-        guards.emplace_back(&target->lock, &cpu, simulate);
-      }
+  // Lock plan: sandbox -> monitor-state -> frame shards in ascending rank
+  // (LockAudit enforces it).
+  DispatchLocks locks(cpu, locks_.simulate_contention());
+  if (d.locks_target_sandbox && call.sandbox_id >= 0) {
+    Sandbox* target = sandbox_mgr_->Find(call.sandbox_id);
+    if (target != nullptr) {
+      locks.Acquire(target->lock);
     }
-    if (d.locks_monitor_state) {
-      guards.emplace_back(&locks_.monitor_state(), &cpu, simulate);
-    }
-    if (d.locks_frame_shards) {
-      for (int i = 0; i < EmcLockTable::kFrameShards; ++i) {
-        if ((call.shard_mask >> i) & 1u) {
-          guards.emplace_back(&locks_.shard(i), &cpu, simulate);
-        }
+  }
+  if (d.locks_monitor_state) {
+    locks.Acquire(locks_.monitor_state());
+  }
+  if (d.locks_frame_shards) {
+    for (int i = 0; i < EmcLockTable::kFrameShards; ++i) {
+      if ((call.shard_mask >> i) & 1u) {
+        locks.Acquire(locks_.shard(i));
       }
     }
   }
-  auto release_locks = [&guards]() {
-    for (auto it = guards.rbegin(); it != guards.rend(); ++it) {
-      it->reset();
-    }
-  };
 
   const Cycles unit =
       call.has_unit_override ? call.unit_override : cpu.costs().*(d.unit_cost);
@@ -230,13 +245,13 @@ Status EreborMonitor::EmcDispatch(Cpu& cpu, const EmcCall& call,
     if (validation.count_denial) {
       NoteDenial(cpu);
     }
-    release_locks();
+    locks.ReleaseAll();
     gates_->Exit(cpu);
     return validation.status;
   }
 
   const Status status = body();
-  release_locks();
+  locks.ReleaseAll();
   gates_->Exit(cpu);
   return status;
 }
@@ -375,50 +390,6 @@ Status EreborMonitor::SplitHugePageLocked(Cpu& cpu, Paddr entry_pa, Pte huge_val
   ShootdownAfterPteWrite(cpu, entry_pa, old, inter);
   CounterAdd(counters_.huge_splits);
   return OkStatus();
-}
-
-Status EreborMonitor::EmcWritePteBatch(Cpu& cpu, const PrivilegedOps::PteUpdate* updates,
-                                       size_t count) {
-  if (count == 0) {
-    return OkStatus();
-  }
-  EmcCall call{};
-  call.op = EmcOp::kWritePteBatch;
-  call.args.count = count;
-  call.cost_units = count;
-  for (size_t i = 0; i < count; ++i) {
-    call.shard_mask |= 1ull << EmcLockTable::ShardOf(FrameOf(updates[i].entry_pa));
-  }
-  // One gate round trip for the whole batch; each entry is still policy-validated and
-  // charged the monitor-side op cost. The batch is all-or-nothing: every entry is
-  // validated before any PTE memory is written, so a denial mid-batch leaves the page
-  // tables untouched instead of half-applied.
-  return EmcDispatch(cpu, call, [&]() -> Status {
-    std::vector<PolicyDecision> decisions(count);
-    for (size_t i = 0; i < count; ++i) {
-      decisions[i] = policy_->CheckPteWrite(updates[i].entry_pa, updates[i].value);
-      if (decisions[i].needs_split) {
-        NoteDenial(cpu);
-        return PermissionDeniedError("huge-page splits are not supported in batches");
-      }
-      if (!decisions[i].allowed) {
-        NoteDenial(cpu);
-        return PermissionDeniedError("EMC WritePteBatch refused at entry " +
-                                     std::to_string(i) + ": " +
-                                     decisions[i].denial_reason);
-      }
-    }
-    for (size_t i = 0; i < count; ++i) {
-      LockAudit::Global().ExpectFrameShardHeld(
-          cpu.index(), EmcLockTable::ShardOf(FrameOf(updates[i].entry_pa)));
-      const Pte old = machine_->memory().Read64(updates[i].entry_pa);
-      machine_->memory().Write64(updates[i].entry_pa, decisions[i].adjusted_value);
-      policy_->NoteLeafWrite(old, decisions[i].adjusted_value, updates[i].entry_pa);
-      ShootdownAfterPteWrite(cpu, updates[i].entry_pa, old,
-                             decisions[i].adjusted_value);
-    }
-    return OkStatus();
-  });
 }
 
 // Shared by the synchronous EmcRegisterPtp and the ring drain.
@@ -803,8 +774,8 @@ Status EreborMonitor::ProxyDeliverBatch(Cpu& cpu, const std::vector<Bytes>& wire
       }
     }
 
-    // One lock acquisition per sandbox group: under the kSharded plan concurrent
-    // batches for different sessions never touch the same lock.
+    // One lock acquisition per sandbox group: concurrent batches for different
+    // sessions never touch the same lock.
     for (const auto& [sandbox_id, views] : data_by_sandbox) {
       Sandbox* sandbox = sandbox_mgr_->Find(sandbox_id);
       if (sandbox == nullptr || !sandbox->session.established) {

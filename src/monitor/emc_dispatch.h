@@ -54,12 +54,11 @@ struct MonitorCounters {
   uint64_t ring_shootdowns_coalesced = 0;  // duplicate shootdowns merged per drain
 };
 
-// One value per EMC entry point. The first eleven mirror the PrivilegedOps
+// One value per EMC entry point. The first ten mirror the PrivilegedOps
 // virtuals (InvlPg is deliberately absent: it is a non-EMC hint the kernel may
 // issue directly); the last three are the monitor's own gated surfaces.
 enum class EmcOp : uint8_t {
   kWritePte,
-  kWritePteBatch,
   kRegisterPtp,
   kWriteCr,
   kWriteMsr,
@@ -114,7 +113,7 @@ struct EmcDescriptor {
   uint64_t MonitorCounters::*family_counter = nullptr;
   // Gate/seal requirements enforced by the dispatcher.
   bool requires_attached_kernel = false;
-  // Lock plan (kSharded mode; kGlobal mode takes the single global lock).
+  // Lock plan, taken in rank order: target sandbox, monitor state, frame shards.
   bool locks_monitor_state = false;
   bool locks_target_sandbox = false;
   bool locks_frame_shards = false;

@@ -35,9 +35,9 @@ struct RingState {
   uint32_t shadow_cq_tail = 0;
 
   // Lock-plan binding: descriptors on this ring may only name this sandbox
-  // (-1 = the kernel's own ring, no sandbox lock). Under the kSharded plan a
-  // drain takes this sandbox's lock, so concurrent per-sandbox rings on
-  // different vCPUs never serialize against each other.
+  // (-1 = the kernel's own ring, no sandbox lock). A drain takes this
+  // sandbox's lock, so concurrent per-sandbox rings on different vCPUs never
+  // serialize against each other.
   int32_t bound_sandbox = -1;
 
   // Hostile-submission accounting.

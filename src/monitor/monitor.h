@@ -86,13 +86,9 @@ class EreborMonitor {
   const Bytes& monitor_image() const { return monitor_image_; }
   bool stage1_done() const { return stage1_done_; }
 
-  // Enables batched MMU updates (one EMC amortized over a whole PTE batch) — the
-  // optimization the paper points to for lowering fork/pagefault costs (section 9.1).
-  void EnableBatchedMmu(bool enabled) { batched_mmu_ = enabled; }
-  bool batched_mmu() const { return batched_mmu_; }
-
-  // Enables the per-vCPU MMU submission/completion rings (the general form of
-  // batched MMU updates: one EMC doorbell drains a whole descriptor window).
+  // Enables the per-vCPU MMU submission/completion rings: the batched MMU
+  // updates the paper points to for lowering fork/pagefault costs (section
+  // 9.1), with one EMC doorbell draining a whole descriptor window.
   // Off by default so every figure stays bit-identical without rings; see
   // src/monitor/emc_ring.h and DESIGN.md.
   void EnableMmuRings(bool enabled) {
@@ -110,17 +106,14 @@ class EreborMonitor {
   void SetMitigations(const MitigationConfig& config) { mitigations_ = config; }
   const MitigationConfig& mitigations() const { return mitigations_; }
 
-  // EMC locking layer. kSharded (default) serializes per sandbox + per frame
-  // shard; kGlobal is the one-big-lock baseline the emc_scaling bench compares
-  // against. Contention simulation is opt-in and off by default so every
+  // EMC locking layer: serializes per sandbox, per monitor state and per frame
+  // shard. Contention simulation is opt-in and off by default so every
   // single-vCPU figure stays bit-identical (see sim_lock.h).
   EmcLockTable& locks() { return locks_; }
-  void SetEmcLocking(EmcLocking mode) { locks_.set_mode(mode); }
   void SetLockContention(bool on) { locks_.set_simulate_contention(on); }
 
   // ---- EMC surface (PrivilegedOps routes here) ----
   Status EmcWritePte(Cpu& cpu, Paddr entry_pa, Pte value);
-  Status EmcWritePteBatch(Cpu& cpu, const PrivilegedOps::PteUpdate* updates, size_t count);
   Status EmcRegisterPtp(Cpu& cpu, FrameNum frame, Paddr root_pa);
   Status EmcWriteCr(Cpu& cpu, int reg, uint64_t value);
   Status EmcWriteMsr(Cpu& cpu, uint32_t index, uint64_t value);
@@ -159,9 +152,9 @@ class EreborMonitor {
   // Batched ingest: one gated EMC round trip for a burst of packets. Control
   // packets (hello/fin) are handled first in arrival order, then data records are
   // grouped per target sandbox and each group is ingested under a single
-  // acquisition of that sandbox's lock — concurrent sessions on different vCPUs
-  // contend only under the kGlobal plan, not kSharded. Every packet is processed;
-  // the first failure (if any) is returned at the end.
+  // acquisition of that sandbox's lock, so concurrent sessions on different
+  // vCPUs do not contend. Every packet is processed; the first failure (if any)
+  // is returned at the end.
   Status ProxyDeliverBatch(Cpu& cpu, const std::vector<Bytes>& wires);
   // Pops the next outbound wire packet across all sandboxes (empty = none).
   // source_sandbox_out (optional) receives the owning sandbox id so a failed copy-out
@@ -279,7 +272,6 @@ class EreborMonitor {
 
   bool stage1_done_ = false;
   bool kernel_loaded_ = false;
-  bool batched_mmu_ = false;
   MitigationConfig mitigations_;
 };
 
@@ -291,12 +283,6 @@ class EmcPrivOps : public PrivilegedOps {
 
   Status WritePte(Cpu& cpu, Paddr entry_pa, Pte value) override {
     return monitor_->EmcWritePte(cpu, entry_pa, value);
-  }
-  Status WritePteBatch(Cpu& cpu, const PteUpdate* updates, size_t count) override {
-    if (!monitor_->batched_mmu()) {
-      return PrivilegedOps::WritePteBatch(cpu, updates, count);  // one EMC per entry
-    }
-    return monitor_->EmcWritePteBatch(cpu, updates, count);
   }
   Status RegisterPtp(Cpu& cpu, FrameNum frame, Paddr root_pa) override {
     return monitor_->EmcRegisterPtp(cpu, frame, root_pa);

@@ -12,7 +12,7 @@ namespace erebor {
 namespace {
 
 // Lock-discipline probe at every sandbox mutation entry point: a gated (EMC)
-// caller must hold this sandbox's lock (or the global lock in kGlobal mode).
+// caller must hold this sandbox's lock.
 // Non-gated monitor paths — the syscall interposer's kill/teardown, the kill
 // observer's quarantine — run outside the gates and are exempt: they execute at
 // a point where no EMC is in flight for the sandbox.

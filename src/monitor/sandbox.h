@@ -64,7 +64,7 @@ struct Sandbox {
   Task* leader = nullptr;
   std::shared_ptr<AddressSpace> aspace;
 
-  // Per-sandbox EMC serialization (kSharded locking): every gated operation
+  // Per-sandbox EMC serialization: every gated operation
   // that mutates this sandbox holds it; LockAudit checks the discipline at the
   // manager's mutation entry points. Bound to the id in SandboxManager::Create.
   SimLock lock;

@@ -152,7 +152,7 @@ bool LockAudit::Holds(int cpu, int rank, int sub) const {
     return false;
   }
   for (const Held& h : held_[static_cast<size_t>(cpu)]) {
-    if (h.rank == kRankGlobal || (h.rank == rank && h.sub == sub)) {
+    if (h.rank == rank && h.sub == sub) {
       return true;
     }
   }
@@ -176,9 +176,7 @@ bool LockAudit::NothingHeld(int cpu) const {
          held_[static_cast<size_t>(cpu)].empty();
 }
 
-EmcLockTable::EmcLockTable()
-    : global_("emc.global", kRankGlobal),
-      monitor_state_("monitor.state", kRankMonitorState) {
+EmcLockTable::EmcLockTable() : monitor_state_("monitor.state", kRankMonitorState) {
   for (int i = 0; i < kFrameShards; ++i) {
     shards_[static_cast<size_t>(i)] =
         SimLock("frames.shard" + std::to_string(i), kRankFrameShard + i, i);

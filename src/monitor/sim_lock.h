@@ -34,8 +34,7 @@
 // LockAudit (a process-global, like Tracer) tracks which locks each vCPU holds
 // and enforces the discipline the invariant checker audits:
 //   - acquisition order: sandbox locks < monitor-state lock < frame shards in
-//     ascending shard index (the global lock, used in kGlobal mode, ranks below
-//     everything and is the only lock taken in that mode);
+//     ascending shard index;
 //   - no EMC body mutates a sandbox or applies a PTE without holding that
 //     sandbox's lock / that frame shard's lock (checked at the mutation sites);
 //   - all locks are released by the time a dispatch returns (checked at safe
@@ -59,7 +58,6 @@ class Cpu;
 // Lock ranks, ascending acquisition order. Within kRankSandbox and
 // kRankFrameShard, the sub-id (sandbox id / shard index) must also ascend.
 enum LockRank : int {
-  kRankGlobal = -1,       // kGlobal mode: the only lock, taken before anything
   kRankSandbox = 0,       // per-sandbox serialization
   kRankMonitorState = 1,  // CR/MSR/IDT/tdcall/text state
   kRankFrameShard = 2,    // frame-table shard i ranks kRankFrameShard + i
@@ -112,43 +110,21 @@ class SimLock {
   std::shared_ptr<std::mutex> mu_;
 };
 
-// RAII acquisition; movable so helpers can hand guards out. A default-built
-// guard holds nothing (used when a lock is already covered, e.g. kGlobal mode).
+// RAII acquisition of one lock (helpers return it by guaranteed elision).
 class SimLockGuard {
  public:
-  SimLockGuard() = default;
-  SimLockGuard(SimLock* lock, Cpu* cpu, bool simulate_contention)
+  SimLockGuard(SimLock& lock, Cpu& cpu, bool simulate_contention)
       : lock_(lock), cpu_(cpu), simulate_(simulate_contention) {
-    if (lock_ != nullptr) {
-      lock_->Acquire(*cpu_, simulate_);
-    }
+    lock_.Acquire(cpu_, simulate_);
   }
-  ~SimLockGuard() { reset(); }
-  SimLockGuard(SimLockGuard&& other) noexcept { *this = std::move(other); }
-  SimLockGuard& operator=(SimLockGuard&& other) noexcept {
-    if (this != &other) {
-      reset();
-      lock_ = other.lock_;
-      cpu_ = other.cpu_;
-      simulate_ = other.simulate_;
-      other.lock_ = nullptr;
-    }
-    return *this;
-  }
+  ~SimLockGuard() { lock_.Release(cpu_, simulate_); }
   SimLockGuard(const SimLockGuard&) = delete;
   SimLockGuard& operator=(const SimLockGuard&) = delete;
 
-  void reset() {
-    if (lock_ != nullptr) {
-      lock_->Release(*cpu_, simulate_);
-      lock_ = nullptr;
-    }
-  }
-
  private:
-  SimLock* lock_ = nullptr;
-  Cpu* cpu_ = nullptr;
-  bool simulate_ = false;
+  SimLock& lock_;
+  Cpu& cpu_;
+  bool simulate_;
 };
 
 // Process-global lock-discipline bookkeeping. Tracks the per-vCPU held stack
@@ -173,9 +149,8 @@ class LockAudit {
   void NoteRelease(int cpu, const SimLock* lock);
 
   // Discipline probes at mutation sites. The check passes when this vCPU holds
-  // the matching lock — or the global lock, which covers everything in kGlobal
-  // mode. Both record a violation instead of failing, so the invariant checker
-  // reports them at the next safe point.
+  // the matching lock. Both record a violation instead of failing, so the
+  // invariant checker reports them at the next safe point.
   void ExpectSandboxHeld(int cpu, int sandbox_id);
   void ExpectFrameShardHeld(int cpu, int shard);
 
@@ -202,22 +177,17 @@ class LockAudit {
   uint64_t unheld_violations_ = 0;
 };
 
-// The monitor's lock table: one global lock (kGlobal mode), the monitor-state
-// lock, and the sharded frame-table locks (kSharded mode; per-sandbox locks
-// live on the Sandbox itself). Frame shards are 2 MiB granules of the physical
-// frame space modulo kFrameShards, so contiguous allocations (one sandbox's
-// page tables and confined runs) mostly stay within one shard while distinct
-// sandboxes land on distinct shards.
-enum class EmcLocking : uint8_t { kGlobal, kSharded };
-
+// The monitor's lock table: the monitor-state lock and the sharded frame-table
+// locks (per-sandbox locks live on the Sandbox itself). Frame shards are 2 MiB
+// granules of the physical frame space modulo kFrameShards, so contiguous
+// allocations (one sandbox's page tables and confined runs) mostly stay within
+// one shard while distinct sandboxes land on distinct shards.
 class EmcLockTable {
  public:
   static constexpr int kFrameShards = 16;
 
   EmcLockTable();
 
-  EmcLocking mode() const { return mode_; }
-  void set_mode(EmcLocking mode) { mode_ = mode; }
   // Contention simulation is opt-in (the emc_scaling bench turns it on); the
   // default keeps every existing single-vCPU figure bit-identical.
   bool simulate_contention() const { return simulate_contention_; }
@@ -227,24 +197,17 @@ class EmcLockTable {
     return static_cast<int>((frame >> 9) % kFrameShards);  // 512-frame granules
   }
 
-  SimLock& global() { return global_; }
   SimLock& monitor_state() { return monitor_state_; }
   SimLock& shard(int i) { return shards_[static_cast<size_t>(i)]; }
 
-  // Guard helpers for dispatch bodies that discover their target mid-flight
-  // (channel packet handling). In kGlobal mode the dispatch-held global lock
-  // already covers the sandbox, so these return an empty guard.
+  // Guard helper for dispatch bodies that discover their target sandbox
+  // mid-flight (channel packet handling).
   SimLockGuard SandboxGuard(Cpu& cpu, SimLock& sandbox_lock) {
-    if (mode_ == EmcLocking::kGlobal) {
-      return SimLockGuard();
-    }
-    return SimLockGuard(&sandbox_lock, &cpu, simulate_contention_);
+    return SimLockGuard(sandbox_lock, cpu, simulate_contention_);
   }
 
  private:
-  EmcLocking mode_ = EmcLocking::kSharded;
   bool simulate_contention_ = false;
-  SimLock global_;
   SimLock monitor_state_;
   std::array<SimLock, kFrameShards> shards_;
 };

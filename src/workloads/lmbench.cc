@@ -100,12 +100,8 @@ StatusOr<LmbenchResult> RunLmbench(const std::string& name, SimMode mode,
   config.machine.num_cpus = options.num_cpus;
   World world(config);
   EREBOR_RETURN_IF_ERROR(world.Boot());
-  if (world.monitor() != nullptr) {
-    if (mmu == MmuUpdateMode::kBatched) {
-      world.monitor()->EnableBatchedMmu(true);
-    } else if (mmu == MmuUpdateMode::kRing) {
-      world.monitor()->EnableMmuRings(true);
-    }
+  if (world.monitor() != nullptr && mmu == MmuUpdateMode::kRing) {
+    world.monitor()->EnableMmuRings(true);
   }
 
   auto state = std::make_shared<BenchState>();

@@ -30,11 +30,10 @@ std::vector<std::string> LmbenchNames();
 
 // How the kernel under test submits MMU updates to the monitor (the section 9.1
 // ablation axis). kPerOp is the paper's measured configuration: one EMC gate
-// crossing per PTE store. kBatched turns on the monitor's batched PTE-write
-// validation (one crossing per leaf batch). kRing additionally routes the
-// MMU-heavy kernel paths through the submission/completion rings — descriptors
-// staged in shared memory, one doorbell crossing per drained window.
-enum class MmuUpdateMode { kPerOp, kBatched, kRing };
+// crossing per PTE store. kRing routes the MMU-heavy kernel paths through the
+// submission/completion rings — descriptors staged in shared memory, one
+// doorbell crossing per drained window.
+enum class MmuUpdateMode { kPerOp, kRing };
 
 // Runs one named benchmark (`null`, `read`, `write`, `stat`, `sig`, `fork`, `mmap`,
 // `pagefault`) in the given world-mode for `iterations` operations.

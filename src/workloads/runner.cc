@@ -73,7 +73,6 @@ RunReport RunWorkload(Workload& workload, SimMode mode, const RunnerOptions& opt
   }
   if (world.monitor() != nullptr) {
     world.monitor()->SetMitigations(options.mitigations);
-    world.monitor()->EnableBatchedMmu(options.batched_mmu);
   }
 
   const LibosManifest manifest = workload.Manifest();

@@ -50,8 +50,6 @@ struct RunnerOptions {
   uint64_t max_slices = 4'000'000;
   // Optional section-12 side-channel mitigations (Erebor modes only).
   MitigationConfig mitigations;
-  // Batched MMU updates (section 9.1 optimization).
-  bool batched_mmu = false;
 };
 
 // Defaults for the single-process microbenchmark entry points (lmbench,

@@ -146,7 +146,7 @@ TEST_F(AddrSpaceTest, MapRangeBatchedEquivalentToIndividualMaps) {
     mappings.push_back({0x50000000ULL + AddrOf(i), 3300ull + i,
                         pte::kPresent | pte::kUser | pte::kNoExecute});
   }
-  ASSERT_TRUE((*space)->MapRangeBatched(*cpu_, mappings).ok());
+  ASSERT_TRUE((*space)->MapRange(*cpu_, mappings).ok());
   for (int i = 0; i < 20; ++i) {
     const auto walk = (*space)->Lookup(0x50000000ULL + AddrOf(i));
     ASSERT_TRUE(walk.ok());

@@ -342,6 +342,60 @@ TEST_F(EmcRingTest, OrphanSpanPayloadAndOverrunSpanAreStruck) {
   ExpectInvariantsHold();
 }
 
+TEST_F(EmcRingTest, DeniedMidSpanLeavesNoPteApplied) {
+  Boot();
+  // A level-1 page-table page built through the EMCs: a fresh root, then one
+  // registered table linked per level below it.
+  PrivilegedOps& ops = world_->privops();
+  const auto root = world_->kernel().pool().Alloc();
+  ASSERT_TRUE(root.ok());
+  ASSERT_TRUE(ops.RegisterPtp(cpu0(), *root, AddrOf(*root)).ok());
+  FrameNum ptp = *root;
+  for (int level = 3; level >= 1; --level) {
+    const auto child = world_->kernel().pool().Alloc();
+    ASSERT_TRUE(child.ok());
+    ASSERT_TRUE(ops.RegisterPtp(cpu0(), *child, AddrOf(*root)).ok());
+    ASSERT_TRUE(ops.WritePte(cpu0(), AddrOf(ptp),
+                             pte::Make(*child, pte::kPresent | pte::kWritable))
+                    .ok());
+    ptp = *child;
+  }
+  ASSERT_EQ(world_->monitor()->frame_table().info(ptp).ptp_level, 1);
+  const auto target = world_->kernel().pool().Alloc();
+  ASSERT_TRUE(target.ok());
+
+  RingSqe header;
+  header.op = RingOp::kPteSpan;
+  header.count = 2;
+  RingSqe entries[2];
+  for (RingSqe& entry : entries) {
+    entry.op = RingOp::kWritePte;
+    entry.flags = ring_flags::kSpanPayload;
+  }
+  // Entry 0 on its own is perfectly valid...
+  entries[0].arg0 = AddrOf(ptp);
+  entries[0].arg1 = pte::Make(*target, pte::kPresent | pte::kWritable | pte::kNoExecute);
+  // ...entry 1 maps monitor memory user-writable, which is always refused.
+  entries[1].arg0 = AddrOf(ptp) + 8;
+  entries[1].arg1 = pte::Make(layout::kMonitorFirstFrame,
+                              pte::kPresent | pte::kUser | pte::kWritable);
+
+  const uint64_t denials_before = counters().policy_denials;
+  const uint64_t strikes_before = counters().ring_strikes;
+  Publish({header, entries[0], entries[1]});
+  ASSERT_TRUE(Doorbell().ok());
+  const std::vector<RingCqe> cqes = ReapAll();
+  ASSERT_EQ(cqes.size(), 1u);
+  EXPECT_EQ(cqes[0].result, -static_cast<int32_t>(ErrorCode::kPermissionDenied));
+  EXPECT_EQ(counters().policy_denials, denials_before + 1);
+  EXPECT_EQ(counters().ring_strikes, strikes_before);
+  EXPECT_EQ(state()->strikes, 0u);
+  // All-or-nothing: the valid first entry must not have been applied.
+  EXPECT_EQ(world_->machine().memory().Read64(AddrOf(ptp)), 0u);
+  EXPECT_EQ(world_->machine().memory().Read64(AddrOf(ptp) + 8), 0u);
+  ExpectInvariantsHold();
+}
+
 TEST_F(EmcRingTest, PolicyRefusalIsADenialNotAStrike) {
   Boot();
   // Reclaiming a monitor/kernel/page-table-typed frame is a *policy* refusal:

@@ -1,5 +1,6 @@
 // Tests for the optional/future-work features the paper discusses: batched MMU
-// updates (section 9.1) and software side-channel mitigations (section 12).
+// updates through the MMU rings (section 9.1) and software side-channel
+// mitigations (section 12).
 #include <gtest/gtest.h>
 
 #include "src/libos/libos.h"
@@ -9,85 +10,16 @@
 namespace erebor {
 namespace {
 
-class BatchedMmuTest : public testing::Test {
- protected:
-  BatchedMmuTest() {
-    WorldConfig config;
-    config.mode = SimMode::kEreborFull;
-    world_ = std::make_unique<World>(config);
-    EXPECT_TRUE(world_->Boot().ok());
-  }
-
-  std::unique_ptr<World> world_;
-};
-
-TEST_F(BatchedMmuTest, BatchWritesAllEntriesThroughOneGate) {
-  world_->monitor()->EnableBatchedMmu(true);
-  Cpu& cpu = world_->machine().cpu(0);
-  const auto ptp = world_->kernel().pool().Alloc();
-  ASSERT_TRUE(ptp.ok());
-  ASSERT_TRUE(world_->privops().RegisterPtp(cpu, *ptp, AddrOf(*ptp)).ok());
-
-  const uint64_t gates_before = world_->monitor()->gates().entries();
-  PrivilegedOps::PteUpdate updates[8];
-  for (int i = 0; i < 8; ++i) {
-    updates[i] = {AddrOf(*ptp) + 8ull * i, 0};
-  }
-  ASSERT_TRUE(world_->privops().WritePteBatch(cpu, updates, 8).ok());
-  EXPECT_EQ(world_->monitor()->gates().entries() - gates_before, 1u);
-}
-
-TEST_F(BatchedMmuTest, BatchIsCheaperThanIndividualWrites) {
-  Cpu& cpu = world_->machine().cpu(0);
-  const auto ptp = world_->kernel().pool().Alloc();
-  ASSERT_TRUE(ptp.ok());
-  ASSERT_TRUE(world_->privops().RegisterPtp(cpu, *ptp, AddrOf(*ptp)).ok());
-  PrivilegedOps::PteUpdate updates[16];
-  for (int i = 0; i < 16; ++i) {
-    updates[i] = {AddrOf(*ptp) + 8ull * i, 0};
-  }
-
-  // Unbatched: one EMC per entry.
-  world_->monitor()->EnableBatchedMmu(false);
-  Cycles before = cpu.cycles().now();
-  ASSERT_TRUE(world_->privops().WritePteBatch(cpu, updates, 16).ok());
-  const Cycles unbatched = cpu.cycles().now() - before;
-
-  world_->monitor()->EnableBatchedMmu(true);
-  before = cpu.cycles().now();
-  ASSERT_TRUE(world_->privops().WritePteBatch(cpu, updates, 16).ok());
-  const Cycles batched = cpu.cycles().now() - before;
-
-  EXPECT_LT(batched * 3, unbatched)
-      << "16-entry batch should amortize ~15 gate crossings";
-}
-
-TEST_F(BatchedMmuTest, BatchStillEnforcesPolicy) {
-  world_->monitor()->EnableBatchedMmu(true);
-  Cpu& cpu = world_->machine().cpu(0);
-  const auto ptp = world_->kernel().pool().Alloc();
-  ASSERT_TRUE(ptp.ok());
-  ASSERT_TRUE(world_->privops().RegisterPtp(cpu, *ptp, AddrOf(*ptp)).ok());
-  // Root PTPs are level 4: an entry pointing at a non-PTP frame is an illegal
-  // intermediate link and must be refused even inside a batch.
-  const auto data = world_->kernel().pool().Alloc();
-  ASSERT_TRUE(data.ok());
-  PrivilegedOps::PteUpdate updates[2] = {
-      {AddrOf(*ptp), 0},
-      {AddrOf(*ptp) + 8, pte::Make(*data, pte::kPresent | pte::kWritable)},
-  };
-  EXPECT_EQ(world_->privops().WritePteBatch(cpu, updates, 2).code(),
-            ErrorCode::kPermissionDenied);
-}
-
+// Batched MMU updates run through the MMU rings: fork stages its whole clone
+// as one submission window.
 TEST(BatchedMmuBenchTest, ForkGetsFasterWithBatching) {
   const auto plain =
       RunLmbench("fork", SimMode::kEreborFull, 300, MmuUpdateMode::kPerOp);
-  const auto batched =
-      RunLmbench("fork", SimMode::kEreborFull, 300, MmuUpdateMode::kBatched);
-  ASSERT_TRUE(plain.ok() && batched.ok());
-  EXPECT_LT(batched->cycles_per_op(), plain->cycles_per_op() * 0.9)
-      << "batching should cut a visible share of fork's MMU cost";
+  const auto ring =
+      RunLmbench("fork", SimMode::kEreborFull, 300, MmuUpdateMode::kRing);
+  ASSERT_TRUE(plain.ok() && ring.ok());
+  EXPECT_LT(ring->cycles_per_op(), plain->cycles_per_op() * 0.9)
+      << "the MMU rings should cut a visible share of fork's MMU cost";
 }
 
 class MitigationTest : public testing::Test {

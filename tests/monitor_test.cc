@@ -440,35 +440,6 @@ TEST_F(EreborWorldTest, UnbalancedInterruptRestoreRefused) {
             before + 1);
 }
 
-// ---- PTE batch atomicity (satellite: validate whole batch, then apply) ----
-
-TEST_F(EreborWorldTest, DeniedMidBatchLeavesNoPteApplied) {
-  Cpu& cpu = world_->machine().cpu(0);
-  FrameTable& frames = world_->monitor()->frame_table();
-  const auto ptp = world_->kernel().pool().Alloc();
-  ASSERT_TRUE(ptp.ok());
-  frames.info(*ptp).type = FrameType::kPtp;
-  frames.info(*ptp).ptp_level = 1;
-  const auto target = world_->kernel().pool().Alloc();
-  ASSERT_TRUE(target.ok());
-
-  PrivilegedOps::PteUpdate updates[2];
-  // Entry 0 on its own is perfectly valid...
-  updates[0] = {AddrOf(*ptp),
-                pte::Make(*target, pte::kPresent | pte::kWritable | pte::kNoExecute)};
-  // ...entry 1 maps monitor memory user-accessible, which is always refused.
-  updates[1] = {AddrOf(*ptp) + 8,
-                pte::Make(layout::kMonitorFirstFrame,
-                          pte::kPresent | pte::kUser | pte::kWritable)};
-
-  const Status st = world_->monitor()->EmcWritePteBatch(cpu, updates, 2);
-  EXPECT_EQ(st.code(), ErrorCode::kPermissionDenied);
-  // All-or-nothing: the valid first entry must not have been applied. Pre-fix the
-  // batch applied as it validated, leaving entry 0 installed after the denial.
-  EXPECT_EQ(world_->machine().memory().Read64(AddrOf(*ptp)), 0u);
-  EXPECT_EQ(world_->machine().memory().Read64(AddrOf(*ptp) + 8), 0u);
-}
-
 TEST_F(EreborWorldTest, FenceBlocksDirectSensitiveInstructions) {
   // Claim C1/C2: the deprivileged kernel has no direct path to sensitive
   // instructions; the vCPU fence models the scan + W^X + SMEP guarantees.

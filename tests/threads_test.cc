@@ -49,7 +49,6 @@ struct EngineResult {
 
 struct EngineRunConfig {
   int vcpus = 4;
-  EmcLocking locking = EmcLocking::kSharded;
   ExecMode exec = ExecMode::kDeterministic;
   bool chaos = false;
   uint64_t chaos_seed = 7;
@@ -105,7 +104,6 @@ testing::AssertionResult RunEngine(const EngineRunConfig& config,
   }
 
   EreborMonitor* monitor = world.monitor();
-  monitor->SetEmcLocking(config.locking);
   monitor->SetLockContention(false);
   Machine& machine = world.machine();
   const Bytes payload(kPayload, 0x5A);
@@ -195,9 +193,8 @@ testing::AssertionResult RunEngine(const EngineRunConfig& config,
   return testing::AssertionSuccess();
 }
 
-void ExpectOracleEquivalent(EmcLocking locking) {
+TEST(ThreadsOracle, EquivalentUnderShardedLocking) {
   EngineRunConfig config;
-  config.locking = locking;
 
   EngineResult threaded, oracle;
   config.exec = ExecMode::kRealThreads;
@@ -217,14 +214,6 @@ void ExpectOracleEquivalent(EmcLocking locking) {
   // The parallel region drove a known EMC volume.
   EXPECT_EQ(threaded.counters.emc_total,
             static_cast<uint64_t>(kRounds) * config.vcpus);
-}
-
-TEST(ThreadsOracle, EquivalentUnderGlobalLocking) {
-  ExpectOracleEquivalent(EmcLocking::kGlobal);
-}
-
-TEST(ThreadsOracle, EquivalentUnderShardedLocking) {
-  ExpectOracleEquivalent(EmcLocking::kSharded);
 }
 
 // Chaos soak: the fault-journal *set* (hash), firing count, and induced
@@ -431,7 +420,6 @@ testing::AssertionResult RunRingEngine(ExecMode exec, RingEngineResult* out) {
   }
   EreborMonitor* monitor = world.monitor();
   monitor->EnableMmuRings(true);
-  monitor->SetEmcLocking(EmcLocking::kSharded);
   monitor->SetLockContention(false);
 
   Machine& machine = world.machine();
