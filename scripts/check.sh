@@ -4,7 +4,7 @@
 # run the threads label again under ThreadSanitizer, then a tracing smoke test
 # (the trace-vs-counter EMC cross-check must hold with the tracer enabled), then
 # the deterministic halves of the emc_scaling and batched_mmu bench gates, then
-# short perfbench runs whose correctness gates must pass.
+# short perfbench runs (jobs, serve, ingest) whose correctness gates must pass.
 #
 # Usage: scripts/check.sh [build-dir]   (default: build)
 #   EREBOR_SKIP_SANITIZE=1 skips the sanitizer passes (e.g. on memory-tight CI).
@@ -74,10 +74,11 @@ grep -q '"traceEvents"' "$TRACE_JSON" || {
 EREBOR_EXEC=deterministic "$BUILD_DIR/bench/emc_scaling"
 EREBOR_EXEC=deterministic "$BUILD_DIR/bench/batched_mmu"
 
-# Benchmark smoke test: short jobs and serve runs of perfbench, whose
+# Benchmark smoke test: short jobs, serve and ingest runs of perfbench, whose
 # end-to-end gates (quote verification, CheckOutput, replay, invariant audits)
-# must report "correct": true on the last line.
-for workload in jobs serve; do
+# must report "correct": true on the last line. ingest drives the
+# ReadVirt/WriteVirt usercopy path hardest.
+for workload in jobs serve ingest; do
   python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 3 --trace 0 \
     | tail -n 1 \
     | python3 -c 'import json, sys; sys.exit(0 if json.load(sys.stdin)["correct"] is True else 1)' || {

@@ -2,6 +2,7 @@
 #ifndef EREBOR_SRC_COMMON_BYTES_H_
 #define EREBOR_SRC_COMMON_BYTES_H_
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -18,32 +19,23 @@ inline std::string ToString(const Bytes& b) { return std::string(b.begin(), b.en
 std::string HexEncode(const uint8_t* data, size_t len);
 inline std::string HexEncode(const Bytes& b) { return HexEncode(b.data(), b.size()); }
 
-// Little-endian scalar store/load helpers.
-inline void StoreLe64(uint8_t* p, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    p[i] = static_cast<uint8_t>(v >> (8 * i));
-  }
-}
+// Little-endian scalar store/load helpers: one unaligned move each (GCC does not
+// merge a portable byte loop at -O2), so the host must be little-endian.
+static_assert(std::endian::native == std::endian::little, "little-endian host required");
+
+inline void StoreLe64(uint8_t* p, uint64_t v) { std::memcpy(p, &v, sizeof(v)); }
 
 inline uint64_t LoadLe64(const uint8_t* p) {
   uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(p[i]) << (8 * i);
-  }
+  std::memcpy(&v, p, sizeof(v));
   return v;
 }
 
-inline void StoreLe32(uint8_t* p, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    p[i] = static_cast<uint8_t>(v >> (8 * i));
-  }
-}
+inline void StoreLe32(uint8_t* p, uint32_t v) { std::memcpy(p, &v, sizeof(v)); }
 
 inline uint32_t LoadLe32(const uint8_t* p) {
   uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(p[i]) << (8 * i);
-  }
+  std::memcpy(&v, p, sizeof(v));
   return v;
 }
 

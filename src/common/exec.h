@@ -77,13 +77,20 @@ class ExecutionEngine {
   static inline thread_local int current_cpu_ = -1;
 };
 
-// Relaxed atomic bump of a plain uint64_t counter cell. Shared counters (metrics
-// cells, MonitorCounters members, trace per-kind counts, TLB stats) keep their
+// Bump of a plain uint64_t counter cell. Shared counters (metrics cells,
+// MonitorCounters members, trace per-kind counts, TLB stats) keep their
 // plain-uint64_t storage — so member pointers, external-counter registration and
-// every existing reader keep working — and the *increment sites* go through here,
-// which is atomic under real threads and compiles to the same add in practice.
+// every existing reader keep working — and the *increment sites* go through here.
+// Inside a real-thread region the bump is a relaxed atomic add (a `lock xadd`);
+// everywhere else only one host thread runs, so it is a plain add. The switch is
+// safe because RealThreadsScope flips real_threads() before any worker starts and
+// back only after every worker has joined.
 inline void CounterAdd(uint64_t& cell, uint64_t delta = 1) {
-  std::atomic_ref<uint64_t>(cell).fetch_add(delta, std::memory_order_relaxed);
+  if (ExecutionEngine::real_threads()) {
+    std::atomic_ref<uint64_t>(cell).fetch_add(delta, std::memory_order_relaxed);
+  } else {
+    cell += delta;
+  }
 }
 
 // Matching relaxed read for counters that are read while worker threads may

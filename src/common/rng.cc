@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "src/common/bytes.h"
+
 namespace erebor {
 
 namespace {
@@ -55,12 +57,8 @@ uint64_t Rng::NextZipf(uint64_t n, double s) {
 
 void Rng::Fill(uint8_t* data, size_t len) {
   size_t i = 0;
-  while (i + 8 <= len) {
-    const uint64_t v = Next();
-    for (int b = 0; b < 8; ++b) {
-      data[i + b] = static_cast<uint8_t>(v >> (8 * b));
-    }
-    i += 8;
+  for (; i + 8 <= len; i += 8) {
+    StoreLe64(data + i, Next());
   }
   if (i < len) {
     const uint64_t v = Next();

@@ -220,150 +220,184 @@ StatusOr<WalkResult> Cpu::Translate(Vaddr va, AccessType access, Fault* fault_ou
   return TranslateAs(mode_, va, access, fault_out);
 }
 
+namespace {
+
+// Fills the would-be #PF for a failed translation: the check's (or walk's) error
+// bits plus the access's W/I/U bits.
+void FillPageFault(Fault* fault_out, uint64_t error_bits, CpuMode as_mode, Vaddr va,
+                   AccessType access, std::string_view reason) {
+  if (fault_out == nullptr) {
+    return;
+  }
+  fault_out->vector = Vector::kPageFault;
+  fault_out->error_code = error_bits |
+                          (access == AccessType::kWrite ? pf_err::kWrite : 0) |
+                          (access == AccessType::kExecute ? pf_err::kInstruction : 0) |
+                          (as_mode == CpuMode::kUser ? pf_err::kUser : 0);
+  fault_out->address = va;
+  fault_out->reason.assign(reason);
+}
+
+// The diagnostic text of a denial. Static strings except the keyed PKS/TME-MK
+// messages, which are formatted into `buf` from the walk result.
+std::string_view DenialText(AccessDenial::Reason reason, const WalkResult& r,
+                            const KeyIdMap* keyid_map, char (&buf)[64]) {
+  using Reason = AccessDenial::Reason;
+  switch (reason) {
+    case Reason::kNone:
+      return "";
+    case Reason::kUserSupervisorPage:
+      return "user access to supervisor page";
+    case Reason::kUserReadOnly:
+      return "user write to read-only page";
+    case Reason::kShadowStackWrite:
+      return "write to shadow-stack page";
+    case Reason::kNoExecute:
+      return "execute of NX page";
+    case Reason::kSmep:
+      return "SMEP: supervisor execute of user page";
+    case Reason::kSmap:
+      return "SMAP: supervisor access to user page";
+    case Reason::kPksAccessDisabled:
+      std::snprintf(buf, sizeof(buf), "PKS: access-disabled key %u", r.pkey);
+      return buf;
+    case Reason::kPksWriteDisabled:
+      std::snprintf(buf, sizeof(buf), "PKS: write-disabled key %u", r.pkey);
+      return buf;
+    case Reason::kWriteProtect:
+      return "CR0.WP: supervisor write to read-only page";
+    case Reason::kKeyIdMismatch:
+      std::snprintf(buf, sizeof(buf),
+                    "TME-MK: keyID mismatch (mapping %u, frame bound %u)",
+                    pte::KeyId(r.leaf), keyid_map->KeyOf(r.pa >> kPageShift));
+      return buf;
+  }
+  return "";
+}
+
+}  // namespace
+
 StatusOr<WalkResult> Cpu::TranslateAs(CpuMode as_mode, Vaddr va, AccessType access,
                                       Fault* fault_out) {
-  // Denial reasons are string_views over static storage (or a stack buffer for the
-  // keyed PKS messages): nothing is heap-allocated until an actual fault happens.
-  auto fail = [&](uint64_t err_bits, std::string_view reason) -> Status {
-    if (fault_out != nullptr) {
-      fault_out->vector = Vector::kPageFault;
-      fault_out->error_code =
-          err_bits |
-          (access == AccessType::kWrite ? pf_err::kWrite : 0) |
-          (access == AccessType::kExecute ? pf_err::kInstruction : 0) |
-          (as_mode == CpuMode::kUser ? pf_err::kUser : 0);
-      fault_out->address = va;
-      fault_out->reason.assign(reason);
-    }
-    std::string message("#PF: ");
-    message.append(reason);
-    return PermissionDeniedError(std::move(message));
-  };
-
   auto walk = tlb_.WalkCached(*memory_, cr3_, va, as_mode);
   if (!walk.ok()) {
-    if (fault_out != nullptr) {
-      fault_out->vector = Vector::kPageFault;
-      fault_out->error_code = (access == AccessType::kWrite ? pf_err::kWrite : 0) |
-                              (access == AccessType::kExecute ? pf_err::kInstruction : 0) |
-                              (as_mode == CpuMode::kUser ? pf_err::kUser : 0);
-      fault_out->address = va;
-      fault_out->reason = walk.status().message();
-    }
+    FillPageFault(fault_out, 0, as_mode, va, access, walk.status().message());
     return walk.status();
   }
-  const WalkResult& r = *walk;
+  const AccessDenial denial = CheckAccess(*walk, as_mode, access);
+  if (!denial.denied()) {
+    return walk;
+  }
+  char buf[64];
+  const std::string_view reason = DenialText(denial.reason, *walk, keyid_map_, buf);
+  FillPageFault(fault_out, denial.error_bits, as_mode, va, access, reason);
+  std::string message("#PF: ");
+  message.append(reason);
+  return PermissionDeniedError(std::move(message));
+}
 
+AccessDenial Cpu::CheckAccess(const WalkResult& r, CpuMode as_mode,
+                              AccessType access) const {
+  using Reason = AccessDenial::Reason;
+  const bool write = access == AccessType::kWrite;
+  const bool execute = access == AccessType::kExecute;
+  if (as_mode == CpuMode::kUser) {
+    // A shadow-stack leaf is a supervisor page (pte::IsShadowStack requires U=0),
+    // so a user access to one always fails here first.
+    if (!r.user_accessible) {
+      return {Reason::kUserSupervisorPage, pf_err::kPresent};
+    }
+    if (write && !r.writable) {
+      return {Reason::kUserReadOnly, pf_err::kPresent};
+    }
+    if (execute && r.no_execute) {
+      return {Reason::kNoExecute, pf_err::kPresent};
+    }
+  } else {
+    if (r.user_accessible) {
+      if (execute && (cr4_ & cr::kCr4Smep) != 0) {
+        return {Reason::kSmep, pf_err::kPresent};
+      }
+      if (!execute && (cr4_ & cr::kCr4Smap) != 0 && !ac_flag_) {
+        return {Reason::kSmap, pf_err::kPresent};
+      }
+    } else if ((cr4_ & cr::kCr4Pks) != 0 && !execute) {
+      // Supervisor protection keys (PKS): data accesses only. pkrs_cache_ mirrors
+      // the MSR so the hottest check in the simulator costs no map lookup.
+      if ((pkrs_cache_ & pkrs::Ad(r.pkey)) != 0) {
+        return {Reason::kPksAccessDisabled, pf_err::kPresent | pf_err::kProtectionKey};
+      }
+      if (write && (pkrs_cache_ & pkrs::Wd(r.pkey)) != 0) {
+        return {Reason::kPksWriteDisabled, pf_err::kPresent | pf_err::kProtectionKey};
+      }
+    }
+    if (write && r.shadow_stack) {
+      return {Reason::kShadowStackWrite, pf_err::kPresent | pf_err::kShadowStack};
+    }
+    if (write && !r.writable && (cr0_ & cr::kCr0Wp) != 0) {
+      return {Reason::kWriteProtect, pf_err::kPresent};
+    }
+    if (execute && r.no_execute) {
+      return {Reason::kNoExecute, pf_err::kPresent};
+    }
+  }
   // TME-MK keyID check (memory-controller enforcement; both CPU modes, data and
   // fetch). The monitor context is exempt: its accesses run under the monitor's
   // own keyID. Read-shared bindings (kernel text, PTPs) admit reads and fetches
   // through any keyID but only same-key writes.
-  auto keyid_check = [&]() -> Status {
-    if (keyid_map_ == nullptr || in_monitor_) {
-      return OkStatus();
-    }
+  if (keyid_map_ != nullptr && !in_monitor_) {
     const FrameNum frame = r.pa >> kPageShift;
-    const uint32_t mapped = pte::KeyId(r.leaf);
-    const uint32_t bound = keyid_map_->KeyOf(frame);
-    if (mapped == bound) {
-      return OkStatus();
-    }
-    if (access != AccessType::kWrite && keyid_map_->ReadShared(frame)) {
-      return OkStatus();
-    }
-    char reason[64];
-    std::snprintf(reason, sizeof(reason),
-                  "TME-MK: keyID mismatch (mapping %u, frame bound %u)", mapped,
-                  bound);
-    return fail(pf_err::kPresent | pf_err::kProtectionKey, reason);
-  };
-
-  if (as_mode == CpuMode::kUser) {
-    if (!r.user_accessible) {
-      return fail(pf_err::kPresent, "user access to supervisor page");
-    }
-    if (access == AccessType::kWrite && !r.writable) {
-      return fail(pf_err::kPresent, "user write to read-only page");
-    }
-    if (access == AccessType::kWrite && r.shadow_stack) {
-      return fail(pf_err::kPresent | pf_err::kShadowStack, "write to shadow-stack page");
-    }
-    if (access == AccessType::kExecute && r.no_execute) {
-      return fail(pf_err::kPresent, "execute of NX page");
-    }
-    EREBOR_RETURN_IF_ERROR(keyid_check());
-    return r;
-  }
-
-  // Supervisor-mode checks.
-  if (r.user_accessible) {
-    if (access == AccessType::kExecute && (cr4_ & cr::kCr4Smep) != 0) {
-      return fail(pf_err::kPresent, "SMEP: supervisor execute of user page");
-    }
-    if (access != AccessType::kExecute && (cr4_ & cr::kCr4Smap) != 0 && !ac_flag_) {
-      return fail(pf_err::kPresent, "SMAP: supervisor access to user page");
-    }
-  } else if ((cr4_ & cr::kCr4Pks) != 0 && access != AccessType::kExecute) {
-    // Supervisor protection keys (PKS): data accesses only. pkrs_cache_ mirrors the
-    // MSR so the hottest check in the simulator costs no map lookup.
-    if ((pkrs_cache_ & pkrs::Ad(r.pkey)) != 0) {
-      char reason[40];
-      std::snprintf(reason, sizeof(reason), "PKS: access-disabled key %u", r.pkey);
-      return fail(pf_err::kPresent | pf_err::kProtectionKey, reason);
-    }
-    if (access == AccessType::kWrite && (pkrs_cache_ & pkrs::Wd(r.pkey)) != 0) {
-      char reason[40];
-      std::snprintf(reason, sizeof(reason), "PKS: write-disabled key %u", r.pkey);
-      return fail(pf_err::kPresent | pf_err::kProtectionKey, reason);
+    if (pte::KeyId(r.leaf) != keyid_map_->KeyOf(frame) &&
+        (write || !keyid_map_->ReadShared(frame))) {
+      return {Reason::kKeyIdMismatch, pf_err::kPresent | pf_err::kProtectionKey};
     }
   }
-  if (access == AccessType::kWrite && r.shadow_stack) {
-    return fail(pf_err::kPresent | pf_err::kShadowStack, "write to shadow-stack page");
-  }
-  if (access == AccessType::kWrite && !r.writable && (cr0_ & cr::kCr0Wp) != 0) {
-    return fail(pf_err::kPresent, "CR0.WP: supervisor write to read-only page");
-  }
-  if (access == AccessType::kExecute && r.no_execute) {
-    return fail(pf_err::kPresent, "execute of NX page");
-  }
-  EREBOR_RETURN_IF_ERROR(keyid_check());
-  return r;
+  return {};
 }
 
 namespace {
-// Bytes left until the end of the leaf's mapped span: a 2 MiB (or 1 GiB) leaf is
+// Walks [va, va + len) one leaf span at a time — a 2 MiB (or 1 GiB) leaf is
 // physically contiguous, so one translation covers the whole span instead of
-// re-walking every 4 KiB.
-uint64_t SpanRemaining(const WalkResult& r, Vaddr va) {
-  const uint64_t span = 1ULL << (kPageShift + 9 * static_cast<uint64_t>(r.level));
-  return span - (va & (span - 1));
+// re-walking every 4 KiB — and hands each span's physical range to
+// `copy(pa, offset, take)`. A TLB hit that passes the checks takes the hit path;
+// anything else runs the full Translate, which counts, checks and reports.
+template <typename CopyFn>
+Status ForEachSpan(Cpu& cpu, Vaddr va, uint64_t len, AccessType access,
+                   Fault* fault_out, CopyFn&& copy) {
+  uint64_t done = 0;
+  while (done < len) {
+    const Vaddr at = va + done;
+    Paddr pa = 0;
+    int level = 0;
+    if (const WalkResult* hit = cpu.TranslateHit(at, access)) {
+      pa = hit->pa + (at & kPageMask);
+      level = hit->level;
+    } else {
+      EREBOR_ASSIGN_OR_RETURN(const WalkResult r, cpu.Translate(at, access, fault_out));
+      pa = r.pa;
+      level = r.level;
+    }
+    const uint64_t span = 1ULL << (kPageShift + 9 * static_cast<uint64_t>(level));
+    const uint64_t take = std::min(len - done, span - (at & (span - 1)));
+    EREBOR_RETURN_IF_ERROR(copy(pa, done, take));
+    done += take;
+  }
+  return OkStatus();
 }
 }  // namespace
 
 Status Cpu::ReadVirt(Vaddr va, uint8_t* out, uint64_t len, Fault* fault_out) {
-  while (len > 0) {
-    EREBOR_ASSIGN_OR_RETURN(const WalkResult r,
-                            Translate(va, AccessType::kRead, fault_out));
-    const uint64_t take = std::min(len, SpanRemaining(r, va));
-    EREBOR_RETURN_IF_ERROR(memory_->Read(r.pa, out, take));
-    va += take;
-    out += take;
-    len -= take;
-  }
-  return OkStatus();
+  return ForEachSpan(*this, va, len, AccessType::kRead, fault_out,
+                     [&](Paddr pa, uint64_t offset, uint64_t take) {
+                       return memory_->Read(pa, out + offset, take);
+                     });
 }
 
 Status Cpu::WriteVirt(Vaddr va, const uint8_t* data, uint64_t len, Fault* fault_out) {
-  while (len > 0) {
-    EREBOR_ASSIGN_OR_RETURN(const WalkResult r,
-                            Translate(va, AccessType::kWrite, fault_out));
-    const uint64_t take = std::min(len, SpanRemaining(r, va));
-    EREBOR_RETURN_IF_ERROR(memory_->Write(r.pa, data, take));
-    va += take;
-    data += take;
-    len -= take;
-  }
-  return OkStatus();
+  return ForEachSpan(*this, va, len, AccessType::kWrite, fault_out,
+                     [&](Paddr pa, uint64_t offset, uint64_t take) {
+                       return memory_->Write(pa, data + offset, take);
+                     });
 }
 
 Status Cpu::IndirectBranch(CodeLabelId target) {

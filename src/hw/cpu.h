@@ -105,6 +105,30 @@ struct TlbInvalidation {
   Paddr entry_pa = 0;
 };
 
+// Outcome of Cpu::CheckAccess: allowed (kNone), or the first architectural check
+// the access fails with the #PF error bits that check contributes. Plain data: the
+// diagnostic text, including the keyed PKS/TME-MK messages, is formatted only when
+// a denial is turned into a Status/Fault.
+struct AccessDenial {
+  enum class Reason : uint8_t {
+    kNone,
+    kUserSupervisorPage,  // user access to a supervisor page
+    kUserReadOnly,        // user write to a read-only page
+    kShadowStackWrite,    // supervisor write to a shadow-stack page
+    kNoExecute,           // execute of an NX page (either mode)
+    kSmep,                // supervisor execute of a user page
+    kSmap,                // supervisor data access to a user page, AC clear
+    kPksAccessDisabled,   // PKRS.AD set for the page's key
+    kPksWriteDisabled,    // PKRS.WD set for the page's key, write access
+    kWriteProtect,        // supervisor write to a read-only page, CR0.WP set
+    kKeyIdMismatch,       // TME-MK mapping keyID != frame binding
+  };
+  Reason reason = Reason::kNone;
+  uint64_t error_bits = 0;  // pf_err::kPresent plus kProtectionKey/kShadowStack
+
+  bool denied() const { return reason != Reason::kNone; }
+};
+
 // tdcall sink: implemented by the TDX module, installed by the machine.
 class TdcallSink {
  public:
@@ -185,6 +209,27 @@ class Cpu {
   StatusOr<WalkResult> Translate(Vaddr va, AccessType access, Fault* fault_out = nullptr);
   StatusOr<WalkResult> TranslateAs(CpuMode as_mode, Vaddr va, AccessType access,
                                    Fault* fault_out = nullptr);
+
+  // The architectural permission checks on a walk result, in the order the
+  // hardware applies them: U/S, W, NX (user); SMEP/SMAP or PKS, shadow stack,
+  // CR0.WP, NX (supervisor); then the TME-MK keyID check. The one check list
+  // behind both TranslateAs and TranslateHit; allocation-free.
+  AccessDenial CheckAccess(const WalkResult& r, CpuMode as_mode, AccessType access) const;
+
+  // TLB-hit fast path for an access in the current mode: the cached translation
+  // when the leaf TLB holds (CR3, va, mode) and CheckAccess allows `access` (its
+  // `pa` is the 4 KiB page base — add va & kPageMask; the entry lives in this CPU's
+  // TLB and is valid until its next fill or invalidation). Counts one tlb.hits. On
+  // a miss or a denial returns nullptr without side effects; the caller then runs
+  // Translate, which counts, checks and reports exactly as if this was never tried.
+  const WalkResult* TranslateHit(Vaddr va, AccessType access) {
+    const WalkResult* hit = tlb_.ProbeLeaf(cr3_, va, mode_);
+    if (hit == nullptr || CheckAccess(*hit, mode_, access).denied()) {
+      return nullptr;
+    }
+    CounterAdd(Tlb::GlobalStats().hits);
+    return hit;
+  }
 
   Status ReadVirt(Vaddr va, uint8_t* out, uint64_t len, Fault* fault_out = nullptr);
   Status WriteVirt(Vaddr va, const uint8_t* data, uint64_t len, Fault* fault_out = nullptr);

@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "src/common/bytes.h"
-
 namespace erebor {
 
 PhysMemory::PhysMemory(uint64_t num_frames)
@@ -56,13 +54,13 @@ Status PhysMemory::Write(Paddr pa, const uint8_t* data, uint64_t len) {
   return OkStatus();
 }
 
-uint64_t PhysMemory::Read64(Paddr pa) const {
+uint64_t PhysMemory::Read64Slow(Paddr pa) const {
   uint8_t buf[8] = {0};
   (void)Read(pa, buf, sizeof(buf));
   return LoadLe64(buf);
 }
 
-void PhysMemory::Write64(Paddr pa, uint64_t value) {
+void PhysMemory::Write64Slow(Paddr pa, uint64_t value) {
   uint8_t buf[8];
   StoreLe64(buf, value);
   (void)Write(pa, buf, sizeof(buf));
@@ -73,8 +71,6 @@ void PhysMemory::ZeroFrame(FrameNum frame) {
     std::memset(frames_[frame].get(), 0, kPageSize);
   }
 }
-
-uint8_t* PhysMemory::FramePtr(FrameNum frame) { return EnsureFrame(frame); }
 
 const uint8_t* PhysMemory::FramePtrIfPresent(FrameNum frame) const {
   return frame < num_frames_ && frames_[frame] ? frames_[frame].get() : nullptr;

@@ -16,22 +16,10 @@ bool EnvEnabled() {
   return env == nullptr || env[0] != '0';
 }
 
-// -1 unset, 0 forced off, 1 forced on.
-int& Override() {
-  static int value = -1;
-  return value;
-}
-
-// Mixes the key bits so distinct (root, page, mode) triples spread across the
-// direct-mapped arrays; roots and pages are both 4 KiB-aligned.
-uint64_t Mix(uint64_t x) {
-  x ^= x >> 33;
-  x *= 0xFF51AFD7ED558CCDULL;
-  x ^= x >> 33;
-  return x;
-}
-
 }  // namespace
+
+bool Tlb::enabled_ = EnvEnabled();
+Tlb::Stats Tlb::stats_;
 
 Tlb::Tlb()
     : leaf_(kLeafEntries),
@@ -53,31 +41,9 @@ Tlb::Tlb()
   registry.RegisterExternalCounter("paging.walk_read64s", &PageTableWalkReads());
 }
 
-bool Tlb::Enabled() {
-  if (Override() >= 0) {
-    return Override() != 0;
-  }
-  static const bool env_enabled = EnvEnabled();
-  return env_enabled;
-}
-
-void Tlb::SetEnabled(bool enabled) { Override() = enabled ? 1 : 0; }
-
 Tlb::Hooks& Tlb::hooks() {
   static Hooks hooks;
   return hooks;
-}
-
-Tlb::Stats& Tlb::GlobalStats() {
-  static Stats stats;
-  return stats;
-}
-
-void Tlb::ResetGlobalStats() { GlobalStats() = Stats{}; }
-
-size_t Tlb::LeafIndex(Paddr root, Vaddr va, CpuMode mode) {
-  const uint64_t mode_salt = mode == CpuMode::kUser ? 0x9E3779B97F4A7C15ULL : 0;
-  return Mix((va >> kPageShift) ^ (root << 17) ^ mode_salt) & (kLeafEntries - 1);
 }
 
 size_t Tlb::StructureIndex(Paddr root, Vaddr va) {
@@ -89,14 +55,10 @@ StatusOr<WalkResult> Tlb::WalkCached(const PhysMemory& memory, Paddr root, Vaddr
   if (!Enabled()) {
     return WalkPageTables(memory, root, va);
   }
-  const Vaddr va_page = va & ~kPageMask;
-
-  LeafEntry& le = leaf_[LeafIndex(root, va, mode)];
-  if (le.valid && le.gen == generation_ && le.root == root && le.va_page == va_page &&
-      le.mode == mode) {
+  if (const WalkResult* cached = ProbeLeaf(root, va, mode)) {
     CounterAdd(GlobalStats().hits);
-    WalkResult result = le.result;
-    result.pa = le.pa_page + (va & kPageMask);
+    WalkResult result = *cached;
+    result.pa += va & kPageMask;
     return result;
   }
 
@@ -206,8 +168,8 @@ void Tlb::Insert(Paddr root, Vaddr va, CpuMode mode, const WalkResult& result) {
   le.mode = mode;
   le.root = root;
   le.va_page = va & ~kPageMask;
-  le.pa_page = result.pa - (va & kPageMask);
   le.result = result;
+  le.result.pa -= va & kPageMask;
 }
 
 void Tlb::InsertStructure(Paddr root, Vaddr va, const WalkPath& path) {

@@ -26,6 +26,7 @@
 #include <set>
 #include <vector>
 
+#include "src/common/exec.h"
 #include "src/common/status.h"
 #include "src/hw/paging.h"
 #include "src/hw/phys_mem.h"
@@ -56,7 +57,7 @@ class Tlb {
   struct Hooks {
     bool cr3_flush = true;           // Cpu::WriteCr3 / TrustedWriteCr(3)
     bool invlpg = true;              // kernel-side unmap/protect invalidation
-    bool pte_shootdown = true;       // monitor EmcWritePte/Batch + trusted writes
+    bool pte_shootdown = true;       // monitor EmcWritePte/ring PTEs + trusted writes
     bool retrofit_shootdown = true;  // MmuPolicy::RetrofitKey
     bool flush_on_exit = true;       // sandbox-exit mitigation flush
   };
@@ -65,11 +66,28 @@ class Tlb {
 
   // Global enable: EREBOR_TLB=0 disables (default enabled); SetEnabled overrides the
   // environment (benches toggle it to prove cycle-neutrality within one process).
-  static bool Enabled();
-  static void SetEnabled(bool enabled);
+  static bool Enabled() { return enabled_; }
+  static void SetEnabled(bool enabled) { enabled_ = enabled; }
   static Hooks& hooks();
-  static Stats& GlobalStats();
-  static void ResetGlobalStats();
+  static Stats& GlobalStats() { return stats_; }
+  static void ResetGlobalStats() { stats_ = Stats{}; }
+
+  // Side-effect-free leaf probe: the cached WalkResult for (root, va's page, mode),
+  // or nullptr on a miss or with the TLB disabled. Its `pa` is the 4 KiB page base
+  // (add va & kPageMask). Counts nothing: a caller that uses the entry counts the
+  // hit itself, so a probe whose access is then denied and retried through
+  // WalkCached is counted once, there.
+  const WalkResult* ProbeLeaf(Paddr root, Vaddr va, CpuMode mode) const {
+    if (!enabled_) {
+      return nullptr;
+    }
+    const LeafEntry& le = leaf_[LeafIndex(root, va, mode)];
+    if (le.valid && le.gen == generation_ && le.root == root &&
+        le.va_page == (va & ~kPageMask) && le.mode == mode) {
+      return &le.result;
+    }
+    return nullptr;
+  }
 
   // The cached walk: leaf probe, then structure-cache-assisted leaf read, then a
   // full walk (which fills both caches). Bit-identical results and error messages
@@ -102,8 +120,7 @@ class Tlb {
     uint64_t gen = 0;        // logically valid only when gen == generation_
     Paddr root = 0;
     Vaddr va_page = 0;      // 4 KiB-aligned
-    Paddr pa_page = 0;      // walk pa with the low 12 bits of va removed
-    WalkResult result{};    // pa field unused; rebuilt from pa_page + offset
+    WalkResult result{};    // pa = walk pa with the low 12 bits of va removed
   };
   struct StructureEntry {
     bool valid = false;      // slot occupied; logical validity also needs gen
@@ -131,7 +148,18 @@ class Tlb {
   // unless the filter says a path might contain the address.
   static constexpr size_t kStructureFilterBuckets = 4096;
 
-  static size_t LeafIndex(Paddr root, Vaddr va, CpuMode mode);
+  // Mixes the key bits so distinct (root, page, mode) triples spread across the
+  // direct-mapped arrays; roots and pages are both 4 KiB-aligned.
+  static uint64_t Mix(uint64_t x) {
+    x ^= x >> 33;
+    x *= 0xFF51AFD7ED558CCDULL;
+    x ^= x >> 33;
+    return x;
+  }
+  static size_t LeafIndex(Paddr root, Vaddr va, CpuMode mode) {
+    const uint64_t mode_salt = mode == CpuMode::kUser ? 0x9E3779B97F4A7C15ULL : 0;
+    return Mix((va >> kPageShift) ^ (root << 17) ^ mode_salt) & (kLeafEntries - 1);
+  }
   static size_t StructureIndex(Paddr root, Vaddr va);
 
   void Insert(Paddr root, Vaddr va, CpuMode mode, const WalkResult& result);
@@ -141,6 +169,9 @@ class Tlb {
   void ClearLeafSlot(size_t slot);
   void FilterAdd(const StructureEntry& se);
   void FilterRemove(const StructureEntry& se);
+
+  static bool enabled_;  // EREBOR_TLB at startup, then SetEnabled
+  static Stats stats_;
 
   uint64_t generation_ = 1;
   std::vector<LeafEntry> leaf_;

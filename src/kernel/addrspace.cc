@@ -35,8 +35,6 @@ PteWriter AddressSpace::MakeWriter(Cpu& cpu, int* pte_writes) {
   writer.alloc_ptp = [this, &cpu]() -> StatusOr<FrameNum> {
     EREBOR_ASSIGN_OR_RETURN(const FrameNum frame, pool_->Alloc());
     machine_->memory().ZeroFrame(frame);
-    // Touch the frame so the PTP is committed (page tables are real data).
-    machine_->memory().FramePtr(frame);
     EREBOR_RETURN_IF_ERROR(ops_->RegisterPtp(cpu, frame, root_));
     owned_ptps_.push_back(frame);
     return frame;
@@ -49,7 +47,6 @@ StatusOr<std::unique_ptr<AddressSpace>> AddressSpace::Create(
     const AddressSpace* kernel_template) {
   EREBOR_ASSIGN_OR_RETURN(const FrameNum root_frame, pool->Alloc());
   machine->memory().ZeroFrame(root_frame);
-  machine->memory().FramePtr(root_frame);
   EREBOR_RETURN_IF_ERROR(ops->RegisterPtp(cpu, root_frame, AddrOf(root_frame)));
   auto space = std::unique_ptr<AddressSpace>(
       new AddressSpace(machine, ops, pool, AddrOf(root_frame)));
@@ -120,7 +117,6 @@ Status AddressSpace::MapRangeRing(Cpu& cpu, EmcRing* ring,
         }
         EREBOR_ASSIGN_OR_RETURN(const FrameNum ptp, pool_->Alloc());
         machine_->memory().ZeroFrame(ptp);
-        machine_->memory().FramePtr(ptp);
         Pte inter = pte::Make(ptp, pte::kPresent | pte::kWritable);
         if (user) {
           inter |= pte::kUser;
@@ -231,7 +227,6 @@ Status AddressSpace::PopulateVma(Cpu& cpu, Vaddr start) {
     } else {
       EREBOR_ASSIGN_OR_RETURN(frame, pool_->Alloc());
       machine_->memory().ZeroFrame(frame);
-      machine_->memory().FramePtr(frame);
       owned_frames_.push_back(frame);
       cpu.cycles().Charge(cpu.costs().page_zero);
     }
@@ -358,7 +353,6 @@ StatusOr<int> AddressSpace::FaultAroundRing(Cpu& cpu, EmcRing* ring, Vma& vma,
       break;  // fault-around is best-effort
     }
     machine_->memory().ZeroFrame(*alloc);
-    machine_->memory().FramePtr(*alloc);
     owned_frames_.push_back(*alloc);
     cpu.cycles().Charge(cpu.costs().page_zero);
     mappings.push_back({va, *alloc, vma.flags});
@@ -407,7 +401,6 @@ StatusOr<int> AddressSpace::HandleDemandFault(Cpu& cpu, Vaddr va, PhysMemory* fi
       }
       EREBOR_ASSIGN_OR_RETURN(frame, alloc);
       machine_->memory().ZeroFrame(frame);
-      machine_->memory().FramePtr(frame);
       owned_frames_.push_back(frame);
       cpu.cycles().Charge(cpu.costs().page_zero);
       break;

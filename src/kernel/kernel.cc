@@ -875,6 +875,9 @@ Status SyscallContext::WriteUser(Vaddr va, const uint8_t* data, uint64_t len) {
 
 StatusOr<uint8_t*> SyscallContext::PagePtr(Vaddr va, bool for_write) {
   const AccessType access = for_write ? AccessType::kWrite : AccessType::kRead;
+  if (const WalkResult* hit = cpu_->TranslateHit(va, access)) {
+    return cpu_->memory().FramePtr(FrameOf(hit->pa)) + (va & kPageMask);
+  }
   for (int attempt = 0; attempt < 2; ++attempt) {
     Fault fault;
     auto walk = cpu_->Translate(va, access, &fault);

@@ -10,15 +10,13 @@ namespace erebor {
 namespace {
 
 void Put32(Bytes& out, uint32_t v) {
-  uint8_t tmp[4];
-  StoreLe32(tmp, v);
-  out.insert(out.end(), tmp, tmp + 4);
+  out.resize(out.size() + 4);
+  StoreLe32(out.data() + out.size() - 4, v);
 }
 
 void Put64(Bytes& out, uint64_t v) {
-  uint8_t tmp[8];
-  StoreLe64(tmp, v);
-  out.insert(out.end(), tmp, tmp + 8);
+  out.resize(out.size() + 8);
+  StoreLe64(out.data() + out.size() - 8, v);
 }
 
 void PutBytes(Bytes& out, const Bytes& b) {

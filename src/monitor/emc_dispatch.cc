@@ -334,7 +334,6 @@ Status EreborMonitor::SplitHugePageLocked(Cpu& cpu, Paddr entry_pa, Pte huge_val
 
   EREBOR_ASSIGN_OR_RETURN(const FrameNum ptp, kernel_->pool().Alloc());
   machine_->memory().ZeroFrame(ptp);
-  machine_->memory().FramePtr(ptp);
   FrameInfo& ptp_info = frame_table_->info(ptp);
   ptp_info.type = FrameType::kPtp;
   ptp_info.ptp_level = 1;
@@ -590,7 +589,6 @@ StatusOr<Paddr> EreborMonitor::EmcLoadKernelModule(Cpu& cpu, const Bytes& code) 
                             kernel_->pool().AllocContiguous(frames));
     for (uint64_t i = 0; i < frames; ++i) {
       machine_->memory().ZeroFrame(first + i);
-      machine_->memory().FramePtr(first + i);
       (void)frame_table_->SetType(first + i, FrameType::kKernelText);
       // W^X through *all* mappings: the direct-map view loses W and gets the
       // kernel-text key.

@@ -53,7 +53,6 @@ PteWriter SandboxManager::TrustedWriter(Cpu& cpu, AddressSpace& aspace) {
   writer.alloc_ptp = [this, &cpu, &aspace]() -> StatusOr<FrameNum> {
     EREBOR_ASSIGN_OR_RETURN(const FrameNum frame, kernel_->pool().Alloc());
     machine_->memory().ZeroFrame(frame);
-    machine_->memory().FramePtr(frame);
     (void)frames_->SetType(frame, FrameType::kPtp);
     frames_->info(frame).ptp_root = aspace.root();
     frames_->info(frame).ptp_level = 0;  // linked when first referenced
@@ -145,7 +144,6 @@ Status SandboxManager::DeclareConfined(Cpu& cpu, Sandbox& sandbox, Vaddr va, uin
     info.owner_sandbox = sandbox.id;
     info.pinned = true;
     machine_->memory().ZeroFrame(first + i);
-    machine_->memory().FramePtr(first + i);
     // Bind the frame to the sandbox's private domain (TME-MK: keyID binding at
     // the controller, first use programs the key; PKS: no-op, the tag lives in
     // the PTE installed below).

@@ -66,6 +66,12 @@ TEST_F(AddrSpaceTest, DemandFaultPopulatesAnonPage) {
   ASSERT_TRUE(walk.ok());
   EXPECT_TRUE(walk->user_accessible);
   EXPECT_TRUE(walk->writable);
+  // The fresh page reads as zero and gets host backing only on its first write.
+  PhysMemory& memory = machine_.memory();
+  EXPECT_EQ(memory.FramePtrIfPresent(FrameOf(walk->pa)), nullptr);
+  EXPECT_EQ(memory.Read64(walk->pa), 0u);
+  memory.Write64(walk->pa, 42);
+  EXPECT_NE(memory.FramePtrIfPresent(FrameOf(walk->pa)), nullptr);
 }
 
 TEST_F(AddrSpaceTest, DemandFaultOutsideVmaIsSegfault) {

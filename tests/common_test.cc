@@ -141,6 +141,31 @@ TEST(RngTest, FillCoversBuffer) {
   EXPECT_GT(nonzero, 20);
 }
 
+// The byte stream Fill produces is part of every workload's synthetic input, so
+// it is pinned: each draw lands little-endian, and a partial tail consumes a
+// whole draw.
+TEST(RngTest, FillByteStreamIsPinned) {
+  Rng rng(0x5EED);
+  const std::pair<size_t, const char*> expected[] = {
+      {0, ""},
+      {1, "74"},
+      {7, "1b05b52f1191f5"},
+      {8, "3a8614026405abd8"},
+      {9, "037b89fbf2e185f908"},
+      {48,
+       "9eff46073a8ef286ac8c28be1dcb1a4e165715a325fd136cfc0c13a4bb9683c6"
+       "1a72675eb1adc9bb06917058beaebc2c"},
+      {61,
+       "38282e14e9dbaeac0c1b002c2aea758a0109ae5039d55d4f52bcb3a57088d19b"
+       "75574909e9134c3f65bd36fae87a6d8f7f9c5034a6c348835c52a9c10f"},
+  };
+  for (const auto& [len, hex] : expected) {
+    uint8_t buf[64] = {};
+    rng.Fill(buf, len);
+    EXPECT_EQ(HexEncode(buf, len), hex) << "len " << len;
+  }
+}
+
 TEST(GraphGenTest, PowerLawGraphShape) {
   const EdgeList g = GeneratePowerLawGraph(1000, 5000, 3);
   EXPECT_EQ(g.num_nodes, 1000u);

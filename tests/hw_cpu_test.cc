@@ -246,5 +246,62 @@ TEST(DmaTest, BlocksPrivateAllowsShared) {
   EXPECT_EQ(machine.dma().blocked_transactions(), 1u);
 }
 
+// ---- PhysMemory 8-byte access: aligned fast path vs the byte-loop fallback ----
+
+TEST(PhysMemoryTest, Read64Write64Aligned) {
+  PhysMemory memory(4);
+  memory.Write64(0x1008, 0x1122334455667788ULL);
+  EXPECT_EQ(memory.Read64(0x1008), 0x1122334455667788ULL);
+  uint8_t bytes[8];
+  ASSERT_TRUE(memory.Read(0x1008, bytes, sizeof(bytes)).ok());
+  EXPECT_EQ(bytes[0], 0x88);  // little-endian in simulated memory
+  EXPECT_EQ(bytes[7], 0x11);
+}
+
+TEST(PhysMemoryTest, Read64Write64Unaligned) {
+  PhysMemory memory(4);
+  memory.Write64(0x1003, 0xA1B2C3D4E5F60718ULL);
+  EXPECT_EQ(memory.Read64(0x1003), 0xA1B2C3D4E5F60718ULL);
+  // The aligned word underneath sees the shifted bytes.
+  EXPECT_EQ(memory.Read64(0x1000), 0xD4E5F60718ULL << 24);
+}
+
+TEST(PhysMemoryTest, Read64Write64StraddlingAFrame) {
+  PhysMemory memory(4);
+  const Paddr pa = 0x1000 + 4092;  // 4 bytes in frame 1, 4 in frame 2
+  memory.Write64(pa, 0x0102030405060708ULL);
+  EXPECT_EQ(memory.Read64(pa), 0x0102030405060708ULL);
+  EXPECT_EQ(memory.CommittedFrames(), 2u);
+  EXPECT_EQ(memory.Read64(0x2000), 0x01020304ULL);
+}
+
+TEST(PhysMemoryTest, Read64Write64LastEightBytes) {
+  PhysMemory memory(4);
+  const Paddr last = memory.size_bytes() - 8;
+  memory.Write64(last, 0xFEEDFACECAFEBEEFULL);
+  EXPECT_EQ(memory.Read64(last), 0xFEEDFACECAFEBEEFULL);
+}
+
+TEST(PhysMemoryTest, Read64Write64OutOfRangeKeepsOldBehaviour) {
+  PhysMemory memory(4);
+  const Paddr end = memory.size_bytes();
+  memory.Write64(end, 0x1234);      // dropped
+  memory.Write64(end - 4, 0x1234);  // straddles the end: dropped, not truncated
+  EXPECT_EQ(memory.Read64(end), 0u);
+  EXPECT_EQ(memory.Read64(end - 4), 0u);
+  EXPECT_EQ(memory.Read64(end - 8), 0u);
+  EXPECT_EQ(memory.Read64(~Paddr{7}), 0u);  // pa + 8 wraps
+  EXPECT_EQ(memory.CommittedFrames(), 0u);
+}
+
+TEST(PhysMemoryTest, Read64OfUntouchedFrameIsZeroAndCommitsNothing) {
+  PhysMemory memory(4);
+  EXPECT_EQ(memory.Read64(0x3000), 0u);
+  EXPECT_EQ(memory.Read64(0x3FF8), 0u);
+  EXPECT_EQ(memory.Read64(0x2FFC), 0u);  // straddling two untouched frames
+  EXPECT_EQ(memory.CommittedFrames(), 0u);
+  EXPECT_EQ(memory.FramePtrIfPresent(3), nullptr);
+}
+
 }  // namespace
 }  // namespace erebor

@@ -320,6 +320,33 @@ TEST(ThreadsLockAudit, ContendedLockProtectsPlainCounter) {
             static_cast<uint64_t>(machine.num_cpus()) * kIters);
 }
 
+// CounterAdd is a relaxed atomic add inside a real-thread region and a plain add
+// outside one; the same cell must stay exact across both.
+TEST(ThreadsCounters, CounterAddIsExactInsideAndOutsideRealThreadRegions) {
+  constexpr int kThreads = 4;
+  constexpr int kIters = 10000;
+  uint64_t cell = 0;
+  {
+    ExecutionEngine::RealThreadsScope scope;
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&cell]() {
+        for (int i = 0; i < kIters; ++i) {
+          CounterAdd(cell);
+        }
+      });
+    }
+    for (auto& t : threads) {
+      t.join();
+    }
+  }
+  EXPECT_EQ(cell, static_cast<uint64_t>(kThreads) * kIters);
+  for (int i = 0; i < kIters; ++i) {
+    CounterAdd(cell, 2);
+  }
+  EXPECT_EQ(CounterLoad(cell), static_cast<uint64_t>(kThreads + 2) * kIters);
+}
+
 // ---- Cross-CPU TLB invalidation queue ----
 
 TEST(ThreadsTlbQueue, CrossCpuPostQueuesUntilDrain) {

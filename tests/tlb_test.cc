@@ -12,11 +12,14 @@
 //      TLB off and on (EREBOR_TLB only changes host time, never the cost model).
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <random>
+#include <sstream>
 
 #include "src/common/metrics.h"
 #include "src/hw/tlb.h"
 #include "src/kernel/addrspace.h"
+#include "src/kernel/kernel.h"
 #include "src/kernel/layout.h"
 #include "src/libos/libos.h"
 #include "src/sim/world.h"
@@ -469,6 +472,289 @@ TEST(TlbCycleNeutralityTest, SimulatedCountsAreBitIdenticalOffAndOn) {
     EXPECT_EQ(off_erebor->total_cycles, on_erebor->total_cycles) << name;
     EXPECT_EQ(off_erebor->emc_count, on_erebor->emc_count) << name;
   }
+}
+
+// ---- Hit path vs full path: every access check, every counter ----
+
+// One point of the grid: a leaf PTE shape, the CPU state the checks read, and the
+// TME-MK binding of the page's frame.
+struct AccessCase {
+  bool user_page, writable, no_execute, dirty;
+  uint8_t pkey;
+  CpuMode mode;
+  AccessType access;
+  bool smep, smap, pks, ac, wp;
+  uint64_t pkrs;
+  enum class KeyIds { kNone, kMatch, kMismatch, kReadShared } keyids;
+  bool in_monitor;
+};
+
+struct Outcome {
+  ErrorCode code = ErrorCode::kOk;
+  std::string message;
+  Fault fault;
+  uint8_t* page = nullptr;  // PagePtr only
+};
+
+bool operator==(const Outcome& a, const Outcome& b) {
+  return a.code == b.code && a.message == b.message && a.page == b.page &&
+         a.fault.vector == b.fault.vector && a.fault.error_code == b.fault.error_code &&
+         a.fault.address == b.fault.address && a.fault.reason == b.fault.reason;
+}
+
+std::ostream& operator<<(std::ostream& os, const Outcome& o) {
+  return os << "{" << ErrorCodeName(o.code) << " '" << o.message << "' vec "
+            << static_cast<int>(o.fault.vector) << " err 0x" << std::hex
+            << o.fault.error_code << " addr 0x" << o.fault.address << std::dec << " '"
+            << o.fault.reason << "'}";
+}
+
+std::string Describe(const AccessCase& c) {
+  std::ostringstream os;
+  os << (c.mode == CpuMode::kUser ? "user " : "sup ") << AccessTypeName(c.access)
+     << " page{U=" << c.user_page << " W=" << c.writable << " NX=" << c.no_execute
+     << " D=" << c.dirty << " pkey=" << int{c.pkey} << "} smep=" << c.smep
+     << " smap=" << c.smap << " pks=" << c.pks << " ac=" << c.ac << " wp=" << c.wp
+     << " pkrs=0x" << std::hex << c.pkrs << std::dec
+     << " keyids=" << static_cast<int>(c.keyids) << " monitor=" << c.in_monitor;
+  return os.str();
+}
+
+// Reference model of the architectural checks, written from the SDM rules as a
+// flat list of "this rule denies" predicates in priority order — independent of
+// Cpu::CheckAccess, so a flipped predicate there shows up as a mismatch here.
+// Returns the expected "#PF: ..." reason and the check's error bits, or nothing.
+std::optional<std::pair<std::string, uint64_t>> ReferenceDenial(const AccessCase& c,
+                                                                uint32_t mapped_keyid,
+                                                                uint32_t bound_keyid) {
+  const bool user = c.mode == CpuMode::kUser;
+  const bool rd = c.access == AccessType::kRead;
+  const bool wr = c.access == AccessType::kWrite;
+  const bool ex = c.access == AccessType::kExecute;
+  const bool shadow_stack = !c.writable && c.dirty && !c.user_page;
+  const bool pks_applies = !user && !c.user_page && c.pks && (rd || wr);
+  const std::string key = std::to_string(c.pkey);
+  const uint64_t p = pf_err::kPresent;
+  struct Rule {
+    bool denies;
+    std::string reason;
+    uint64_t bits;
+  };
+  const Rule rules[] = {
+      {user && !c.user_page, "user access to supervisor page", p},
+      {user && wr && !c.writable, "user write to read-only page", p},
+      {!user && c.user_page && ex && c.smep, "SMEP: supervisor execute of user page", p},
+      {!user && c.user_page && !ex && c.smap && !c.ac,
+       "SMAP: supervisor access to user page", p},
+      {pks_applies && (c.pkrs & pkrs::Ad(c.pkey)) != 0,
+       "PKS: access-disabled key " + key, p | pf_err::kProtectionKey},
+      {pks_applies && wr && (c.pkrs & pkrs::Wd(c.pkey)) != 0,
+       "PKS: write-disabled key " + key, p | pf_err::kProtectionKey},
+      {wr && shadow_stack, "write to shadow-stack page", p | pf_err::kShadowStack},
+      {!user && wr && !c.writable && c.wp, "CR0.WP: supervisor write to read-only page",
+       p},
+      {ex && c.no_execute, "execute of NX page", p},
+      {c.keyids != AccessCase::KeyIds::kNone && !c.in_monitor &&
+           mapped_keyid != bound_keyid &&
+           (wr || c.keyids != AccessCase::KeyIds::kReadShared),
+       "TME-MK: keyID mismatch (mapping " + std::to_string(mapped_keyid) +
+           ", frame bound " + std::to_string(bound_keyid) + ")",
+       p | pf_err::kProtectionKey},
+  };
+  for (const Rule& rule : rules) {
+    if (rule.denies) {
+      return std::make_pair(rule.reason, rule.bits);
+    }
+  }
+  return std::nullopt;
+}
+
+class TlbHitPathTest : public testing::Test {
+ protected:
+  static constexpr Vaddr kBase = 0x40000000;
+  static constexpr FrameNum kFirstData = 600;
+
+  TlbHitPathTest()
+      : machine_(MachineConfig{.memory_frames = 1024, .num_cpus = 1}),
+        keyids_(machine_.memory().num_frames()),
+        cpu_(machine_.cpu(0)),
+        ctx_(nullptr, &task_, &cpu_) {
+    FrameNum next_ptp = 100;
+    PteWriter writer;
+    writer.write_pte = [this](Paddr pa, Pte value) {
+      machine_.memory().Write64(pa, value);
+      return OkStatus();
+    };
+    writer.alloc_ptp = [&next_ptp]() -> StatusOr<FrameNum> { return next_ptp++; };
+    const Paddr root = AddrOf(next_ptp++);
+    for (int shape = 0; shape < kShapes; ++shape) {
+      const AccessCase c = ShapeCase(shape);
+      Pte flags = pte::kPresent | (c.user_page ? pte::kUser : 0) |
+                  (c.writable ? pte::kWritable : 0) |
+                  (c.no_execute ? pte::kNoExecute : 0) | (c.dirty ? pte::kDirty : 0);
+      flags = pte::WithPkey(flags, c.pkey);
+      EXPECT_TRUE(MapPage(machine_.memory(), root, PageVa(shape), kFirstData + shape,
+                          flags, writer)
+                      .ok());
+    }
+    cpu_.TrustedWriteCr(3, root);
+  }
+
+  static constexpr int kShapes = 32;
+  static Vaddr PageVa(int shape) { return kBase + static_cast<Vaddr>(shape) * kPageSize; }
+  static AccessCase ShapeCase(int shape) {
+    AccessCase c{};
+    c.user_page = (shape & 1) != 0;
+    c.writable = (shape & 2) != 0;
+    c.no_execute = (shape & 4) != 0;
+    c.dirty = (shape & 8) != 0;
+    c.pkey = (shape & 16) != 0 ? 3 : 0;
+    return c;
+  }
+
+  // Loads the case's CPU state and TME-MK binding. None of these writes flushes
+  // the TLB: the hit path must re-check against live state.
+  void Apply(const AccessCase& c, FrameNum frame, uint32_t mapped_keyid) {
+    cpu_.SetMode(c.mode);
+    cpu_.TrustedWriteCr(4, (c.smep ? cr::kCr4Smep : 0) | (c.smap ? cr::kCr4Smap : 0) |
+                               (c.pks ? cr::kCr4Pks : 0));
+    cpu_.TrustedWriteCr(0, c.wp ? cr::kCr0Wp : 0);
+    cpu_.TrustedSetAc(c.ac);
+    cpu_.TrustedWriteMsr(msr::kIa32Pkrs, c.pkrs);
+    cpu_.SetMonitorContext(c.in_monitor);
+    switch (c.keyids) {
+      case AccessCase::KeyIds::kNone:
+        cpu_.SetKeyIdMap(nullptr);
+        return;
+      case AccessCase::KeyIds::kMatch:
+        keyids_.Bind(frame, mapped_keyid, false);
+        break;
+      case AccessCase::KeyIds::kMismatch:
+        keyids_.Bind(frame, mapped_keyid ^ 1, false);
+        break;
+      case AccessCase::KeyIds::kReadShared:
+        keyids_.Bind(frame, mapped_keyid ^ 1, true);
+        break;
+    }
+    cpu_.SetKeyIdMap(&keyids_);
+  }
+
+  // The operation under test, through Translate, ReadVirt/WriteVirt or PagePtr.
+  enum class Op { kTranslate, kCopy, kPagePtr };
+  Outcome Run(Op op, Vaddr va, AccessType access) {
+    Outcome out;
+    Status status;
+    uint8_t buf[8] = {1, 2, 3, 4, 5, 6, 7, 8};
+    switch (op) {
+      case Op::kTranslate:
+        status = cpu_.Translate(va, access, &out.fault).status();
+        break;
+      case Op::kCopy:
+        status = access == AccessType::kWrite
+                     ? cpu_.WriteVirt(va, buf, sizeof(buf), &out.fault)
+                     : cpu_.ReadVirt(va, buf, sizeof(buf), &out.fault);
+        break;
+      case Op::kPagePtr: {
+        auto page = ctx_.PagePtr(va, access == AccessType::kWrite);
+        status = page.status();
+        out.page = page.ok() ? *page : nullptr;
+        break;
+      }
+    }
+    out.code = status.code();
+    out.message = status.message();
+    return out;
+  }
+
+  TlbStateGuard guard_;
+  Machine machine_;
+  KeyIdMap keyids_;
+  Cpu& cpu_;
+  Task task_;
+  SyscallContext ctx_;
+};
+
+TEST_F(TlbHitPathTest, WarmHitsMatchTheFullPathAcrossTheCheckGrid) {
+  using KeyIds = AccessCase::KeyIds;
+  uint64_t cases = 0;
+  uint64_t denials = 0;
+  for (int shape = 0; shape < kShapes; ++shape) {
+    const Vaddr page_va = PageVa(shape);
+    const FrameNum frame = kFirstData + shape;
+    const auto leaf = cpu_.WalkCached(cpu_.cr3(), page_va, CpuMode::kSupervisor);
+    ASSERT_TRUE(leaf.ok());
+    const uint32_t mapped_keyid = pte::KeyId(leaf->leaf);
+    for (int bits = 0; bits < (1 << 8); ++bits) {
+      for (AccessType access :
+           {AccessType::kRead, AccessType::kWrite, AccessType::kExecute}) {
+        for (uint64_t pkrs : {uint64_t{0}, pkrs::Ad(3), pkrs::Wd(3), pkrs::Ad(0)}) {
+          for (KeyIds keyids :
+               {KeyIds::kNone, KeyIds::kMatch, KeyIds::kMismatch, KeyIds::kReadShared}) {
+            AccessCase c = ShapeCase(shape);
+            c.mode = (bits & 1) != 0 ? CpuMode::kUser : CpuMode::kSupervisor;
+            c.smep = (bits & 2) != 0;
+            c.smap = (bits & 4) != 0;
+            c.pks = (bits & 8) != 0;
+            c.ac = (bits & 16) != 0;
+            c.wp = (bits & 32) != 0;
+            c.in_monitor = (bits & 64) != 0;
+            const bool via_copy = (bits & 128) != 0;
+            c.access = access;
+            c.pkrs = pkrs;
+            c.keyids = keyids;
+            Apply(c, frame, mapped_keyid);
+            ++cases;
+
+            // Reference outcome: the full path with the TLB off, checked against
+            // the independent model.
+            const Vaddr va = page_va + 0x10;
+            Tlb::SetEnabled(false);
+            const Outcome full = Run(Op::kTranslate, va, access);
+            const auto expected = ReferenceDenial(c, mapped_keyid, keyids_.KeyOf(frame));
+            if (expected.has_value()) {
+              ++denials;
+              const uint64_t access_bits =
+                  (access == AccessType::kWrite ? pf_err::kWrite : 0) |
+                  (access == AccessType::kExecute ? pf_err::kInstruction : 0) |
+                  (c.mode == CpuMode::kUser ? pf_err::kUser : 0);
+              ASSERT_EQ(full.code, ErrorCode::kPermissionDenied) << Describe(c);
+              ASSERT_EQ(full.message, "#PF: " + expected->first) << Describe(c);
+              ASSERT_EQ(full.fault.vector, Vector::kPageFault) << Describe(c);
+              ASSERT_EQ(full.fault.error_code, expected->second | access_bits)
+                  << Describe(c);
+              ASSERT_EQ(full.fault.address, va) << Describe(c);
+              ASSERT_EQ(full.fault.reason, expected->first) << Describe(c);
+            } else {
+              ASSERT_EQ(full.code, ErrorCode::kOk) << Describe(c) << " " << full;
+            }
+
+            // Each operation that takes the hit path, TLB off vs warm TLB: same
+            // outcome, and the warm run counts what a plain Translate would —
+            // one hit per translation, no miss.
+            const Op op = access == AccessType::kExecute ? Op::kTranslate
+                          : via_copy                     ? Op::kCopy
+                                                         : Op::kPagePtr;
+            const Outcome off = Run(op, va, access);
+            Tlb::SetEnabled(true);
+            ASSERT_TRUE(cpu_.WalkCached(cpu_.cr3(), va, c.mode).ok());  // warm
+            const Tlb::Stats before = Tlb::GlobalStats();
+            const Outcome warm = Run(op, va, access);
+            const Tlb::Stats& after = Tlb::GlobalStats();
+            ASSERT_EQ(warm, off) << Describe(c);
+            // PagePtr retries a denied access once after the (here unhandled) #PF.
+            const uint64_t translations =
+                op == Op::kPagePtr && expected.has_value() ? 2 : 1;
+            ASSERT_EQ(after.hits - before.hits, translations) << Describe(c);
+            ASSERT_EQ(after.misses - before.misses, 0u) << Describe(c);
+            ASSERT_EQ(after.psc_hits - before.psc_hits, 0u) << Describe(c);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, uint64_t{kShapes} * 256 * 3 * 4 * 4);
+  EXPECT_GT(denials, 0u);
+  EXPECT_LT(denials, cases);
 }
 
 // ---- PteRevokesPermissions classification ----
