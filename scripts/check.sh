@@ -4,7 +4,8 @@
 # run the threads label again under ThreadSanitizer, then a tracing smoke test
 # (the trace-vs-counter EMC cross-check must hold with the tracer enabled), then
 # the deterministic halves of the emc_scaling and batched_mmu bench gates, then
-# short perfbench runs (jobs, serve, ingest) whose correctness gates must pass.
+# short perfbench runs (jobs, serve, ingest, and one traced serve run) whose
+# correctness gates must pass.
 #
 # Usage: scripts/check.sh [build-dir]   (default: build)
 #   EREBOR_SKIP_SANITIZE=1 skips the sanitizer passes (e.g. on memory-tight CI).
@@ -86,5 +87,13 @@ for workload in jobs serve ingest; do
       exit 1
     }
 done
+# One traced run: exercises the tracing-on EMC exit path (the round-trip
+# histogram) and the per-layer probes, under the same correctness gate.
+python3 perfbench/run.py --workload serve --seed 1 --seconds 3 --trace 1 \
+  | tail -n 1 \
+  | python3 -c 'import json, sys; sys.exit(0 if json.load(sys.stdin)["correct"] is True else 1)' || {
+    echo "check.sh: traced perfbench serve run not correct" >&2
+    exit 1
+  }
 
 echo "check.sh: all checks passed"

@@ -13,15 +13,23 @@ Cpu::Cpu(int index, PhysMemory* memory, CodeRegistry* registry, const CycleModel
     : index_(index), memory_(memory), registry_(registry), costs_(costs) {}
 
 uint64_t Cpu::Msr(uint32_t index) const {
+  if (index == msr::kIa32Pkrs) {
+    return pkrs_;
+  }
+  if (index == msr::kIa32SCet) {
+    return s_cet_;
+  }
   const auto it = msrs_.find(index);
   return it == msrs_.end() ? 0 : it->second;
 }
 
-void Cpu::SyncMsrCache(uint32_t index, uint64_t value) {
+void Cpu::StoreMsr(uint32_t index, uint64_t value) {
   if (index == msr::kIa32Pkrs) {
-    pkrs_cache_ = value;
+    pkrs_ = value;
   } else if (index == msr::kIa32SCet) {
-    scet_cache_ = value;
+    s_cet_ = value;
+  } else {
+    msrs_[index] = value;
   }
 }
 
@@ -151,8 +159,7 @@ StatusOr<uint64_t> Cpu::ReadMsr(uint32_t index) const {
 Status Cpu::WriteMsr(uint32_t index, uint64_t value) {
   EREBOR_RETURN_IF_ERROR(CheckSensitive("wrmsr"));
   cycles_.Charge(costs_->native_wrmsr);
-  msrs_[index] = value;
-  SyncMsrCache(index, value);
+  StoreMsr(index, value);
   if (index == msr::kIa32Pkrs || index == msr::kIa32SCet) {
     // An untrusted PKRS/CET rewrite flushes the writing CPU's TLB (serializing
     // permission change). The *trusted* gate writes on the EMC hot path deliberately
@@ -165,10 +172,7 @@ Status Cpu::WriteMsr(uint32_t index, uint64_t value) {
   return OkStatus();
 }
 
-void Cpu::TrustedWriteMsr(uint32_t index, uint64_t value) {
-  msrs_[index] = value;
-  SyncMsrCache(index, value);
-}
+void Cpu::TrustedWriteMsr(uint32_t index, uint64_t value) { StoreMsr(index, value); }
 
 void Cpu::TrustedWriteCr(int reg, uint64_t value) {
   switch (reg) {
@@ -322,12 +326,12 @@ AccessDenial Cpu::CheckAccess(const WalkResult& r, CpuMode as_mode,
         return {Reason::kSmap, pf_err::kPresent};
       }
     } else if ((cr4_ & cr::kCr4Pks) != 0 && !execute) {
-      // Supervisor protection keys (PKS): data accesses only. pkrs_cache_ mirrors
-      // the MSR so the hottest check in the simulator costs no map lookup.
-      if ((pkrs_cache_ & pkrs::Ad(r.pkey)) != 0) {
+      // Supervisor protection keys (PKS): data accesses only. pkrs_ holds the
+      // MSR itself, so the hottest check in the simulator costs no map lookup.
+      if ((pkrs_ & pkrs::Ad(r.pkey)) != 0) {
         return {Reason::kPksAccessDisabled, pf_err::kPresent | pf_err::kProtectionKey};
       }
-      if (write && (pkrs_cache_ & pkrs::Wd(r.pkey)) != 0) {
+      if (write && (pkrs_ & pkrs::Wd(r.pkey)) != 0) {
         return {Reason::kPksWriteDisabled, pf_err::kPresent | pf_err::kProtectionKey};
       }
     }
@@ -406,7 +410,7 @@ Status Cpu::IndirectBranch(CodeLabelId target) {
     return InvalidArgumentError("indirect branch to unknown label");
   }
   const bool ibt_enabled = (cr4_ & cr::kCr4Cet) != 0 &&
-                           (scet_cache_ & msr::kCetIbtEn) != 0;
+                           (s_cet_ & msr::kCetIbtEn) != 0;
   if (ibt_enabled && !label->endbr) {
     return PermissionDeniedError("#CP: indirect branch to non-endbr64 target '" +
                                  label->name + "'");
@@ -416,7 +420,7 @@ Status Cpu::IndirectBranch(CodeLabelId target) {
 
 Status Cpu::ShadowCall(CodeLabelId return_site) {
   const bool sst_enabled = (cr4_ & cr::kCr4Cet) != 0 &&
-                           (scet_cache_ & msr::kCetShstkEn) != 0;
+                           (s_cet_ & msr::kCetShstkEn) != 0;
   if (!sst_enabled || shadow_stack_ == nullptr) {
     return OkStatus();
   }
@@ -426,7 +430,7 @@ Status Cpu::ShadowCall(CodeLabelId return_site) {
 
 Status Cpu::ShadowReturn(CodeLabelId return_site) {
   const bool sst_enabled = (cr4_ & cr::kCr4Cet) != 0 &&
-                           (scet_cache_ & msr::kCetShstkEn) != 0;
+                           (s_cet_ & msr::kCetShstkEn) != 0;
   if (!sst_enabled || shadow_stack_ == nullptr) {
     return OkStatus();
   }

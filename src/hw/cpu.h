@@ -164,9 +164,10 @@ class Cpu {
   StatusOr<uint64_t> ReadMsr(uint32_t index) const;
   Status WriteMsr(uint32_t index, uint64_t value);
   // IA32_PKRS and the IA32_S_CET enable bits are read on every translation /
-  // indirect branch, so they are mirrored in plain members instead of the MSR map.
-  uint64_t pkrs() const { return pkrs_cache_; }
-  uint64_t s_cet() const { return scet_cache_; }
+  // indirect branch and written on every gate crossing, so they live only in
+  // their own members; the MSR map holds every other register.
+  uint64_t pkrs() const { return pkrs_; }
+  uint64_t s_cet() const { return s_cet_; }
 
   // ---- SMAP window ----
   Status Stac();
@@ -284,7 +285,7 @@ class Cpu {
  private:
   uint64_t Msr(uint32_t index) const;
   Status CheckSensitive(const char* what);
-  void SyncMsrCache(uint32_t index, uint64_t value);
+  void StoreMsr(uint32_t index, uint64_t value);
   void FlushTlb();
   void ApplyTlbInvalidation(const TlbInvalidation& inv);
 
@@ -304,9 +305,9 @@ class Cpu {
   bool in_monitor_ = false;
   const KeyIdMap* keyid_map_ = nullptr;
 
-  std::map<uint32_t, uint64_t> msrs_;
-  uint64_t pkrs_cache_ = 0;  // mirror of msrs_[IA32_PKRS]
-  uint64_t scet_cache_ = 0;  // mirror of msrs_[IA32_S_CET]
+  std::map<uint32_t, uint64_t> msrs_;  // every MSR except the two below
+  uint64_t pkrs_ = 0;                   // IA32_PKRS
+  uint64_t s_cet_ = 0;                  // IA32_S_CET
   Tlb tlb_;
   std::vector<Cpu*> tlb_peers_;
   // Pending cross-CPU invalidations (posted by peers under the real-thread

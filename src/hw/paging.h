@@ -8,9 +8,9 @@
 #ifndef EREBOR_SRC_HW_PAGING_H_
 #define EREBOR_SRC_HW_PAGING_H_
 
-#include <functional>
 #include <optional>
 
+#include "src/common/function_ref.h"
 #include "src/common/status.h"
 #include "src/hw/phys_mem.h"
 #include "src/hw/types.h"
@@ -114,14 +114,16 @@ StatusOr<WalkResult> WalkPageTables(const PhysMemory& memory, Paddr root, Vaddr 
 // around hot loops to measure how many physical reads the TLB avoids.
 uint64_t& PageTableWalkReads();
 
-// Builds page-table entries on behalf of software. `AllocFrameFn` supplies zeroed
+// Builds page-table entries on behalf of software. `alloc_ptp` supplies zeroed
 // frames for intermediate PTPs. All PTE stores go through `write_pte` so the caller can
-// route them through EMC when Erebor virtualizes the MMU.
+// route them through EMC when Erebor virtualizes the MMU. Both members are non-owning
+// references: the state they call lives in the caller (a stack object for the kernel
+// and monitor writers), which must keep it alive while the writer is in use.
 struct PteWriter {
   // write_pte(entry_pa, value): store a PTE. Returns non-OK if refused.
-  std::function<Status(Paddr, Pte)> write_pte;
+  FunctionRef<Status(Paddr, Pte)> write_pte;
   // alloc_ptp(): allocate + zero a frame for an intermediate page-table page.
-  std::function<StatusOr<FrameNum>()> alloc_ptp;
+  FunctionRef<StatusOr<FrameNum>()> alloc_ptp;
 };
 
 // Maps `va` -> frame with leaf flags. Creates intermediate levels as needed, with

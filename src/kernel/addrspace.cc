@@ -15,31 +15,46 @@ namespace {
 constexpr uint64_t kFaultAroundPages = 16;
 }  // namespace
 
-PteWriter AddressSpace::MakeWriter(Cpu& cpu, int* pte_writes) {
-  PteWriter writer;
-  writer.write_pte = [this, &cpu, pte_writes](Paddr entry_pa, Pte value) -> Status {
-    if (pte_writes != nullptr) {
-      ++*pte_writes;
-    }
-    const Pte old = machine_->memory().Read64(entry_pa);
-    EREBOR_RETURN_IF_ERROR(ops_->WritePte(cpu, entry_pa, value));
-    // Kernel-side TLB maintenance: rewriting a previously present entry (remap,
-    // U/S widening of an intermediate, unmap, protect) invalidates any cached
-    // translation that depends on it. MapRange's leaf writes skip this wrapper
-    // but only ever target non-present slots.
-    if (Tlb::hooks().invlpg && pte::Present(old) && old != value) {
-      machine_->ShootdownTlbLeaf(entry_pa, cpu.index());
-    }
-    return OkStatus();
-  };
-  writer.alloc_ptp = [this, &cpu]() -> StatusOr<FrameNum> {
-    EREBOR_ASSIGN_OR_RETURN(const FrameNum frame, pool_->Alloc());
-    machine_->memory().ZeroFrame(frame);
-    EREBOR_RETURN_IF_ERROR(ops_->RegisterPtp(cpu, frame, root_));
-    owned_ptps_.push_back(frame);
-    return frame;
-  };
-  return writer;
+// Lives in the mapping call's frame; writer() hands out non-owning references to
+// it, so a kernel PTE store allocates nothing.
+class AddressSpace::KernelWriter {
+ public:
+  KernelWriter(AddressSpace* space, Cpu& cpu, int* pte_writes = nullptr)
+      : space_(space), cpu_(cpu), pte_writes_(pte_writes) {}
+  // write_pte: one PrivilegedOps::WritePte plus kernel-side TLB maintenance.
+  Status operator()(Paddr entry_pa, Pte value) const;
+  // alloc_ptp: allocate, zero and register an intermediate page-table page.
+  StatusOr<FrameNum> operator()() const;
+  PteWriter writer() const { return {*this, *this}; }
+
+ private:
+  AddressSpace* space_;
+  Cpu& cpu_;
+  int* pte_writes_;  // optional count of PTE stores (demand-fault accounting)
+};
+
+Status AddressSpace::KernelWriter::operator()(Paddr entry_pa, Pte value) const {
+  if (pte_writes_ != nullptr) {
+    ++*pte_writes_;
+  }
+  const Pte old = space_->machine_->memory().Read64(entry_pa);
+  EREBOR_RETURN_IF_ERROR(space_->ops_->WritePte(cpu_, entry_pa, value));
+  // Kernel-side TLB maintenance: rewriting a previously present entry (remap,
+  // U/S widening of an intermediate, unmap, protect) invalidates any cached
+  // translation that depends on it. MapRange's leaf writes skip this writer
+  // but only ever target non-present slots.
+  if (Tlb::hooks().invlpg && pte::Present(old) && old != value) {
+    space_->machine_->ShootdownTlbLeaf(entry_pa, cpu_.index());
+  }
+  return OkStatus();
+}
+
+StatusOr<FrameNum> AddressSpace::KernelWriter::operator()() const {
+  EREBOR_ASSIGN_OR_RETURN(const FrameNum frame, space_->pool_->Alloc());
+  space_->machine_->memory().ZeroFrame(frame);
+  EREBOR_RETURN_IF_ERROR(space_->ops_->RegisterPtp(cpu_, frame, space_->root_));
+  space_->owned_ptps_.push_back(frame);
+  return frame;
 }
 
 StatusOr<std::unique_ptr<AddressSpace>> AddressSpace::Create(
@@ -68,8 +83,9 @@ StatusOr<std::unique_ptr<AddressSpace>> AddressSpace::Create(
 }
 
 Status AddressSpace::MapFrame(Cpu& cpu, Vaddr va, FrameNum frame, Pte flags) {
-  PteWriter writer = MakeWriter(cpu);
-  EREBOR_RETURN_IF_ERROR(MapPage(machine_->memory(), root_, va, frame, flags, writer));
+  const KernelWriter kernel(this, cpu);
+  EREBOR_RETURN_IF_ERROR(
+      MapPage(machine_->memory(), root_, va, frame, flags, kernel.writer()));
   if ((flags & pte::kUser) != 0) {
     ++mapped_user_pages_;
   }
@@ -173,7 +189,8 @@ Status AddressSpace::MapRange(Cpu& cpu, const std::vector<PageMapping>& mappings
   // Phase 1: materialize the leaf slots (may create intermediate PTPs).
   std::vector<std::pair<Paddr, Pte>> leaves;
   leaves.reserve(mappings.size());
-  PteWriter writer = MakeWriter(cpu);
+  const KernelWriter kernel(this, cpu);
+  const PteWriter writer = kernel.writer();
   for (const PageMapping& mapping : mappings) {
     // Walk down, creating levels, but defer the leaf store to phase 2.
     Paddr table = root_;
@@ -236,15 +253,16 @@ Status AddressSpace::PopulateVma(Cpu& cpu, Vaddr start) {
 }
 
 Status AddressSpace::UnmapPage(Cpu& cpu, Vaddr va) {
-  PteWriter writer = MakeWriter(cpu);
-  EREBOR_RETURN_IF_ERROR(erebor::UnmapPage(machine_->memory(), root_, va, writer));
+  const KernelWriter kernel(this, cpu);
+  EREBOR_RETURN_IF_ERROR(erebor::UnmapPage(machine_->memory(), root_, va, kernel.writer()));
   ops_->InvlPg(cpu, root_, va);
   return OkStatus();
 }
 
 Status AddressSpace::ProtectPage(Cpu& cpu, Vaddr va, Pte flags) {
-  PteWriter writer = MakeWriter(cpu);
-  EREBOR_RETURN_IF_ERROR(erebor::ProtectPage(machine_->memory(), root_, va, flags, writer));
+  const KernelWriter kernel(this, cpu);
+  EREBOR_RETURN_IF_ERROR(
+      erebor::ProtectPage(machine_->memory(), root_, va, flags, kernel.writer()));
   ops_->InvlPg(cpu, root_, va);
   return OkStatus();
 }
@@ -374,7 +392,7 @@ StatusOr<int> AddressSpace::HandleDemandFault(Cpu& cpu, Vaddr va, PhysMemory* fi
     return FaultAroundRing(cpu, ring, *vma, page_va);
   }
   int pte_writes = 0;
-  PteWriter writer = MakeWriter(cpu, &pte_writes);
+  const KernelWriter kernel(this, cpu, &pte_writes);
 
   FrameNum frame = 0;
   switch (vma->kind) {
@@ -407,7 +425,7 @@ StatusOr<int> AddressSpace::HandleDemandFault(Cpu& cpu, Vaddr va, PhysMemory* fi
     }
   }
   EREBOR_RETURN_IF_ERROR(
-      MapPage(machine_->memory(), root_, page_va, frame, vma->flags, writer));
+      MapPage(machine_->memory(), root_, page_va, frame, vma->flags, kernel.writer()));
   if ((vma->flags & pte::kUser) != 0) {
     ++mapped_user_pages_;
   }

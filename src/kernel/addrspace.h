@@ -96,7 +96,8 @@ class AddressSpace {
   AddressSpace(Machine* machine, PrivilegedOps* ops, FrameAllocator* pool, Paddr root)
       : machine_(machine), ops_(ops), pool_(pool), root_(root) {}
 
-  PteWriter MakeWriter(Cpu& cpu, int* pte_writes = nullptr);
+  // The kernel's PTE-writer state for one mapping call (addrspace.cc).
+  class KernelWriter;
 
   // ---- MMU-ring staging paths (active only when ops_->mmu_ring() != nullptr) ----
   // Publishes the staged batch and crosses the gate until the SQ drains; the

@@ -179,7 +179,7 @@ const EmcDescriptor& EmcDescriptorFor(EmcOp op) {
 // ---- The single gated-dispatch path ----
 
 Status EreborMonitor::EmcDispatch(Cpu& cpu, const EmcCall& call,
-                                  const std::function<Status()>& body) {
+                                  FunctionRef<Status()> body) {
   const EmcDescriptor& d = EmcDescriptorFor(call.op);
   // Family counters count *requests*, successful or not, and always did so
   // before the gate (a refused entry still shows up in the family's rate).

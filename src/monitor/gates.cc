@@ -9,7 +9,10 @@
 namespace erebor {
 
 EmcGates::EmcGates(Machine* machine, IsolationBackend* isolation)
-    : machine_(machine), isolation_(isolation) {
+    : machine_(machine),
+      isolation_(isolation),
+      round_trip_cycles_(
+          MetricsRegistry::Global().GetHistogram("trace.emc_round_trip_cycles")) {
   saved_views_.resize(machine->num_cpus());
   entry_ts_.resize(machine->num_cpus(), 0);
 }
@@ -99,9 +102,7 @@ void EmcGates::Exit(Cpu& cpu) {
     // Gated time plus both gate halves: comparable to the paper's EMC round trip.
     const Cycles in_monitor = now - entry_ts_[cpu.index()];
     tracer.Record(TraceEvent::kEmcExit, cpu.index(), now, -1, in_monitor);
-    MetricsRegistry::Global()
-        .GetHistogram("trace.emc_round_trip_cycles")
-        ->Observe(in_monitor + cpu.costs().emc_round_trip);
+    round_trip_cycles_->Observe(in_monitor + cpu.costs().emc_round_trip);
   }
 }
 

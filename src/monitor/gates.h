@@ -21,6 +21,7 @@
 
 namespace erebor {
 
+class Histogram;
 class IsolationBackend;
 
 // PKRS views: what each protection key permits in normal (kernel) mode vs monitor mode.
@@ -67,6 +68,9 @@ class EmcGates {
   std::vector<std::unique_ptr<ShadowStack>> shadow_stacks_;
   std::vector<std::vector<uint64_t>> saved_views_;  // per-CPU #INT-gate token stacks
   std::vector<Cycles> entry_ts_;  // per-CPU gate-entry timestamp (round-trip histogram)
+  // trace.emc_round_trip_cycles, resolved once: the registry never erases a
+  // histogram (Reset() zeroes it in place), so the pointer stays valid.
+  Histogram* round_trip_cycles_;
   uint64_t entries_ = 0;
 };
 

@@ -14,6 +14,7 @@
 
 #include <memory>
 
+#include "src/common/function_ref.h"
 #include "src/common/metrics.h"
 #include "src/common/trace.h"
 #include "src/host/vmm.h"
@@ -192,9 +193,10 @@ class EreborMonitor {
   // The single gated-dispatch path (emc_dispatch.cc): family counter, fault
   // point, gate entry with bounded transient retry, lock acquisition, cycle
   // charge, emc_total bump, trace emission, and argument validation — exactly
-  // once per EMC, driven by the descriptor table row for `call.op`.
-  Status EmcDispatch(Cpu& cpu, const EmcCall& call,
-                     const std::function<Status()>& body);
+  // once per EMC, driven by the descriptor table row for `call.op`. `body` is
+  // a non-owning reference: it runs at most once, inside the call, and is
+  // never stored, so callers pass a stack lambda and nothing is allocated.
+  Status EmcDispatch(Cpu& cpu, const EmcCall& call, FunctionRef<Status()> body);
 
   // Counts a policy denial and emits its trace event.
   void NoteDenial(Cpu& cpu);

@@ -33,36 +33,35 @@ void SandboxManager::Attach(Kernel* kernel, FrameNum cma_first, uint64_t cma_fra
   cma_ = std::make_unique<FrameAllocator>(cma_first, cma_frames);
 }
 
-PteWriter SandboxManager::TrustedWriter(Cpu& cpu, AddressSpace& aspace) {
-  // The monitor writes PTEs directly (it *is* the privileged mode) but keeps the
-  // frame-table map counts accurate and charges the monitor-op cost.
-  PteWriter writer;
-  writer.write_pte = [this, &cpu](Paddr entry_pa, Pte value) -> Status {
-    const Pte old = machine_->memory().Read64(entry_pa);
-    machine_->memory().Write64(entry_pa, value);
-    cpu.cycles().Charge(cpu.costs().monitor_pte_op);
-    policy_->NoteTrustedLink(entry_pa, value);
-    policy_->NoteLeafWrite(old, value, entry_pa);
-    // Trusted mapping into a live address space can rewrite present entries (e.g.
-    // U/S-widening an intermediate); cached walks through them must die.
-    if (Tlb::hooks().pte_shootdown && pte::Present(old) && old != value) {
-      machine_->ShootdownTlbLeaf(entry_pa, cpu.index());
-    }
-    return OkStatus();
-  };
-  writer.alloc_ptp = [this, &cpu, &aspace]() -> StatusOr<FrameNum> {
-    EREBOR_ASSIGN_OR_RETURN(const FrameNum frame, kernel_->pool().Alloc());
-    machine_->memory().ZeroFrame(frame);
-    (void)frames_->SetType(frame, FrameType::kPtp);
-    frames_->info(frame).ptp_root = aspace.root();
-    frames_->info(frame).ptp_level = 0;  // linked when first referenced
-    // Pool frames keep their default-tag direct-map leaf: re-tag it so the kernel
-    // cannot forge entries in the sandbox's page tables through the direct map.
-    EREBOR_RETURN_IF_ERROR(policy_->RetrofitTag(&cpu, machine_->memory(), frame,
-                                                ProtClass::kPtp, false));
-    return frame;
-  };
-  return writer;
+// The monitor writes PTEs directly (it *is* the privileged mode) but keeps the
+// frame-table map counts accurate and charges the monitor-op cost.
+Status SandboxManager::TrustedWriter::operator()(Paddr entry_pa, Pte value) const {
+  PhysMemory& memory = manager_->machine_->memory();
+  const Pte old = memory.Read64(entry_pa);
+  memory.Write64(entry_pa, value);
+  cpu_.cycles().Charge(cpu_.costs().monitor_pte_op);
+  manager_->policy_->NoteTrustedLink(entry_pa, value);
+  manager_->policy_->NoteLeafWrite(old, value, entry_pa);
+  // Trusted mapping into a live address space can rewrite present entries (e.g.
+  // U/S-widening an intermediate); cached walks through them must die.
+  if (Tlb::hooks().pte_shootdown && pte::Present(old) && old != value) {
+    manager_->machine_->ShootdownTlbLeaf(entry_pa, cpu_.index());
+  }
+  return OkStatus();
+}
+
+StatusOr<FrameNum> SandboxManager::TrustedWriter::operator()() const {
+  EREBOR_ASSIGN_OR_RETURN(const FrameNum frame, manager_->kernel_->pool().Alloc());
+  manager_->machine_->memory().ZeroFrame(frame);
+  FrameTable& frames = *manager_->frames_;
+  (void)frames.SetType(frame, FrameType::kPtp);
+  frames.info(frame).ptp_root = aspace_.root();
+  frames.info(frame).ptp_level = 0;  // linked when first referenced
+  // Pool frames keep their default-tag direct-map leaf: re-tag it so the kernel
+  // cannot forge entries in the sandbox's page tables through the direct map.
+  EREBOR_RETURN_IF_ERROR(manager_->policy_->RetrofitTag(&cpu_, manager_->machine_->memory(),
+                                                        frame, ProtClass::kPtp, false));
+  return frame;
 }
 
 StatusOr<Sandbox*> SandboxManager::Create(Task& leader, const SandboxSpec& spec) {
@@ -163,10 +162,10 @@ Status SandboxManager::DeclareConfined(Cpu& cpu, Sandbox& sandbox, Vaddr va, uin
   const Pte leaf_flags = isolation_->WithTag(base_flags, sandbox.domain_tag);
   EREBOR_RETURN_IF_ERROR(
       sandbox.aspace->CreateVma(len, base_flags, VmaKind::kConfined, va).status());
-  PteWriter writer = TrustedWriter(cpu, *sandbox.aspace);
+  const TrustedWriter trusted(this, cpu, *sandbox.aspace);
   for (uint64_t i = 0; i < count; ++i) {
     EREBOR_RETURN_IF_ERROR(MapPage(machine_->memory(), sandbox.aspace->root(),
-                                   va + AddrOf(i), first + i, leaf_flags, writer));
+                                   va + AddrOf(i), first + i, leaf_flags, trusted.writer()));
   }
   sandbox.confined_ranges.emplace_back(first, count);
   sandbox.confined_bytes += len;
@@ -258,7 +257,7 @@ StatusOr<Sandbox*> SandboxManager::CloneFromTemplate(Cpu& cpu, Task& leader,
   // delta against the 126k-cycle cold boot — and the reverse map
   // (NoteLeafWrite) records every share for the invariant checker.
   const Pte ro_flags = pte::kPresent | pte::kUser | pte::kNoExecute;
-  PteWriter writer = TrustedWriter(cpu, *sandbox->aspace);
+  const TrustedWriter trusted(this, cpu, *sandbox->aspace);
   for (const auto& range : tmpl.template_ranges) {
     EREBOR_RETURN_IF_ERROR(sandbox->aspace
                                ->CreateVma(range.count << kPageShift, ro_flags,
@@ -267,7 +266,7 @@ StatusOr<Sandbox*> SandboxManager::CloneFromTemplate(Cpu& cpu, Task& leader,
     for (uint64_t i = 0; i < range.count; ++i) {
       EREBOR_RETURN_IF_ERROR(MapPage(machine_->memory(), sandbox->aspace->root(),
                                      range.va + AddrOf(i), range.first + i, ro_flags,
-                                     writer));
+                                     trusted.writer()));
     }
   }
   ++tmpl.live_clones;
@@ -331,11 +330,11 @@ Status SandboxManager::BreakCowShare(Cpu& cpu, Sandbox& sandbox, Vaddr page_va) 
   isolation_->BindFrame(&cpu, priv, sandbox.domain_tag, false);
   EREBOR_RETURN_IF_ERROR(UnmapFromDirectMap(cpu, priv, 1));
   const Pte base_flags = pte::kPresent | pte::kUser | pte::kWritable | pte::kNoExecute;
-  PteWriter writer = TrustedWriter(cpu, *sandbox.aspace);
+  const TrustedWriter trusted(this, cpu, *sandbox.aspace);
   EREBOR_RETURN_IF_ERROR(MapPage(machine_->memory(), sandbox.aspace->root(), page_va,
                                  priv,
                                  isolation_->WithTag(base_flags, sandbox.domain_tag),
-                                 writer));
+                                 trusted.writer()));
   sandbox.confined_ranges.emplace_back(priv, 1);
   sandbox.confined_bytes += kPageSize;
   ++sandbox.cow_broken_pages;

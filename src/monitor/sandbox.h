@@ -213,13 +213,32 @@ class SandboxManager {
   // common-region mapping — the MmuPolicy hook.
   Status ValidateCommonMapping(Paddr root, FrameNum frame, bool writable) const;
 
+  // The monitor's own PTE-writer state for one mapping call into `aspace`: every
+  // trusted sandbox mapping (confined pre-population, clone layout, CoW break)
+  // goes through it. It lives in the caller's frame; writer() hands out
+  // non-owning references to it.
+  class TrustedWriter {
+   public:
+    TrustedWriter(SandboxManager* manager, Cpu& cpu, AddressSpace& aspace)
+        : manager_(manager), cpu_(cpu), aspace_(aspace) {}
+    // write_pte: a direct store with frame-table accounting and TLB shootdown.
+    Status operator()(Paddr entry_pa, Pte value) const;
+    // alloc_ptp: a kernel-pool frame, zeroed and typed as a tagged PTP.
+    StatusOr<FrameNum> operator()() const;
+    PteWriter writer() const { return {*this, *this}; }
+
+   private:
+    SandboxManager* manager_;
+    Cpu& cpu_;
+    AddressSpace& aspace_;
+  };
+
   const std::map<int, std::unique_ptr<Sandbox>>& sandboxes() const { return sandboxes_; }
   std::map<int, std::unique_ptr<Sandbox>>& mutable_sandboxes() { return sandboxes_; }
   uint64_t cma_frames_used() const { return cma_ ? cma_->used() : 0; }
 
  private:
   Status UnmapFromDirectMap(Cpu& cpu, FrameNum first, uint64_t count);
-  PteWriter TrustedWriter(Cpu& cpu, AddressSpace& aspace);
 
   Machine* machine_;
   FrameTable* frames_;

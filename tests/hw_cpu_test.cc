@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "src/common/bytes.h"
+#include "src/common/trace.h"
 #include "src/hw/machine.h"
 
 namespace erebor {
@@ -13,11 +16,6 @@ class CpuTest : public testing::Test {
     // Build a small address space by hand: frame 100 = PML4.
     root_ = 100 * kPageSize;
     next_ptp_ = 101;
-    writer_.write_pte = [this](Paddr pa, Pte value) {
-      machine_.memory().Write64(pa, value);
-      return OkStatus();
-    };
-    writer_.alloc_ptp = [this]() -> StatusOr<FrameNum> { return next_ptp_++; };
     cpu_->TrustedWriteCr(3, root_);
   }
 
@@ -29,7 +27,15 @@ class CpuTest : public testing::Test {
   Cpu* cpu_;
   Paddr root_;
   FrameNum next_ptp_;
-  PteWriter writer_;
+  // The writer only refers to its callables, so the fixture owns them.
+  std::function<Status(Paddr, Pte)> write_pte_ = [this](Paddr pa, Pte value) {
+    machine_.memory().Write64(pa, value);
+    return OkStatus();
+  };
+  std::function<StatusOr<FrameNum>()> alloc_ptp_ = [this]() -> StatusOr<FrameNum> {
+    return next_ptp_++;
+  };
+  PteWriter writer_{write_pte_, alloc_ptp_};
 };
 
 TEST_F(CpuTest, PrivilegedInstructionsFaultInUserMode) {
@@ -47,6 +53,65 @@ TEST_F(CpuTest, PrivilegedInstructionsWorkInSupervisorMode) {
   EXPECT_TRUE(cpu_->WriteCr0(cr::kCr0Wp).ok());
   EXPECT_TRUE(cpu_->WriteMsr(msr::kIa32Lstar, 0x1234).ok());
   EXPECT_EQ(*cpu_->ReadMsr(msr::kIa32Lstar), 0x1234u);
+}
+
+// IA32_PKRS and IA32_S_CET live in their own fields, every other MSR in the map:
+// each register reads back exactly the last value stored, whichever of the
+// untrusted WRMSR and the trusted gate write stored it.
+TEST_F(CpuTest, MsrsReadBackWhatEitherWritePathStored) {
+  const uint32_t kMsrs[] = {msr::kIa32Pkrs, msr::kIa32SCet, msr::kIa32Lstar};
+  const auto expect_msrs = [&](uint64_t base) {
+    for (uint32_t i = 0; i < 3; ++i) {
+      const auto value = cpu_->ReadMsr(kMsrs[i]);
+      ASSERT_TRUE(value.ok());
+      EXPECT_EQ(*value, base + i) << "msr 0x" << std::hex << kMsrs[i];
+    }
+    EXPECT_EQ(cpu_->pkrs(), base);
+    EXPECT_EQ(cpu_->s_cet(), base + 1);
+  };
+  // Within a round the write path alternates from register to register; each
+  // register's path flips between rounds, and the two passes start opposite, so
+  // every register is overwritten in both orders (trusted then untrusted, and
+  // untrusted then trusted).
+  uint64_t base = 0x100;
+  for (const bool trusted_first : {true, false}) {
+    for (uint32_t round = 0; round < 2; ++round) {
+      for (uint32_t i = 0; i < 3; ++i) {
+        if (((i + round) % 2 == 0) == trusted_first) {
+          cpu_->TrustedWriteMsr(kMsrs[i], base + i);
+        } else {
+          ASSERT_TRUE(cpu_->WriteMsr(kMsrs[i], base + i).ok());
+        }
+      }
+      expect_msrs(base);
+      base += 0x100;
+    }
+  }
+}
+
+// An untrusted PKRS or S_CET WRMSR is a serializing permission change: it records
+// a TLB flush and empties the writing CPU's TLB. The trusted gate write on the
+// EMC path does neither (PKS and CET checks re-run on every access).
+TEST_F(CpuTest, UntrustedGateMsrWriteFlushesTlbTrustedDoesNot) {
+  Map(0x3000, 300, pte::kPresent | pte::kWritable);
+  Tracer& tracer = Tracer::Global();
+  tracer.Enable();
+  for (const uint32_t index : {msr::kIa32Pkrs, msr::kIa32SCet}) {
+    ASSERT_TRUE(cpu_->Translate(0x3000, AccessType::kRead).ok());
+    ASSERT_NE(cpu_->tlb().ProbeLeaf(root_, 0x3000, CpuMode::kSupervisor), nullptr);
+
+    tracer.Reset();
+    cpu_->TrustedWriteMsr(index, 0);
+    EXPECT_EQ(tracer.CountKind(TraceEvent::kTlbFlush), 0u);
+    EXPECT_NE(cpu_->tlb().ProbeLeaf(root_, 0x3000, CpuMode::kSupervisor), nullptr);
+
+    ASSERT_TRUE(cpu_->WriteMsr(index, 0).ok());
+    EXPECT_EQ(tracer.CountKind(TraceEvent::kTlbFlush), 1u);
+    if (Tlb::Enabled()) {
+      EXPECT_EQ(cpu_->tlb().ProbeLeaf(root_, 0x3000, CpuMode::kSupervisor), nullptr);
+    }
+  }
+  tracer.Disable();
 }
 
 TEST_F(CpuTest, SensitiveFenceBlocksKernelButNotMonitor) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "src/hw/paging.h"
 
 namespace erebor {
@@ -10,19 +12,22 @@ class PagingTest : public testing::Test {
   PagingTest() : memory_(4096) {
     root_ = 100 * kPageSize;  // frame 100 as PML4
     next_ptp_ = 101;
-    writer_.write_pte = [this](Paddr pa, Pte value) {
-      memory_.Write64(pa, value);
-      ++pte_writes_;
-      return OkStatus();
-    };
-    writer_.alloc_ptp = [this]() -> StatusOr<FrameNum> { return next_ptp_++; };
   }
 
   PhysMemory memory_;
   Paddr root_;
   FrameNum next_ptp_;
-  PteWriter writer_;
   int pte_writes_ = 0;
+  // The writer only refers to its callables, so the fixture owns them.
+  std::function<Status(Paddr, Pte)> write_pte_ = [this](Paddr pa, Pte value) {
+    memory_.Write64(pa, value);
+    ++pte_writes_;
+    return OkStatus();
+  };
+  std::function<StatusOr<FrameNum>()> alloc_ptp_ = [this]() -> StatusOr<FrameNum> {
+    return next_ptp_++;
+  };
+  PteWriter writer_{write_pte_, alloc_ptp_};
 };
 
 TEST_F(PagingTest, PteBitHelpers) {
@@ -128,12 +133,12 @@ TEST_P(PagingSweepTest, RoundTripAcrossAddressSpace) {
   PhysMemory memory(4096);
   const Paddr root = 50 * kPageSize;
   FrameNum next = 51;
-  PteWriter writer;
-  writer.write_pte = [&memory](Paddr pa, Pte value) {
+  const auto write_pte = [&memory](Paddr pa, Pte value) {
     memory.Write64(pa, value);
     return OkStatus();
   };
-  writer.alloc_ptp = [&next]() -> StatusOr<FrameNum> { return next++; };
+  const auto alloc_ptp = [&next]() -> StatusOr<FrameNum> { return next++; };
+  const PteWriter writer{write_pte, alloc_ptp};
 
   const Vaddr va = GetParam();
   ASSERT_TRUE(MapPage(memory, root, va, 999, pte::kPresent | pte::kWritable, writer).ok());

@@ -580,12 +580,12 @@ class TlbHitPathTest : public testing::Test {
         cpu_(machine_.cpu(0)),
         ctx_(nullptr, &task_, &cpu_) {
     FrameNum next_ptp = 100;
-    PteWriter writer;
-    writer.write_pte = [this](Paddr pa, Pte value) {
+    const auto write_pte = [this](Paddr pa, Pte value) {
       machine_.memory().Write64(pa, value);
       return OkStatus();
     };
-    writer.alloc_ptp = [&next_ptp]() -> StatusOr<FrameNum> { return next_ptp++; };
+    const auto alloc_ptp = [&next_ptp]() -> StatusOr<FrameNum> { return next_ptp++; };
+    const PteWriter writer{write_pte, alloc_ptp};
     const Paddr root = AddrOf(next_ptp++);
     for (int shape = 0; shape < kShapes; ++shape) {
       const AccessCase c = ShapeCase(shape);
