@@ -240,21 +240,22 @@ bool RunIngestCell(int sessions, IngestCell* out,
     return false;
   }
 
-  // Install session keys directly (the handshake itself is not under test) and
-  // pre-seal every record so only the ingest path is measured.
+  // Open every session through the real handshake, then pre-seal every record,
+  // so only the ingest path is measured.
   std::vector<std::vector<Bytes>> records(sessions);
   Rng rng(7);
   Bytes payload(kIngestPayload);
   rng.Fill(payload.data(), payload.size());
   for (int s = 0; s < sessions; ++s) {
-    Sandbox* sandbox = fleet[s];
-    sandbox->session.keys = DeriveSessionKeys(Bytes(32, static_cast<uint8_t>(s + 1)),
-                                              Digest256{});
-    sandbox->session.established = true;
+    ClientSession session(world, fleet[s]->id, static_cast<uint64_t>(s + 1),
+                          &world.machine().cpu(0));
+    const Status st = session.Handshake();
+    if (!st.ok()) {
+      std::printf("channel_throughput: handshake failed: %s\n", st.ToString().c_str());
+      return false;
+    }
     for (int r = 0; r < kRounds; ++r) {
-      records[s].push_back(SealRecordWire(sandbox->session.keys.client_to_server,
-                                          PacketType::kDataRecord, sandbox->id, r,
-                                          payload));
+      records[s].push_back(session.client().SealData(payload));
     }
   }
 
@@ -265,17 +266,7 @@ bool RunIngestCell(int sessions, IngestCell* out,
   LockAudit::Global().Reset();
 
   Machine& machine = world.machine();
-  Cycles align = 0;
-  for (int c = 0; c < kVcpus; ++c) {
-    align = std::max(align, machine.cpu(c).cycles().now());
-  }
-  for (int c = 0; c < kVcpus; ++c) {
-    machine.cpu(c).cycles().Charge(align - machine.cpu(c).cycles().now());
-  }
-  std::vector<Cycles> start(kVcpus);
-  for (int c = 0; c < kVcpus; ++c) {
-    start[c] = machine.cpu(c).cycles().now();
-  }
+  const Cycles start = world.AlignClocks();
 
   // Session s is pinned to vCPU s % kVcpus (records must stay in sequence per
   // session); each round every vCPU ingests one batch holding one record for
@@ -324,7 +315,7 @@ bool RunIngestCell(int sessions, IngestCell* out,
 
   Cycles wall = 0;
   for (int c = 0; c < kVcpus; ++c) {
-    wall = std::max(wall, machine.cpu(c).cycles().now() - start[c]);
+    wall = std::max(wall, machine.cpu(c).cycles().now() - start);
   }
 
   // Every record must actually have been installed, in order, per session.

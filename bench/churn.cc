@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "bench/bench_json.h"
-#include "src/client/client.h"
 #include "src/common/metrics.h"
 #include "src/fleet/supervisor.h"
 #include "src/libos/libos.h"
@@ -83,46 +82,17 @@ bool PromoteAndServe(World& world, CloneSlot& slot, uint64_t seed) {
     return false;
   }
   slot.promoted->store(true, std::memory_order_relaxed);
-  RemoteClient client(world.MakeTrustAnchors(), seed);
-  world.ClientSend(client.MakeHello(slot.sandbox->id));
+  ClientSession session(world, slot.sandbox->id, seed);
   Bytes payload(4096, 0x33);
   Bytes expected = payload;
   for (uint8_t& b : expected) {
     b ^= 0x5A;
   }
-  bool got = false;
-  const auto drain = [&] {
-    while (true) {
-      auto wire = world.ClientReceive();
-      if (!wire.ok()) {
-        return;
-      }
-      if (!client.established()) {
-        auto packet = Packet::Deserialize(*wire);
-        if (packet.ok() && packet->type == PacketType::kServerHello) {
-          (void)client.ProcessServerHello(*wire);
-        }
-        continue;
-      }
-      auto opened = client.OpenResult(*wire);
-      if (opened.ok() && *opened == expected) {
-        got = true;
-      }
-    }
-  };
-  (void)world.RunUntil([&] {
-    drain();
-    return client.established();
-  });
-  if (!client.established()) {
+  if (!session.Handshake().ok() || !session.Send(payload).ok()) {
     return false;
   }
-  world.ClientSend(client.SealData(payload));
-  (void)world.RunUntil([&] {
-    drain();
-    return got;
-  });
-  return got;
+  const StatusOr<Bytes> result = session.Receive();
+  return result.ok() && *result == expected;
 }
 
 bool CheckInvariants(World& world, uint64_t* checks, uint64_t* violations,

@@ -1,6 +1,7 @@
 // EMC scaling bench: multi-vCPU EMC throughput under the monitor's
-// per-sandbox + sharded-frame-table lock plan. Four sandboxes each receive
-// channel-op EMCs round-robin from 1/2/4/8 vCPUs with deterministic
+// per-sandbox + sharded-frame-table lock plan. Four sandboxes, each with its
+// own attested client session, receive sealed data records round-robin from
+// 1/2/4/8 vCPUs (one ProxyDeliverBatch EMC per record) with deterministic
 // lock-contention simulation enabled; throughput is ops /
 // max-per-vCPU-cycle-delta at 2.1 GHz.
 //
@@ -13,16 +14,17 @@
 //
 // A second sweep re-runs the same cells on the real-thread execution engine
 // (ExecMode::kRealThreads, one OS thread per vCPU, contention *simulation* off
-// so mutex waits are real instead of charged): wall-clock nanoseconds are
-// reported there without a gate, and every threaded cell is checked
-// bit-for-bit against a fresh deterministic oracle run (EMC counters +
-// per-vCPU charged cycles). Set EREBOR_EXEC=deterministic to skip the
-// threaded sweep.
+// so mutex waits are real instead of charged): after one discarded warm-up
+// run, each cell runs kEngineReps times and reports the median wall-clock
+// nanoseconds with min/max, without a gate; every repetition is checked
+// bit-for-bit against a deterministic oracle run (EMC counters + per-vCPU
+// charged cycles). Set EREBOR_EXEC=deterministic to skip the threaded sweep.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
 #include <memory>
 #include <string>
 #include <thread>
@@ -43,6 +45,7 @@ constexpr int kRounds = 500;  // EMC ops per vCPU
 // section its realistic data-path weight relative to the out-of-lock gate
 // round trip.
 constexpr uint64_t kPayload = 4096;
+constexpr int kEngineReps = 5;  // timed real-thread runs per cell
 
 struct Cell {
   int vcpus = 0;
@@ -55,13 +58,32 @@ struct Cell {
   }
 };
 
-// Launches the sandbox fleet and lets every libos initialize (declares confined
-// memory so the install path has something to seal).
-bool LaunchFleet(World& world, const std::string& prefix, std::vector<Sandbox*>* fleet) {
+// A booted world with kSandboxes initialized sandboxes (each libos declares
+// confined memory, so the first record has something to seal), each with one
+// attested client session opened through the monitor's proxy entry points on
+// cpu0.
+struct Fleet {
+  std::unique_ptr<World> world;
+  std::vector<Sandbox*> sandboxes;
+  std::deque<ClientSession> sessions;
+};
+
+bool LaunchFleet(int vcpus, ExecMode exec, Fleet* fleet) {
+  WorldConfig config;
+  config.mode = SimMode::kEreborFull;
+  config.exec = exec;
+  config.machine.num_cpus = vcpus;
+  config.machine.memory_frames = 32 * 1024;
+  fleet->world = std::make_unique<World>(config);
+  World& world = *fleet->world;
+  if (!world.Boot().ok()) {
+    std::printf("emc_scaling: boot failed (%d vCPUs, %s)\n", vcpus, ExecModeName(exec));
+    return false;
+  }
   int initialized = 0;
   for (int i = 0; i < kSandboxes; ++i) {
     SandboxSpec spec;
-    spec.name = prefix + std::to_string(i);
+    spec.name = "sb" + std::to_string(i);
     spec.confined_budget_bytes = (1 << 20) + (1 << 20);
     auto env = std::make_shared<LibosEnv>(
         LibosManifest{.name = spec.name, .heap_bytes = 1 << 20},
@@ -82,60 +104,54 @@ bool LaunchFleet(World& world, const std::string& prefix, std::vector<Sandbox*>*
                   sandbox.status().ToString().c_str());
       return false;
     }
-    fleet->push_back(*sandbox);
+    fleet->sandboxes.push_back(*sandbox);
   }
   if (!world.RunUntil([&] { return initialized == kSandboxes; }, 200'000).ok()) {
     std::printf("emc_scaling: sandboxes failed to initialize\n");
     return false;
   }
+  for (Sandbox* sandbox : fleet->sandboxes) {
+    ClientSession& session = fleet->sessions.emplace_back(
+        world, sandbox->id, static_cast<uint64_t>(sandbox->id + 1), &world.machine().cpu(0));
+    const Status st = session.Handshake();
+    if (!st.ok()) {
+      std::printf("emc_scaling: handshake failed: %s\n", st.ToString().c_str());
+      return false;
+    }
+  }
   return true;
 }
 
 bool RunCell(int vcpus, Cell* out) {
-  WorldConfig config;
-  config.mode = SimMode::kEreborFull;
-  config.machine.num_cpus = vcpus;
-  config.machine.memory_frames = 32 * 1024;
-  World world(config);
-  if (!world.Boot().ok()) {
-    std::printf("emc_scaling: boot failed (%d vCPUs)\n", vcpus);
+  Fleet fleet;
+  if (!LaunchFleet(vcpus, ExecMode::kDeterministic, &fleet)) {
     return false;
   }
-  std::vector<Sandbox*> fleet;
-  if (!LaunchFleet(world, "scale", &fleet)) {
-    return false;
-  }
-
-  EreborMonitor* monitor = world.monitor();
-  monitor->SetLockContention(true);
-  LockAudit::Global().Reset();
-
-  // Align every vCPU clock to the same start so measured deltas compare work,
-  // not boot-time skew (boot runs mostly on cpu0).
-  Machine& machine = world.machine();
-  Cycles align = 0;
-  for (int c = 0; c < vcpus; ++c) {
-    align = std::max(align, machine.cpu(c).cycles().now());
-  }
-  for (int c = 0; c < vcpus; ++c) {
-    Cpu& cpu = machine.cpu(c);
-    cpu.cycles().Charge(align - cpu.cycles().now());
-  }
-
+  // vCPU c always targets sandbox c % kSandboxes; seal in delivery order so
+  // each session's records arrive in sequence.
   const Bytes payload(kPayload, 0xAB);
-  std::vector<Cycles> start(vcpus);
-  for (int c = 0; c < vcpus; ++c) {
-    start[c] = machine.cpu(c).cycles().now();
-  }
-
-  // Round-robin the vCPUs so contended acquisitions interleave the way a real
-  // concurrent burst would: vCPU c always targets sandbox c % kSandboxes.
+  std::vector<std::vector<Bytes>> records(static_cast<size_t>(kRounds) * vcpus);
   for (int round = 0; round < kRounds; ++round) {
     for (int c = 0; c < vcpus; ++c) {
-      const Status st = monitor->DebugInstallClientData(
-          machine.cpu(c), *fleet[c % kSandboxes], payload);
+      records[static_cast<size_t>(round) * vcpus + c] = {
+          fleet.sessions[c % kSandboxes].client().SealData(payload)};
+    }
+  }
+
+  EreborMonitor* monitor = fleet.world->monitor();
+  monitor->SetLockContention(true);
+  LockAudit::Global().Reset();
+  Machine& machine = fleet.world->machine();
+  const Cycles start = fleet.world->AlignClocks();
+
+  // Round-robin the vCPUs so contended acquisitions interleave the way a real
+  // concurrent burst would.
+  for (int round = 0; round < kRounds; ++round) {
+    for (int c = 0; c < vcpus; ++c) {
+      const Status st = monitor->ProxyDeliverBatch(
+          machine.cpu(c), records[static_cast<size_t>(round) * vcpus + c]);
       if (!st.ok()) {
-        std::printf("emc_scaling: install failed: %s\n", st.ToString().c_str());
+        std::printf("emc_scaling: ingest failed: %s\n", st.ToString().c_str());
         return false;
       }
     }
@@ -143,7 +159,7 @@ bool RunCell(int vcpus, Cell* out) {
 
   Cycles wall = 0;
   for (int c = 0; c < vcpus; ++c) {
-    wall = std::max(wall, machine.cpu(c).cycles().now() - start[c]);
+    wall = std::max(wall, machine.cpu(c).cycles().now() - start);
   }
 
   uint64_t waits = 0;
@@ -155,7 +171,7 @@ bool RunCell(int vcpus, Cell* out) {
     waits += locks.shard(i).contended();
     wait_cycles += locks.shard(i).contention_cycles();
   }
-  for (Sandbox* sandbox : fleet) {
+  for (Sandbox* sandbox : fleet.sandboxes) {
     waits += sandbox->lock.contended();
     wait_cycles += sandbox->lock.contention_cycles();
   }
@@ -184,7 +200,11 @@ bool RunCell(int vcpus, Cell* out) {
 // simulation is off: under kRealThreads the locks are backed by real
 // mutexes and wall-clock time *is* the contention signal; under kDeterministic
 // the same cell is the oracle whose counters and per-vCPU cycles the threaded
-// run must reproduce exactly.
+// run must reproduce exactly. Records must stay in sequence per session, so
+// each session is pinned to its own vCPU; vCPUs past kSandboxes share a
+// sandbox by re-sending its already-admitted first record, which the monitor
+// absorbs as a duplicate under the same sandbox lock (and which commutes with
+// the owner's fresh records in any interleaving).
 struct EngineCell {
   int vcpus = 0;
   ExecMode exec = ExecMode::kDeterministic;
@@ -199,21 +219,11 @@ struct EngineCell {
 };
 
 bool RunEngineCell(int vcpus, ExecMode exec, EngineCell* out) {
-  WorldConfig config;
-  config.mode = SimMode::kEreborFull;
-  config.exec = exec;
-  config.machine.num_cpus = vcpus;
-  config.machine.memory_frames = 32 * 1024;
-  World world(config);
-  if (!world.Boot().ok()) {
-    std::printf("emc_scaling: boot failed (%d vCPUs, %s)\n", vcpus,
-                ExecModeName(exec));
+  Fleet fleet;
+  if (!LaunchFleet(vcpus, exec, &fleet)) {
     return false;
   }
-  std::vector<Sandbox*> fleet;
-  if (!LaunchFleet(world, "engine", &fleet)) {
-    return false;
-  }
+  World& world = *fleet.world;
 
   EreborMonitor* monitor = world.monitor();
   monitor->SetLockContention(false);  // real or no contention — never charged
@@ -225,42 +235,39 @@ bool RunEngineCell(int vcpus, ExecMode exec, EngineCell* out) {
   // First-seal runs per-CPU MSR writes and seal-time TLB shootdowns; do it
   // single-threaded so the parallel region below only exercises the steady
   // state (re-seal is a fast path under the sandbox lock).
-  for (Sandbox* sandbox : fleet) {
-    const Status st =
-        monitor->DebugInstallClientData(machine.cpu(0), *sandbox, payload);
+  std::vector<std::vector<Bytes>> first_records;
+  for (ClientSession& session : fleet.sessions) {
+    first_records.push_back({session.client().SealData(payload)});
+    const Status st = monitor->ProxyDeliverBatch(machine.cpu(0), first_records.back());
     if (!st.ok()) {
-      std::printf("emc_scaling: warmup install failed: %s\n",
-                  st.ToString().c_str());
+      std::printf("emc_scaling: warmup ingest failed: %s\n", st.ToString().c_str());
       return false;
     }
   }
+  // Pre-seal so the timed region measures only ingest.
+  std::vector<std::vector<std::vector<Bytes>>> records(vcpus);
+  for (int c = 0; c < vcpus; ++c) {
+    for (int round = 0; round < kRounds; ++round) {
+      records[c].push_back(c < kSandboxes
+                               ? std::vector<Bytes>{fleet.sessions[c].client().SealData(payload)}
+                               : first_records[c % kSandboxes]);
+    }
+  }
 
-  Cycles align = 0;
-  for (int c = 0; c < vcpus; ++c) {
-    align = std::max(align, machine.cpu(c).cycles().now());
-  }
-  for (int c = 0; c < vcpus; ++c) {
-    Cpu& cpu = machine.cpu(c);
-    cpu.cycles().Charge(align - cpu.cycles().now());
-  }
-  std::vector<Cycles> start(vcpus);
-  for (int c = 0; c < vcpus; ++c) {
-    start[c] = machine.cpu(c).cycles().now();
-  }
+  const Cycles start = fleet.world->AlignClocks();
   const MonitorCounters before = monitor->counters();
 
   const auto wall_start = std::chrono::steady_clock::now();
   const Status st = world.RunOnThreads([&](int cpu) -> Status {
     Cpu& vcpu = machine.cpu(cpu);
-    Sandbox& target = *fleet[cpu % kSandboxes];
-    for (int round = 0; round < kRounds; ++round) {
-      EREBOR_RETURN_IF_ERROR(monitor->DebugInstallClientData(vcpu, target, payload));
+    for (const std::vector<Bytes>& batch : records[cpu]) {
+      EREBOR_RETURN_IF_ERROR(monitor->ProxyDeliverBatch(vcpu, batch));
     }
     return OkStatus();
   });
   const auto wall_end = std::chrono::steady_clock::now();
   if (!st.ok()) {
-    std::printf("emc_scaling: parallel install failed: %s\n", st.ToString().c_str());
+    std::printf("emc_scaling: parallel ingest failed: %s\n", st.ToString().c_str());
     return false;
   }
 
@@ -288,13 +295,13 @@ bool RunEngineCell(int vcpus, ExecMode exec, EngineCell* out) {
   out->cpu_cycles.clear();
   for (int c = 0; c < vcpus; ++c) {
     out->cpu_cycles.push_back(
-        static_cast<uint64_t>(machine.cpu(c).cycles().now() - start[c]));
+        static_cast<uint64_t>(machine.cpu(c).cycles().now() - start));
   }
   out->real_waits = monitor->locks().monitor_state().real_contended();
   for (int i = 0; i < EmcLockTable::kFrameShards; ++i) {
     out->real_waits += monitor->locks().shard(i).real_contended();
   }
-  for (Sandbox* sandbox : fleet) {
+  for (Sandbox* sandbox : fleet.sandboxes) {
     out->real_waits += sandbox->lock.real_contended();
   }
   return true;
@@ -376,8 +383,8 @@ int main() {
     const unsigned hw = std::thread::hardware_concurrency();
     std::printf("\n=== Real-thread engine (%u hardware threads): wall-clock vs oracle ===\n",
                 hw);
-    std::printf("%-6s %12s %12s %10s %8s\n", "vcpus", "wall op/s", "oracle ns",
-                "real waits", "oracle");
+    std::printf("%-6s %12s %12s %12s %12s %10s %8s\n", "vcpus", "wall op/s", "median ns",
+                "min ns", "max ns", "real waits", "oracle");
     // Wide cells only where the host can actually run them in parallel: a
     // 64-vCPU sweep on a 4-core box measures the scheduler, not the locking
     // plan. LockAudit::kMaxCpus bounds the top end.
@@ -389,35 +396,56 @@ int main() {
       }
     }
     for (const int vcpus : engine_vcpus) {
-      EngineCell threaded, oracle;
-      if (!RunEngineCell(vcpus, ExecMode::kRealThreads, &threaded) ||
-          !RunEngineCell(vcpus, ExecMode::kDeterministic, &oracle)) {
+      EngineCell oracle;
+      if (!RunEngineCell(vcpus, ExecMode::kDeterministic, &oracle)) {
         return 1;
       }
-      const bool match = OracleMatch(threaded, oracle);
-      if (!match) {
-        ok = false;
+      // One discarded warm-up run, then kEngineReps timed runs: the wall clock
+      // swings run to run, so report the median with its range.
+      std::vector<EngineCell> reps(kEngineReps + 1);
+      bool match = true;
+      for (EngineCell& rep : reps) {
+        if (!RunEngineCell(vcpus, ExecMode::kRealThreads, &rep)) {
+          return 1;
+        }
+        match &= OracleMatch(rep, oracle);
       }
-      std::printf("%-6d %12.3e %12llu %10llu %8s\n", vcpus, threaded.wall_ops_per_sec(),
-                  static_cast<unsigned long long>(oracle.wall_ns),
-                  static_cast<unsigned long long>(threaded.real_waits),
+      reps.erase(reps.begin());
+      std::sort(reps.begin(), reps.end(), [](const EngineCell& a, const EngineCell& b) {
+        return a.wall_ns < b.wall_ns;
+      });
+      const EngineCell& median = reps[kEngineReps / 2];
+      ok &= match;
+      std::printf("%-6d %12.3e %12llu %12llu %12llu %10llu %8s\n", vcpus,
+                  median.wall_ops_per_sec(),
+                  static_cast<unsigned long long>(median.wall_ns),
+                  static_cast<unsigned long long>(reps.front().wall_ns),
+                  static_cast<unsigned long long>(reps.back().wall_ns),
+                  static_cast<unsigned long long>(median.real_waits),
                   match ? "match" : "MISMATCH");
-      for (const EngineCell* cell : {&threaded, &oracle}) {
+      const auto cell_json = [match](const EngineCell& cell) {
         Json cycles = Json::Array();
-        for (const uint64_t c : cell->cpu_cycles) {
+        for (const uint64_t c : cell.cpu_cycles) {
           cycles.Push(Json::Number(c));
         }
-        engine_cells.Push(Json::Object()
-                              .Set("vcpus", cell->vcpus)
-                              .Set("engine", ExecModeName(cell->exec))
-                              .Set("ops", cell->ops)
-                              .Set("wall_ns", cell->wall_ns)
-                              .Set("wall_ops_per_sec", cell->wall_ops_per_sec())
-                              .Set("real_lock_waits", cell->real_waits)
-                              .Set("emc_total", cell->counters.emc_total)
-                              .Set("cpu_cycles", std::move(cycles))
-                              .Set("oracle_match", match));
-      }
+        Json entry = Json::Object();
+        entry.Set("vcpus", cell.vcpus)
+            .Set("engine", ExecModeName(cell.exec))
+            .Set("ops", cell.ops)
+            .Set("wall_ns", cell.wall_ns)
+            .Set("wall_ops_per_sec", cell.wall_ops_per_sec())
+            .Set("real_lock_waits", cell.real_waits)
+            .Set("emc_total", cell.counters.emc_total)
+            .Set("cpu_cycles", std::move(cycles))
+            .Set("oracle_match", match);
+        return entry;
+      };
+      Json threaded = cell_json(median);
+      threaded.Set("reps", static_cast<uint64_t>(kEngineReps))
+          .Set("wall_ns_min", reps.front().wall_ns)
+          .Set("wall_ns_max", reps.back().wall_ns);
+      engine_cells.Push(std::move(threaded));
+      engine_cells.Push(cell_json(oracle));
     }
   } else {
     std::printf("\nEREBOR_EXEC=deterministic: skipping real-thread sweep\n");

@@ -78,8 +78,8 @@ bool MeasureGatedPteWrite(IsolationKind isolation, const CycleModel* override_cy
 }
 
 // Launches `count` sandboxes into `world`, each with a small confined heap,
-// runs them up, and seals every one via the debug channel path. Returns how
-// many came up sealed.
+// runs them up, and seals every one with a client's first sealed record over
+// an attested session. Returns how many came up sealed.
 int LaunchSealedSandboxes(World& world, int count, const std::string& prefix) {
   int sealed = 0;
   Cpu& cpu = world.machine().cpu(0);
@@ -104,9 +104,10 @@ int LaunchSealedSandboxes(World& world, int count, const std::string& prefix) {
                   sandbox.ok() ? "run wedged" : sandbox.status().ToString().c_str());
       return sealed;
     }
-    // Shepherd a record in and seal: the confined write + state transition every
-    // live tenant performs before serving.
-    if (!world.monitor()->DebugInstallClientData(cpu, **sandbox, Bytes(256, 0x5A)).ok()) {
+    // Handshake, then one record in to seal: the confined write + state
+    // transition every live tenant performs before serving.
+    ClientSession session(world, (*sandbox)->id, static_cast<uint64_t>(i + 1), &cpu);
+    if (!session.Handshake().ok() || !session.Send(Bytes(256, 0x5A)).ok()) {
       std::printf("  seal %s failed\n", spec.name.c_str());
       return sealed;
     }

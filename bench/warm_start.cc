@@ -6,10 +6,7 @@
 //                     (the Table 4 cold path: attestation op + 2M-cycle bootstrap);
 //   warm assignment - a pre-initialized sandbox receives a real client session:
 //                     ClientHello through the untrusted proxy, attested ServerHello,
-//                     sealed data record installed + verified served result. This is
-//                     the fixed measurement — the old bench shortcut the channel with
-//                     DebugInstallClientData, which skipped the handshake entirely
-//                     and under-reported the warm path;
+//                     sealed data record installed + verified served result;
 //   clone launch    - CloneFromTemplate of a frozen template sandbox: the CoW delta
 //                     (one monitor PTE op per shared page) charged against the same
 //                     cold baseline.
@@ -19,7 +16,6 @@
 #include <memory>
 
 #include "bench/bench_json.h"
-#include "src/client/client.h"
 #include "src/libos/libos.h"
 #include "src/sim/world.h"
 
@@ -55,54 +51,16 @@ ProgramFn ServiceProgram(std::shared_ptr<LibosEnv> env, bool* up) {
 // sealed data record, served result opened and verified. Returns false on any
 // wedge or a result mismatch.
 bool InstallSessionAndServe(World& world, Sandbox& sandbox, const Bytes& payload) {
-  RemoteClient client(world.MakeTrustAnchors(), kSeed);
-  world.ClientSend(client.MakeHello(sandbox.id));
-  Bytes result;
-  bool got_result = false;
-  const auto drain = [&] {
-    while (true) {
-      auto wire = world.ClientReceive();
-      if (!wire.ok()) {
-        return;
-      }
-      if (!client.established()) {
-        auto packet = Packet::Deserialize(*wire);
-        if (packet.ok() && packet->type == PacketType::kServerHello) {
-          (void)client.ProcessServerHello(*wire);
-        }
-        continue;
-      }
-      auto opened = client.OpenResult(*wire);
-      if (opened.ok()) {
-        result = std::move(*opened);
-        got_result = true;
-      }
-    }
-  };
-  if (!world
-           .RunUntil([&] {
-             drain();
-             return client.established();
-           })
-           .ok() ||
-      !client.established()) {
+  ClientSession session(world, sandbox.id, kSeed);
+  if (!session.Handshake().ok() || !session.Send(payload).ok()) {
     return false;
   }
-  world.ClientSend(client.SealData(payload));
-  if (!world
-           .RunUntil([&] {
-             drain();
-             return got_result;
-           })
-           .ok() ||
-      !got_result) {
-    return false;
-  }
+  const StatusOr<Bytes> result = session.Receive();
   Bytes expected = payload;
   for (uint8_t& b : expected) {
     b ^= 0x5A;
   }
-  return result == expected;
+  return result.ok() && *result == expected;
 }
 
 }  // namespace

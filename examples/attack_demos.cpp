@@ -66,10 +66,15 @@ int main() {
     std::fprintf(stderr, "sandbox setup failed\n");
     return 1;
   }
-  (void)world.monitor()->DebugInstallClientData(world.machine().cpu(0), **sandbox,
-                                                ToBytes("client-request"));
-  const FrameNum secret_frame = (*sandbox)->confined_ranges.at(0).first;
   Cpu& cpu = world.machine().cpu(0);
+  // The client attests and sends its request, which seals the sandbox.
+  ClientSession victim_client(world, (*sandbox)->id, /*seed=*/1, &cpu);
+  if (!victim_client.Handshake().ok() ||
+      !victim_client.Send(ToBytes("client-request")).ok()) {
+    std::fprintf(stderr, "client session failed\n");
+    return 1;
+  }
+  const FrameNum secret_frame = (*sandbox)->confined_ranges.at(0).first;
 
   std::printf("== AV1: OS data retrieval ==\n");
   {
@@ -147,7 +152,9 @@ int main() {
         &leak_task);
     leaker_ptr = leaker.ok() ? *leaker : nullptr;
     world.kernel().Run(50);
-    (void)world.monitor()->DebugInstallClientData(cpu, **leaker, ToBytes("x"));
+    ClientSession leak_client(world, (*leaker)->id, /*seed=*/2, &cpu);
+    (void)leak_client.Handshake();
+    (void)leak_client.Send(ToBytes("x"));
     world.kernel().Run(2000);
     Report("sealed program opens a file to write the secret out",
            "exit interposition kills the sandbox", attempted && aborted);

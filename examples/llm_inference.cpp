@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "src/client/client.h"
 #include "src/workloads/llm.h"
 #include "src/workloads/workload.h"
 #include "src/sim/world.h"
@@ -65,22 +64,8 @@ int main() {
               (*sandbox)->confined_bytes / 1048576.0, workload.common_bytes() / 1048576.0);
 
   // Remote client: attest, then send the private prompt.
-  RemoteClient client(world.MakeTrustAnchors(), /*seed=*/2024);
-  world.ClientSend(client.MakeHello((*sandbox)->id));
-  Bytes wire;
-  auto pump = [&]() {
-    return world
-        .RunUntil([&] {
-          auto packet = world.ClientReceive();
-          if (packet.ok()) {
-            wire = *packet;
-            return true;
-          }
-          return false;
-        })
-        .ok();
-  };
-  if (!pump() || !client.ProcessServerHello(wire).ok()) {
+  ClientSession session(world, (*sandbox)->id, /*seed=*/2024);
+  if (!session.Handshake().ok()) {
     std::fprintf(stderr, "attestation failed\n");
     return 1;
   }
@@ -88,7 +73,7 @@ int main() {
 
   const std::string prompt = "Translate to French: private medical summary for patient X";
   std::printf("client prompt: \"%s\"\n", prompt.c_str());
-  const Bytes data_wire = client.SealData(ToBytes(prompt));
+  const Bytes data_wire = session.client().SealData(ToBytes(prompt));
   // Show the host sees only ciphertext.
   const Bytes needle = ToBytes("patient");
   const bool leaked = std::search(data_wire.begin(), data_wire.end(), needle.begin(),
@@ -96,13 +81,9 @@ int main() {
   std::printf("prompt plaintext visible on the wire: %s\n", leaked ? "YES (!)" : "no");
   world.ClientSend(data_wire);
 
-  if (!pump()) {
-    std::fprintf(stderr, "no result\n");
-    return 1;
-  }
-  const auto result = client.OpenResult(wire);
+  const auto result = session.Receive();
   if (!result.ok()) {
-    std::fprintf(stderr, "result open failed\n");
+    std::fprintf(stderr, "no result: %s\n", result.status().ToString().c_str());
     return 1;
   }
   std::printf("generated %zu tokens: %s\n", result->size(), ToString(*result).c_str());
@@ -112,7 +93,7 @@ int main() {
               static_cast<unsigned long long>(world.monitor()->counters().sandbox_kills));
 
   // Session done: Fin zeroizes the sandbox.
-  world.ClientSend(client.MakeFin());
+  world.ClientSend(session.client().MakeFin());
   (void)world.RunUntil([&] { return (*sandbox)->state == SandboxState::kTornDown; });
   std::printf("== session closed; confined memory zeroized ==\nOK\n");
   return 0;

@@ -5,7 +5,6 @@
 // resource-efficient isolation of section 6.1.
 #include <cstdio>
 
-#include "src/client/client.h"
 #include "src/workloads/retrieval.h"
 #include "src/sim/world.h"
 
@@ -78,34 +77,23 @@ int main() {
 
   // Each client attests + queries independently.
   for (int i = 0; i < 2; ++i) {
-    RemoteClient client(world.MakeTrustAnchors(), /*seed=*/1000 + i);
-    world.ClientSend(client.MakeHello(services[i].sandbox->id));
-    Bytes wire;
-    auto pump = [&]() {
-      return world
-          .RunUntil([&] {
-            auto packet = world.ClientReceive();
-            if (packet.ok()) {
-              wire = *packet;
-              return true;
-            }
-            return false;
-          })
-          .ok();
-    };
-    if (!pump() || !client.ProcessServerHello(wire).ok()) {
+    ClientSession session(world, services[i].sandbox->id, /*seed=*/1000 + i);
+    if (!session.Handshake().ok()) {
       std::fprintf(stderr, "client %d attestation failed\n", i);
       return 1;
     }
-    world.ClientSend(client.SealData(workload.MakeClientInput(/*seed=*/100 + i)));
-    if (!pump()) {
+    if (!session.Send(workload.MakeClientInput(/*seed=*/100 + i)).ok()) {
+      std::fprintf(stderr, "client %d: send failed\n", i);
+      return 1;
+    }
+    const auto result = session.Receive();
+    if (!result.ok()) {
       std::fprintf(stderr, "client %d: no result (app failed=%d: %s)\n", i,
                    services[i].state->failed ? 1 : 0,
                    services[i].state->failure.c_str());
       return 1;
     }
-    const auto result = client.OpenResult(wire);
-    if (!result.ok() || result->size() != 24) {
+    if (result->size() != 24) {
       std::fprintf(stderr, "client %d: bad result\n", i);
       return 1;
     }
@@ -113,7 +101,7 @@ int main() {
                 static_cast<unsigned long long>(LoadLe64(result->data())),
                 static_cast<unsigned long long>(LoadLe64(result->data() + 16)),
                 static_cast<unsigned long long>(LoadLe64(result->data() + 8)));
-    world.ClientSend(client.MakeFin());
+    world.ClientSend(session.client().MakeFin());
   }
   std::printf("database frames in memory: %llu (one copy, %d sandboxes attached)\n",
               static_cast<unsigned long long>(

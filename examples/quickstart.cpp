@@ -1,9 +1,9 @@
 // Quickstart: boots a full Erebor CVM, runs the "helloworld" demo sandbox from the
 // paper's artifact (experiment E2), and prints the output the monitor shepherds out.
 //
-// The demo program needs no client input; it emits 0x41 ('A') bytes through the
-// monitor's output channel, demonstrating that data leaves a sealed sandbox only
-// through the monitor.
+// A remote client attests the CVM and sends one request; the demo program answers
+// with 0x41 ('A') bytes, which the monitor pads and seals for that client alone,
+// demonstrating that data leaves a sealed sandbox only through the monitor.
 #include <cstdio>
 
 #include "src/libos/libos.h"
@@ -25,20 +25,18 @@ int main() {
               world.monitor()->monitor_image().size());
   std::printf("kernel image:  scanned + loaded (0 sensitive instructions)\n");
 
-  // The helloworld sandbox program: initialize the LibOS, then emit "AAAA...".
+  // The helloworld sandbox program: initialize the LibOS, wait for the client's
+  // request, then answer "AAAA...".
   LibosManifest manifest;
   manifest.name = "helloworld";
   manifest.heap_bytes = 1 << 20;
   auto env = std::make_shared<LibosEnv>(manifest, LibosBackend::kSandboxed);
-  bool sent = false;
 
   SandboxSpec spec;
   spec.name = "helloworld";
   spec.confined_budget_bytes = 4 << 20;
-  Task* task = nullptr;
   auto sandbox = world.LaunchSandboxProcess(
-      "helloworld", spec,
-      [env, &sent](SyscallContext& ctx) -> StepOutcome {
+      "helloworld", spec, [env](SyscallContext& ctx) -> StepOutcome {
         if (!env->initialized()) {
           const Status st = env->Initialize(ctx);
           if (!st.ok()) {
@@ -47,42 +45,47 @@ int main() {
           }
           return StepOutcome::kYield;
         }
-        if (!sent) {
-          const Bytes output(10, 0x41);  // "AAAAAAAAAA"
-          const Status st = env->SendOutput(ctx, output);
-          if (!st.ok()) {
-            std::fprintf(stderr, "send failed: %s\n", st.ToString().c_str());
-          }
-          sent = true;
+        if (!env->RecvInput(ctx, 4096).ok()) {
+          return StepOutcome::kYield;
+        }
+        const Bytes output(10, 0x41);  // "AAAAAAAAAA"
+        const Status st = env->SendOutput(ctx, output);
+        if (!st.ok()) {
+          std::fprintf(stderr, "send failed: %s\n", st.ToString().c_str());
         }
         return StepOutcome::kExited;
-      },
-      &task);
+      });
   if (!sandbox.ok()) {
     std::fprintf(stderr, "sandbox launch failed: %s\n",
                  sandbox.status().ToString().c_str());
     return 1;
   }
 
-  st = world.RunUntil([&] { return sent; });
+  st = world.RunUntil([&] { return env->initialized(); });
   if (!st.ok()) {
     std::fprintf(stderr, "run failed: %s\n", st.ToString().c_str());
     return 1;
   }
 
-  // Fetch the monitor-shepherded output (the artifact's DebugFS channel).
-  auto padded = world.monitor()->DebugFetchOutput(**sandbox);
-  if (!padded.ok()) {
-    std::fprintf(stderr, "no output: %s\n", padded.status().ToString().c_str());
+  // The client attests the CVM and sends its request. This world runs no proxy
+  // process, so the client calls the monitor's proxy entry points on cpu0.
+  ClientSession session(world, (*sandbox)->id, /*seed=*/1, &world.machine().cpu(0));
+  st = session.Handshake();
+  if (st.ok()) {
+    std::printf("== quote verified; secure channel established ==\n");
+    st = session.Send(ToBytes("hello"));
+  }
+  if (!st.ok()) {
+    std::fprintf(stderr, "client session failed: %s\n", st.ToString().c_str());
     return 1;
   }
-  auto output = UnpadOutput(*padded);
+  auto output = session.Receive();
   if (!output.ok()) {
-    std::fprintf(stderr, "unpad failed\n");
+    std::fprintf(stderr, "no output: %s\n", output.status().ToString().c_str());
     return 1;
   }
-  std::printf("sandbox output (%zu bytes, padded to %zu on the wire): ", output->size(),
-              padded->size());
+  std::printf("sandbox output (%zu bytes, padded to %llu and sealed on the wire): ",
+              output->size(), static_cast<unsigned long long>(spec.output_pad_bytes));
   for (const uint8_t byte : *output) {
     std::printf("%c", byte);
   }

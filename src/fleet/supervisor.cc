@@ -724,13 +724,7 @@ StatusOr<std::vector<uint64_t>> FleetSupervisor::RunBurstIngest(int rounds) {
   LockAudit::Global().Reset();
 
   Machine& machine = world_->machine();
-  Cycles align = 0;
-  for (int c = 0; c < config_.num_vcpus; ++c) {
-    align = std::max(align, machine.cpu(c).cycles().now());
-  }
-  for (int c = 0; c < config_.num_vcpus; ++c) {
-    machine.cpu(c).cycles().Charge(align - machine.cpu(c).cycles().now());
-  }
+  world_->AlignClocks();
 
   std::vector<uint64_t> base(tenants_.size(), 0);
   for (int tenant : live) {

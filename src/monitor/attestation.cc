@@ -1,6 +1,6 @@
 // Attestation and secure-channel termination (paper sections 6.3 and 9):
 // the gated tdcall EMC, quote generation, and the ClientHello/DataRecord/Fin
-// packet handlers. Packet plumbing (ProxyDeliver/ProxyFetch) is in
+// packet handlers. Packet plumbing (ProxyDeliverBatch/ProxyFetch) is in
 // emc_dispatch.cc; record-window accounting lives on ChannelSession.
 #include <cstring>
 
@@ -101,15 +101,6 @@ Status EreborMonitor::HandleHello(Cpu& cpu, const Packet& packet) {
   sandbox->session.cached_server_hello = response.Serialize();
   sandbox->outbound_wire.push_back(sandbox->session.cached_server_hello);
   return OkStatus();
-}
-
-Status EreborMonitor::HandleDataRecord(Cpu& cpu, const RecordView& view) {
-  Sandbox* sandbox = sandbox_mgr_->Find(view.sandbox_id);
-  if (sandbox == nullptr || !sandbox->session.established) {
-    return FailedPreconditionError("data record without established session");
-  }
-  SimLockGuard held = locks_.SandboxGuard(cpu, sandbox->lock);
-  return IngestDataRecordLocked(cpu, *sandbox, view);
 }
 
 Status EreborMonitor::IngestDataRecordLocked(Cpu& cpu, Sandbox& sandbox,

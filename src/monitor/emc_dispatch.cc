@@ -687,36 +687,6 @@ Status EreborMonitor::ActivateClone(Cpu& cpu, Sandbox& sandbox) {
 
 // ---- Proxy packet plumbing (crypto handling lives in attestation.cc) ----
 
-Status EreborMonitor::ProxyDeliver(Cpu& cpu, const Bytes& wire) {
-  if (FaultInjector::Armed() &&
-      FaultInjector::Global().Fire("channel.deliver", FaultAction::kDrop)) {
-    // The untrusted proxy "lost" the packet at the monitor's doorstep. From the
-    // client's perspective this is ordinary network loss: its bounded retry covers it.
-    return OkStatus();
-  }
-  EmcCall call{};
-  call.op = EmcOp::kChannelOp;
-  // The target sandbox is only known after deserialization, so the handlers take
-  // the sandbox lock themselves (EmcLockTable::SandboxGuard).
-  return EmcDispatch(cpu, call, [&]() -> Status {
-    if (!wire.empty() && static_cast<PacketType>(wire[0]) == PacketType::kDataRecord) {
-      // Hot path: data records are parsed as a borrowed view and decrypted
-      // straight from the wire buffer (no Packet materialization).
-      EREBOR_ASSIGN_OR_RETURN(const RecordView view, ParseRecordWire(wire));
-      return HandleDataRecord(cpu, view);
-    }
-    EREBOR_ASSIGN_OR_RETURN(const Packet packet, Packet::Deserialize(wire));
-    switch (packet.type) {
-      case PacketType::kClientHello:
-        return HandleHello(cpu, packet);
-      case PacketType::kFin:
-        return HandleFin(cpu, packet);
-      default:
-        return InvalidArgumentError("unexpected packet type from network");
-    }
-  });
-}
-
 Status EreborMonitor::ProxyDeliverBatch(Cpu& cpu, const std::vector<Bytes>& wires) {
   if (wires.empty()) {
     return OkStatus();
@@ -810,27 +780,6 @@ StatusOr<Bytes> EreborMonitor::ProxyFetch(Cpu& cpu, int* source_sandbox_out) {
   if (!st.ok()) {
     return st;
   }
-  return out;
-}
-
-Status EreborMonitor::DebugInstallClientData(Cpu& cpu, Sandbox& sandbox, const Bytes& data) {
-  EmcCall call{};
-  call.op = EmcOp::kChannelOp;
-  call.sandbox_id = sandbox.id;
-  return EmcDispatch(cpu, call, [&]() -> Status {
-    // Same decrypt/copy cost as the real channel path.
-    cpu.cycles().Charge(data.size() * cpu.costs().crypto_per_byte_x100 / 100);
-    sandbox.input_plaintext.push_back(data);
-    return sandbox_mgr_->Seal(cpu, sandbox);
-  });
-}
-
-StatusOr<Bytes> EreborMonitor::DebugFetchOutput(Sandbox& sandbox) {
-  if (sandbox.outbound_wire.empty()) {
-    return NotFoundError("no output pending");
-  }
-  Bytes out = std::move(sandbox.outbound_wire.front());
-  sandbox.outbound_wire.pop_front();
   return out;
 }
 

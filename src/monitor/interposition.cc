@@ -291,6 +291,10 @@ StatusOr<uint64_t> EreborMonitor::DeviceIoctl(SyscallContext& ctx, Task& task,
         return FailedPreconditionError("output ioctl from non-sandbox task");
       }
       ++sandbox->exits.ioctl_io;
+      if (!sandbox->session.established) {
+        // A result leaves only sealed under an attested session's keys.
+        return FailedPreconditionError("output without an established session");
+      }
       uint8_t buf[16];
       EREBOR_RETURN_IF_ERROR(ReadGuest(*task.aspace, arg_va, buf, sizeof(buf)));
       const Vaddr src = LoadLe64(buf);
@@ -306,8 +310,7 @@ StatusOr<uint64_t> EreborMonitor::DeviceIoctl(SyscallContext& ctx, Task& task,
       const Status out_st = EmcDispatch(cpu, out_call, [&]() -> Status {
         EREBOR_RETURN_IF_ERROR(
             sandbox_mgr_->CopyFromSandbox(cpu, *sandbox, src, payload.data(), len));
-        // Pad to the fixed output quantum, then seal (or emit plaintext-padded when no
-        // session exists, the DebugFS-style channel).
+        // Pad to the fixed output quantum, then seal.
         EREBOR_ASSIGN_OR_RETURN(const Bytes padded,
                                 PadOutput(payload, sandbox->spec.output_pad_bytes));
         cpu.cycles().Charge(padded.size() * cpu.costs().crypto_per_byte_x100 / 100);
@@ -322,39 +325,17 @@ StatusOr<uint64_t> EreborMonitor::DeviceIoctl(SyscallContext& ctx, Task& task,
           cpu.cycles().Charge(boundary - now);
           ++counters_.quantized_outputs;
         }
-        if (sandbox->session.established) {
-          // Seal straight into the wire buffer (no Packet round trip). Cache the
-          // result for retransmission: if it is lost on the wire, the client's
-          // duplicate data record triggers a re-send.
-          sandbox->session.last_result_wire = SealRecordWire(
-              sandbox->session.keys.server_to_client, PacketType::kResultRecord,
-              sandbox->id, sandbox->session.next_send_seq++, padded);
-          sandbox->outbound_wire.push_back(sandbox->session.last_result_wire);
-        } else {
-          sandbox->outbound_wire.push_back(padded);
-        }
+        // Seal straight into the wire buffer (no Packet round trip). Cache the
+        // result for retransmission: if it is lost on the wire, the client's
+        // duplicate data record triggers a re-send.
+        sandbox->session.last_result_wire = SealRecordWire(
+            sandbox->session.keys.server_to_client, PacketType::kResultRecord,
+            sandbox->id, sandbox->session.next_send_seq++, padded);
+        sandbox->outbound_wire.push_back(sandbox->session.last_result_wire);
         return OkStatus();
       });
       EREBOR_RETURN_IF_ERROR(out_st);
       return len;
-    }
-    case emc_ioctl::kProxyDeliver: {
-      if (sandbox != nullptr) {
-        return PermissionDeniedError("proxy ioctls are not for sandbox tasks");
-      }
-      uint8_t buf[16];
-      EREBOR_RETURN_IF_ERROR(ReadGuest(*task.aspace, arg_va, buf, sizeof(buf)));
-      const Vaddr src = LoadLe64(buf);
-      const uint64_t len = LoadLe64(buf + 8);
-      if (len > wire::kMaxWireBytes) {
-        // Proxy-supplied length: refuse before allocating (a hostile proxy could
-        // otherwise demand a near-2^64-byte buffer).
-        return InvalidArgumentError("proxy packet exceeds the wire limit");
-      }
-      Bytes wire(len);
-      EREBOR_RETURN_IF_ERROR(ReadGuest(*task.aspace, src, wire.data(), len));
-      EREBOR_RETURN_IF_ERROR(ProxyDeliver(cpu, wire));
-      return 0;
     }
     case emc_ioctl::kProxyDeliverBatch: {
       if (sandbox != nullptr) {

@@ -36,7 +36,6 @@ namespace emc_ioctl {
 inline constexpr uint64_t kDeclareConfined = 1;  // arg: {va, len}
 inline constexpr uint64_t kInput = 2;            // arg: {buf_va, size_inout}
 inline constexpr uint64_t kOutput = 3;           // arg: {buf_va, size}
-inline constexpr uint64_t kProxyDeliver = 4;     // arg: {buf_va, len}
 inline constexpr uint64_t kProxyFetch = 5;       // arg: {buf_va, cap} -> returns len
 // arg: {buf_va, len}; buf holds concatenated [LE32 packet_len | packet] frames.
 // One EMC crossing ingests the whole burst (batched per-session under the
@@ -148,24 +147,18 @@ class EreborMonitor {
   Status ActivateClone(Cpu& cpu, Sandbox& sandbox);
 
   // ---- Attestation + channel (driven by the untrusted proxy) ----
-  // Feeds one wire packet from the network; responses (if any) are queued for fetch.
-  Status ProxyDeliver(Cpu& cpu, const Bytes& wire);
-  // Batched ingest: one gated EMC round trip for a burst of packets. Control
-  // packets (hello/fin) are handled first in arrival order, then data records are
+  // The only way client data reaches a sandbox, and results leave it. Batched
+  // ingest: one gated EMC round trip for a burst of packets. Control packets
+  // (hello/fin) are handled first in arrival order, then data records are
   // grouped per target sandbox and each group is ingested under a single
   // acquisition of that sandbox's lock, so concurrent sessions on different
   // vCPUs do not contend. Every packet is processed; the first failure (if any)
   // is returned at the end.
   Status ProxyDeliverBatch(Cpu& cpu, const std::vector<Bytes>& wires);
   // Pops the next outbound wire packet across all sandboxes (empty = none).
-  // source_sandbox_out (optional) receives the owning sandbox id so a failed copy-out
-  // can requeue the packet instead of dropping it.
+  // source_sandbox_out (optional) receives the owning sandbox id, so a failed
+  // copy-out can requeue the packet and a caller can route it to its client.
   StatusOr<Bytes> ProxyFetch(Cpu& cpu, int* source_sandbox_out = nullptr);
-
-  // Direct injection used when no network path is configured (DebugFS-style testing
-  // channel, mirroring the paper's artifact setup).
-  Status DebugInstallClientData(Cpu& cpu, Sandbox& sandbox, const Bytes& data);
-  StatusOr<Bytes> DebugFetchOutput(Sandbox& sandbox);
 
   // Walks the frame table and live mappings and verifies the global protection
   // invariants (single-mapped confined frames, keyed monitor/PTP/text mappings,
@@ -237,7 +230,6 @@ class EreborMonitor {
   StatusOr<TdQuote> GenerateQuote(Cpu& cpu, const std::array<uint8_t, 64>& report_data);
 
   Status HandleHello(Cpu& cpu, const Packet& packet);
-  Status HandleDataRecord(Cpu& cpu, const RecordView& view);
   Status HandleFin(Cpu& cpu, const Packet& packet);
   // Record admission + authenticate-then-decrypt for one data record; the caller
   // holds the target sandbox's lock (so a batch can amortize one acquisition

@@ -1,5 +1,6 @@
 #include "src/sim/world.h"
 
+#include <algorithm>
 #include <thread>
 
 #include "src/common/log.h"
@@ -249,6 +250,81 @@ Status World::StartProxy() {
   return kernel_->SpawnProcess("erebor-proxy", std::move(program)).status();
 }
 
+namespace {
+// Every packet on the wire starts type(1) | sandbox_id LE32(4).
+int PacketSandboxId(const Bytes& wire) {
+  return wire.size() < 5 ? -1 : static_cast<int32_t>(LoadLe32(wire.data() + 1));
+}
+}  // namespace
+
+Status World::ClientDeliver(const Bytes& wire, Cpu* direct) {
+  if (direct == nullptr) {
+    ClientSend(wire);
+    return OkStatus();
+  }
+  if (monitor_ == nullptr) {
+    return FailedPreconditionError("the attested path requires Erebor");
+  }
+  return monitor_->ProxyDeliverBatch(*direct, {wire});
+}
+
+StatusOr<Bytes> World::AwaitClientPacket(int sandbox_id, Cpu* direct,
+                                         uint64_t max_slices) {
+  if (monitor_ == nullptr) {
+    return FailedPreconditionError("the attested path requires Erebor");
+  }
+  std::deque<Bytes>& inbox = client_inbox_[sandbox_id];
+  // Moves packets off the transport into their clients' inboxes until this
+  // client's own packet is there. A direct fetch pops the monitor's first
+  // pending packet, whichever sandbox owns it.
+  const auto arrived = [&] {
+    while (inbox.empty()) {
+      int owner = -1;
+      StatusOr<Bytes> wire =
+          direct == nullptr ? ClientReceive() : monitor_->ProxyFetch(*direct, &owner);
+      if (!wire.ok()) {
+        return false;
+      }
+      client_inbox_[direct == nullptr ? PacketSandboxId(*wire) : owner].push_back(
+          std::move(*wire));
+    }
+    return true;
+  };
+  const auto quarantined = [&] {
+    const Sandbox* sandbox = monitor_->sandboxes().Find(sandbox_id);
+    return sandbox == nullptr || sandbox->state == SandboxState::kQuarantined;
+  };
+  EREBOR_RETURN_IF_ERROR(RunUntil([&] { return arrived() || quarantined(); }, max_slices));
+  if (inbox.empty()) {
+    return UnavailableError("sandbox " + std::to_string(sandbox_id) +
+                            " was quarantined before its client's packet arrived");
+  }
+  Bytes wire = std::move(inbox.front());
+  inbox.pop_front();
+  return wire;
+}
+
+Status ClientSession::Handshake(uint64_t max_slices) {
+  EREBOR_RETURN_IF_ERROR(world_.ClientDeliver(client_.MakeHello(sandbox_id_), direct_));
+  EREBOR_ASSIGN_OR_RETURN(const Bytes wire,
+                          world_.AwaitClientPacket(sandbox_id_, direct_, max_slices));
+  return client_.ProcessServerHello(wire);
+}
+
+StatusOr<Bytes> ClientSession::Receive(uint64_t max_slices) {
+  for (;;) {
+    EREBOR_ASSIGN_OR_RETURN(const Bytes wire,
+                            world_.AwaitClientPacket(sandbox_id_, direct_, max_slices));
+    if (static_cast<PacketType>(wire[0]) != PacketType::kResultRecord) {
+      continue;
+    }
+    StatusOr<Bytes> result = client_.OpenResult(wire);
+    if (result.ok() || result.status().code() != ErrorCode::kAlreadyExists) {
+      return result;
+    }
+  }
+}
+
 Status World::RunOnThreads(const std::function<Status(int cpu)>& body) {
   const int num_cpus = machine_->num_cpus();
   std::vector<Status> results(static_cast<size_t>(num_cpus), OkStatus());
@@ -300,6 +376,17 @@ Status World::RunOnThreads(const std::function<Status(int cpu)>& body) {
     EREBOR_RETURN_IF_ERROR(result);
   }
   return OkStatus();
+}
+
+Cycles World::AlignClocks() {
+  Cycles start = 0;
+  for (int c = 0; c < machine_->num_cpus(); ++c) {
+    start = std::max(start, machine_->cpu(c).cycles().now());
+  }
+  for (int c = 0; c < machine_->num_cpus(); ++c) {
+    machine_->cpu(c).cycles().Charge(start - machine_->cpu(c).cycles().now());
+  }
+  return start;
 }
 
 void World::ThreadChaosTick(int cpu) {

@@ -10,6 +10,8 @@
 #define EREBOR_SRC_SIM_WORLD_H_
 
 #include <atomic>
+#include <deque>
+#include <map>
 #include <memory>
 
 #include "src/client/client.h"
@@ -116,6 +118,19 @@ class World {
   void ClientSend(const Bytes& wire) { host_->network().WorldTransmit(wire); }
   StatusOr<Bytes> ClientReceive() { return host_->network().WorldReceive(); }
 
+  // ---- Client transport: the remote end of the attested path ----
+  // With `direct` null a packet crosses the host network, and the proxy process
+  // (StartProxy) carries it to and from the monitor. With a vCPU given, the
+  // client calls the monitor's proxy entry points (ProxyDeliverBatch and
+  // ProxyFetch) on that vCPU itself, for worlds that run no proxy process.
+  Status ClientDeliver(const Bytes& wire, Cpu* direct = nullptr);
+  // Returns the next packet the monitor sent to sandbox `sandbox_id`'s client,
+  // running the scheduler until one is there (at most `max_slices`). Packets
+  // for other sandboxes met on the way are held for their own clients. Stops
+  // early once the sandbox is quarantined: nothing leaves a quarantined sandbox.
+  StatusOr<Bytes> AwaitClientPacket(int sandbox_id, Cpu* direct = nullptr,
+                                    uint64_t max_slices = 2'000'000);
+
   // Runs the scheduler until `done` returns true or no task is runnable.
   Status RunUntil(const std::function<bool()>& done, uint64_t max_slices = 2'000'000);
 
@@ -130,6 +145,10 @@ class World {
   // after every thread has joined and all invalidation queues are drained.
   Status RunOnThreads(const std::function<Status(int cpu)>& body);
   ExecMode exec_mode() const { return config_.exec; }
+  // Charges every vCPU up to the furthest clock, so per-vCPU deltas from the
+  // returned common start compare work, not earlier skew (boot runs mostly on
+  // cpu0).
+  Cycles AlignClocks();
 
   // Per-vCPU chaos step for RunOnThreads bodies: fires the "host.preempt" probe
   // and, via this vCPU's private RNG stream (seeded from (chaos seed, cpu)),
@@ -167,6 +186,8 @@ class World {
   std::unique_ptr<Kernel> kernel_;
   std::unique_ptr<HostAttacker> attacker_;
   bool proxy_stop_ = false;
+  // Client-side packets already taken off the transport, by sandbox id.
+  std::map<int, std::deque<Bytes>> client_inbox_;
 
   // Chaos-soak state.
   bool chaos_ = false;
@@ -183,6 +204,35 @@ class World {
   // single-threaded driver (ChaosTick), never shared across threads.
   std::vector<SplitMix64> chaos_rngs_;
   std::vector<uint64_t> chaos_thread_slices_;  // per-vCPU ThreadChaosTick count
+};
+
+// One remote client's session with one sandbox over the attested path:
+// Handshake() sends the ClientHello and verifies the quoted ServerHello against
+// the world's trust anchors, Send() seals a kDataRecord, and Receive() opens the
+// next kResultRecord. `direct` picks the transport as for World::ClientDeliver.
+class ClientSession {
+ public:
+  ClientSession(World& world, int sandbox_id, uint64_t seed, Cpu* direct = nullptr)
+      : world_(world),
+        sandbox_id_(sandbox_id),
+        direct_(direct),
+        client_(world.MakeTrustAnchors(), seed) {}
+
+  Status Handshake(uint64_t max_slices = 2'000'000);
+  Status Send(const Bytes& plaintext) {
+    return world_.ClientDeliver(client_.SealData(plaintext), direct_);
+  }
+  // Skips packets the network duplicated (a second ServerHello, a result this
+  // client already opened); any other open failure is returned.
+  StatusOr<Bytes> Receive(uint64_t max_slices = 2'000'000);
+
+  RemoteClient& client() { return client_; }
+
+ private:
+  World& world_;
+  int sandbox_id_;
+  Cpu* direct_;
+  RemoteClient client_;
 };
 
 }  // namespace erebor

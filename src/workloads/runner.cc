@@ -1,5 +1,7 @@
 #include "src/workloads/runner.h"
 
+#include <optional>
+
 #include "src/common/log.h"
 #include "src/common/trace.h"
 
@@ -163,6 +165,18 @@ RunReport RunWorkload(Workload& workload, SimMode mode, const RunnerOptions& opt
     }
   }
 
+  // ---- Attestation: no proxy runs here, so the client calls the monitor's proxy
+  // entry points on cpu0. No scheduler slice runs, so the phases are unchanged.
+  std::optional<ClientSession> session;
+  if (world.erebor_active()) {
+    session.emplace(world, sandbox->id, options.input_seed, &cpu0);
+    st = session->Handshake();
+    if (!st.ok()) {
+      report.error = "attest: " + st.ToString();
+      return report;
+    }
+  }
+
   // ---- Phase 1: initialization ----
   tracer.MarkPhase("init", world.machine().TotalCycles());
   const Cycles before_init = world.machine().TotalCycles();
@@ -175,8 +189,8 @@ RunReport RunWorkload(Workload& workload, SimMode mode, const RunnerOptions& opt
   report.init_cycles = world.machine().TotalCycles() - before_init;
 
   // ---- Phase 2: install client data ----
-  if (world.erebor_active()) {
-    st = world.monitor()->DebugInstallClientData(cpu0, *sandbox, input);
+  if (session.has_value()) {
+    st = session->Send(input);
     if (!st.ok()) {
       report.error = "install: " + st.ToString();
       return report;
@@ -203,21 +217,23 @@ RunReport RunWorkload(Workload& workload, SimMode mode, const RunnerOptions& opt
   }
   report.run_cycles = world.machine().TotalCycles() - before_run;
   report.run_seconds = report.GhzSeconds(report.run_cycles);
+  // The processing window ends here (fetching the result is an EMC of its own).
+  // Nothing between these two reads crosses a gate, so a mismatch of the trace
+  // count means an uninstrumented (or double-counted) crossing.
+  if (world.erebor_active()) {
+    report.emc_total = world.monitor()->counters().emc_total - emc_before;
+  }
+  report.trace_emc_enter = tracer.CountKind(TraceEvent::kEmcEnter) - trace_emc_before;
 
   // ---- Phase 4: fetch output ----
   tracer.MarkPhase("output", world.machine().TotalCycles());
-  if (world.erebor_active()) {
-    auto padded = world.monitor()->DebugFetchOutput(*sandbox);
-    if (!padded.ok()) {
-      report.error = "output: " + padded.status().ToString();
+  if (session.has_value()) {
+    auto result = session->Receive();
+    if (!result.ok()) {
+      report.error = "output: " + result.status().ToString();
       return report;
     }
-    auto unpadded = UnpadOutput(*padded);
-    if (!unpadded.ok()) {
-      report.error = "unpad: " + unpadded.status().ToString();
-      return report;
-    }
-    report.output = *unpadded;
+    report.output = std::move(*result);
   } else {
     auto file = world.kernel().fs().Open(manifest.name + ".client_output", false);
     if (!file.ok()) {
@@ -246,7 +262,6 @@ RunReport RunWorkload(Workload& workload, SimMode mode, const RunnerOptions& opt
       report.pf_per_sec + report.timer_per_sec + report.ve_per_sec;
   if (world.erebor_active()) {
     const MonitorCounters& counters = world.monitor()->counters();
-    report.emc_total = counters.emc_total - emc_before;
     report.emc_per_sec = report.emc_total / secs;
     report.mitigation_stalls = counters.exit_stalls;
     report.mitigation_flushes = counters.cache_flushes;
@@ -254,9 +269,6 @@ RunReport RunWorkload(Workload& workload, SimMode mode, const RunnerOptions& opt
   }
   report.common_bytes = state->common_bytes;
   if (tracer.enabled()) {
-    // Same window as the emc_total delta: nothing between the two reads crosses a
-    // gate, so a mismatch means an uninstrumented (or double-counted) crossing.
-    report.trace_emc_enter = tracer.CountKind(TraceEvent::kEmcEnter) - trace_emc_before;
     report.trace_summary = tracer.SummaryTable();
     if (!tracer.json_path().empty()) {
       const Status export_st = tracer.WriteChromeTrace(tracer.json_path());

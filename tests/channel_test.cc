@@ -166,23 +166,6 @@ class ChannelE2eTest : public testing::Test {
     sandbox_ = *sandbox;
   }
 
-  // Runs the guest until the client's receive queue has a packet.
-  StatusOr<Bytes> PumpUntilClientPacket() {
-    Bytes wire;
-    const Status st = world_->RunUntil([&] {
-      auto packet = world_->ClientReceive();
-      if (packet.ok()) {
-        wire = *packet;
-        return true;
-      }
-      return false;
-    });
-    if (!st.ok()) {
-      return st;
-    }
-    return wire;
-  }
-
   std::unique_ptr<World> world_;
   std::shared_ptr<LibosEnv> env_;
   Sandbox* sandbox_ = nullptr;
@@ -195,7 +178,7 @@ TEST_F(ChannelE2eTest, FullAttestationAndDataRoundTrip) {
 
   // 1. Handshake.
   world_->ClientSend(client.MakeHello(sandbox_->id));
-  auto server_hello = PumpUntilClientPacket();
+  auto server_hello = world_->AwaitClientPacket(sandbox_->id);
   ASSERT_TRUE(server_hello.ok()) << server_hello.status().ToString();
   ASSERT_TRUE(client.ProcessServerHello(*server_hello).ok());
   EXPECT_TRUE(client.established());
@@ -209,7 +192,7 @@ TEST_F(ChannelE2eTest, FullAttestationAndDataRoundTrip) {
   world_->ClientSend(data_wire);
 
   // 3. Receive the (padded, encrypted) result.
-  auto result_wire = PumpUntilClientPacket();
+  auto result_wire = world_->AwaitClientPacket(sandbox_->id);
   ASSERT_TRUE(result_wire.ok()) << result_wire.status().ToString();
   const auto result = client.OpenResult(*result_wire);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -232,7 +215,7 @@ TEST_F(ChannelE2eTest, ClientRejectsWrongMeasurement) {
   anchors.expected_mrtd[0] ^= 1;  // expects a different monitor build
   RemoteClient client(anchors, 78);
   world_->ClientSend(client.MakeHello(sandbox_->id));
-  auto server_hello = PumpUntilClientPacket();
+  auto server_hello = world_->AwaitClientPacket(sandbox_->id);
   ASSERT_TRUE(server_hello.ok());
   EXPECT_EQ(client.ProcessServerHello(*server_hello).code(),
             ErrorCode::kPermissionDenied);
@@ -245,7 +228,7 @@ TEST_F(ChannelE2eTest, ClientRejectsQuoteFromWrongPlatform) {
       GenerateKeyPair(GroupParams::Default(), rng).public_key;
   RemoteClient client(anchors, 79);
   world_->ClientSend(client.MakeHello(sandbox_->id));
-  auto server_hello = PumpUntilClientPacket();
+  auto server_hello = world_->AwaitClientPacket(sandbox_->id);
   ASSERT_TRUE(server_hello.ok());
   EXPECT_FALSE(client.ProcessServerHello(*server_hello).ok());
 }
@@ -255,7 +238,7 @@ TEST_F(ChannelE2eTest, MitmCannotSubstituteDhShare) {
   // report_data binds the transcript, so the client detects the substitution.
   RemoteClient client(world_->MakeTrustAnchors(), 80);
   world_->ClientSend(client.MakeHello(sandbox_->id));
-  auto server_hello_wire = PumpUntilClientPacket();
+  auto server_hello_wire = world_->AwaitClientPacket(sandbox_->id);
   ASSERT_TRUE(server_hello_wire.ok());
   auto packet = Packet::Deserialize(*server_hello_wire);
   ASSERT_TRUE(packet.ok());
@@ -267,13 +250,13 @@ TEST_F(ChannelE2eTest, MitmCannotSubstituteDhShare) {
 TEST_F(ChannelE2eTest, ReplayedDataRecordRejected) {
   RemoteClient client(world_->MakeTrustAnchors(), 81);
   world_->ClientSend(client.MakeHello(sandbox_->id));
-  auto server_hello = PumpUntilClientPacket();
+  auto server_hello = world_->AwaitClientPacket(sandbox_->id);
   ASSERT_TRUE(server_hello.ok());
   ASSERT_TRUE(client.ProcessServerHello(*server_hello).ok());
 
   const Bytes wire = client.SealData(ToBytes("first"));
   world_->ClientSend(wire);
-  auto result = PumpUntilClientPacket();
+  auto result = world_->AwaitClientPacket(sandbox_->id);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(sandbox_->session.next_recv_seq, 1u);
 
@@ -310,7 +293,7 @@ TEST_F(ChannelE2eTest, InjectedHelloDropHealsViaResend) {
 
   // The client's loss recovery: byte-identical hello retransmission converges.
   world_->ClientSend(client.ResendHello());
-  auto server_hello = PumpUntilClientPacket();
+  auto server_hello = world_->AwaitClientPacket(sandbox_->id);
   ASSERT_TRUE(server_hello.ok()) << server_hello.status().ToString();
   ASSERT_TRUE(client.ProcessServerHello(*server_hello).ok());
   EXPECT_GE(client.retries(), 1u);
@@ -319,7 +302,7 @@ TEST_F(ChannelE2eTest, InjectedHelloDropHealsViaResend) {
 
   // The healed session carries data normally.
   world_->ClientSend(client.SealData(ToBytes("after the storm")));
-  auto result_wire = PumpUntilClientPacket();
+  auto result_wire = world_->AwaitClientPacket(sandbox_->id);
   ASSERT_TRUE(result_wire.ok());
   ASSERT_TRUE(client.OpenResult(*result_wire).ok());
 }
@@ -335,14 +318,14 @@ TEST_F(ChannelE2eTest, InjectedDataDuplicationAbsorbedByReplayWindow) {
 
   RemoteClient client(world_->MakeTrustAnchors(), 91);
   world_->ClientSend(client.MakeHello(sandbox_->id));
-  auto server_hello = PumpUntilClientPacket();
+  auto server_hello = world_->AwaitClientPacket(sandbox_->id);
   ASSERT_TRUE(server_hello.ok());
   ASSERT_TRUE(client.ProcessServerHello(*server_hello).ok());
 
   // Hit 1: the record is enqueued twice by the network. The monitor accepts one copy
   // and absorbs the other in its replay window — data is never double-installed.
   world_->ClientSend(client.SealData(ToBytes("only once")));
-  auto result_wire = PumpUntilClientPacket();
+  auto result_wire = world_->AwaitClientPacket(sandbox_->id);
   ASSERT_TRUE(result_wire.ok());
   ASSERT_TRUE(client.OpenResult(*result_wire).ok());
   EXPECT_GE(sandbox_->session.duplicates, 1u);
@@ -351,7 +334,7 @@ TEST_F(ChannelE2eTest, InjectedDataDuplicationAbsorbedByReplayWindow) {
   // Client-side deliberate retransmission: the monitor absorbs it as a duplicate and
   // retransmits the cached result, which the client's own window then rejects.
   world_->ClientSend(client.ResendData());
-  auto retransmit = PumpUntilClientPacket();
+  auto retransmit = world_->AwaitClientPacket(sandbox_->id);
   ASSERT_TRUE(retransmit.ok());
   EXPECT_EQ(client.OpenResult(*retransmit).status().code(), ErrorCode::kAlreadyExists);
   EXPECT_EQ(sandbox_->session.next_recv_seq, 1u);
@@ -369,7 +352,7 @@ TEST_F(ChannelE2eTest, InjectedReorderHealsWithinWindow) {
 
   RemoteClient client(world_->MakeTrustAnchors(), 92);
   world_->ClientSend(client.MakeHello(sandbox_->id));
-  auto server_hello = PumpUntilClientPacket();
+  auto server_hello = world_->AwaitClientPacket(sandbox_->id);
   ASSERT_TRUE(server_hello.ok());
   ASSERT_TRUE(client.ProcessServerHello(*server_hello).ok());
 
@@ -378,11 +361,11 @@ TEST_F(ChannelE2eTest, InjectedReorderHealsWithinWindow) {
   world_->ClientSend(client.SealData(ToBytes("first record")));
   world_->ClientSend(client.SealData(ToBytes("second record")));
 
-  auto result0 = PumpUntilClientPacket();
+  auto result0 = world_->AwaitClientPacket(sandbox_->id);
   ASSERT_TRUE(result0.ok());
   auto plain0 = client.OpenResult(*result0);
   ASSERT_TRUE(plain0.ok()) << plain0.status().ToString();
-  auto result1 = PumpUntilClientPacket();
+  auto result1 = world_->AwaitClientPacket(sandbox_->id);
   ASSERT_TRUE(result1.ok());
   auto plain1 = client.OpenResult(*result1);
   ASSERT_TRUE(plain1.ok()) << plain1.status().ToString();
@@ -418,7 +401,7 @@ TEST_F(ChannelE2eTest, MidHandshakeTruncationRetried) {
   EXPECT_FALSE(client.established());
 
   world_->ClientSend(client.ResendHello());
-  auto server_hello = PumpUntilClientPacket();
+  auto server_hello = world_->AwaitClientPacket(sandbox_->id);
   ASSERT_TRUE(server_hello.ok()) << server_hello.status().ToString();
   ASSERT_TRUE(client.ProcessServerHello(*server_hello).ok());
   EXPECT_TRUE(client.established());
@@ -436,7 +419,7 @@ TEST_F(ChannelE2eTest, CorruptedRecordRejectedThenRetransmitHeals) {
 
   RemoteClient client(world_->MakeTrustAnchors(), 94);
   world_->ClientSend(client.MakeHello(sandbox_->id));
-  auto server_hello = PumpUntilClientPacket();
+  auto server_hello = world_->AwaitClientPacket(sandbox_->id);
   ASSERT_TRUE(server_hello.ok());
   ASSERT_TRUE(client.ProcessServerHello(*server_hello).ok());
 
@@ -450,7 +433,7 @@ TEST_F(ChannelE2eTest, CorruptedRecordRejectedThenRetransmitHeals) {
   EXPECT_FALSE(world_->ClientReceive().ok());
 
   world_->ClientSend(client.ResendData());
-  auto result_wire = PumpUntilClientPacket();
+  auto result_wire = world_->AwaitClientPacket(sandbox_->id);
   ASSERT_TRUE(result_wire.ok()) << result_wire.status().ToString();
   auto result = client.OpenResult(*result_wire);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -492,20 +475,20 @@ TEST_F(ChannelE2eTest, ConcurrentSessionsAreIsolated) {
   RemoteClient alice(world_->MakeTrustAnchors(), 501);
   RemoteClient bob(world_->MakeTrustAnchors(), 502);
   world_->ClientSend(alice.MakeHello(sandbox_->id));
-  auto hello_a = PumpUntilClientPacket();
+  auto hello_a = world_->AwaitClientPacket(sandbox_->id);
   ASSERT_TRUE(hello_a.ok());
   ASSERT_TRUE(alice.ProcessServerHello(*hello_a).ok());
   world_->ClientSend(bob.MakeHello((*sandbox2)->id));
-  auto hello_b = PumpUntilClientPacket();
+  auto hello_b = world_->AwaitClientPacket((*sandbox2)->id);
   ASSERT_TRUE(hello_b.ok());
   ASSERT_TRUE(bob.ProcessServerHello(*hello_b).ok());
 
   // Interleave data records.
   world_->ClientSend(alice.SealData(ToBytes("alice-data")));
   world_->ClientSend(bob.SealData(ToBytes("bob-data")));
-  auto result1 = PumpUntilClientPacket();
+  auto result1 = world_->AwaitClientPacket(sandbox_->id);
   ASSERT_TRUE(result1.ok());
-  auto result2 = PumpUntilClientPacket();
+  auto result2 = world_->AwaitClientPacket((*sandbox2)->id);
   ASSERT_TRUE(result2.ok());
 
   // Results arrive tagged for each sandbox; each client opens exactly its own.
@@ -665,17 +648,17 @@ TEST_F(ChannelE2eTest, ForgedRecordHeaderDoesNotStrikeVictimSession) {
   RemoteClient alice(world_->MakeTrustAnchors(), 701);
   RemoteClient bob(world_->MakeTrustAnchors(), 702);
   world_->ClientSend(alice.MakeHello(sandbox_->id));
-  auto hello_a = PumpUntilClientPacket();
+  auto hello_a = world_->AwaitClientPacket(sandbox_->id);
   ASSERT_TRUE(hello_a.ok());
   ASSERT_TRUE(alice.ProcessServerHello(*hello_a).ok());
   world_->ClientSend(bob.MakeHello((*sandbox2)->id));
-  auto hello_b = PumpUntilClientPacket();
+  auto hello_b = world_->AwaitClientPacket((*sandbox2)->id);
   ASSERT_TRUE(hello_b.ok());
   ASSERT_TRUE(bob.ProcessServerHello(*hello_b).ok());
 
   // Alice's session goes live (data installed) before the attacks.
   world_->ClientSend(alice.SealData(ToBytes("legit data")));
-  auto result0 = PumpUntilClientPacket();
+  auto result0 = world_->AwaitClientPacket(sandbox_->id);
   ASSERT_TRUE(result0.ok());
   ASSERT_TRUE(alice.OpenResult(*result0).ok());
 
@@ -711,7 +694,7 @@ TEST_F(ChannelE2eTest, ForgedRecordHeaderDoesNotStrikeVictimSession) {
 
   // The victim session still serves traffic with its original keys.
   world_->ClientSend(alice.SealData(ToBytes("still trusted")));
-  auto result1 = PumpUntilClientPacket();
+  auto result1 = world_->AwaitClientPacket(sandbox_->id);
   ASSERT_TRUE(result1.ok());
   auto plain1 = alice.OpenResult(*result1);
   ASSERT_TRUE(plain1.ok());
@@ -725,13 +708,13 @@ TEST_F(ChannelE2eTest, ForgedRecordHeaderDoesNotStrikeVictimSession) {
 TEST_F(ChannelE2eTest, StaleHelloCannotTearDownLiveSession) {
   RemoteClient alice(world_->MakeTrustAnchors(), 711);
   world_->ClientSend(alice.MakeHello(sandbox_->id));
-  auto hello = PumpUntilClientPacket();
+  auto hello = world_->AwaitClientPacket(sandbox_->id);
   ASSERT_TRUE(hello.ok());
   ASSERT_TRUE(alice.ProcessServerHello(*hello).ok());
 
   // The first record installs data: the session is now live.
   world_->ClientSend(alice.SealData(ToBytes("live data")));
-  auto result = PumpUntilClientPacket();
+  auto result = world_->AwaitClientPacket(sandbox_->id);
   ASSERT_TRUE(result.ok());
   ASSERT_TRUE(alice.OpenResult(*result).ok());
   ASSERT_TRUE(sandbox_->session.data_installed);
@@ -752,7 +735,7 @@ TEST_F(ChannelE2eTest, StaleHelloCannotTearDownLiveSession) {
   EXPECT_TRUE(sandbox_->session.established);
   EXPECT_EQ(sandbox_->session.next_recv_seq, 1u);
   world_->ClientSend(alice.SealData(ToBytes("still alive")));
-  auto result2 = PumpUntilClientPacket();
+  auto result2 = world_->AwaitClientPacket(sandbox_->id);
   ASSERT_TRUE(result2.ok()) << result2.status().ToString();
   auto plain2 = alice.OpenResult(*result2);
   ASSERT_TRUE(plain2.ok());
@@ -768,19 +751,19 @@ TEST_F(ChannelE2eTest, RenegotiationAllowedBeforeDataAndAfterFin) {
   // slot (e.g. the client rebooted after the handshake).
   RemoteClient first(world_->MakeTrustAnchors(), 721);
   world_->ClientSend(first.MakeHello(sandbox_->id));
-  auto hello1 = PumpUntilClientPacket();
+  auto hello1 = world_->AwaitClientPacket(sandbox_->id);
   ASSERT_TRUE(hello1.ok());
   ASSERT_TRUE(first.ProcessServerHello(*hello1).ok());
 
   RemoteClient second(world_->MakeTrustAnchors(), 722);
   world_->ClientSend(second.MakeHello(sandbox_->id));
-  auto hello2 = PumpUntilClientPacket();
+  auto hello2 = world_->AwaitClientPacket(sandbox_->id);
   ASSERT_TRUE(hello2.ok()) << "pre-data renegotiation must be answered";
   ASSERT_TRUE(second.ProcessServerHello(*hello2).ok());
 
   // The renegotiated session carries data end to end.
   world_->ClientSend(second.SealData(ToBytes("renegotiated")));
-  auto result = PumpUntilClientPacket();
+  auto result = world_->AwaitClientPacket(sandbox_->id);
   ASSERT_TRUE(result.ok());
   ASSERT_TRUE(second.OpenResult(*result).ok());
 
@@ -792,7 +775,7 @@ TEST_F(ChannelE2eTest, RenegotiationAllowedBeforeDataAndAfterFin) {
       world_->RunUntil([&] { return sandbox_->state == SandboxState::kTornDown; }).ok());
   RemoteClient third(world_->MakeTrustAnchors(), 723);
   world_->ClientSend(third.MakeHello(sandbox_->id));
-  auto hello3 = PumpUntilClientPacket();
+  auto hello3 = world_->AwaitClientPacket(sandbox_->id);
   EXPECT_TRUE(hello3.ok()) << "post-fin renegotiation must be answered";
   EXPECT_EQ(MetricsRegistry::Global().Value("channel.hostile_hellos"), hostile_before);
 }
@@ -817,11 +800,11 @@ TEST_F(ChannelE2eTest, BatchedIngestProcessesEveryPacketAcrossSessions) {
   RemoteClient alice(world_->MakeTrustAnchors(), 731);
   RemoteClient bob(world_->MakeTrustAnchors(), 732);
   world_->ClientSend(alice.MakeHello(sandbox_->id));
-  auto hello_a = PumpUntilClientPacket();
+  auto hello_a = world_->AwaitClientPacket(sandbox_->id);
   ASSERT_TRUE(hello_a.ok());
   ASSERT_TRUE(alice.ProcessServerHello(*hello_a).ok());
   world_->ClientSend(bob.MakeHello((*sandbox2)->id));
-  auto hello_b = PumpUntilClientPacket();
+  auto hello_b = world_->AwaitClientPacket((*sandbox2)->id);
   ASSERT_TRUE(hello_b.ok());
   ASSERT_TRUE(bob.ProcessServerHello(*hello_b).ok());
 
@@ -853,11 +836,11 @@ TEST_F(ChannelE2eTest, CrossSessionRecordInjectionRejected) {
   RemoteClient alice(world_->MakeTrustAnchors(), 601);
   RemoteClient bob(world_->MakeTrustAnchors(), 602);
   world_->ClientSend(alice.MakeHello(sandbox_->id));
-  auto hello_a = PumpUntilClientPacket();
+  auto hello_a = world_->AwaitClientPacket(sandbox_->id);
   ASSERT_TRUE(hello_a.ok());
   ASSERT_TRUE(alice.ProcessServerHello(*hello_a).ok());
   world_->ClientSend(bob.MakeHello((*sandbox2)->id));
-  auto hello_b = PumpUntilClientPacket();
+  auto hello_b = world_->AwaitClientPacket((*sandbox2)->id);
   ASSERT_TRUE(hello_b.ok());
   ASSERT_TRUE(bob.ProcessServerHello(*hello_b).ok());
 

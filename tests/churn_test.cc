@@ -188,54 +188,17 @@ bool PromoteAndServe(World& world, CloneSlot& slot, uint64_t seed) {
     return false;
   }
   slot.promoted->store(true, std::memory_order_relaxed);
-  RemoteClient client(world.MakeTrustAnchors(), seed);
-  world.ClientSend(client.MakeHello(slot.sandbox->id));
+  ClientSession session(world, slot.sandbox->id, seed);
   Bytes payload(1024, 0x44);
   Bytes expected = payload;
   for (uint8_t& b : expected) {
     b ^= 0x5A;
   }
-  bool got = false;
-  const auto drain = [&] {
-    while (true) {
-      auto wire = world.ClientReceive();
-      if (!wire.ok()) {
-        return;
-      }
-      if (!client.established()) {
-        auto packet = Packet::Deserialize(*wire);
-        if (packet.ok() && packet->type == PacketType::kServerHello) {
-          (void)client.ProcessServerHello(*wire);
-        }
-        continue;
-      }
-      auto opened = client.OpenResult(*wire);
-      if (opened.ok() && *opened == expected) {
-        got = true;
-      }
-    }
-  };
-  const auto dead = [&] {
-    return slot.sandbox->state == SandboxState::kQuarantined ||
-           slot.sandbox->state == SandboxState::kTornDown;
-  };
-  (void)world.RunUntil(
-      [&] {
-        drain();
-        return client.established() || dead();
-      },
-      kMaxSlices);
-  if (!client.established() || dead()) {
+  if (!session.Handshake(kMaxSlices).ok() || !session.Send(payload).ok()) {
     return false;
   }
-  world.ClientSend(client.SealData(payload));
-  (void)world.RunUntil(
-      [&] {
-        drain();
-        return got || dead();
-      },
-      kMaxSlices);
-  return got;
+  const StatusOr<Bytes> result = session.Receive(kMaxSlices);
+  return result.ok() && *result == expected;
 }
 
 TEST(ChurnQuarantineTest, QuarantineMidCloneContainedUnderChaos) {

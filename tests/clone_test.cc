@@ -149,51 +149,18 @@ class CloneTest : public testing::Test {
     return sandbox.ok() ? *sandbox : nullptr;
   }
 
-  bool Handshake(RemoteClient& client, int sandbox_id) {
-    world_->ClientSend(client.MakeHello(sandbox_id));
-    const Status st = world_->RunUntil([&] {
-      DrainInto(client, nullptr);
-      return client.established();
-    });
-    return st.ok() && client.established();
-  }
-
-  void DrainInto(RemoteClient& client, Bytes* result) {
-    while (true) {
-      auto wire = world_->ClientReceive();
-      if (!wire.ok()) {
-        return;
-      }
-      if (!client.established()) {
-        auto packet = Packet::Deserialize(*wire);
-        if (packet.ok() && packet->type == PacketType::kServerHello) {
-          (void)client.ProcessServerHello(*wire);
-        }
-        continue;
-      }
-      auto opened = client.OpenResult(*wire);
-      if (opened.ok() && result != nullptr) {
-        *result = *opened;
-      }
-    }
-  }
-
   // Sends one sealed record and measures the serve against the sandbox.
-  ServeStats ServeOnce(RemoteClient& client, Sandbox& sandbox,
+  ServeStats ServeOnce(ClientSession& session, Sandbox& sandbox,
                        const Bytes& payload) {
     ServeStats stats;
     const uint64_t emc_before = world_->monitor()->counters().emc_total;
     const uint64_t uc_before = world_->monitor()->counters().emc_usercopy;
     const uint64_t pf_before = sandbox.exits.page_faults;
     const uint64_t cow_before = sandbox.cow_broken_pages;
-    Bytes result;
-    world_->ClientSend(client.SealData(payload));
-    const Status st = world_->RunUntil([&] {
-      DrainInto(client, &result);
-      return !result.empty();
-    });
-    stats.ok = st.ok() && result == EchoExpected(payload);
-    stats.output = result;
+    EXPECT_TRUE(session.Send(payload).ok());
+    const StatusOr<Bytes> result = session.Receive();
+    stats.ok = result.ok() && *result == EchoExpected(payload);
+    stats.output = result.ok() ? *result : Bytes{};
     stats.emc_delta = world_->monitor()->counters().emc_total - emc_before;
     stats.usercopy_delta =
         world_->monitor()->counters().emc_usercopy - uc_before;
@@ -232,8 +199,8 @@ TEST_P(CloneEquivalenceTest, SteadyStateFingerprintMatchesColdBoot) {
   // the two measurements must run against the same task population.
   Sandbox* cold = LaunchCold("cold");
   ASSERT_NE(cold, nullptr);
-  RemoteClient cold_client(world_->MakeTrustAnchors(), kSeed);
-  ASSERT_TRUE(Handshake(cold_client, cold->id));
+  ClientSession cold_client(*world_, cold->id, kSeed);
+  ASSERT_TRUE(cold_client.Handshake().ok());
 
   std::shared_ptr<std::atomic<bool>> latch;
   Sandbox* clone = MakeClone("clone", &latch);
@@ -243,8 +210,8 @@ TEST_P(CloneEquivalenceTest, SteadyStateFingerprintMatchesColdBoot) {
   EXPECT_FALSE(clone->domain_deferred);
   EXPECT_NE(clone->domain_tag, 0u);
   latch->store(true, std::memory_order_relaxed);
-  RemoteClient clone_client(world_->MakeTrustAnchors(), kSeed + 1);
-  ASSERT_TRUE(Handshake(clone_client, clone->id));
+  ClientSession clone_client(*world_, clone->id, kSeed + 1);
+  ASSERT_TRUE(clone_client.Handshake().ok());
 
   // Warm-up request each: seals both, and the clone's privatizes its io pages.
   ASSERT_TRUE(ServeOnce(cold_client, *cold, payload).ok);
@@ -402,8 +369,8 @@ TEST_F(CloneTest, SealPromotesDeferredClone) {
 
   // No explicit ActivateClone: the handshake + first record path seals it.
   latch->store(true, std::memory_order_relaxed);
-  RemoteClient client(world_->MakeTrustAnchors(), kSeed);
-  ASSERT_TRUE(Handshake(client, clone->id));
+  ClientSession client(*world_, clone->id, kSeed);
+  ASSERT_TRUE(client.Handshake().ok());
   const Bytes payload(512, 0x21);
   const ServeStats stats = ServeOnce(client, *clone, payload);
   ASSERT_TRUE(stats.ok);

@@ -327,9 +327,9 @@ TEST(EmcNeutralityTest, GoldenWorkloadNumbersAreBitIdentical) {
   }
 }
 
-// Runs an EMC-heavy install sequence from two vCPUs and fingerprints every
-// observable the paper's figures read: per-vCPU cycles, then the EMC, sandbox-op
-// and denial counters.
+// Attests one client session, delivers its sealed records alternately from two
+// vCPUs, and fingerprints every observable the paper's figures read: per-vCPU
+// cycles, then the EMC, sandbox-op and denial counters.
 std::vector<uint64_t> LockingFingerprint(bool simulate_contention) {
   WorldConfig config;
   config.mode = SimMode::kEreborFull;
@@ -357,14 +357,17 @@ std::vector<uint64_t> LockingFingerprint(bool simulate_contention) {
   EXPECT_TRUE(sandbox.ok());
   EXPECT_TRUE(world.RunUntil([&] { return up; }, 100'000).ok());
 
+  ClientSession session(world, (*sandbox)->id, /*seed=*/1, &world.machine().cpu(0));
+  EXPECT_TRUE(session.Handshake().ok());
+
   EreborMonitor* monitor = world.monitor();
   monitor->SetLockContention(simulate_contention);
   LockAudit::Global().Reset();
   for (int i = 0; i < 32; ++i) {
     const Bytes payload(128, static_cast<uint8_t>(i));
     EXPECT_TRUE(monitor
-                    ->DebugInstallClientData(world.machine().cpu(i % 2), **sandbox,
-                                             payload)
+                    ->ProxyDeliverBatch(world.machine().cpu(i % 2),
+                                        {session.client().SealData(payload)})
                     .ok());
   }
   EXPECT_EQ(LockAudit::Global().violations(), 0u);
@@ -386,9 +389,9 @@ std::vector<uint64_t> LockingFingerprint(bool simulate_contention) {
 // which a dispatch acquires and releases its locks.
 TEST(EmcNeutralityTest, ShardedLockingFingerprintIsPinned) {
   EXPECT_EQ(LockingFingerprint(false),
-            (std::vector<uint64_t>{91796252, 45294, 66116, 3, 0}));
+            (std::vector<uint64_t>{91925634, 45294, 66118, 3, 0}));
   EXPECT_EQ(LockingFingerprint(true),
-            (std::vector<uint64_t>{91796252, 91796508, 66116, 3, 0}));
+            (std::vector<uint64_t>{91925634, 91925826, 66118, 3, 0}));
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include "src/libos/libos.h"
 #include "src/sim/world.h"
+#include "tests/client_data.h"
 #include "src/workloads/lmbench.h"
 
 namespace erebor {
@@ -50,10 +51,7 @@ class MitigationTest : public testing::Test {
         });
     EXPECT_TRUE(sandbox.ok());
     world_->kernel().Run(20);
-    EXPECT_TRUE(world_->monitor()
-                    ->DebugInstallClientData(world_->machine().cpu(0), **sandbox,
-                                             ToBytes("x"))
-                    .ok());
+    EXPECT_TRUE(InstallClientData(*world_, **sandbox, ToBytes("x")).ok());
     return *sandbox;
   }
 
@@ -106,6 +104,9 @@ TEST_F(MitigationTest, QuantizedOutputHidesProcessingTime) {
           return StepOutcome::kExited;
         });
     EXPECT_TRUE(sandbox.ok());
+    // Results leave only sealed to an attested client.
+    ClientSession session(*world_, (*sandbox)->id, /*seed=*/1, &world_->machine().cpu(0));
+    EXPECT_TRUE(session.Handshake().ok());
     EXPECT_TRUE(world_->RunUntil([&] { return sent; }).ok());
     return world_->machine().cpu(0).cycles().now();
   };
@@ -297,10 +298,7 @@ TEST_F(SoftwareExceptionTest, SealedSandboxExceptionIsInterposedAndScrubbed) {
       &task);
   ASSERT_TRUE(sandbox.ok());
   world.kernel().Run(50);
-  ASSERT_TRUE(world.monitor()
-                  ->DebugInstallClientData(world.machine().cpu(0), **sandbox,
-                                           ToBytes("x"))
-                  .ok());
+  ASSERT_TRUE(InstallClientData(world, **sandbox, ToBytes("x")).ok());
   go = true;
   const uint64_t scrubbed_before = world.monitor()->counters().scrubbed_interrupts;
   world.kernel().Run(1000);

@@ -26,6 +26,7 @@
 #include "src/monitor/invariants.h"
 #include "src/monitor/isolation.h"
 #include "src/sim/world.h"
+#include "tests/client_data.h"
 
 namespace erebor {
 namespace {
@@ -70,8 +71,7 @@ Sandbox* LaunchSealed(World& world, const std::string& name, Status* out) {
     *out = run;
     return nullptr;
   }
-  *out = world.monitor()->DebugInstallClientData(world.machine().cpu(0), **sandbox,
-                                                 Bytes(128, 0x33));
+  *out = InstallClientData(world, **sandbox, Bytes(128, 0x33));
   return out->ok() ? *sandbox : nullptr;
 }
 

@@ -2,6 +2,7 @@
 
 #include "src/libos/libos.h"
 #include "src/sim/world.h"
+#include "tests/client_data.h"
 
 namespace erebor {
 namespace {
@@ -134,10 +135,7 @@ TEST_F(SandboxTest, SealedSandboxSyscallIsFatal) {
                                             task_->syscall_count > 0; },
                                20000)
                   .ok());
-  ASSERT_TRUE(world_->monitor()
-                  ->DebugInstallClientData(world_->machine().cpu(0), *sandbox,
-                                           ToBytes("secret"))
-                  .ok());
+  ASSERT_TRUE(InstallClientData(*world_, *sandbox, ToBytes("secret")).ok());
   EXPECT_EQ(sandbox->state, SandboxState::kSealed);
   go = true;
   world_->kernel().Run(10000);
@@ -174,10 +172,7 @@ TEST_F(SandboxTest, SealedSandboxIoctlToMonitorIsPermitted) {
   });
   ASSERT_NE(sandbox, nullptr);
   world_->kernel().Run(50);  // initialize
-  ASSERT_TRUE(world_->monitor()
-                  ->DebugInstallClientData(world_->machine().cpu(0), *sandbox,
-                                           ToBytes("payload"))
-                  .ok());
+  ASSERT_TRUE(InstallClientData(*world_, *sandbox, ToBytes("payload")).ok());
   ASSERT_TRUE(world_->RunUntil([&] { return got_input; }).ok());
   EXPECT_EQ(received, ToBytes("payload"));
   EXPECT_EQ(task_->state, TaskState::kExited);
@@ -210,10 +205,7 @@ TEST_F(SandboxTest, InterruptsScrubRegistersFromKernel) {
   });
   ASSERT_NE(sandbox, nullptr);
   world_->kernel().Run(50);
-  ASSERT_TRUE(world_->monitor()
-                  ->DebugInstallClientData(world_->machine().cpu(0), *sandbox,
-                                           ToBytes("x"))
-                  .ok());
+  ASSERT_TRUE(InstallClientData(*world_, *sandbox, ToBytes("x")).ok());
   ASSERT_TRUE(world_->RunUntil([&] { return sealed_spin && sandbox->exits.timer_interrupts > 0; },
                                50000)
                   .ok());
@@ -239,13 +231,89 @@ TEST_F(SandboxTest, OutputIsPaddedToFixedQuantum) {
     return StepOutcome::kExited;
   });
   ASSERT_NE(sandbox, nullptr);
+  ClientSession session(*world_, sandbox->id, /*seed=*/1, &world_->machine().cpu(0));
+  ASSERT_TRUE(session.Handshake().ok());
   ASSERT_TRUE(world_->RunUntil([&] { return sent; }).ok());
-  const auto padded = world_->monitor()->DebugFetchOutput(*sandbox);
-  ASSERT_TRUE(padded.ok());
-  EXPECT_EQ(padded->size() % 4096, 0u);  // fixed-length padding (side-channel close)
-  const auto output = UnpadOutput(*padded);
+  const auto wire = world_->AwaitClientPacket(sandbox->id, &world_->machine().cpu(0));
+  ASSERT_TRUE(wire.ok());
+  const auto record = ParseRecordWire(*wire);
+  ASSERT_TRUE(record.ok());
+  EXPECT_EQ(record->ciphertext_len % 4096, 0u);  // fixed-length padding (side-channel close)
+  const auto output = session.client().OpenResult(*wire);
   ASSERT_TRUE(output.ok());
   EXPECT_EQ(*output, ToBytes("tiny"));
+}
+
+TEST_F(SandboxTest, OutputWithoutSessionIsRefused) {
+  // Results leave a sandbox only sealed to an attested client; with no session
+  // there is no one to seal them for, so the monitor refuses the output ioctl.
+  Boot();
+  bool tried = false;
+  Status send_status;
+  Sandbox* sandbox = Launch([&](SyscallContext& ctx) -> StepOutcome {
+    static std::shared_ptr<LibosEnv> env;
+    if (!env) {
+      env = std::make_shared<LibosEnv>(
+          LibosManifest{.name = "t", .heap_bytes = 1 << 20}, LibosBackend::kSandboxed);
+    }
+    if (!env->initialized()) {
+      EXPECT_TRUE(env->Initialize(ctx).ok());
+      return StepOutcome::kYield;
+    }
+    send_status = env->SendOutput(ctx, ToBytes("plaintext"));
+    env.reset();
+    tried = true;
+    return StepOutcome::kExited;
+  });
+  ASSERT_NE(sandbox, nullptr);
+  ASSERT_TRUE(world_->RunUntil([&] { return tried; }).ok());
+  EXPECT_EQ(send_status.code(), ErrorCode::kFailedPrecondition) << send_status.ToString();
+  EXPECT_TRUE(sandbox->outbound_wire.empty());
+}
+
+TEST_F(SandboxTest, DirectFetchRoutesEachResultToItsOwnClient) {
+  // ProxyFetch pops the monitor's first pending packet, whichever sandbox owns
+  // it. A client waiting on a later sandbox must still get its own result, and
+  // the earlier sandbox's result must wait for that sandbox's client.
+  Boot();
+  auto launch = [&](const std::string& name, bool* sent) -> Sandbox* {
+    SandboxSpec spec;
+    spec.name = name;
+    auto env = std::make_shared<LibosEnv>(
+        LibosManifest{.name = name, .heap_bytes = 1 << 20}, LibosBackend::kSandboxed);
+    auto sandbox = world_->LaunchSandboxProcess(
+        name, spec, [env, name, sent](SyscallContext& ctx) -> StepOutcome {
+          if (!env->initialized()) {
+            EXPECT_TRUE(env->Initialize(ctx).ok());
+            return StepOutcome::kYield;
+          }
+          EXPECT_TRUE(env->SendOutput(ctx, ToBytes("for " + name)).ok());
+          *sent = true;
+          return StepOutcome::kExited;
+        });
+    EXPECT_TRUE(sandbox.ok());
+    return sandbox.ok() ? *sandbox : nullptr;
+  };
+  bool sent_a = false;
+  bool sent_b = false;
+  Sandbox* a = launch("a", &sent_a);
+  Sandbox* b = launch("b", &sent_b);
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  Cpu* cpu = &world_->machine().cpu(0);
+  ClientSession client_a(*world_, a->id, /*seed=*/1, cpu);
+  ClientSession client_b(*world_, b->id, /*seed=*/2, cpu);
+  ASSERT_TRUE(client_a.Handshake().ok());
+  ASSERT_TRUE(client_b.Handshake().ok());
+  ASSERT_TRUE(world_->RunUntil([&] { return sent_a && sent_b; }).ok());
+  ASSERT_LT(a->id, b->id);  // a's result comes first in fetch order
+
+  const auto result_b = client_b.Receive();
+  ASSERT_TRUE(result_b.ok()) << result_b.status().ToString();
+  EXPECT_EQ(*result_b, ToBytes("for b"));
+  const auto result_a = client_a.Receive();
+  ASSERT_TRUE(result_a.ok()) << result_a.status().ToString();
+  EXPECT_EQ(*result_a, ToBytes("for a"));
 }
 
 TEST_F(SandboxTest, TeardownZeroizesConfinedMemory) {
@@ -319,8 +387,8 @@ TEST_F(SandboxTest, CommonRegionSharedReadOnlyAcrossSandboxes) {
                   ->AttachCommon(cpu, *sb2, (*region)->id, kLibosCommonBase, false)
                   .ok());
   // Seal both (write protection becomes active).
-  ASSERT_TRUE(world_->monitor()->DebugInstallClientData(cpu, *sb1, ToBytes("a")).ok());
-  ASSERT_TRUE(world_->monitor()->DebugInstallClientData(cpu, *sb2, ToBytes("b")).ok());
+  ASSERT_TRUE(InstallClientData(*world_, *sb1, ToBytes("a")).ok());
+  ASSERT_TRUE(InstallClientData(*world_, *sb2, ToBytes("b")).ok());
 
   ASSERT_TRUE(world_->RunUntil([&] {
     return s1->read_ok && s2->read_ok;
@@ -338,7 +406,7 @@ TEST_F(SandboxTest, UintrDisabledAtSeal) {
   Cpu& cpu = world_->machine().cpu(0);
   cpu.TrustedWriteMsr(msr::kIa32UintrTt, msr::kUintrTtValid | 0x1000);
   Sandbox* sandbox = Launch([](SyscallContext&) { return StepOutcome::kYield; });
-  ASSERT_TRUE(world_->monitor()->DebugInstallClientData(cpu, *sandbox, ToBytes("x")).ok());
+  ASSERT_TRUE(InstallClientData(*world_, *sandbox, ToBytes("x")).ok());
   EXPECT_EQ(*cpu.ReadMsr(msr::kIa32UintrTt) & msr::kUintrTtValid, 0u);
 }
 
@@ -382,8 +450,7 @@ TEST_F(SandboxTest, CommonWritableUntilSealForProviderInit) {
   // The provider-initialized data is in the shared frames.
   EXPECT_EQ(world_->machine().memory().FramePtr((*region)->first_frame)[0], 'm');
 
-  ASSERT_TRUE(
-      world_->monitor()->DebugInstallClientData(cpu, *sandbox, ToBytes("x")).ok());
+  ASSERT_TRUE(InstallClientData(*world_, *sandbox, ToBytes("x")).ok());
   go_check = true;
   ASSERT_TRUE(world_->RunUntil([&] { return task_->state == TaskState::kExited; }).ok());
   EXPECT_TRUE(write_blocked_after_seal);
@@ -393,7 +460,7 @@ TEST_F(SandboxTest, IoctlErrorPaths) {
   Boot();
   // A non-sandbox process cannot use sandbox ioctls, and unknown commands fail.
   bool done = false;
-  Status declare_status, unknown_status, proxy_from_sandbox;
+  Status declare_status, unknown_status, single_deliver_status;
   ASSERT_TRUE(
       world_
           ->LaunchProcess("plain",
@@ -421,6 +488,8 @@ TEST_F(SandboxTest, IoctlErrorPaths) {
                                     .status();
                             unknown_status =
                                 ctx.Syscall(sys::kIoctl, *fd, 999, *staging).status();
+                            single_deliver_status =
+                                ctx.Syscall(sys::kIoctl, *fd, 4, *staging).status();
                             done = true;
                             return StepOutcome::kExited;
                           })
@@ -428,7 +497,12 @@ TEST_F(SandboxTest, IoctlErrorPaths) {
   ASSERT_TRUE(world_->RunUntil([&] { return done; }).ok());
   EXPECT_EQ(declare_status.code(), ErrorCode::kFailedPrecondition);
   EXPECT_EQ(unknown_status.code(), ErrorCode::kInvalidArgument);
-  (void)proxy_from_sandbox;
+  // Ioctl 4 was the single-packet proxy deliver; kProxyDeliverBatch is the one
+  // proxy ingest path, so 4 is just another unknown command.
+  EXPECT_EQ(single_deliver_status.code(), ErrorCode::kInvalidArgument);
+  EXPECT_NE(single_deliver_status.message().find("unknown erebor ioctl 4"),
+            std::string::npos)
+      << single_deliver_status.ToString();
 }
 
 TEST_F(SandboxTest, AttachCommonValidatesRegionId) {

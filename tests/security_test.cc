@@ -5,6 +5,7 @@
 
 #include "src/libos/libos.h"
 #include "src/sim/world.h"
+#include "tests/client_data.h"
 
 namespace erebor {
 namespace {
@@ -196,10 +197,7 @@ TEST_F(SecurityTest, C6_MonitorRefusesUsercopyFromSealedConfined) {
   Boot();
   Sandbox* sandbox = LaunchSecretSandbox(nullptr);
   ASSERT_TRUE(world_->RunUntil([&] { return ready_; }).ok());
-  ASSERT_TRUE(world_->monitor()
-                  ->DebugInstallClientData(world_->machine().cpu(0), *sandbox,
-                                           ToBytes("go"))
-                  .ok());
+  ASSERT_TRUE(InstallClientData(*world_, *sandbox, ToBytes("go")).ok());
   // Malicious kernel asks the monitor's usercopy emulation to exfiltrate.
   Cpu& cpu = world_->machine().cpu(0);
   ASSERT_TRUE(world_->privops().WriteCr(cpu, 3, task_->aspace->root()).ok());
@@ -264,10 +262,7 @@ TEST_F(SecurityTest, C8_SealedSyscallExfiltrationKilled) {
   });
   world_->kernel().Run(100);
   go = true;
-  ASSERT_TRUE(world_->monitor()
-                  ->DebugInstallClientData(world_->machine().cpu(0), *sandbox,
-                                           ToBytes("x"))
-                  .ok());
+  ASSERT_TRUE(InstallClientData(*world_, *sandbox, ToBytes("x")).ok());
   world_->kernel().Run(1000);
   EXPECT_TRUE(attempted);
   EXPECT_TRUE(task_->killed_by_monitor);
@@ -290,10 +285,7 @@ TEST_F(SecurityTest, C8_SealedHypercallBlocked) {
     return StepOutcome::kExited;
   });
   world_->kernel().Run(100);
-  ASSERT_TRUE(world_->monitor()
-                  ->DebugInstallClientData(world_->machine().cpu(0), *sandbox,
-                                           ToBytes("x"))
-                  .ok());
+  ASSERT_TRUE(InstallClientData(*world_, *sandbox, ToBytes("x")).ok());
   world_->kernel().Run(1000);
   EXPECT_TRUE(attempted);
 }
@@ -313,9 +305,7 @@ TEST_F(SecurityTest, C8_CpuidServedFromCacheWhenSealed) {
   });
   world_->kernel().Run(100);
   // Warm the monitor's cpuid cache while unsealed (one hypercall happens here).
-  ASSERT_TRUE(world_->monitor()->DebugInstallClientData(world_->machine().cpu(0),
-                                                        *sandbox, ToBytes("x"))
-                  .ok());
+  ASSERT_TRUE(InstallClientData(*world_, *sandbox, ToBytes("x")).ok());
   go = true;
   const uint64_t vmcalls_before = world_->tdx().vmcall_count();
   world_->kernel().Run(1000);
@@ -359,10 +349,13 @@ TEST_F(SecurityTest, AV3_OutputPaddingClosesSizeChannel) {
         },
         &task);
     EXPECT_TRUE(sandbox.ok());
+    Cpu& cpu = world_->machine().cpu(0);
+    ClientSession session(*world_, (*sandbox)->id, /*seed=*/1, &cpu);
+    EXPECT_TRUE(session.Handshake().ok());
     EXPECT_TRUE(world_->RunUntil([&] { return sent; }).ok());
-    const auto wire = world_->monitor()->DebugFetchOutput(**sandbox);
+    const auto wire = world_->AwaitClientPacket((*sandbox)->id, &cpu);
     EXPECT_TRUE(wire.ok());
-    return wire->size();
+    return wire.ok() ? wire->size() : 0;
   };
   EXPECT_EQ(run_one("small", 5), run_one("large", 3000));
 }

@@ -10,6 +10,7 @@
 // TLB invalidation queue directly. scripts/check.sh runs this binary twice:
 // once in the normal tree and once under -fsanitize=thread.
 #include <cstring>
+#include <deque>
 #include <memory>
 #include <string>
 #include <thread>
@@ -55,8 +56,9 @@ struct EngineRunConfig {
 };
 
 // Boots a full-Erebor world, launches a small sandbox fleet, seals it
-// single-threaded, then drives kRounds channel-op EMCs per vCPU through
-// World::RunOnThreads under `config.exec`.
+// single-threaded over attested sessions, then drives kRounds sealed-record
+// deliveries (one channel-op EMC each) per vCPU through World::RunOnThreads
+// under `config.exec`.
 testing::AssertionResult RunEngine(const EngineRunConfig& config,
                                    EngineResult* out) {
   Tracer::Global().Enable();
@@ -108,14 +110,33 @@ testing::AssertionResult RunEngine(const EngineRunConfig& config,
   Machine& machine = world.machine();
   const Bytes payload(kPayload, 0x5A);
 
-  // First-seal writes MSRs on every vCPU and shoots down seal-revoked PTEs;
-  // keep that single-threaded so the parallel region is steady-state only.
+  // One attested session per sandbox. Its first record seals the sandbox, which
+  // writes MSRs on every vCPU and shoots down seal-revoked PTEs; keep that
+  // single-threaded so the parallel region is steady-state only.
+  std::deque<ClientSession> sessions;
+  std::vector<std::vector<Bytes>> first_records;
   for (Sandbox* sandbox : fleet) {
-    const Status st =
-        monitor->DebugInstallClientData(machine.cpu(0), *sandbox, payload);
+    ClientSession& session = sessions.emplace_back(
+        world, sandbox->id, static_cast<uint64_t>(sandbox->id + 1), &machine.cpu(0));
+    Status st = session.Handshake();
+    if (st.ok()) {
+      first_records.push_back({session.client().SealData(payload)});
+      st = monitor->ProxyDeliverBatch(machine.cpu(0), first_records.back());
+    }
     if (!st.ok()) {
-      return testing::AssertionFailure()
-             << "warmup install failed: " << st.ToString();
+      return testing::AssertionFailure() << "warmup session failed: " << st.ToString();
+    }
+  }
+  // Records stay in sequence per session, so vCPU c < kSandboxes owns sandbox
+  // c and delivers its fresh records; every other vCPU shares sandbox
+  // c % kSandboxes by re-sending that sandbox's already-admitted first record,
+  // which the monitor absorbs as a duplicate under the same sandbox lock.
+  std::vector<std::vector<std::vector<Bytes>>> records(config.vcpus);
+  for (int c = 0; c < config.vcpus; ++c) {
+    for (int round = 0; round < kRounds; ++round) {
+      records[c].push_back(
+          c < kSandboxes ? std::vector<Bytes>{sessions[c].client().SealData(payload)}
+                         : first_records[c % kSandboxes]);
     }
   }
 
@@ -142,12 +163,11 @@ testing::AssertionResult RunEngine(const EngineRunConfig& config,
   std::vector<uint64_t> failures(config.vcpus, 0);
   const Status st = world.RunOnThreads([&](int cpu) -> Status {
     Cpu& vcpu = machine.cpu(cpu);
-    Sandbox& target = *fleet[cpu % kSandboxes];
-    for (int round = 0; round < kRounds; ++round) {
-      // Under chaos an install may draw an injected transient failure; the
+    for (const std::vector<Bytes>& batch : records[cpu]) {
+      // Under chaos a delivery may draw an injected transient failure; the
       // body runs a fixed number of rounds either way so every engine visits
       // every fault site the same total number of times.
-      if (!monitor->DebugInstallClientData(vcpu, target, payload).ok()) {
+      if (!monitor->ProxyDeliverBatch(vcpu, batch).ok()) {
         ++failures[cpu];
       }
       if (config.chaos) {

@@ -23,6 +23,7 @@
 #include "src/kernel/layout.h"
 #include "src/libos/libos.h"
 #include "src/sim/world.h"
+#include "tests/client_data.h"
 #include "src/workloads/lmbench.h"
 
 namespace erebor {
@@ -396,10 +397,7 @@ TEST_F(TlbWorldTest, FlushOnExitHookIsLoadBearing) {
       });
   ASSERT_TRUE(sandbox.ok());
   world_->kernel().Run(20);
-  ASSERT_TRUE(world_->monitor()
-                  ->DebugInstallClientData(world_->machine().cpu(0), **sandbox,
-                                           ToBytes("x"))
-                  .ok());
+  ASSERT_TRUE(InstallClientData(*world_, **sandbox, ToBytes("x")).ok());
 
   // Synthetic root, raw tables: nothing but a whole-TLB flush can evict it. CR3
   // flushes would also do that, so disable them to isolate the exit flush.

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "src/common/trace.h"
 #include "src/workloads/fileserver.h"
 #include "src/workloads/graph.h"
 #include "src/workloads/ids.h"
@@ -62,6 +63,26 @@ TEST_P(WorkloadMatrixTest, RunsAndProducesValidOutput) {
   EXPECT_TRUE(workload->CheckOutput(workload->MakeClientInput(options.input_seed),
                                     report.output))
       << "output size " << report.output.size();
+}
+
+// Client data reaches the sandbox only over the attested channel: a full-Erebor
+// run performs exactly one handshake, so the TDX module produces exactly one
+// report for the quote, and the sealed result still checks out.
+TEST(WorkloadRunnerTest, EreborRunAttestsExactlyOnce) {
+  auto workload = SmallWorkload("graphchi");
+  ASSERT_NE(workload, nullptr);
+  RunnerOptions options;
+  options.memory_frames = 32 * 1024;
+  Tracer& tracer = Tracer::Global();
+  tracer.Enable();
+  tracer.Reset();
+  const RunReport report = RunWorkload(*workload, SimMode::kEreborFull, options);
+  const uint64_t quotes = tracer.CountKind(TraceEvent::kTdxReport);
+  tracer.Disable();
+  ASSERT_TRUE(report.ok) << report.error;
+  EXPECT_EQ(quotes, 1u);
+  EXPECT_TRUE(workload->CheckOutput(workload->MakeClientInput(options.input_seed),
+                                    report.output));
 }
 
 INSTANTIATE_TEST_SUITE_P(
