@@ -41,6 +41,9 @@ constexpr uint64_t kSeed = 1234;
 constexpr uint64_t kHeapBytes = 1 << 20;
 constexpr double kGhz = 2.1e9;
 constexpr double kLaunchTarget = 10'000.0;  // simulated launches/sec
+static_assert(kCloneStorm >= 1000, "the churn fleet must hold 1k+ live sandboxes");
+static_assert(kPromotions >= 1 && kQuarantines >= 1,
+              "promotion and quarantine churn must both run");
 
 struct CloneSlot {
   Sandbox* sandbox = nullptr;

@@ -12,13 +12,15 @@
 //              only hardware assist left.
 //
 // Three measurements on top of the static feature table:
-//   1. Per-op model + a measured end-to-end gated PTE write under each backend.
+//   1. Per-op model + a measured end-to-end gated PTE write under each backend,
+//      which must equal the model's PTE total.
 //   2. TME-MK max-tenant scaling sweep: 16/64/256 live sandboxes in one world,
 //      all sealed, with a full invariant sweep (families 1-7) at each level.
 //   3. PKS at its domain ceiling: the 12th concurrent sandbox must be refused
 //      with kUnavailable and counted in fleet.domain_exhausted.
 //
-// Emits BENCH_tab7_platforms.json (scripts/bench.sh collects and validates it).
+// Any failed check fails the exit code and the JSON's "pass" verdict, which
+// scripts/bench.sh re-checks in BENCH_tab7_platforms.json.
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -189,7 +191,7 @@ int main() {
               "PTE op", "PTE total", "#INT gate", "domain setup", "domains",
               "meas. PTE");
   for (const BackendRow& row : rows) {
-    pass = pass && row.ok;
+    pass = pass && row.ok && row.measured_pte_write == row.pte_total;
     std::printf("%-10s %10llu %10llu %10llu %10llu %12llu %8llu %10llu\n",
                 row.name.c_str(),
                 static_cast<unsigned long long>(row.emc_round_trip),
@@ -279,6 +281,10 @@ int main() {
   std::printf("fleet.domain_exhausted incremented by %llu\n",
               static_cast<unsigned long long>(exhausted_delta));
   pass = pass && exhausted_delta == 1;
+  // The row order and sweep targets that readers of the JSON index by.
+  pass = pass && rows[0].name == "pks" && rows[1].name == "tme-mk" &&
+         rows[2].name == "cet-only" && scaling.size() == 3 && scaling[0].target == 16 &&
+         scaling[1].target == 64 && scaling[2].target == 256;
 
   std::printf("\npaper: SEV lacks PKS; Nested-Kernel-style write protection gives the "
               "same policy at slightly higher cost. TME-MK trades the PKRS gate "

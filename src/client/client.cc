@@ -24,11 +24,6 @@ constexpr BackoffPolicy kClientRetryPolicy{
 RemoteClient::RemoteClient(ClientTrustAnchors anchors, uint64_t seed)
     : anchors_(anchors), rng_(seed), backoff_(kClientRetryPolicy, seed) {}
 
-void RemoteClient::SetRetryPolicy(const BackoffPolicy& policy) {
-  // Re-seed from the client's own stream so distinct clients stay decorrelated.
-  backoff_ = JitteredBackoff(policy, rng_.Next());
-}
-
 void RemoteClient::AccountResend() {
   ++retries_;
   MetricsRegistry::Global().Increment("channel.retries");

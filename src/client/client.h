@@ -65,7 +65,6 @@ class RemoteClient {
   Bytes ResendData();
   uint64_t retry_wait() const { return retry_wait_; }
   bool retry_budget_exhausted() const { return backoff_.exhausted(); }
-  void SetRetryPolicy(const BackoffPolicy& policy);  // resets the budget
   void ResetRetryBudget() { backoff_.Reset(); }
   uint64_t retries() const { return retries_; }
 

@@ -1,14 +1,15 @@
-// Shared jittered-exponential-backoff policy: the one retry schedule used by every
-// bounded-retry loop in the tree (LibOS EagainBackoff polls, remote-client
-// retransmits, fleet-supervisor request retries).
+// Shared jittered-exponential-backoff policy: the one retry schedule used by both
+// bounded-retry loops in the tree. The app driver's wait for client input
+// (EagainBackoff, src/kernel/syscalls.h) runs it unjittered; RemoteClient's
+// retransmits, which the fleet supervisor's request retries draw on, run it jittered.
 //
 // The wait ceiling doubles per attempt from base_wait up to max_wait. The realized
 // wait is drawn uniformly from [ceiling - ceiling*jitter_pct/100, ceiling] with a
 // deterministic per-(seed, attempt) hash: replays are bit-identical, while distinct
 // seeds decorrelate — a fleet of clients that all time out together does not
 // retransmit together, so synchronized retry storms cannot form. jitter_pct == 0
-// reproduces the legacy fixed schedule exactly (min(base_wait << attempt, max_wait)),
-// which keeps the workload cycle counts bit-identical for callers that do not opt in.
+// gives the fixed schedule min(base_wait << attempt, max_wait), which the workload
+// golden cycle counts were calibrated against.
 #ifndef EREBOR_SRC_COMMON_BACKOFF_H_
 #define EREBOR_SRC_COMMON_BACKOFF_H_
 

@@ -423,14 +423,14 @@ bool IsWouldBlock(const Status& status) {
 }
 
 bool EagainBackoff::ShouldRetry(SyscallContext& ctx) {
-  if (attempts >= max_attempts) {
+  static constexpr BackoffPolicy kPolicy{.max_attempts = kMaxAttempts,
+                                         .base_wait = kBaseWaitCycles,
+                                         .max_wait = kMaxWaitCycles,
+                                         .jitter_pct = 0};
+  if (attempts >= kPolicy.max_attempts) {
     return false;
   }
-  const BackoffPolicy policy{.max_attempts = max_attempts,
-                             .base_wait = base_wait_cycles,
-                             .max_wait = max_wait_cycles,
-                             .jitter_pct = jitter_pct};
-  ctx.Compute(JitteredBackoffWait(policy, jitter_seed, attempts));
+  ctx.Compute(JitteredBackoffWait(kPolicy, /*seed=*/0, attempts));
   ++attempts;
   return true;
 }

@@ -152,18 +152,6 @@ class MmuRingBatch {
     return true;
   }
 
-  bool StageShootdown(Paddr entry_pa) {
-    if (FreeSlots() < 1) {
-      return false;
-    }
-    RingSqe sqe;
-    sqe.op = RingOp::kTlbShootdown;
-    sqe.arg0 = entry_pa;
-    sqe.user_data = next_user_data_++;
-    staged_.push_back(sqe);
-    return true;
-  }
-
   bool StageRegisterPtp(FrameNum frame, Paddr root_pa) {
     if (FreeSlots() < 1) {
       return false;

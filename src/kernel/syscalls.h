@@ -53,34 +53,28 @@ class SyscallContext;
 // how sessions wedge.
 bool IsWouldBlock(const Status& status);
 
-// The one sanctioned retry policy for would-block results. Cooperative programs are
+// The bounded retry budget for would-block results. Cooperative programs are
 // cross-slice state machines, so the backoff is a value held in the program's state:
-// each ShouldRetry() call accounts one attempt, charges an exponentially growing
-// compute wait (capped at max_wait_cycles) and tells the caller whether budget
-// remains. Exhaustion returns false — the caller must fail the operation instead of
-// spinning forever on a peer that will never answer.
-//
-// The schedule itself comes from the shared policy in src/common/backoff.h: with
-// jitter_pct == 0 (the default) it is the fixed doubling sequence the workload
-// golden counts were calibrated against; seeding jitter_pct/jitter_seed
-// desynchronizes a fleet of sandboxes all polling for input at once.
+// each ShouldRetry() call accounts one attempt, charges a compute wait that doubles
+// from kBaseWaitCycles up to kMaxWaitCycles, and tells the caller whether budget
+// remains. After kMaxAttempts it returns false — the caller must fail the operation
+// instead of spinning forever on a peer that will never answer. The schedule is the
+// unjittered policy of src/common/backoff.h, which the workload golden cycle counts
+// were calibrated against.
 //
 //   if (!input.ok()) {
 //     if (!IsWouldBlock(input.status())) return Fail(input.status());
-//     if (!state->backoff.ShouldRetry(ctx)) return Fail("retry budget exhausted");
+//     if (!backoff.ShouldRetry(ctx)) return Fail("retry budget exhausted");
 //     return StepOutcome::kYield;
 //   }
-//   state->backoff.Reset();  // progress: re-arm the budget
 struct EagainBackoff {
+  static constexpr uint64_t kMaxAttempts = 10'000;
+  static constexpr uint64_t kBaseWaitCycles = 1'000;
+  static constexpr uint64_t kMaxWaitCycles = 64'000;
+
   uint64_t attempts = 0;
-  uint64_t max_attempts = 10'000;
-  uint64_t base_wait_cycles = 1'000;
-  uint64_t max_wait_cycles = 64'000;
-  uint32_t jitter_pct = 0;  // 0 = fixed schedule (bit-compatible with goldens)
-  uint64_t jitter_seed = 0;
 
   bool ShouldRetry(SyscallContext& ctx);  // defined in kernel.cc
-  void Reset() { attempts = 0; }
 };
 
 }  // namespace erebor

@@ -209,14 +209,6 @@ StatusOr<Bytes> LibosEnv::FileRead(SyscallContext& ctx, const std::string& name)
   return out;
 }
 
-std::vector<std::string> LibosEnv::FileList() const {
-  std::vector<std::string> names;
-  for (const auto& [name, _] : memfs_) {
-    names.push_back(name);
-  }
-  return names;
-}
-
 StatusOr<Bytes> LibosEnv::RecvInput(SyscallContext& ctx, uint64_t max_len) {
   ChargeEmulation(ctx);
   if (backend_ == LibosBackend::kSandboxed) {
@@ -308,14 +300,6 @@ void LibosEnv::ChargeRuntime(SyscallContext& ctx, uint64_t units) {
   if (charge_overheads_) {
     ctx.Compute(18 * units);
   }
-}
-
-uint64_t LibosEnv::spin_contention() const {
-  uint64_t total = 0;
-  for (const auto& lock : locks_) {
-    total += lock->contention_spins();
-  }
-  return total;
 }
 
 }  // namespace erebor

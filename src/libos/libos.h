@@ -83,7 +83,6 @@ class LibosEnv {
   Status FileCreate(SyscallContext& ctx, const std::string& name, const Bytes& contents);
   StatusOr<Bytes> FileRead(SyscallContext& ctx, const std::string& name);
   bool FileExists(const std::string& name) const { return memfs_.count(name) > 0; }
-  std::vector<std::string> FileList() const;
 
   // ---- Client data channel ----
   // kUnavailable("EAGAIN") when no input is pending yet.
@@ -107,7 +106,6 @@ class LibosEnv {
 
   // Statistics for Table 6.
   uint64_t emulated_calls() const { return emulated_calls_; }
-  uint64_t spin_contention() const;
 
  private:
   struct MemFile {

@@ -384,15 +384,6 @@ StatusOr<CommonRegion*> SandboxManager::CreateCommonRegion(const std::string& na
   return &common_regions_.back();
 }
 
-CommonRegion* SandboxManager::FindCommonRegion(const std::string& name) {
-  for (auto& region : common_regions_) {
-    if (region.name == name) {
-      return &region;
-    }
-  }
-  return nullptr;
-}
-
 Status SandboxManager::AttachCommon(Cpu& cpu, Sandbox& sandbox, int region_id, Vaddr va,
                                     bool writable_until_seal) {
   NoteSandboxMutation(cpu, sandbox);

@@ -174,7 +174,6 @@ class SandboxManager {
   // Common regions.
   StatusOr<CommonRegion*> CreateCommonRegion(const std::string& name, uint64_t len,
                                              FrameAllocator& pool);
-  CommonRegion* FindCommonRegion(const std::string& name);
   Status AttachCommon(Cpu& cpu, Sandbox& sandbox, int region_id, Vaddr va,
                       bool writable_until_seal);
 

@@ -9,8 +9,6 @@ namespace erebor {
 
 namespace {
 struct GraphRun {
-  bool have_input = false;
-  bool csr_built = false;
   uint32_t num_nodes = 0;
   uint32_t num_edges = 0;
   // Confined-memory arrays (VAs).
@@ -22,9 +20,7 @@ struct GraphRun {
   uint32_t iteration = 0;
   uint32_t next_chunk = 0;   // node-range work queue
   uint32_t chunks_done = 0;
-  uint32_t total_chunks = 0;
-  bool done = false;
-  EagainBackoff input_backoff;  // bounded wait for the client graph
+  uint32_t total_chunks = 0;  // 0 until the CSR is built
 };
 
 constexpr uint64_t kFixedOne = 1ull << 32;
@@ -109,36 +105,36 @@ ProgramFn GraphWorkload::MakeProgram(std::shared_ptr<AppState> state) {
     ctx.Compute(kCyclesPerEdge * edges_touched + 4000);
   };
 
-  auto grab_chunk = [run](LibosEnv& env, SyscallContext& ctx) -> int {
+  // Takes the next chunk of the current iteration off the queue and processes it;
+  // false if none was left (or the queue lock was busy).
+  auto work_one = [state, run, process_chunk](SyscallContext& ctx) {
+    LibosEnv& env = *state->env;
     if (!env.lock(3).TryAcquire(ctx, ctx.task().tid)) {
-      return -2;  // contended
+      return false;
     }
     int chunk = -1;
-    if (run->csr_built && run->next_chunk < run->total_chunks) {
+    if (run->next_chunk < run->total_chunks) {
       chunk = static_cast<int>(run->next_chunk++);
     }
     env.lock(3).Release();
-    return chunk;
-  };
-
-  auto complete_chunk = [run](LibosEnv& env, SyscallContext& ctx) {
+    if (chunk < 0) {
+      return false;
+    }
+    process_chunk(ctx, static_cast<uint32_t>(chunk));
     while (!env.lock(3).TryAcquire(ctx, ctx.task().tid)) {
       ctx.Compute(40);
     }
     ++run->chunks_done;
     env.lock(3).Release();
+    return true;
   };
+  // A MustPage failure is already recorded in state; this carries it to the driver.
+  auto page_failure = [state] { return InternalError(state->failure); };
 
-  auto worker_body = [state, run, grab_chunk, process_chunk,
-                      complete_chunk](SyscallContext& ctx) -> StepOutcome {
-    if (run->done || state->failed) {
-      return StepOutcome::kExited;
-    }
-    const int chunk = grab_chunk(*state->env, ctx);
-    if (chunk >= 0) {
-      process_chunk(ctx, static_cast<uint32_t>(chunk));
-      complete_chunk(*state->env, ctx);
-    } else {
+  AppPhases phases;
+  phases.max_input = 4ull << 20;
+  phases.worker = [work_one](SyscallContext& ctx) -> StepOutcome {
+    if (!work_one(ctx)) {
       ctx.Compute(250);
     }
     if (!ctx.Poll()) {
@@ -146,187 +142,140 @@ ProgramFn GraphWorkload::MakeProgram(std::shared_ptr<AppState> state) {
     }
     return StepOutcome::kYield;
   };
+  phases.install = [state, run, u32_at, u64_at, page_failure](
+                       SyscallContext& ctx, const Bytes& input) -> Status {
+    if (input.size() < 8) {
+      return InvalidArgumentError("short graph input");
+    }
+    run->num_nodes = LoadLe32(input.data());
+    run->num_edges = LoadLe32(input.data() + 4);
 
-  return [state, run, params, u32_at, u64_at, grab_chunk, process_chunk, complete_chunk,
-          worker_body](SyscallContext& ctx) -> StepOutcome {
+    // Allocate page-aligned CSR arrays in confined memory.
     LibosEnv& env = *state->env;
-    if (state->failed) {
-      return StepOutcome::kExited;
+    auto alloc_aligned = [&env](uint64_t bytes) -> StatusOr<Vaddr> {
+      EREBOR_ASSIGN_OR_RETURN(const Vaddr va, env.Alloc(bytes + kPageSize));
+      return PageAlignUp(va);
+    };
+    auto rp = alloc_aligned(4ull * (run->num_nodes + 1));
+    auto ci = alloc_aligned(4ull * run->num_edges);
+    auto rk = alloc_aligned(8ull * run->num_nodes);
+    auto nr = alloc_aligned(8ull * run->num_nodes);
+    auto od = alloc_aligned(4ull * run->num_nodes);
+    if (!rp.ok() || !ci.ok() || !rk.ok() || !nr.ok() || !od.ok()) {
+      return ResourceExhaustedError("graph arena exhausted");
     }
-    if (!env.initialized()) {
-      Status st = env.Initialize(ctx);
-      if (st.ok() && params.threads > 1) {
-        st = env.SpawnWorkers(ctx,
-                              std::vector<ProgramFn>(params.threads - 1, worker_body));
-      }
-      if (!st.ok()) {
-        state->failed = true;
-        state->failure = st.ToString();
-        return StepOutcome::kExited;
-      }
-      state->init_done = true;
-      return StepOutcome::kYield;
-    }
-    if (!run->have_input) {
-      auto input = env.RecvInput(ctx, 4ull << 20);
-      if (!input.ok()) {
-        if (!IsWouldBlock(input.status())) {
-          state->failed = true;
-          state->failure = input.status().ToString();
-          return StepOutcome::kExited;
-        }
-        if (!run->input_backoff.ShouldRetry(ctx)) {
-          state->failed = true;
-          state->failure = "client input retry budget exhausted";
-          return StepOutcome::kExited;
-        }
-        return StepOutcome::kYield;
-      }
-      run->input_backoff.Reset();
-      if (input->size() < 8) {
-        state->failed = true;
-        state->failure = "short graph input";
-        return StepOutcome::kExited;
-      }
-      run->num_nodes = LoadLe32(input->data());
-      run->num_edges = LoadLe32(input->data() + 4);
+    run->row_ptr = *rp;
+    run->col_idx = *ci;
+    run->rank = *rk;
+    run->next_rank = *nr;
+    run->out_degree = *od;
 
-      // Allocate page-aligned CSR arrays in confined memory.
-      auto alloc_aligned = [&env](uint64_t bytes) -> StatusOr<Vaddr> {
-        EREBOR_ASSIGN_OR_RETURN(const Vaddr va, env.Alloc(bytes + kPageSize));
-        return PageAlignUp(va);
-      };
-      auto rp = alloc_aligned(4ull * (run->num_nodes + 1));
-      auto ci = alloc_aligned(4ull * run->num_edges);
-      auto rk = alloc_aligned(8ull * run->num_nodes);
-      auto nr = alloc_aligned(8ull * run->num_nodes);
-      auto od = alloc_aligned(4ull * run->num_nodes);
-      if (!rp.ok() || !ci.ok() || !rk.ok() || !nr.ok() || !od.ok()) {
-        state->failed = true;
-        state->failure = "graph arena exhausted";
-        return StepOutcome::kExited;
+    // Build the CSR (counting sort over sources).
+    for (uint32_t i = 0; i < run->num_edges; ++i) {
+      const uint32_t src = LoadLe32(input.data() + 8 + 8 * i) % run->num_nodes;
+      uint32_t* deg = u32_at(ctx, run->out_degree, src, true);
+      if (deg == nullptr) {
+        return page_failure();
       }
-      run->row_ptr = *rp;
-      run->col_idx = *ci;
-      run->rank = *rk;
-      run->next_rank = *nr;
-      run->out_degree = *od;
-
-      // Build the CSR (counting sort over sources).
-      for (uint32_t i = 0; i < run->num_edges; ++i) {
-        const uint32_t src = LoadLe32(input->data() + 8 + 8 * i) % run->num_nodes;
-        uint32_t* deg = u32_at(ctx, run->out_degree, src, true);
-        if (deg == nullptr) {
-          return StepOutcome::kExited;
-        }
-        ++*deg;
-      }
-      uint32_t cursor = 0;
-      for (uint32_t n = 0; n < run->num_nodes; ++n) {
-        uint32_t* rp_n = u32_at(ctx, run->row_ptr, n, true);
-        uint32_t* deg = u32_at(ctx, run->out_degree, n, false);
-        uint64_t* rank = u64_at(ctx, run->rank, n, true);
-        if (rp_n == nullptr || deg == nullptr || rank == nullptr) {
-          return StepOutcome::kExited;
-        }
-        *rp_n = cursor;
-        cursor += *deg;
-        *rank = kFixedOne;
-      }
-      uint32_t* rp_end = u32_at(ctx, run->row_ptr, run->num_nodes, true);
-      if (rp_end == nullptr) {
-        return StepOutcome::kExited;
-      }
-      *rp_end = cursor;
-      // Second pass: place destinations.
-      std::vector<uint32_t> fill(run->num_nodes, 0);
-      for (uint32_t i = 0; i < run->num_edges; ++i) {
-        const uint32_t src = LoadLe32(input->data() + 8 + 8 * i) % run->num_nodes;
-        const uint32_t dst = LoadLe32(input->data() + 12 + 8 * i) % run->num_nodes;
-        uint32_t* rp_n = u32_at(ctx, run->row_ptr, src, false);
-        if (rp_n == nullptr) {
-          return StepOutcome::kExited;
-        }
-        uint32_t* slot = u32_at(ctx, run->col_idx, *rp_n + fill[src], true);
-        if (slot == nullptr) {
-          return StepOutcome::kExited;
-        }
-        *slot = dst;
-        ++fill[src];
-      }
-      ctx.Compute(static_cast<Cycles>(run->num_edges) * 22);
-      run->total_chunks = (run->num_nodes + kNodesPerChunk - 1) / kNodesPerChunk;
-      run->csr_built = true;
-      run->have_input = true;
-      return StepOutcome::kYield;
+      ++*deg;
     }
-
-    // ---- PageRank iterations ----
-    if (run->iteration < params.iterations) {
-      // Leader participates in the chunk queue.
-      const int chunk = grab_chunk(env, ctx);
-      if (chunk >= 0) {
-        process_chunk(ctx, static_cast<uint32_t>(chunk));
-        complete_chunk(env, ctx);
-        if (!ctx.Poll()) {
-          return StepOutcome::kExited;
-        }
-        return StepOutcome::kYield;
+    uint32_t cursor = 0;
+    for (uint32_t n = 0; n < run->num_nodes; ++n) {
+      uint32_t* rp_n = u32_at(ctx, run->row_ptr, n, true);
+      uint32_t* deg = u32_at(ctx, run->out_degree, n, false);
+      uint64_t* rank = u64_at(ctx, run->rank, n, true);
+      if (rp_n == nullptr || deg == nullptr || rank == nullptr) {
+        return page_failure();
       }
-      if (run->chunks_done < run->total_chunks) {
-        ctx.Compute(250);
-        return StepOutcome::kYield;
-      }
-      // Iteration barrier: damp + swap rank arrays.
-      for (uint32_t n = 0; n < run->num_nodes; ++n) {
-        uint64_t* nr = u64_at(ctx, run->next_rank, n, true);
-        uint64_t* rk = u64_at(ctx, run->rank, n, true);
-        if (nr == nullptr || rk == nullptr) {
-          return StepOutcome::kExited;
-        }
-        *rk = kFixedOne * 15 / 100 + (*nr * 85) / 100;
-        *nr = 0;
-      }
-      ctx.Compute(static_cast<Cycles>(run->num_nodes) * 6);
-      ++run->iteration;
-      run->next_chunk = 0;
-      run->chunks_done = 0;
-      if (run->iteration % 2 == 0) {
-        (void)ctx.Cpuid(1);
-      }
-      return StepOutcome::kYield;
+      *rp_n = cursor;
+      cursor += *deg;
+      *rank = kFixedOne;
     }
-
-    // ---- Output: top-8 ranked nodes ----
-    if (!state->output_sent) {
-      std::vector<std::pair<uint64_t, uint32_t>> top;
-      for (uint32_t n = 0; n < run->num_nodes; ++n) {
-        uint64_t* rk = u64_at(ctx, run->rank, n, false);
-        if (rk == nullptr) {
-          return StepOutcome::kExited;
-        }
-        top.emplace_back(*rk, n);
-      }
-      std::partial_sort(top.begin(), top.begin() + 8, top.end(),
-                        std::greater<std::pair<uint64_t, uint32_t>>());
-      Bytes out;
-      for (int i = 0; i < 8; ++i) {
-        uint8_t rec[12];
-        StoreLe32(rec, top[i].second);
-        StoreLe64(rec + 4, top[i].first);
-        out.insert(out.end(), rec, rec + sizeof(rec));
-      }
-      ctx.Compute(static_cast<Cycles>(run->num_nodes) * 4);
-      const Status st = env.SendOutput(ctx, out);
-      if (!st.ok()) {
-        state->failed = true;
-        state->failure = st.ToString();
-      }
-      state->output_sent = true;
-      run->done = true;
+    uint32_t* rp_end = u32_at(ctx, run->row_ptr, run->num_nodes, true);
+    if (rp_end == nullptr) {
+      return page_failure();
     }
-    return StepOutcome::kExited;
+    *rp_end = cursor;
+    // Second pass: place destinations.
+    std::vector<uint32_t> fill(run->num_nodes, 0);
+    for (uint32_t i = 0; i < run->num_edges; ++i) {
+      const uint32_t src = LoadLe32(input.data() + 8 + 8 * i) % run->num_nodes;
+      const uint32_t dst = LoadLe32(input.data() + 12 + 8 * i) % run->num_nodes;
+      uint32_t* rp_n = u32_at(ctx, run->row_ptr, src, false);
+      if (rp_n == nullptr) {
+        return page_failure();
+      }
+      uint32_t* slot = u32_at(ctx, run->col_idx, *rp_n + fill[src], true);
+      if (slot == nullptr) {
+        return page_failure();
+      }
+      *slot = dst;
+      ++fill[src];
+    }
+    ctx.Compute(static_cast<Cycles>(run->num_edges) * 22);
+    run->total_chunks = (run->num_nodes + kNodesPerChunk - 1) / kNodesPerChunk;
+    return OkStatus();
   };
+
+  // PageRank iterations; the leader participates in the chunk queue.
+  phases.step = [run, params, u64_at, work_one](
+                    SyscallContext& ctx) -> std::optional<StepOutcome> {
+    if (run->iteration >= params.iterations) {
+      return std::nullopt;
+    }
+    if (work_one(ctx)) {
+      if (!ctx.Poll()) {
+        return StepOutcome::kExited;
+      }
+      return StepOutcome::kYield;
+    }
+    if (run->chunks_done < run->total_chunks) {
+      ctx.Compute(250);
+      return StepOutcome::kYield;
+    }
+    // Iteration barrier: damp + swap rank arrays.
+    for (uint32_t n = 0; n < run->num_nodes; ++n) {
+      uint64_t* nr = u64_at(ctx, run->next_rank, n, true);
+      uint64_t* rk = u64_at(ctx, run->rank, n, true);
+      if (nr == nullptr || rk == nullptr) {
+        return StepOutcome::kExited;
+      }
+      *rk = kFixedOne * 15 / 100 + (*nr * 85) / 100;
+      *nr = 0;
+    }
+    ctx.Compute(static_cast<Cycles>(run->num_nodes) * 6);
+    ++run->iteration;
+    run->next_chunk = 0;
+    run->chunks_done = 0;
+    if (run->iteration % 2 == 0) {
+      (void)ctx.Cpuid(1);
+    }
+    return StepOutcome::kYield;
+  };
+
+  // Top-8 ranked nodes.
+  phases.output = [run, u64_at, page_failure](SyscallContext& ctx) -> StatusOr<Bytes> {
+    std::vector<std::pair<uint64_t, uint32_t>> top;
+    for (uint32_t n = 0; n < run->num_nodes; ++n) {
+      uint64_t* rk = u64_at(ctx, run->rank, n, false);
+      if (rk == nullptr) {
+        return page_failure();
+      }
+      top.emplace_back(*rk, n);
+    }
+    std::partial_sort(top.begin(), top.begin() + 8, top.end(),
+                      std::greater<std::pair<uint64_t, uint32_t>>());
+    Bytes out;
+    for (int i = 0; i < 8; ++i) {
+      uint8_t rec[12];
+      StoreLe32(rec, top[i].second);
+      StoreLe64(rec + 4, top[i].first);
+      out.insert(out.end(), rec, rec + sizeof(rec));
+    }
+    ctx.Compute(static_cast<Cycles>(run->num_nodes) * 4);
+    return out;
+  };
+  return MakeAppProgram(state, std::move(phases));
 }
 
 bool GraphWorkload::CheckOutput(const Bytes& input, const Bytes& output) const {

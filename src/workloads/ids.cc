@@ -12,16 +12,13 @@ namespace {
 constexpr uint64_t kEventSize = 16;
 
 struct IdsRun {
-  bool have_input = false;
   Vaddr log_buf = 0;      // confined copy of the event log
   Vaddr sketch = 0;       // u32[sketch_bins] per window (reused)
   uint32_t num_events = 0;
   uint32_t next_window = 0;   // work queue over windows
   uint32_t windows_done = 0;
-  uint32_t total_windows = 0;
+  uint32_t total_windows = 0;  // 0 until the log is installed
   Bytes flagged;              // window index + score records
-  bool done = false;
-  EagainBackoff input_backoff;  // bounded wait for the event log
 };
 
 constexpr Cycles kCyclesPerEvent = 540;
@@ -123,36 +120,47 @@ ProgramFn IdsWorkload::MakeProgram(std::shared_ptr<AppState> state) {
     }
   };
 
-  auto grab_window = [run](LibosEnv& env, SyscallContext& ctx) -> int {
+  // Takes the next window off the queue and scores it; false if none was left (or
+  // the queue lock was busy).
+  auto work_one = [state, run, process_window](SyscallContext& ctx) {
+    LibosEnv& env = *state->env;
     if (!env.lock(4).TryAcquire(ctx, ctx.task().tid)) {
-      return -2;
+      return false;
     }
     int window = -1;
-    if (run->have_input && run->next_window < run->total_windows) {
+    if (run->next_window < run->total_windows) {
       window = static_cast<int>(run->next_window++);
     }
     env.lock(4).Release();
-    return window;
-  };
-
-  auto complete_window = [run](LibosEnv& env, SyscallContext& ctx) {
+    if (window < 0) {
+      return false;
+    }
+    process_window(ctx, static_cast<uint32_t>(window));
     while (!env.lock(4).TryAcquire(ctx, ctx.task().tid)) {
       ctx.Compute(40);
     }
     ++run->windows_done;
     env.lock(4).Release();
+    return true;
   };
 
-  auto worker_body = [state, run, grab_window, process_window,
-                      complete_window](SyscallContext& ctx) -> StepOutcome {
-    if (run->done || state->failed) {
-      return StepOutcome::kExited;
+  AppPhases phases;
+  phases.max_input = 4ull << 20;
+  phases.setup = [state, run, params](SyscallContext&) -> Status {
+    LibosEnv& env = *state->env;
+    auto log_buf = env.Alloc(params.num_events * kEventSize + kPageSize);
+    auto sketch = env.Alloc(static_cast<uint64_t>(params.threads) *
+                                params.sketch_bins * 4ull +
+                            kPageSize);
+    if (!log_buf.ok() || !sketch.ok()) {
+      return log_buf.ok() ? sketch.status() : log_buf.status();
     }
-    const int window = grab_window(*state->env, ctx);
-    if (window >= 0) {
-      process_window(ctx, static_cast<uint32_t>(window));
-      complete_window(*state->env, ctx);
-    } else {
+    run->log_buf = PageAlignUp(*log_buf);
+    run->sketch = PageAlignUp(*sketch);
+    return OkStatus();
+  };
+  phases.worker = [work_one](SyscallContext& ctx) -> StepOutcome {
+    if (!work_one(ctx)) {
       ctx.Compute(250);
     }
     if (!ctx.Poll()) {
@@ -160,71 +168,15 @@ ProgramFn IdsWorkload::MakeProgram(std::shared_ptr<AppState> state) {
     }
     return StepOutcome::kYield;
   };
-
-  return [state, run, params, grab_window, process_window, complete_window,
-          worker_body](SyscallContext& ctx) -> StepOutcome {
-    LibosEnv& env = *state->env;
-    if (state->failed) {
-      return StepOutcome::kExited;
-    }
-    if (!env.initialized()) {
-      Status st = env.Initialize(ctx);
-      if (st.ok()) {
-        auto log_buf = env.Alloc(params.num_events * kEventSize + kPageSize);
-        auto sketch = env.Alloc(static_cast<uint64_t>(params.threads) *
-                                    params.sketch_bins * 4ull +
-                                kPageSize);
-        if (log_buf.ok() && sketch.ok()) {
-          run->log_buf = PageAlignUp(*log_buf);
-          run->sketch = PageAlignUp(*sketch);
-        } else {
-          st = log_buf.ok() ? sketch.status() : log_buf.status();
-        }
-      }
-      if (st.ok() && params.threads > 1) {
-        st = env.SpawnWorkers(ctx,
-                              std::vector<ProgramFn>(params.threads - 1, worker_body));
-      }
-      if (!st.ok()) {
-        state->failed = true;
-        state->failure = st.ToString();
-        return StepOutcome::kExited;
-      }
-      state->init_done = true;
-      return StepOutcome::kYield;
-    }
-    if (!run->have_input) {
-      auto input = env.RecvInput(ctx, 4ull << 20);
-      if (!input.ok()) {
-        if (!IsWouldBlock(input.status())) {
-          state->failed = true;
-          state->failure = input.status().ToString();
-          return StepOutcome::kExited;
-        }
-        if (!run->input_backoff.ShouldRetry(ctx)) {
-          state->failed = true;
-          state->failure = "client input retry budget exhausted";
-          return StepOutcome::kExited;
-        }
-        return StepOutcome::kYield;
-      }
-      run->input_backoff.Reset();
-      const Status st = ctx.WriteUser(run->log_buf, input->data(), input->size());
-      if (!st.ok()) {
-        state->failed = true;
-        state->failure = st.ToString();
-        return StepOutcome::kExited;
-      }
-      run->num_events = static_cast<uint32_t>(input->size() / kEventSize);
-      run->total_windows =
-          (run->num_events + params.window_events - 1) / params.window_events;
-      run->have_input = true;
-      return StepOutcome::kYield;
-    }
-    const int window = grab_window(env, ctx);
-    if (window >= 0) {
-      process_window(ctx, static_cast<uint32_t>(window));
-      complete_window(env, ctx);
+  phases.install = [run, params](SyscallContext& ctx, const Bytes& input) -> Status {
+    EREBOR_RETURN_IF_ERROR(ctx.WriteUser(run->log_buf, input.data(), input.size()));
+    run->num_events = static_cast<uint32_t>(input.size() / kEventSize);
+    run->total_windows =
+        (run->num_events + params.window_events - 1) / params.window_events;
+    return OkStatus();
+  };
+  phases.step = [run, work_one](SyscallContext& ctx) -> std::optional<StepOutcome> {
+    if (work_one(ctx)) {
       if (!ctx.Poll()) {
         return StepOutcome::kExited;
       }
@@ -234,17 +186,10 @@ ProgramFn IdsWorkload::MakeProgram(std::shared_ptr<AppState> state) {
       ctx.Compute(250);
       return StepOutcome::kYield;
     }
-    if (!state->output_sent) {
-      const Status st = env.SendOutput(ctx, run->flagged);
-      if (!st.ok()) {
-        state->failed = true;
-        state->failure = st.ToString();
-      }
-      state->output_sent = true;
-      run->done = true;
-    }
-    return StepOutcome::kExited;
+    return std::nullopt;
   };
+  phases.output = [run](SyscallContext&) -> StatusOr<Bytes> { return run->flagged; };
+  return MakeAppProgram(state, std::move(phases));
 }
 
 bool IdsWorkload::CheckOutput(const Bytes& input, const Bytes& output) const {

@@ -10,17 +10,13 @@ namespace {
 
 // Per-run shared state (leader + workers).
 struct LlmRun {
-  bool have_input = false;
-  Bytes prompt;
   Bytes generated;
   uint32_t token_index = 0;
   uint32_t layer_cursor = 0;     // work queue: next layer chunk to process
   uint32_t layers_done = 0;
   bool token_in_flight = false;
-  bool done = false;
   Vaddr kv_cache = 0;            // confined K-V cache
   uint64_t state_hash = 0x9E3779B97F4A7C15ULL;
-  EagainBackoff input_backoff;   // bounded wait for the client prompt
 };
 
 constexpr Cycles kCyclesPerLayerChunk = 110'000;  // calibrated: full matmul cost
@@ -100,11 +96,14 @@ ProgramFn LlmWorkload::MakeProgram(std::shared_ptr<AppState> state) {
     ctx.Compute(kCyclesPerLayerChunk);
   };
 
+  AppPhases phases;
+  phases.max_input = 64 * 1024;
+  phases.setup = [state, run](SyscallContext&) -> Status {
+    EREBOR_ASSIGN_OR_RETURN(run->kv_cache, state->env->Alloc(4ull << 20));
+    return OkStatus();
+  };
   // Worker thread body: pull layer chunks off the shared queue under the spinlock.
-  auto worker_body = [state, run, params, process_layer](SyscallContext& ctx) -> StepOutcome {
-    if (run->done || state->failed) {
-      return StepOutcome::kExited;
-    }
+  phases.worker = [state, run, params, process_layer](SyscallContext& ctx) -> StepOutcome {
     LibosEnv& env = *state->env;
     if (!run->token_in_flight) {
       ctx.Compute(300);
@@ -136,116 +135,61 @@ ProgramFn LlmWorkload::MakeProgram(std::shared_ptr<AppState> state) {
     return StepOutcome::kYield;
   };
 
-  return [state, run, params, process_layer, worker_body](SyscallContext& ctx) -> StepOutcome {
+  phases.install = [run](SyscallContext&, const Bytes& prompt) -> Status {
+    for (const uint8_t byte : prompt) {
+      run->state_hash = run->state_hash * 0x100000001B3ULL + byte;
+    }
+    return OkStatus();
+  };
+  // Token generation loop (the leader works the queue alongside workers).
+  phases.step = [state, run, params,
+                 process_layer](SyscallContext& ctx) -> std::optional<StepOutcome> {
+    if (run->token_index >= params.generate_tokens) {
+      return std::nullopt;
+    }
     LibosEnv& env = *state->env;
-    if (state->failed) {
-      return StepOutcome::kExited;
+    if (!run->token_in_flight) {
+      run->layer_cursor = 0;
+      run->layers_done = 0;
+      run->token_in_flight = true;
     }
-
-    // ---- Initialization ----
-    if (!env.initialized()) {
-      Status st = env.Initialize(ctx);
-      if (st.ok()) {
-        auto kv = env.Alloc(4ull << 20);
-        if (kv.ok()) {
-          run->kv_cache = *kv;
-        } else {
-          st = kv.status();
+    while (true) {
+      int layer = -1;
+      if (env.lock(0).TryAcquire(ctx, ctx.task().tid)) {
+        if (run->layer_cursor < params.layers) {
+          layer = static_cast<int>(run->layer_cursor++);
         }
-      }
-      if (st.ok() && params.threads > 1) {
-        std::vector<ProgramFn> workers(params.threads - 1, worker_body);
-        st = env.SpawnWorkers(ctx, workers);
-      }
-      if (!st.ok()) {
-        state->failed = true;
-        state->failure = st.ToString();
-        return StepOutcome::kExited;
-      }
-      state->init_done = true;
-      return StepOutcome::kYield;
-    }
-
-    // ---- Await client prompt ----
-    if (!run->have_input) {
-      auto input = env.RecvInput(ctx, 64 * 1024);
-      if (!input.ok()) {
-        if (!IsWouldBlock(input.status())) {
-          state->failed = true;
-          state->failure = input.status().ToString();
-          return StepOutcome::kExited;
-        }
-        if (!run->input_backoff.ShouldRetry(ctx)) {
-          state->failed = true;
-          state->failure = "client input retry budget exhausted";
-          return StepOutcome::kExited;
-        }
-        return StepOutcome::kYield;
-      }
-      run->input_backoff.Reset();
-      run->prompt = std::move(*input);
-      for (const uint8_t byte : run->prompt) {
-        run->state_hash = run->state_hash * 0x100000001B3ULL + byte;
-      }
-      run->have_input = true;
-      return StepOutcome::kYield;
-    }
-
-    // ---- Token generation loop (the leader works the queue alongside workers) ----
-    if (run->token_index < params.generate_tokens) {
-      if (!run->token_in_flight) {
-        run->layer_cursor = 0;
-        run->layers_done = 0;
-        run->token_in_flight = true;
-      }
-      while (true) {
-        int layer = -1;
-        if (env.lock(0).TryAcquire(ctx, ctx.task().tid)) {
-          if (run->layer_cursor < params.layers) {
-            layer = static_cast<int>(run->layer_cursor++);
-          }
-          env.lock(0).Release();
-        }
-        if (layer < 0) {
-          break;
-        }
-        process_layer(ctx, static_cast<uint32_t>(layer));
-        if (state->failed) {
-          return StepOutcome::kExited;
-        }
-        while (!env.lock(0).TryAcquire(ctx, ctx.task().tid)) {
-          ctx.Compute(40);
-        }
-        ++run->layers_done;
         env.lock(0).Release();
       }
-      if (run->layers_done == params.layers) {
-        // Token complete: greedy "sampling" from the accumulated activations.
-        run->generated.push_back(static_cast<uint8_t>('a' + run->state_hash % 26));
-        ++run->token_index;
-        run->token_in_flight = false;
-        if (run->token_index % kCpuidEveryTokens == 0) {
-          (void)ctx.Cpuid(1);  // library feature probe -> #VE path
-        }
+      if (layer < 0) {
+        break;
       }
-      if (!ctx.Poll()) {
+      process_layer(ctx, static_cast<uint32_t>(layer));
+      if (state->failed) {
         return StepOutcome::kExited;
       }
-      return StepOutcome::kYield;
-    }
-
-    // ---- Emit the generated text to the client ----
-    if (!state->output_sent) {
-      const Status st = env.SendOutput(ctx, run->generated);
-      if (!st.ok()) {
-        state->failed = true;
-        state->failure = st.ToString();
+      while (!env.lock(0).TryAcquire(ctx, ctx.task().tid)) {
+        ctx.Compute(40);
       }
-      state->output_sent = true;
-      run->done = true;
+      ++run->layers_done;
+      env.lock(0).Release();
     }
-    return StepOutcome::kExited;
+    if (run->layers_done == params.layers) {
+      // Token complete: greedy "sampling" from the accumulated activations.
+      run->generated.push_back(static_cast<uint8_t>('a' + run->state_hash % 26));
+      ++run->token_index;
+      run->token_in_flight = false;
+      if (run->token_index % kCpuidEveryTokens == 0) {
+        (void)ctx.Cpuid(1);  // library feature probe -> #VE path
+      }
+    }
+    if (!ctx.Poll()) {
+      return StepOutcome::kExited;
+    }
+    return StepOutcome::kYield;
   };
+  phases.output = [run](SyscallContext&) -> StatusOr<Bytes> { return run->generated; };
+  return MakeAppProgram(state, std::move(phases));
 }
 
 bool LlmWorkload::CheckOutput(const Bytes& input, const Bytes& output) const {

@@ -6,14 +6,10 @@ namespace erebor {
 
 namespace {
 struct RetrievalRun {
-  bool have_input = false;
   std::vector<uint64_t> queries;
   uint64_t next_query = 0;   // work cursor
-  uint64_t queries_done = 0;
   uint64_t hits = 0;
   uint64_t checksum = 0;
-  bool done = false;
-  EagainBackoff input_backoff;  // bounded wait for the query batch
 };
 
 constexpr Cycles kCyclesPerQuery = 2'300;      // hash + probe + copy cost
@@ -88,88 +84,52 @@ ProgramFn RetrievalWorkload::MakeProgram(std::shared_ptr<AppState> state) {
     }
     state->env->ChargeRuntime(ctx, count);  // LibOS tax per query
     ctx.Compute(kCyclesPerQuery * count);
-    ++run->queries_done;  // chunk counter misuse-proofed below by cursor comparison
     if (count > 0 && (first / kQueriesPerSlice) % 12 == 0) {
       (void)ctx.Cpuid(1);  // periodic library feature probe -> #VE path
     }
   };
 
-  auto grab_chunk = [run](LibosEnv& env, SyscallContext& ctx) -> std::pair<uint64_t, uint64_t> {
+  // Takes the next chunk of queries and executes it; false if none was left (or the
+  // queue lock was busy).
+  auto work_one = [state, run, process_chunk](SyscallContext& ctx) {
+    LibosEnv& env = *state->env;
     if (!env.lock(2).TryAcquire(ctx, ctx.task().tid)) {
-      return {0, 0};
+      return false;
     }
     const uint64_t first = run->next_query;
     const uint64_t count =
         std::min<uint64_t>(kQueriesPerSlice, run->queries.size() - first);
     run->next_query += count;
     env.lock(2).Release();
-    return {first, count};
+    if (count == 0) {
+      return false;
+    }
+    process_chunk(ctx, first, count);
+    return true;
   };
 
-  auto worker_body = [state, run, grab_chunk, process_chunk](SyscallContext& ctx) -> StepOutcome {
-    if (run->done || state->failed) {
-      return StepOutcome::kExited;
-    }
-    if (!run->have_input) {
+  AppPhases phases;
+  phases.max_input = 5ull << 19;
+  phases.worker = [state, work_one](SyscallContext& ctx) -> StepOutcome {
+    if (!state->input_ready) {
       ctx.Compute(300);
       return StepOutcome::kYield;
     }
-    const auto [first, count] = grab_chunk(*state->env, ctx);
-    if (count > 0) {
-      process_chunk(ctx, first, count);
-    }
+    work_one(ctx);
     if (!ctx.Poll()) {
       return StepOutcome::kExited;
     }
     return StepOutcome::kYield;
   };
-
-  return [state, run, params, grab_chunk, process_chunk,
-          worker_body](SyscallContext& ctx) -> StepOutcome {
-    LibosEnv& env = *state->env;
-    if (state->failed) {
-      return StepOutcome::kExited;
+  phases.install = [run](SyscallContext&, const Bytes& input) {
+    run->queries.resize(input.size() / 8);
+    for (size_t i = 0; i < run->queries.size(); ++i) {
+      run->queries[i] = LoadLe64(input.data() + 8 * i);
     }
-    if (!env.initialized()) {
-      Status st = env.Initialize(ctx);
-      if (st.ok() && params.threads > 1) {
-        st = env.SpawnWorkers(ctx,
-                              std::vector<ProgramFn>(params.threads - 1, worker_body));
-      }
-      if (!st.ok()) {
-        state->failed = true;
-        state->failure = st.ToString();
-        return StepOutcome::kExited;
-      }
-      state->init_done = true;
-      return StepOutcome::kYield;
-    }
-    if (!run->have_input) {
-      auto input = env.RecvInput(ctx, 5ull << 19);
-      if (!input.ok()) {
-        if (!IsWouldBlock(input.status())) {
-          state->failed = true;
-          state->failure = input.status().ToString();
-          return StepOutcome::kExited;
-        }
-        if (!run->input_backoff.ShouldRetry(ctx)) {
-          state->failed = true;
-          state->failure = "client input retry budget exhausted";
-          return StepOutcome::kExited;
-        }
-        return StepOutcome::kYield;
-      }
-      run->input_backoff.Reset();
-      run->queries.resize(input->size() / 8);
-      for (size_t i = 0; i < run->queries.size(); ++i) {
-        run->queries[i] = LoadLe64(input->data() + 8 * i);
-      }
-      run->have_input = true;
-      return StepOutcome::kYield;
-    }
-    const auto [first, count] = grab_chunk(env, ctx);
-    if (count > 0) {
-      process_chunk(ctx, first, count);
+    return OkStatus();
+  };
+  phases.step = [run, work_one](SyscallContext& ctx) -> std::optional<StepOutcome> {
+    if (work_one(ctx)) {
       if (!ctx.Poll()) {
         return StepOutcome::kExited;
       }
@@ -179,21 +139,16 @@ ProgramFn RetrievalWorkload::MakeProgram(std::shared_ptr<AppState> state) {
       ctx.Compute(200);
       return StepOutcome::kYield;
     }
-    if (!state->output_sent) {
-      Bytes out(24);
-      StoreLe64(out.data(), run->hits);
-      StoreLe64(out.data() + 8, run->checksum);
-      StoreLe64(out.data() + 16, run->queries.size());
-      const Status st = env.SendOutput(ctx, out);
-      if (!st.ok()) {
-        state->failed = true;
-        state->failure = st.ToString();
-      }
-      state->output_sent = true;
-      run->done = true;
-    }
-    return StepOutcome::kExited;
+    return std::nullopt;
   };
+  phases.output = [run](SyscallContext&) -> StatusOr<Bytes> {
+    Bytes out(24);
+    StoreLe64(out.data(), run->hits);
+    StoreLe64(out.data() + 8, run->checksum);
+    StoreLe64(out.data() + 16, run->queries.size());
+    return out;
+  };
+  return MakeAppProgram(state, std::move(phases));
 }
 
 bool RetrievalWorkload::CheckOutput(const Bytes& input, const Bytes& output) const {

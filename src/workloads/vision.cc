@@ -8,14 +8,10 @@ namespace erebor {
 
 namespace {
 struct VisionRun {
-  bool have_input = false;
-  Bytes images;            // raw input batch
   Vaddr image_buf = 0;     // confined copy of the batch
   uint32_t next_image = 0; // work queue cursor
   uint32_t images_done = 0;
   Bytes results;
-  bool done = false;
-  EagainBackoff input_backoff;  // bounded wait for the image batch
 };
 
 constexpr Cycles kCyclesPerImage = 1'600'000;  // full conv pyramid cost
@@ -85,13 +81,10 @@ ProgramFn VisionWorkload::MakeProgram(std::shared_ptr<AppState> state) {
         for (uint32_t x = 1; x + 1 < dim; ++x) {
           int32_t acc = 0;
           for (int dy = -1; dy <= 1; ++dy) {
-            const Vaddr row_va = src_va + (y + dy) * dim;
-            uint8_t* row = MustPage(ctx, *state, row_va, false);
+            uint8_t* row = MustPage(ctx, *state, src_va + (y + dy) * dim, false);
             if (row == nullptr) {
               return;
             }
-            const uint64_t row_off = row_va & kPageMask;
-            (void)row_off;
             for (int dx = -1; dx <= 1; ++dx) {
               acc += kernel[(dy + 1) * 3 + (dx + 1)] *
                      static_cast<int32_t>(row[x + dx]);
@@ -117,15 +110,10 @@ ProgramFn VisionWorkload::MakeProgram(std::shared_ptr<AppState> state) {
     }
   };
 
-  auto worker_body = [state, run, params, process_image](SyscallContext& ctx) -> StepOutcome {
-    if (run->done || state->failed) {
-      return StepOutcome::kExited;
-    }
+  // Takes the next image off the queue and processes it; false if none was left (or
+  // the queue lock was busy).
+  auto work_one = [state, run, params, process_image](SyscallContext& ctx) {
     LibosEnv& env = *state->env;
-    if (!run->have_input) {
-      ctx.Compute(300);
-      return StepOutcome::kYield;
-    }
     int img = -1;
     if (env.lock(1).TryAcquire(ctx, ctx.task().tid)) {
       if (run->next_image < params.num_images) {
@@ -133,91 +121,46 @@ ProgramFn VisionWorkload::MakeProgram(std::shared_ptr<AppState> state) {
       }
       env.lock(1).Release();
     }
-    if (img >= 0) {
-      process_image(ctx, static_cast<uint32_t>(img));
-      while (!env.lock(1).TryAcquire(ctx, ctx.task().tid)) {
-        ctx.Compute(40);
-      }
-      ++run->images_done;
-      env.lock(1).Release();
+    if (img < 0) {
+      return false;
     }
+    process_image(ctx, static_cast<uint32_t>(img));
+    while (!env.lock(1).TryAcquire(ctx, ctx.task().tid)) {
+      ctx.Compute(40);
+    }
+    ++run->images_done;
+    env.lock(1).Release();
+    return true;
+  };
+
+  AppPhases phases;
+  phases.max_input = 1ull << 20;
+  phases.setup = [state, run, params](SyscallContext&) -> Status {
+    const uint64_t batch_bytes =
+        static_cast<uint64_t>(params.num_images) * params.image_dim * params.image_dim;
+    // Page-aligned so per-row accesses never straddle a frame boundary.
+    EREBOR_ASSIGN_OR_RETURN(const Vaddr buf, state->env->Alloc(batch_bytes + kPageSize));
+    run->image_buf = PageAlignUp(buf);
+    return OkStatus();
+  };
+  phases.worker = [state, work_one](SyscallContext& ctx) -> StepOutcome {
+    if (!state->input_ready) {
+      ctx.Compute(300);
+      return StepOutcome::kYield;
+    }
+    work_one(ctx);
     if (!ctx.Poll()) {
       return StepOutcome::kExited;
     }
     return StepOutcome::kYield;
   };
-
-  return [state, run, params, process_image, worker_body](SyscallContext& ctx) -> StepOutcome {
-    LibosEnv& env = *state->env;
-    if (state->failed) {
-      return StepOutcome::kExited;
-    }
-    if (!env.initialized()) {
-      Status st = env.Initialize(ctx);
-      const uint64_t batch_bytes =
-          static_cast<uint64_t>(params.num_images) * params.image_dim * params.image_dim;
-      if (st.ok()) {
-        // Page-aligned so per-row accesses never straddle a frame boundary.
-        auto buf = env.Alloc(batch_bytes + kPageSize);
-        if (buf.ok()) {
-          run->image_buf = PageAlignUp(*buf);
-        } else {
-          st = buf.status();
-        }
-      }
-      if (st.ok() && params.threads > 1) {
-        st = env.SpawnWorkers(ctx,
-                              std::vector<ProgramFn>(params.threads - 1, worker_body));
-      }
-      if (!st.ok()) {
-        state->failed = true;
-        state->failure = st.ToString();
-        return StepOutcome::kExited;
-      }
-      state->init_done = true;
-      return StepOutcome::kYield;
-    }
-    if (!run->have_input) {
-      auto input = env.RecvInput(ctx, 1ull << 20);
-      if (!input.ok()) {
-        if (!IsWouldBlock(input.status())) {
-          state->failed = true;
-          state->failure = input.status().ToString();
-          return StepOutcome::kExited;
-        }
-        if (!run->input_backoff.ShouldRetry(ctx)) {
-          state->failed = true;
-          state->failure = "client input retry budget exhausted";
-          return StepOutcome::kExited;
-        }
-        return StepOutcome::kYield;
-      }
-      run->input_backoff.Reset();
-      // Stage the batch into confined memory (the client data install point).
-      const Status st = ctx.WriteUser(run->image_buf, input->data(), input->size());
-      if (!st.ok()) {
-        state->failed = true;
-        state->failure = st.ToString();
-        return StepOutcome::kExited;
-      }
-      run->have_input = true;
-      return StepOutcome::kYield;
-    }
-    // Leader also processes images.
-    int img = -1;
-    if (env.lock(1).TryAcquire(ctx, ctx.task().tid)) {
-      if (run->next_image < params.num_images) {
-        img = static_cast<int>(run->next_image++);
-      }
-      env.lock(1).Release();
-    }
-    if (img >= 0) {
-      process_image(ctx, static_cast<uint32_t>(img));
-      while (!env.lock(1).TryAcquire(ctx, ctx.task().tid)) {
-        ctx.Compute(40);
-      }
-      ++run->images_done;
-      env.lock(1).Release();
+  // Stage the batch into confined memory (the client data install point).
+  phases.install = [run](SyscallContext& ctx, const Bytes& input) {
+    return ctx.WriteUser(run->image_buf, input.data(), input.size());
+  };
+  // The leader also processes images.
+  phases.step = [run, params, work_one](SyscallContext& ctx) -> std::optional<StepOutcome> {
+    if (work_one(ctx)) {
       if (!ctx.Poll()) {
         return StepOutcome::kExited;
       }
@@ -227,17 +170,10 @@ ProgramFn VisionWorkload::MakeProgram(std::shared_ptr<AppState> state) {
       ctx.Compute(200);  // wait for stragglers
       return StepOutcome::kYield;
     }
-    if (!state->output_sent) {
-      const Status st = env.SendOutput(ctx, run->results);
-      if (!st.ok()) {
-        state->failed = true;
-        state->failure = st.ToString();
-      }
-      state->output_sent = true;
-      run->done = true;
-    }
-    return StepOutcome::kExited;
+    return std::nullopt;
   };
+  phases.output = [run](SyscallContext&) -> StatusOr<Bytes> { return run->results; };
+  return MakeAppProgram(state, std::move(phases));
 }
 
 bool VisionWorkload::CheckOutput(const Bytes& input, const Bytes& output) const {

@@ -7,7 +7,9 @@
 #ifndef EREBOR_SRC_WORKLOADS_WORKLOAD_H_
 #define EREBOR_SRC_WORKLOADS_WORKLOAD_H_
 
+#include <functional>
 #include <memory>
+#include <optional>
 
 #include "src/libos/libos.h"
 
@@ -16,8 +18,9 @@ namespace erebor {
 // Shared run-state between the harness and the application program.
 struct AppState {
   std::shared_ptr<LibosEnv> env;
-  bool init_done = false;     // set by the app when ready for client data
-  bool output_sent = false;   // set by the app after SendOutput
+  bool init_done = false;     // set by the driver when ready for client data
+  bool input_ready = false;   // set by the driver once the app installed the input
+  bool output_sent = false;   // set by the driver after SendOutput
   bool failed = false;
   std::string failure;
   Vaddr common_base = 0;      // where the common region is mapped (0 = none)
@@ -47,14 +50,43 @@ class Workload {
   // Table 6's EMC/s once the MMU interface is virtualized.
   virtual uint64_t background_vm_rate() const { return 40'000; }
 
-  // Builds the leader program. It must: initialize the LibOS env, optionally populate
-  // the common region (pre-seal), set state->init_done, then await input via
-  // env->RecvInput, process, SendOutput, set state->output_sent, and exit.
+  // Builds the leader program, normally MakeAppProgram over the app's phases.
   virtual ProgramFn MakeProgram(std::shared_ptr<AppState> state) = 0;
 
   // Expected sanity property of the output given the input (used by tests).
   virtual bool CheckOutput(const Bytes& input, const Bytes& output) const { return true; }
 };
+
+// The app's half of the one-shot lifecycle that MakeAppProgram drives.
+struct AppPhases {
+  // Largest client input the app accepts (RecvInput stages up to this many bytes).
+  uint64_t max_input = 0;
+  // Optional allocations after LibOS init, before the workers are spawned.
+  std::function<Status(SyscallContext&)> setup;
+  // One slice of each of the manifest's num_threads - 1 workers. The driver exits a
+  // worker instead once state->output_sent || state->failed.
+  ProgramFn worker;
+  // Takes the client input into the app's state.
+  std::function<Status(SyscallContext&, const Bytes&)> install;
+  // One compute slice: kYield/kExited, or std::nullopt once the result is ready, in
+  // which case the output is released in the same slice.
+  std::function<std::optional<StepOutcome>(SyscallContext&)> step;
+  // The result to release to the client.
+  std::function<StatusOr<Bytes>(SyscallContext&)> output;
+};
+
+// The leader program of every paper workload, in the LibOS's fixed order (§6.2).
+// Each call runs one slice of one phase; the last compute slice also releases the
+// output:
+//   1. Init: env Initialize, phases.setup, spawn the workers (all before the sandbox
+//      is sealed, since a sealed sandbox cannot make these syscalls), init_done.
+//   2. Input: RecvInput(max_input), polled under one EagainBackoff budget, then
+//      phases.install and input_ready.
+//   3. Compute: phases.step until it reports the result ready.
+//   4. Output: phases.output, SendOutput, output_sent, exit.
+// A failure in any phase is recorded in state once (a failure already recorded,
+// such as MustPage's, is kept) and exits the leader; the workers then exit too.
+ProgramFn MakeAppProgram(std::shared_ptr<AppState> state, AppPhases phases);
 
 // Helpers shared by workload implementations.
 

@@ -29,8 +29,11 @@
 #include "src/sim/world.h"
 #include "src/tdx/ghci.h"
 #include "src/workloads/fileserver.h"
+#include "src/workloads/graph.h"
 #include "src/workloads/ids.h"
+#include "src/workloads/llm.h"
 #include "src/workloads/lmbench.h"
+#include "src/workloads/retrieval.h"
 #include "src/workloads/runner.h"
 #include "src/workloads/vision.h"
 
@@ -324,6 +327,40 @@ TEST(EmcNeutralityTest, GoldenWorkloadNumbersAreBitIdentical) {
     EXPECT_EQ(report.init_cycles, 12521278u);
     EXPECT_EQ(report.run_cycles, 23914319u);
     EXPECT_EQ(report.emc_total, 501u);
+  }
+  {
+    LlmParams params;
+    params.generate_tokens = 24;
+    params.model_bytes = 4ull << 20;
+    LlmWorkload workload(params);
+    const RunReport report = RunWorkload(workload, SimMode::kEreborFull, options);
+    ASSERT_TRUE(report.ok) << report.error;
+    EXPECT_EQ(report.init_cycles, 7273939u);
+    EXPECT_EQ(report.run_cycles, 9330483u);
+    EXPECT_EQ(report.emc_total, 297u);
+  }
+  {
+    RetrievalParams params;
+    params.num_queries = 12'000;
+    params.num_records = 8192;
+    RetrievalWorkload workload(params);
+    const RunReport report = RunWorkload(workload, SimMode::kEreborFull, options);
+    ASSERT_TRUE(report.ok) << report.error;
+    EXPECT_EQ(report.init_cycles, 5524826u);
+    EXPECT_EQ(report.run_cycles, 31173292u);
+    EXPECT_EQ(report.emc_total, 1280u);
+  }
+  {
+    GraphParams params;
+    params.num_nodes = 4000;
+    params.num_edges = 24'000;
+    params.iterations = 4;
+    GraphWorkload workload(params);
+    const RunReport report = RunWorkload(workload, SimMode::kEreborFull, options);
+    ASSERT_TRUE(report.ok) << report.error;
+    EXPECT_EQ(report.init_cycles, 9022957u);
+    EXPECT_EQ(report.run_cycles, 4430864u);
+    EXPECT_EQ(report.emc_total, 116u);
   }
 }
 

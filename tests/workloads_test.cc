@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/trace.h"
+#include "src/sim/world.h"
 #include "src/workloads/fileserver.h"
 #include "src/workloads/graph.h"
 #include "src/workloads/ids.h"
@@ -101,6 +102,83 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+// Launches `workload`'s leader in a sandbox the way the runner does, with `manifest`
+// in place of the workload's own, and never sends it any client data.
+std::shared_ptr<AppState> LaunchWithoutClient(World& world, Workload& workload,
+                                              const LibosManifest& manifest) {
+  auto state = std::make_shared<AppState>();
+  state->env = std::make_shared<LibosEnv>(manifest, world.libos_backend(),
+                                          world.libos_overheads());
+  SandboxSpec spec;
+  spec.name = workload.name();
+  spec.confined_budget_bytes = manifest.heap_bytes + (4ull << 20);
+  spec.max_threads = manifest.num_threads;
+  spec.output_pad_bytes = manifest.output_pad_bytes;
+  EXPECT_TRUE(
+      world.LaunchSandboxProcess(workload.name(), spec, workload.MakeProgram(state)).ok());
+  return state;
+}
+
+class AppLifecycleTest : public testing::TestWithParam<std::string> {};
+
+// A client that attests nothing and sends nothing: after init, the leader polls for
+// input under one bounded budget, then fails the run, and every app thread exits.
+TEST_P(AppLifecycleTest, InputThatNeverArrivesFailsTheRunAndExitsEveryThread) {
+  auto workload = SmallWorkload(GetParam());
+  ASSERT_NE(workload, nullptr);
+  WorldConfig config;
+  config.machine.memory_frames = 32 * 1024;
+  World world(config);
+  ASSERT_TRUE(world.Boot().ok());
+  const int live_before = world.kernel().live_tasks();
+  auto state = LaunchWithoutClient(world, *workload, workload->Manifest());
+
+  ASSERT_TRUE(world.RunUntil([&] { return state->failed; }).ok());
+  EXPECT_TRUE(state->init_done);
+  EXPECT_EQ(state->failure, "client input retry budget exhausted");
+  EXPECT_FALSE(state->input_ready);
+  EXPECT_FALSE(state->output_sent);
+  EXPECT_TRUE(
+      world.RunUntil([&] { return world.kernel().live_tasks() == live_before; }, 1000)
+          .ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(PaperWorkloads, AppLifecycleTest,
+                         testing::Values("llama.cpp", "yolo", "drugbank", "graphchi",
+                                         "unicorn"),
+                         [](const testing::TestParamInfo<std::string>& info) {
+                           std::string name = info.param;
+                           for (char& c : name) {
+                             if (!isalnum(static_cast<unsigned char>(c))) {
+                               c = '_';
+                             }
+                           }
+                           return name;
+                         });
+
+// A setup hook that fails (the K-V cache does not fit the heap) fails the run before
+// init_done, so the runner never sends client data to a half-built app.
+TEST(AppLifecycleSetupTest, SetupFailureIsRecordedAndInitNeverCompletes) {
+  auto workload = SmallWorkload("llama.cpp");
+  ASSERT_NE(workload, nullptr);
+  LibosManifest manifest = workload->Manifest();
+  manifest.heap_bytes = 1ull << 20;  // the K-V cache alone needs 4 MiB
+  WorldConfig config;
+  config.machine.memory_frames = 32 * 1024;
+  World world(config);
+  ASSERT_TRUE(world.Boot().ok());
+  const int live_before = world.kernel().live_tasks();
+  auto state = LaunchWithoutClient(world, *workload, manifest);
+
+  ASSERT_TRUE(world.RunUntil([&] { return state->failed; }).ok());
+  EXPECT_FALSE(state->init_done);
+  EXPECT_NE(state->failure.find("LibOS heap exhausted"), std::string::npos)
+      << state->failure;
+  EXPECT_TRUE(
+      world.RunUntil([&] { return world.kernel().live_tasks() == live_before; }, 1000)
+          .ok());
+}
 
 TEST(WorkloadEquivalenceTest, RetrievalResultsIdenticalAcrossModes) {
   // The data-processing *result* must not depend on the protection mode.
