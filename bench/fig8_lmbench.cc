@@ -7,12 +7,11 @@
 // gate count equals the monitor's emc_total counter for every Erebor run, and writes
 // the Chrome trace_event JSON (EREBOR_TRACE_JSON, default fig8_trace.json).
 //
-// The software TLB is exercised the same way: every benchmark runs twice, first with
-// the TLB forced off and then forced on, and the bench *asserts in-process* that the
-// simulated operation and cycle counts are bit-identical (the TLB is a host-time
-// optimization, not a cost-model change) while the page-table walker's Read64 count
-// must drop by at least 5x. With EREBOR_BENCH_JSON set, the per-bench numbers land
-// in BENCH_fig8.json.
+// The software TLB stays on; the bench reports its counters and the walker's Read64
+// count. That the TLB changes no simulated count, and cuts the walker's reads at
+// least 5x, is TlbCycleNeutralityTest's check (tests/tlb_test.cc), on every
+// benchmark here at reduced iterations. With EREBOR_BENCH_JSON set, the per-bench
+// numbers land in BENCH_fig8.json.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -30,8 +29,8 @@ namespace {
 struct Sample {
   LmbenchResult native;
   LmbenchResult erebor;
-  uint64_t walk_reads = 0;  // walker Read64s across both runs
-  double wall_ns = 0;       // host wall-clock for both runs
+  uint64_t walk_reads = 0;  // walker Read64s across the native and Erebor runs
+  double wall_ns = 0;       // host wall-clock for the native and Erebor runs
 };
 
 StatusOr<Sample> RunOnce(const std::string& name, uint64_t iterations) {
@@ -54,11 +53,6 @@ StatusOr<Sample> RunOnce(const std::string& name, uint64_t iterations) {
   return sample;
 }
 
-bool CycleIdentical(const LmbenchResult& a, const LmbenchResult& b) {
-  return a.operations == b.operations && a.total_cycles == b.total_cycles &&
-         a.emc_count == b.emc_count;
-}
-
 }  // namespace
 
 int main() {
@@ -75,47 +69,26 @@ int main() {
   double worst = 0;
   std::string worst_name;
   bool all_match = true;
-  bool cycle_neutral = true;
   uint64_t trace_emc = 0;
   uint64_t monitor_emc = 0;
-  uint64_t reads_off = 0;
   uint64_t reads_on = 0;
-  double wall_off_ns = 0;
   double wall_on_ns = 0;
   Tlb::ResetGlobalStats();
   Json benches = Json::Array();
   for (const std::string& name : LmbenchNames()) {
     tracer.MarkPhase(name);
     const uint64_t iterations = (name == "fork" || name == "mmap") ? 600 : 2000;
-    Tlb::SetEnabled(false);
-    const auto off = RunOnce(name, iterations);
-    Tlb::SetEnabled(true);
     const auto on = RunOnce(name, iterations);
-    if (!off.ok() || !on.ok()) {
-      std::printf("%-10s FAILED: %s\n", name.c_str(),
-                  (!off.ok() ? off.status() : on.status()).ToString().c_str());
+    if (!on.ok()) {
+      std::printf("%-10s FAILED: %s\n", name.c_str(), on.status().ToString().c_str());
       continue;
     }
-    // Cycle-neutrality: identical simulated counts whether the TLB is on or off.
-    const bool neutral =
-        CycleIdentical(off->native, on->native) && CycleIdentical(off->erebor, on->erebor);
-    if (!neutral) {
-      std::printf("%-10s CYCLE MISMATCH: TLB off/on disagree on simulated counts "
-                  "(off %llu cyc, on %llu cyc)\n",
-                  name.c_str(), static_cast<unsigned long long>(off->erebor.total_cycles),
-                  static_cast<unsigned long long>(on->erebor.total_cycles));
-      cycle_neutral = false;
-    }
-    reads_off += off->walk_reads;
     reads_on += on->walk_reads;
-    wall_off_ns += off->wall_ns;
     wall_on_ns += on->wall_ns;
     all_match = all_match && on->erebor.trace_emc_enter == on->erebor.emc_count &&
-                on->native.trace_emc_enter == on->native.emc_count &&
-                off->erebor.trace_emc_enter == off->erebor.emc_count &&
-                off->native.trace_emc_enter == off->native.emc_count;
-    trace_emc += off->erebor.trace_emc_enter + on->erebor.trace_emc_enter;
-    monitor_emc += off->erebor.emc_count + on->erebor.emc_count;
+                on->native.trace_emc_enter == on->native.emc_count;
+    trace_emc += on->erebor.trace_emc_enter;
+    monitor_emc += on->erebor.emc_count;
     const double relative = on->erebor.cycles_per_op() / on->native.cycles_per_op();
     if (relative > worst) {
       worst = relative;
@@ -133,30 +106,20 @@ int main() {
                      .Set("emc_per_sec", on->erebor.emc_per_sec())
                      .Set("wall_ns_per_op_tlb_on",
                           total_ops == 0 ? 0.0 : on->wall_ns / total_ops)
-                     .Set("wall_ns_per_op_tlb_off",
-                          total_ops == 0 ? 0.0 : off->wall_ns / total_ops)
-                     .Set("walk_read64s_tlb_off", off->walk_reads)
-                     .Set("walk_read64s_tlb_on", on->walk_reads)
-                     .Set("cycle_neutral", neutral));
+                     .Set("walk_read64s_tlb_on", on->walk_reads));
   }
   std::printf("\nworst case: %s at %.2fx (paper: pagefault at ~3.8x; "
               "fork/mmap also elevated; EMC/s 0.9M-3.6M)\n",
               worst_name.c_str(), worst);
 
-  // ---- software-TLB report: cycle-neutrality, walker-read reduction, wall clock ----
+  // ---- software-TLB report: counters, walker reads, wall clock ----
   const Tlb::Stats& tlb = Tlb::GlobalStats();
   const uint64_t lookups = tlb.hits + tlb.psc_hits + tlb.misses;
   const double hit_rate =
       lookups == 0 ? 0 : static_cast<double>(tlb.hits + tlb.psc_hits) / lookups;
-  const double read_reduction =
-      reads_on == 0 ? 0 : static_cast<double>(reads_off) / reads_on;
-  const double wall_speedup = wall_on_ns == 0 ? 0 : wall_off_ns / wall_on_ns;
-  std::printf("\n--- software TLB (every bench ran TLB-off then TLB-on) ---\n");
-  std::printf("cycle-neutrality: simulated counts TLB off vs on -> %s\n",
-              cycle_neutral ? "IDENTICAL" : "MISMATCH (TLB leaked into the cost model)");
-  std::printf("page-table walker Read64s: off=%llu on=%llu reduction=%.1fx (target >=5x)\n",
-              static_cast<unsigned long long>(reads_off),
-              static_cast<unsigned long long>(reads_on), read_reduction);
+  std::printf("\n--- software TLB ---\n");
+  std::printf("page-table walker Read64s: %llu\n",
+              static_cast<unsigned long long>(reads_on));
   std::printf("tlb: hits=%llu psc_hits=%llu misses=%llu hit-rate=%.1f%% "
               "flushes=%llu invlpg=%llu shootdowns=%llu\n",
               static_cast<unsigned long long>(tlb.hits),
@@ -165,12 +128,7 @@ int main() {
               static_cast<unsigned long long>(tlb.flushes),
               static_cast<unsigned long long>(tlb.invlpg),
               static_cast<unsigned long long>(tlb.shootdowns));
-  std::printf("host wall clock: off=%.0fms on=%.0fms speedup=%.2fx\n", wall_off_ns / 1e6,
-              wall_on_ns / 1e6, wall_speedup);
-  const bool reads_ok = read_reduction >= 5.0;
-  if (!reads_ok) {
-    std::printf("FAIL: walker-read reduction below the 5x target\n");
-  }
+  std::printf("host wall clock: %.0fms\n", wall_on_ns / 1e6);
 
   std::printf("\n--- per-phase event summary (one phase per benchmark) ---\n%s",
               tracer.SummaryTable().c_str());
@@ -190,17 +148,12 @@ int main() {
   Json root = Json::Object();
   root.Set("bench", "fig8")
       .Set("benches", std::move(benches))
-      .Set("cycle_neutral", cycle_neutral)
-      .Set("walk_read64s_tlb_off", reads_off)
       .Set("walk_read64s_tlb_on", reads_on)
-      .Set("walk_read_reduction", read_reduction)
       .Set("tlb_hit_rate", hit_rate)
       .Set("tlb_hits", tlb.hits)
       .Set("tlb_psc_hits", tlb.psc_hits)
       .Set("tlb_misses", tlb.misses)
-      .Set("wall_ms_tlb_off", wall_off_ns / 1e6)
       .Set("wall_ms_tlb_on", wall_on_ns / 1e6)
-      .Set("wall_speedup", wall_speedup)
       .Set("worst_case", worst_name)
       .Set("worst_relative", worst)
       .Set("trace_cross_check", all_match);
@@ -208,5 +161,5 @@ int main() {
   if (WriteBenchJson("fig8", root, &json_path)) {
     std::printf("bench JSON written to %s\n", json_path.c_str());
   }
-  return !(all_match && cycle_neutral && reads_ok);
+  return !all_match;
 }

@@ -2,9 +2,10 @@
 // evaluation ablation (LibOS-only / +MMU isolation / +exit protection / full Erebor),
 // relative to Native = 1.0.
 //
-// Each workload's ablation runs twice — software TLB off, then on — and the bench
-// asserts the per-mode simulated run_cycles are bit-identical (cycle-neutrality).
-// With EREBOR_BENCH_JSON set, the normalized runtimes land in BENCH_fig9.json.
+// The software TLB stays on; that it changes no simulated cycle is
+// TlbCycleNeutralityTest's check (tests/tlb_test.cc), on the same five apps at
+// reduced sizes. With EREBOR_BENCH_JSON set, the normalized runtimes land in
+// BENCH_fig9.json.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -22,39 +23,18 @@ int main() {
               "Erebor-Exit", "Erebor", "status");
   double geo_product[4] = {1, 1, 1, 1};
   int ok_count = 0;
-  bool cycle_neutral = true;
-  double wall_off_ns = 0;
   double wall_on_ns = 0;
   Json workloads = Json::Array();
   for (auto& workload : MakePaperWorkloads()) {
-    Tlb::SetEnabled(false);
-    const auto off_start = std::chrono::steady_clock::now();
-    const std::vector<RunReport> off = RunAblation(*workload);
-    wall_off_ns += std::chrono::duration<double, std::nano>(
-                       std::chrono::steady_clock::now() - off_start)
-                       .count();
-    Tlb::SetEnabled(true);
-    const auto on_start = std::chrono::steady_clock::now();
+    const auto start = std::chrono::steady_clock::now();
     const std::vector<RunReport> reports = RunAblation(*workload);
     wall_on_ns += std::chrono::duration<double, std::nano>(
-                      std::chrono::steady_clock::now() - on_start)
+                      std::chrono::steady_clock::now() - start)
                       .count();
     if (!reports[0].ok) {
       std::printf("%-12s native failed: %s\n", workload->name().c_str(),
                   reports[0].error.c_str());
       continue;
-    }
-    bool neutral = true;
-    for (size_t i = 0; i < reports.size(); ++i) {
-      if (off[i].ok != reports[i].ok || off[i].run_cycles != reports[i].run_cycles ||
-          off[i].init_cycles != reports[i].init_cycles) {
-        neutral = false;
-      }
-    }
-    if (!neutral) {
-      std::printf("%-12s CYCLE MISMATCH: TLB off/on disagree on simulated cycles\n",
-                  workload->name().c_str());
-      cycle_neutral = false;
     }
     const double native = static_cast<double>(reports[0].run_cycles);
     double rel[4] = {0, 0, 0, 0};
@@ -75,7 +55,6 @@ int main() {
                        .Set("erebor_exit", rel[2])
                        .Set("erebor_full", rel[3])
                        .Set("emc_per_sec", reports[4].emc_per_sec)
-                       .Set("cycle_neutral", neutral)
                        .Set("complete", all_ok));
     if (all_ok) {
       for (int i = 0; i < 4; ++i) {
@@ -96,13 +75,10 @@ int main() {
   const uint64_t lookups = tlb.hits + tlb.psc_hits + tlb.misses;
   const double hit_rate =
       lookups == 0 ? 0 : static_cast<double>(tlb.hits + tlb.psc_hits) / lookups;
-  const double wall_speedup = wall_on_ns == 0 ? 0 : wall_off_ns / wall_on_ns;
-  std::printf("\nsoftware TLB: cycle-neutrality -> %s; hit-rate=%.1f%%\n",
-              cycle_neutral ? "IDENTICAL" : "MISMATCH", 100.0 * hit_rate);
+  std::printf("\nsoftware TLB: hit-rate=%.1f%%\n", 100.0 * hit_rate);
   // Host timing on its own line: everything else in this bench's output is
   // deterministic, so invariance checks can filter this prefix.
-  std::printf("host wall clock: off=%.0fms on=%.0fms speedup=%.2fx\n",
-              wall_off_ns / 1e6, wall_on_ns / 1e6, wall_speedup);
+  std::printf("host wall clock: %.0fms\n", wall_on_ns / 1e6);
   std::printf("\npaper: LibOS-only geomean 1.017; Erebor geomean 1.081; per-workload "
               "1.045-1.132 with llama.cpp highest\n");
 
@@ -113,14 +89,11 @@ int main() {
       .Set("geomean_erebor_mmu", geomean[1])
       .Set("geomean_erebor_exit", geomean[2])
       .Set("geomean_erebor_full", geomean[3])
-      .Set("cycle_neutral", cycle_neutral)
       .Set("tlb_hit_rate", hit_rate)
-      .Set("wall_ms_tlb_off", wall_off_ns / 1e6)
-      .Set("wall_ms_tlb_on", wall_on_ns / 1e6)
-      .Set("wall_speedup", wall_speedup);
+      .Set("wall_ms_tlb_on", wall_on_ns / 1e6);
   std::string json_path;
   if (WriteBenchJson("fig9", root, &json_path)) {
     std::printf("bench JSON written to %s\n", json_path.c_str());
   }
-  return !cycle_neutral;
+  return 0;
 }

@@ -5,10 +5,10 @@
 # Usage: scripts/bench.sh [build-dir] [out-dir]
 #   build-dir defaults to `build`, out-dir to `bench_out`.
 #
-# fig8 exits non-zero if the TLB breaks cycle-neutrality, the walker-read reduction
-# misses its 5x target, or the trace/counter EMC cross-check fails; fig9 exits
-# non-zero on a cycle-neutrality violation; tab6 on a trace mismatch; emc_scaling
-# if 4-vCPU EMC throughput is below 3x its own 1-vCPU cell or if any real-thread
+# fig8 exits non-zero if the trace/counter EMC cross-check fails (TLB
+# cycle-neutrality is the tier-1 TlbCycleNeutralityTest's check); tab6 on a
+# trace mismatch; emc_scaling if 4-vCPU EMC throughput is below 3x its own
+# 1-vCPU cell or if any real-thread
 # cell diverges from its deterministic oracle (counters or per-vCPU cycles);
 # channel if the zero-copy seal+open path is below 4x the scalar baseline at
 # 64 KiB or the 16-session aggregate is below 2x one session. Any of those fails
@@ -28,12 +28,12 @@ cmake --build "$BUILD_DIR" -j
 mkdir -p "$OUT_DIR"
 export EREBOR_BENCH_JSON="$OUT_DIR"
 
-echo "== fig8 (LMBench microbenchmarks, TLB off/on cross-check) =="
+echo "== fig8 (LMBench microbenchmarks, trace/counter cross-check) =="
 EREBOR_TRACE=1 EREBOR_TRACE_JSON="$OUT_DIR/fig8_trace.json" \
   "$BUILD_DIR/bench/fig8_lmbench"
 
 echo
-echo "== fig9 (workload ablation, TLB off/on cross-check) =="
+echo "== fig9 (workload ablation) =="
 "$BUILD_DIR/bench/fig9_workloads"
 
 echo

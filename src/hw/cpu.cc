@@ -26,6 +26,7 @@ uint64_t Cpu::Msr(uint32_t index) const {
 void Cpu::StoreMsr(uint32_t index, uint64_t value) {
   if (index == msr::kIa32Pkrs) {
     pkrs_ = value;
+    ++state_epoch_;
   } else if (index == msr::kIa32SCet) {
     s_cet_ = value;
   } else {
@@ -130,22 +131,21 @@ Status Cpu::CheckSensitive(const char* what) {
 Status Cpu::WriteCr0(uint64_t value) {
   EREBOR_RETURN_IF_ERROR(CheckSensitive("mov %cr0"));
   cycles_.Charge(costs_->native_cr_write);
-  cr0_ = value;
+  TrustedWriteCr(0, value);
   return OkStatus();
 }
 
 Status Cpu::WriteCr3(uint64_t value) {
   EREBOR_RETURN_IF_ERROR(CheckSensitive("mov %cr3"));
   cycles_.Charge(costs_->native_cr_write);
-  cr3_ = value;
-  FlushTlb();
+  TrustedWriteCr(3, value);
   return OkStatus();
 }
 
 Status Cpu::WriteCr4(uint64_t value) {
   EREBOR_RETURN_IF_ERROR(CheckSensitive("mov %cr4"));
   cycles_.Charge(costs_->native_cr_write);
-  cr4_ = value;
+  TrustedWriteCr(4, value);
   return OkStatus();
 }
 
@@ -187,21 +187,22 @@ void Cpu::TrustedWriteCr(int reg, uint64_t value) {
       cr4_ = value;
       break;
     default:
-      break;
+      return;
   }
+  ++state_epoch_;
 }
 
 Status Cpu::Stac() {
   EREBOR_RETURN_IF_ERROR(CheckSensitive("stac"));
   cycles_.Charge(costs_->native_stac);
-  ac_flag_ = true;
+  TrustedSetAc(true);
   return OkStatus();
 }
 
 Status Cpu::Clac() {
   // clac is also removed from the instrumented kernel; pair it with stac's policy.
   EREBOR_RETURN_IF_ERROR(CheckSensitive("clac"));
-  ac_flag_ = false;
+  TrustedSetAc(false);
   return OkStatus();
 }
 

@@ -150,7 +150,10 @@ class Cpu {
   Gprs& gprs() { return gprs_; }
 
   CpuMode mode() const { return mode_; }
-  void SetMode(CpuMode mode) { mode_ = mode; }
+  void SetMode(CpuMode mode) {
+    mode_ = mode;
+    ++state_epoch_;
+  }
 
   // ---- Control registers ----
   uint64_t cr0() const { return cr0_; }
@@ -185,7 +188,10 @@ class Cpu {
   // ---- Sensitive-instruction fence (see file comment) ----
   void EnableSensitiveFence() { fence_enabled_ = true; }
   bool fence_enabled() const { return fence_enabled_; }
-  void SetMonitorContext(bool in_monitor) { in_monitor_ = in_monitor; }
+  void SetMonitorContext(bool in_monitor) {
+    in_monitor_ = in_monitor;
+    ++state_epoch_;
+  }
   bool in_monitor() const { return in_monitor_; }
 
   // ---- TME-MK keyID enforcement ----
@@ -193,7 +199,13 @@ class Cpu {
   // compares the mapping's keyID against the accessed frame's binding; the
   // monitor context is exempt (its accesses carry the monitor's keyID by
   // construction). PKS worlds leave this null and pay nothing.
-  void SetKeyIdMap(const KeyIdMap* map) { keyid_map_ = map; }
+  void SetKeyIdMap(const KeyIdMap* map) {
+    // access_epoch() adds the map's generation: re-base this CPU's part so the
+    // sum moves exactly one step forward across the swap (unsigned wrap-around).
+    const uint64_t before = access_epoch();
+    keyid_map_ = map;
+    state_epoch_ += before + 1 - access_epoch();
+  }
   const KeyIdMap* keyid_map() const { return keyid_map_; }
 
   // Trusted variants used only by monitor gate code (the gate is part of the scanned,
@@ -201,7 +213,10 @@ class Cpu {
   void TrustedWriteMsr(uint32_t index, uint64_t value);
   void TrustedWriteCr(int reg, uint64_t value);
   void TrustedLidt(const IdtTable* table) { idt_ = table; }
-  void TrustedSetAc(bool ac) { ac_flag_ = ac; }
+  void TrustedSetAc(bool ac) {
+    ac_flag_ = ac;
+    ++state_epoch_;
+  }
 
   // ---- Checked memory access ----
   // Translates `va` for `access` under mode `as_mode` (defaults to the current mode),
@@ -230,6 +245,18 @@ class Cpu {
     }
     CounterAdd(Tlb::GlobalStats().hits);
     return hit;
+  }
+
+  // Changes whenever anything TranslateHit reads may have changed, so a checked
+  // access cached under one value is still a TLB hit that CheckAccess allows while
+  // the value holds: every leaf fill and leaf invalidation of this CPU's TLB (Tlb::
+  // epoch), every write of the mode, CR0/CR3/CR4, IA32_PKRS, RFLAGS.AC, the monitor
+  // context or the KeyIdMap pointer, and every keyID rebinding (KeyIdMap::
+  // generation). Only this CPU's own thread changes the first two parts: peers
+  // queue their invalidations, and the owner drains them.
+  uint64_t access_epoch() const {
+    const uint64_t own = tlb_.epoch() + state_epoch_;
+    return keyid_map_ == nullptr ? own : own + keyid_map_->generation();
   }
 
   Status ReadVirt(Vaddr va, uint8_t* out, uint64_t len, Fault* fault_out = nullptr);
@@ -304,6 +331,7 @@ class Cpu {
   bool fence_enabled_ = false;
   bool in_monitor_ = false;
   const KeyIdMap* keyid_map_ = nullptr;
+  uint64_t state_epoch_ = 0;  // the CPU-state part of access_epoch()
 
   std::map<uint32_t, uint64_t> msrs_;  // every MSR except the two below
   uint64_t pkrs_ = 0;                   // IA32_PKRS

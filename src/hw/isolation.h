@@ -46,7 +46,9 @@ inline const char* IsolationKindName(IsolationKind kind) {
 // Slots are relaxed atomics so vCPU threads under the real-thread engine can
 // check translations while the monitor (serialized by the EMC lock) rebinds:
 // each slot is an independent word, and the monitor's shootdown protocol
-// already orders rebinds against stale cached translations.
+// already orders rebinds against stale cached translations. A rebind issues no
+// shootdown of its own, so every Bind also advances generation(), which
+// Cpu::access_epoch() folds in for the page cursors that cache checked accesses.
 class KeyIdMap {
  public:
   static constexpr uint32_t kKeyMask = 0x7FFu;         // 11-bit keyID
@@ -62,7 +64,10 @@ class KeyIdMap {
     }
     slots_[frame].store((keyid & kKeyMask) | (read_shared ? kReadSharedBit : 0),
                         std::memory_order_relaxed);
+    generation_.fetch_add(1);
   }
+
+  uint64_t generation() const { return generation_.load(); }
 
   uint32_t KeyOf(FrameNum frame) const {
     if (frame >= slots_.size()) {
@@ -80,6 +85,7 @@ class KeyIdMap {
 
  private:
   std::vector<std::atomic<uint32_t>> slots_;
+  std::atomic<uint64_t> generation_{0};
 };
 
 }  // namespace erebor

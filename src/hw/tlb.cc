@@ -125,6 +125,7 @@ void Tlb::TagRemove(Paddr pa, size_t slot) {
 }
 
 void Tlb::ClearLeafSlot(size_t slot) {
+  ++epoch_;
   leaf_[slot].valid = false;
   if (leaf_tags_[slot] != 0) {
     TagRemove(leaf_tags_[slot], slot);
@@ -152,6 +153,7 @@ void Tlb::FilterRemove(const StructureEntry& se) {
 }
 
 void Tlb::Insert(Paddr root, Vaddr va, CpuMode mode, const WalkResult& result) {
+  ++epoch_;
   const size_t index = LeafIndex(root, va, mode);
   LeafEntry& le = leaf_[index];
   if (leaf_tags_[index] != result.leaf_entry_pa) {
@@ -196,6 +198,7 @@ void Tlb::FlushAll() {
   // (tags, buckets, filter) survives and is reclaimed slot-by-slot on reuse.
   CounterAdd(GlobalStats().flushes);
   ++generation_;
+  ++epoch_;
 }
 
 void Tlb::FlushRoot(Paddr root) {

@@ -89,6 +89,11 @@ class Tlb {
     return nullptr;
   }
 
+  // Advances on every change to what ProbeLeaf can return: each leaf fill, each
+  // cleared leaf slot (InvalidatePage, FlushRoot and ShootdownEntry clear through
+  // one helper) and each FlushAll. Part of Cpu::access_epoch().
+  uint64_t epoch() const { return epoch_; }
+
   // The cached walk: leaf probe, then structure-cache-assisted leaf read, then a
   // full walk (which fills both caches). Bit-identical results and error messages
   // to WalkPageTables under the shipped invalidation hooks. With the TLB globally
@@ -174,6 +179,7 @@ class Tlb {
   static Stats stats_;
 
   uint64_t generation_ = 1;
+  uint64_t epoch_ = 0;
   std::vector<LeafEntry> leaf_;
   // Parallel tag array: leaf_entry_pa per occupied slot (0 = empty). The overflow
   // fallback and FlushRoot scan this 16 KiB array instead of the full entry structs.

@@ -899,6 +899,23 @@ StatusOr<uint8_t*> SyscallContext::PagePtr(Vaddr va, bool for_write) {
   return InternalError("unreachable");
 }
 
+uint8_t* PageCursor::Miss(Vaddr va, bool write) {
+  auto ptr = ctx_.PagePtr(va, write);
+  if (!ptr.ok()) {
+    if (status_.ok()) {
+      status_ = ptr.status();
+    }
+    return nullptr;
+  }
+  // PagePtr succeeded, so the TLB now holds (CR3, va, mode) and CheckAccess allows
+  // this access: exactly what a TranslateHit before the next epoch change would see.
+  if (Tlb::Enabled()) {
+    entries_[Slot(va)] = {va & ~kPageMask, *ptr - (va & kPageMask), cpu_.access_epoch(),
+                          write};
+  }
+  return *ptr;
+}
+
 void SyscallContext::Compute(Cycles cycles) { cpu_->cycles().Charge(cycles); }
 
 bool SyscallContext::Poll() {

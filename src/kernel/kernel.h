@@ -13,6 +13,7 @@
 #ifndef EREBOR_SRC_KERNEL_KERNEL_H_
 #define EREBOR_SRC_KERNEL_KERNEL_H_
 
+#include <array>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -97,6 +98,65 @@ class SyscallContext {
   Kernel* kernel_;
   Task* task_;
   Cpu* cpu_;
+};
+
+// Page-granular user-memory access for compute loops: translates and checks each
+// page once, then serves further loads and stores within it from the host pointer.
+// A small direct-mapped table of {page, host page base, epoch} that lives on the
+// stack and never allocates. At(va) serves a cached page only while
+// cpu.access_epoch() is unchanged and the access kind was already checked (a
+// checked write also admits reads); anything else goes through PagePtr, so the #PF,
+// demand-fault and error path is unchanged. Each served access counts one tlb.hits,
+// exactly as PagePtr's TLB hit would (flushed when the cursor dies). With the TLB
+// disabled nothing is cached.
+//
+// Slice-local: a task may run on another vCPU in its next slice, so a cursor never
+// outlives the step function call that created it.
+class PageCursor {
+ public:
+  explicit PageCursor(SyscallContext& ctx) : ctx_(ctx), cpu_(ctx.cpu()) {}
+  ~PageCursor() {
+    if (hits_ != 0) {
+      CounterAdd(Tlb::GlobalStats().hits, hits_);
+    }
+  }
+  PageCursor(const PageCursor&) = delete;
+  PageCursor& operator=(const PageCursor&) = delete;
+
+  // Host pointer to va (valid within its page only), or nullptr with the failure
+  // kept in status().
+  uint8_t* At(Vaddr va, bool write) {
+    const Entry& e = entries_[Slot(va)];
+    if (e.page == (va & ~kPageMask) && e.epoch == cpu_.access_epoch() &&
+        (e.writable || !write)) {
+      ++hits_;
+      return e.base + (va & kPageMask);
+    }
+    return Miss(va, write);
+  }
+
+  // The first failed access's status; OK while every access succeeded.
+  bool ok() const { return status_.ok(); }
+  const Status& status() const { return status_; }
+
+ private:
+  static constexpr size_t kEntries = 64;
+  static constexpr Vaddr kNoPage = 1;  // never page-aligned, so never a match
+  struct Entry {
+    Vaddr page = kNoPage;
+    uint8_t* base = nullptr;
+    uint64_t epoch = 0;
+    bool writable = false;
+  };
+
+  static size_t Slot(Vaddr va) { return (va >> kPageShift) & (kEntries - 1); }
+  uint8_t* Miss(Vaddr va, bool write);
+
+  SyscallContext& ctx_;
+  Cpu& cpu_;
+  uint64_t hits_ = 0;
+  Status status_;
+  std::array<Entry, kEntries> entries_{};
 };
 
 // Device ioctl signature: (context, task, request, arg_va) -> result.

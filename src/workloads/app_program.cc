@@ -2,16 +2,22 @@
 
 namespace erebor {
 
+namespace {
+
+// Records the run's first failure; later ones are dropped.
+StepOutcome Fail(AppState& state, std::string failure) {
+  if (!state.failed) {
+    state.failed = true;
+    state.failure = std::move(failure);
+  }
+  return StepOutcome::kExited;
+}
+
+}  // namespace
+
 ProgramFn MakeAppProgram(std::shared_ptr<AppState> state, AppPhases phases) {
   return [state, phases = std::move(phases),
           backoff = EagainBackoff{}](SyscallContext& ctx) mutable -> StepOutcome {
-    const auto fail = [&state](std::string failure) {
-      if (!state->failed) {
-        state->failed = true;
-        state->failure = std::move(failure);
-      }
-      return StepOutcome::kExited;
-    };
     LibosEnv& env = *state->env;
     if (state->failed) {
       return StepOutcome::kExited;
@@ -28,12 +34,14 @@ ProgramFn MakeAppProgram(std::shared_ptr<AppState> state, AppPhases phases) {
           if (state->output_sent || state->failed) {
             return StepOutcome::kExited;
           }
-          return body(worker_ctx);
+          PageCursor pages(worker_ctx);
+          const StepOutcome outcome = body(worker_ctx, pages);
+          return pages.ok() ? outcome : Fail(*state, pages.status().ToString());
         };
         st = env.SpawnWorkers(ctx, std::vector<ProgramFn>(threads - 1, worker));
       }
       if (!st.ok()) {
-        return fail(st.ToString());
+        return Fail(*state, st.ToString());
       }
       state->init_done = true;
       return StepOutcome::kYield;
@@ -43,32 +51,37 @@ ProgramFn MakeAppProgram(std::shared_ptr<AppState> state, AppPhases phases) {
       auto input = env.RecvInput(ctx, phases.max_input);
       if (!input.ok()) {
         if (!IsWouldBlock(input.status())) {
-          return fail(input.status().ToString());
+          return Fail(*state, input.status().ToString());
         }
         if (!backoff.ShouldRetry(ctx)) {
-          return fail("client input retry budget exhausted");
+          return Fail(*state, "client input retry budget exhausted");
         }
         return StepOutcome::kYield;
       }
       const Status st = phases.install(ctx, *input);
       if (!st.ok()) {
-        return fail(st.ToString());
+        return Fail(*state, st.ToString());
       }
       state->input_ready = true;
       return StepOutcome::kYield;
     }
 
-    if (const std::optional<StepOutcome> outcome = phases.step(ctx)) {
+    PageCursor pages(ctx);
+    const std::optional<StepOutcome> outcome = phases.step(ctx, pages);
+    if (!pages.ok()) {
+      return Fail(*state, pages.status().ToString());
+    }
+    if (outcome) {
       return *outcome;
     }
     const StatusOr<Bytes> output = phases.output(ctx);
     if (!output.ok()) {
-      return fail(output.status().ToString());
+      return Fail(*state, output.status().ToString());
     }
     const Status st = env.SendOutput(ctx, *output);
     state->output_sent = true;
     if (!st.ok()) {
-      return fail(st.ToString());
+      return Fail(*state, st.ToString());
     }
     return StepOutcome::kExited;
   };

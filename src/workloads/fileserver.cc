@@ -89,6 +89,7 @@ ProgramFn MakeServerProgram(std::shared_ptr<ServerState> state) {
       if (!st.ok()) {
         return fail(st);
       }
+      PageCursor pages(ctx);
       uint64_t transferred = 0;
       while (transferred < s.file_bytes) {
         auto r = ctx.Syscall(sys::kRead, s.fd, s.buffer + kPageSize, s.chunk);
@@ -100,13 +101,14 @@ ProgramFn MakeServerProgram(std::shared_ptr<ServerState> state) {
         }
         if (s.kind == ServerKind::kOpenSsh) {
           // Encrypt the chunk: one real pass over the bytes + charged cipher cost.
-          auto page = ctx.PagePtr(s.buffer + kPageSize, true);
-          if (page.ok()) {
-            uint8_t x = 0x3C;
-            for (uint64_t i = 0; i < std::min<uint64_t>(*r, kPageSize); ++i) {
-              (*page)[i] ^= x;
-              x = static_cast<uint8_t>(x * 5 + 1);
-            }
+          uint8_t* page = pages.At(s.buffer + kPageSize, true);
+          if (page == nullptr) {
+            return fail(pages.status());
+          }
+          uint8_t x = 0x3C;
+          for (uint64_t i = 0; i < std::min<uint64_t>(*r, kPageSize); ++i) {
+            page[i] ^= x;
+            x = static_cast<uint8_t>(x * 5 + 1);
           }
           ctx.Compute(*r * ServerState::kCryptoCyclesPerByteX100 / 100);
         }

@@ -53,30 +53,26 @@ ProgramFn GraphWorkload::MakeProgram(std::shared_ptr<AppState> state) {
   auto run = std::make_shared<GraphRun>();
   const GraphParams params = params_;
 
-  // Helpers for typed confined-memory access via page pointers. All arrays are
+  // Typed confined-memory access through the slice's page cursor. All arrays are
   // page-aligned and element accesses never straddle pages (4 | 8 divide 4096).
-  auto u32_at = [state](SyscallContext& ctx, Vaddr base, uint64_t i,
-                        bool write) -> uint32_t* {
-    uint8_t* p = MustPage(ctx, *state, base + 4 * i, write);
-    return reinterpret_cast<uint32_t*>(p);
+  auto u32_at = [](PageCursor& pages, Vaddr base, uint64_t i, bool write) {
+    return reinterpret_cast<uint32_t*>(pages.At(base + 4 * i, write));
   };
-  auto u64_at = [state](SyscallContext& ctx, Vaddr base, uint64_t i,
-                        bool write) -> uint64_t* {
-    uint8_t* p = MustPage(ctx, *state, base + 8 * i, write);
-    return reinterpret_cast<uint64_t*>(p);
+  auto u64_at = [](PageCursor& pages, Vaddr base, uint64_t i, bool write) {
+    return reinterpret_cast<uint64_t*>(pages.At(base + 8 * i, write));
   };
 
   // Processes one node-range chunk of the current PageRank iteration: pushes each
   // node's rank share along its out-edges into next_rank.
-  auto process_chunk = [state, run, u32_at, u64_at,
-                        params](SyscallContext& ctx, uint32_t chunk) {
+  auto process_chunk = [state, run, u32_at, u64_at](SyscallContext& ctx,
+                                                   PageCursor& pages, uint32_t chunk) {
     const uint32_t first = chunk * kNodesPerChunk;
     const uint32_t last = std::min(run->num_nodes, first + kNodesPerChunk);
     uint64_t edges_touched = 0;
     for (uint32_t node = first; node < last; ++node) {
-      uint32_t* rp0 = u32_at(ctx, run->row_ptr, node, false);
-      uint32_t* rp1 = u32_at(ctx, run->row_ptr, node + 1, false);
-      uint64_t* rank = u64_at(ctx, run->rank, node, false);
+      uint32_t* rp0 = u32_at(pages, run->row_ptr, node, false);
+      uint32_t* rp1 = u32_at(pages, run->row_ptr, node + 1, false);
+      uint64_t* rank = u64_at(pages, run->rank, node, false);
       if (rp0 == nullptr || rp1 == nullptr || rank == nullptr) {
         return;
       }
@@ -86,11 +82,11 @@ ProgramFn GraphWorkload::MakeProgram(std::shared_ptr<AppState> state) {
       }
       const uint64_t share = *rank / degree;
       for (uint32_t e = *rp0; e < *rp1; ++e) {
-        uint32_t* dst = u32_at(ctx, run->col_idx, e, false);
+        uint32_t* dst = u32_at(pages, run->col_idx, e, false);
         if (dst == nullptr) {
           return;
         }
-        uint64_t* nr = u64_at(ctx, run->next_rank, *dst, true);
+        uint64_t* nr = u64_at(pages, run->next_rank, *dst, true);
         if (nr == nullptr) {
           return;
         }
@@ -107,7 +103,7 @@ ProgramFn GraphWorkload::MakeProgram(std::shared_ptr<AppState> state) {
 
   // Takes the next chunk of the current iteration off the queue and processes it;
   // false if none was left (or the queue lock was busy).
-  auto work_one = [state, run, process_chunk](SyscallContext& ctx) {
+  auto work_one = [state, run, process_chunk](SyscallContext& ctx, PageCursor& pages) {
     LibosEnv& env = *state->env;
     if (!env.lock(3).TryAcquire(ctx, ctx.task().tid)) {
       return false;
@@ -120,7 +116,7 @@ ProgramFn GraphWorkload::MakeProgram(std::shared_ptr<AppState> state) {
     if (chunk < 0) {
       return false;
     }
-    process_chunk(ctx, static_cast<uint32_t>(chunk));
+    process_chunk(ctx, pages, static_cast<uint32_t>(chunk));
     while (!env.lock(3).TryAcquire(ctx, ctx.task().tid)) {
       ctx.Compute(40);
     }
@@ -128,13 +124,10 @@ ProgramFn GraphWorkload::MakeProgram(std::shared_ptr<AppState> state) {
     env.lock(3).Release();
     return true;
   };
-  // A MustPage failure is already recorded in state; this carries it to the driver.
-  auto page_failure = [state] { return InternalError(state->failure); };
-
   AppPhases phases;
   phases.max_input = 4ull << 20;
-  phases.worker = [work_one](SyscallContext& ctx) -> StepOutcome {
-    if (!work_one(ctx)) {
+  phases.worker = [work_one](SyscallContext& ctx, PageCursor& pages) -> StepOutcome {
+    if (!work_one(ctx, pages)) {
       ctx.Compute(250);
     }
     if (!ctx.Poll()) {
@@ -142,8 +135,8 @@ ProgramFn GraphWorkload::MakeProgram(std::shared_ptr<AppState> state) {
     }
     return StepOutcome::kYield;
   };
-  phases.install = [state, run, u32_at, u64_at, page_failure](
-                       SyscallContext& ctx, const Bytes& input) -> Status {
+  phases.install = [state, run, u32_at, u64_at](SyscallContext& ctx,
+                                                const Bytes& input) -> Status {
     if (input.size() < 8) {
       return InvalidArgumentError("short graph input");
     }
@@ -171,29 +164,30 @@ ProgramFn GraphWorkload::MakeProgram(std::shared_ptr<AppState> state) {
     run->out_degree = *od;
 
     // Build the CSR (counting sort over sources).
+    PageCursor pages(ctx);
     for (uint32_t i = 0; i < run->num_edges; ++i) {
       const uint32_t src = LoadLe32(input.data() + 8 + 8 * i) % run->num_nodes;
-      uint32_t* deg = u32_at(ctx, run->out_degree, src, true);
+      uint32_t* deg = u32_at(pages, run->out_degree, src, true);
       if (deg == nullptr) {
-        return page_failure();
+        return pages.status();
       }
       ++*deg;
     }
     uint32_t cursor = 0;
     for (uint32_t n = 0; n < run->num_nodes; ++n) {
-      uint32_t* rp_n = u32_at(ctx, run->row_ptr, n, true);
-      uint32_t* deg = u32_at(ctx, run->out_degree, n, false);
-      uint64_t* rank = u64_at(ctx, run->rank, n, true);
+      uint32_t* rp_n = u32_at(pages, run->row_ptr, n, true);
+      uint32_t* deg = u32_at(pages, run->out_degree, n, false);
+      uint64_t* rank = u64_at(pages, run->rank, n, true);
       if (rp_n == nullptr || deg == nullptr || rank == nullptr) {
-        return page_failure();
+        return pages.status();
       }
       *rp_n = cursor;
       cursor += *deg;
       *rank = kFixedOne;
     }
-    uint32_t* rp_end = u32_at(ctx, run->row_ptr, run->num_nodes, true);
+    uint32_t* rp_end = u32_at(pages, run->row_ptr, run->num_nodes, true);
     if (rp_end == nullptr) {
-      return page_failure();
+      return pages.status();
     }
     *rp_end = cursor;
     // Second pass: place destinations.
@@ -201,13 +195,13 @@ ProgramFn GraphWorkload::MakeProgram(std::shared_ptr<AppState> state) {
     for (uint32_t i = 0; i < run->num_edges; ++i) {
       const uint32_t src = LoadLe32(input.data() + 8 + 8 * i) % run->num_nodes;
       const uint32_t dst = LoadLe32(input.data() + 12 + 8 * i) % run->num_nodes;
-      uint32_t* rp_n = u32_at(ctx, run->row_ptr, src, false);
+      uint32_t* rp_n = u32_at(pages, run->row_ptr, src, false);
       if (rp_n == nullptr) {
-        return page_failure();
+        return pages.status();
       }
-      uint32_t* slot = u32_at(ctx, run->col_idx, *rp_n + fill[src], true);
+      uint32_t* slot = u32_at(pages, run->col_idx, *rp_n + fill[src], true);
       if (slot == nullptr) {
-        return page_failure();
+        return pages.status();
       }
       *slot = dst;
       ++fill[src];
@@ -219,11 +213,11 @@ ProgramFn GraphWorkload::MakeProgram(std::shared_ptr<AppState> state) {
 
   // PageRank iterations; the leader participates in the chunk queue.
   phases.step = [run, params, u64_at, work_one](
-                    SyscallContext& ctx) -> std::optional<StepOutcome> {
+                    SyscallContext& ctx, PageCursor& pages) -> std::optional<StepOutcome> {
     if (run->iteration >= params.iterations) {
       return std::nullopt;
     }
-    if (work_one(ctx)) {
+    if (work_one(ctx, pages)) {
       if (!ctx.Poll()) {
         return StepOutcome::kExited;
       }
@@ -235,8 +229,8 @@ ProgramFn GraphWorkload::MakeProgram(std::shared_ptr<AppState> state) {
     }
     // Iteration barrier: damp + swap rank arrays.
     for (uint32_t n = 0; n < run->num_nodes; ++n) {
-      uint64_t* nr = u64_at(ctx, run->next_rank, n, true);
-      uint64_t* rk = u64_at(ctx, run->rank, n, true);
+      uint64_t* nr = u64_at(pages, run->next_rank, n, true);
+      uint64_t* rk = u64_at(pages, run->rank, n, true);
       if (nr == nullptr || rk == nullptr) {
         return StepOutcome::kExited;
       }
@@ -254,12 +248,13 @@ ProgramFn GraphWorkload::MakeProgram(std::shared_ptr<AppState> state) {
   };
 
   // Top-8 ranked nodes.
-  phases.output = [run, u64_at, page_failure](SyscallContext& ctx) -> StatusOr<Bytes> {
+  phases.output = [run, u64_at](SyscallContext& ctx) -> StatusOr<Bytes> {
+    PageCursor pages(ctx);
     std::vector<std::pair<uint64_t, uint32_t>> top;
     for (uint32_t n = 0; n < run->num_nodes; ++n) {
-      uint64_t* rk = u64_at(ctx, run->rank, n, false);
+      uint64_t* rk = u64_at(pages, run->rank, n, false);
       if (rk == nullptr) {
-        return page_failure();
+        return pages.status();
       }
       top.emplace_back(*rk, n);
     }

@@ -61,7 +61,8 @@ ProgramFn IdsWorkload::MakeProgram(std::shared_ptr<AppState> state) {
 
   // Scores one window: feature-hash its events into a fresh region of the sketch,
   // then compute a rarity score (anomalous windows concentrate mass in few bins).
-  auto process_window = [state, run, params](SyscallContext& ctx, uint32_t window) {
+  auto process_window = [state, run, params](SyscallContext& ctx, PageCursor& pages,
+                                             uint32_t window) {
     const uint32_t first_event = window * params.window_events;
     const uint32_t last_event =
         std::min(run->num_events, first_event + params.window_events);
@@ -71,7 +72,7 @@ ProgramFn IdsWorkload::MakeProgram(std::shared_ptr<AppState> state) {
 
     // Clear the stripe.
     for (uint64_t off = 0; off < params.sketch_bins * 4ull; off += kPageSize) {
-      uint8_t* page = MustPage(ctx, *state, run->sketch + stripe + off, true);
+      uint8_t* page = pages.At(run->sketch + stripe + off, true);
       if (page == nullptr) {
         return;
       }
@@ -82,7 +83,7 @@ ProgramFn IdsWorkload::MakeProgram(std::shared_ptr<AppState> state) {
     uint64_t max_bin = 0;
     uint64_t total = 0;
     for (uint32_t e = first_event; e < last_event; ++e) {
-      uint8_t* event = MustPage(ctx, *state, run->log_buf + e * kEventSize, false);
+      uint8_t* event = pages.At(run->log_buf + e * kEventSize, false);
       if (event == nullptr) {
         return;
       }
@@ -93,7 +94,7 @@ ProgramFn IdsWorkload::MakeProgram(std::shared_ptr<AppState> state) {
           (static_cast<uint64_t>(actor) << 32) ^ (object * 2654435761u) ^ action;
       SplitMix64 h(feature);
       const uint32_t bin = static_cast<uint32_t>(h.Next() % params.sketch_bins);
-      uint8_t* cell = MustPage(ctx, *state, run->sketch + stripe + bin * 4ull, true);
+      uint8_t* cell = pages.At(run->sketch + stripe + bin * 4ull, true);
       if (cell == nullptr) {
         return;
       }
@@ -122,7 +123,7 @@ ProgramFn IdsWorkload::MakeProgram(std::shared_ptr<AppState> state) {
 
   // Takes the next window off the queue and scores it; false if none was left (or
   // the queue lock was busy).
-  auto work_one = [state, run, process_window](SyscallContext& ctx) {
+  auto work_one = [state, run, process_window](SyscallContext& ctx, PageCursor& pages) {
     LibosEnv& env = *state->env;
     if (!env.lock(4).TryAcquire(ctx, ctx.task().tid)) {
       return false;
@@ -135,7 +136,7 @@ ProgramFn IdsWorkload::MakeProgram(std::shared_ptr<AppState> state) {
     if (window < 0) {
       return false;
     }
-    process_window(ctx, static_cast<uint32_t>(window));
+    process_window(ctx, pages, static_cast<uint32_t>(window));
     while (!env.lock(4).TryAcquire(ctx, ctx.task().tid)) {
       ctx.Compute(40);
     }
@@ -159,8 +160,8 @@ ProgramFn IdsWorkload::MakeProgram(std::shared_ptr<AppState> state) {
     run->sketch = PageAlignUp(*sketch);
     return OkStatus();
   };
-  phases.worker = [work_one](SyscallContext& ctx) -> StepOutcome {
-    if (!work_one(ctx)) {
+  phases.worker = [work_one](SyscallContext& ctx, PageCursor& pages) -> StepOutcome {
+    if (!work_one(ctx, pages)) {
       ctx.Compute(250);
     }
     if (!ctx.Poll()) {
@@ -175,8 +176,9 @@ ProgramFn IdsWorkload::MakeProgram(std::shared_ptr<AppState> state) {
         (run->num_events + params.window_events - 1) / params.window_events;
     return OkStatus();
   };
-  phases.step = [run, work_one](SyscallContext& ctx) -> std::optional<StepOutcome> {
-    if (work_one(ctx)) {
+  phases.step = [run, work_one](SyscallContext& ctx,
+                                PageCursor& pages) -> std::optional<StepOutcome> {
+    if (work_one(ctx, pages)) {
       if (!ctx.Poll()) {
         return StepOutcome::kExited;
       }

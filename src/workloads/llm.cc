@@ -57,10 +57,11 @@ ProgramFn LlmWorkload::MakeProgram(std::shared_ptr<AppState> state) {
 
   // One unit of transformer work: attention + FFN for one layer of the current token.
   // Reads real bytes from the model (common memory) and the K-V cache (confined).
-  auto process_layer = [state, run, params](SyscallContext& ctx, uint32_t layer) {
+  auto process_layer = [state, run, params](SyscallContext& ctx, PageCursor& pages,
+                                            uint32_t layer) {
     // Pick an "expert" shard for this (token, layer): touches a pseudo-random model
     // page, which demand-faults common memory like a real large model.
-    const uint64_t pages = params.model_bytes >> kPageShift;
+    const uint64_t model_pages = params.model_bytes >> kPageShift;
     SplitMix64 pick(run->state_hash ^ (static_cast<uint64_t>(layer) << 32) ^
                     run->token_index);
     uint64_t acc = 0;
@@ -69,8 +70,8 @@ ProgramFn LlmWorkload::MakeProgram(std::shared_ptr<AppState> state) {
       // across the whole model (big-model locality).
       const uint64_t raw = pick.Next();
       const uint64_t page =
-          (raw % 100 < 85) ? (raw / 100) % (pages / 16) : raw % pages;
-      uint8_t* w = MustPage(ctx, *state, state->common_base + AddrOf(page), false);
+          (raw % 100 < 85) ? (raw / 100) % (model_pages / 16) : raw % model_pages;
+      uint8_t* w = pages.At(state->common_base + AddrOf(page), false);
       if (w == nullptr) {
         return;
       }
@@ -86,7 +87,7 @@ ProgramFn LlmWorkload::MakeProgram(std::shared_ptr<AppState> state) {
         params.dim;
     // 16-byte aligned so the 8-byte store never crosses a page boundary.
     const uint64_t kv_offset = (kv_slot % ((4ull << 20) - kPageSize)) & ~15ULL;
-    uint8_t* kv = MustPage(ctx, *state, run->kv_cache + kv_offset, true);
+    uint8_t* kv = pages.At(run->kv_cache + kv_offset, true);
     if (kv == nullptr) {
       return;
     }
@@ -103,7 +104,8 @@ ProgramFn LlmWorkload::MakeProgram(std::shared_ptr<AppState> state) {
     return OkStatus();
   };
   // Worker thread body: pull layer chunks off the shared queue under the spinlock.
-  phases.worker = [state, run, params, process_layer](SyscallContext& ctx) -> StepOutcome {
+  phases.worker = [state, run, params, process_layer](SyscallContext& ctx,
+                                                      PageCursor& pages) -> StepOutcome {
     LibosEnv& env = *state->env;
     if (!run->token_in_flight) {
       ctx.Compute(300);
@@ -118,7 +120,7 @@ ProgramFn LlmWorkload::MakeProgram(std::shared_ptr<AppState> state) {
     }
     env.lock(0).Release();
     if (layer >= 0) {
-      process_layer(ctx, static_cast<uint32_t>(layer));
+      process_layer(ctx, pages, static_cast<uint32_t>(layer));
       if (!env.lock(0).TryAcquire(ctx, ctx.task().tid)) {
         // Rare: completion counter contended; spin once more next slice.
         ctx.Compute(120);
@@ -142,8 +144,8 @@ ProgramFn LlmWorkload::MakeProgram(std::shared_ptr<AppState> state) {
     return OkStatus();
   };
   // Token generation loop (the leader works the queue alongside workers).
-  phases.step = [state, run, params,
-                 process_layer](SyscallContext& ctx) -> std::optional<StepOutcome> {
+  phases.step = [state, run, params, process_layer](
+                    SyscallContext& ctx, PageCursor& pages) -> std::optional<StepOutcome> {
     if (run->token_index >= params.generate_tokens) {
       return std::nullopt;
     }
@@ -164,8 +166,8 @@ ProgramFn LlmWorkload::MakeProgram(std::shared_ptr<AppState> state) {
       if (layer < 0) {
         break;
       }
-      process_layer(ctx, static_cast<uint32_t>(layer));
-      if (state->failed) {
+      process_layer(ctx, pages, static_cast<uint32_t>(layer));
+      if (!pages.ok()) {
         return StepOutcome::kExited;
       }
       while (!env.lock(0).TryAcquire(ctx, ctx.task().tid)) {

@@ -61,13 +61,12 @@ ProgramFn RetrievalWorkload::MakeProgram(std::shared_ptr<AppState> state) {
   const RetrievalParams params = params_;
 
   // Executes one chunk of queries against the common-region table.
-  auto process_chunk = [state, run, params](SyscallContext& ctx, uint64_t first,
-                                            uint64_t count) {
+  auto process_chunk = [state, run, params](SyscallContext& ctx, PageCursor& pages,
+                                            uint64_t first, uint64_t count) {
     for (uint64_t q = first; q < first + count; ++q) {
       const uint64_t index = run->queries[q] % params.num_records;
       const uint64_t offset = index * kRetrievalRecordSize;
-      uint8_t* record =
-          MustPage(ctx, *state, state->common_base + offset, false);
+      uint8_t* record = pages.At(state->common_base + offset, false);
       if (record == nullptr) {
         return;
       }
@@ -91,7 +90,7 @@ ProgramFn RetrievalWorkload::MakeProgram(std::shared_ptr<AppState> state) {
 
   // Takes the next chunk of queries and executes it; false if none was left (or the
   // queue lock was busy).
-  auto work_one = [state, run, process_chunk](SyscallContext& ctx) {
+  auto work_one = [state, run, process_chunk](SyscallContext& ctx, PageCursor& pages) {
     LibosEnv& env = *state->env;
     if (!env.lock(2).TryAcquire(ctx, ctx.task().tid)) {
       return false;
@@ -104,18 +103,18 @@ ProgramFn RetrievalWorkload::MakeProgram(std::shared_ptr<AppState> state) {
     if (count == 0) {
       return false;
     }
-    process_chunk(ctx, first, count);
+    process_chunk(ctx, pages, first, count);
     return true;
   };
 
   AppPhases phases;
   phases.max_input = 5ull << 19;
-  phases.worker = [state, work_one](SyscallContext& ctx) -> StepOutcome {
+  phases.worker = [state, work_one](SyscallContext& ctx, PageCursor& pages) -> StepOutcome {
     if (!state->input_ready) {
       ctx.Compute(300);
       return StepOutcome::kYield;
     }
-    work_one(ctx);
+    work_one(ctx, pages);
     if (!ctx.Poll()) {
       return StepOutcome::kExited;
     }
@@ -128,8 +127,9 @@ ProgramFn RetrievalWorkload::MakeProgram(std::shared_ptr<AppState> state) {
     }
     return OkStatus();
   };
-  phases.step = [run, work_one](SyscallContext& ctx) -> std::optional<StepOutcome> {
-    if (work_one(ctx)) {
+  phases.step = [run, work_one](SyscallContext& ctx,
+                                PageCursor& pages) -> std::optional<StepOutcome> {
+    if (work_one(ctx, pages)) {
       if (!ctx.Poll()) {
         return StepOutcome::kExited;
       }

@@ -54,15 +54,15 @@ ProgramFn VisionWorkload::MakeProgram(std::shared_ptr<AppState> state) {
 
   // Processes one image: conv3x3 per layer with kernels read from the common model,
   // then threshold segmentation; appends {segments, mass} to results.
-  auto process_image = [state, run, params](SyscallContext& ctx, uint32_t img) {
+  auto process_image = [state, run, params](SyscallContext& ctx, PageCursor& pages,
+                                            uint32_t img) {
     const uint32_t dim = params.image_dim;
     const uint64_t img_bytes = static_cast<uint64_t>(dim) * dim;
     const Vaddr src_va = run->image_buf + img * img_bytes;
 
     // Kernel weights from common memory (touches model pages).
     const uint64_t model_pages = params.model_bytes >> kPageShift;
-    uint8_t* kpage = MustPage(
-        ctx, *state, state->common_base + AddrOf((img * 7) % model_pages), false);
+    uint8_t* kpage = pages.At(state->common_base + AddrOf((img * 7) % model_pages), false);
     if (kpage == nullptr) {
       return;
     }
@@ -81,7 +81,7 @@ ProgramFn VisionWorkload::MakeProgram(std::shared_ptr<AppState> state) {
         for (uint32_t x = 1; x + 1 < dim; ++x) {
           int32_t acc = 0;
           for (int dy = -1; dy <= 1; ++dy) {
-            uint8_t* row = MustPage(ctx, *state, src_va + (y + dy) * dim, false);
+            uint8_t* row = pages.At(src_va + (y + dy) * dim, false);
             if (row == nullptr) {
               return;
             }
@@ -112,7 +112,8 @@ ProgramFn VisionWorkload::MakeProgram(std::shared_ptr<AppState> state) {
 
   // Takes the next image off the queue and processes it; false if none was left (or
   // the queue lock was busy).
-  auto work_one = [state, run, params, process_image](SyscallContext& ctx) {
+  auto work_one = [state, run, params, process_image](SyscallContext& ctx,
+                                                      PageCursor& pages) {
     LibosEnv& env = *state->env;
     int img = -1;
     if (env.lock(1).TryAcquire(ctx, ctx.task().tid)) {
@@ -124,7 +125,7 @@ ProgramFn VisionWorkload::MakeProgram(std::shared_ptr<AppState> state) {
     if (img < 0) {
       return false;
     }
-    process_image(ctx, static_cast<uint32_t>(img));
+    process_image(ctx, pages, static_cast<uint32_t>(img));
     while (!env.lock(1).TryAcquire(ctx, ctx.task().tid)) {
       ctx.Compute(40);
     }
@@ -143,12 +144,12 @@ ProgramFn VisionWorkload::MakeProgram(std::shared_ptr<AppState> state) {
     run->image_buf = PageAlignUp(buf);
     return OkStatus();
   };
-  phases.worker = [state, work_one](SyscallContext& ctx) -> StepOutcome {
+  phases.worker = [state, work_one](SyscallContext& ctx, PageCursor& pages) -> StepOutcome {
     if (!state->input_ready) {
       ctx.Compute(300);
       return StepOutcome::kYield;
     }
-    work_one(ctx);
+    work_one(ctx, pages);
     if (!ctx.Poll()) {
       return StepOutcome::kExited;
     }
@@ -159,8 +160,9 @@ ProgramFn VisionWorkload::MakeProgram(std::shared_ptr<AppState> state) {
     return ctx.WriteUser(run->image_buf, input.data(), input.size());
   };
   // The leader also processes images.
-  phases.step = [run, params, work_one](SyscallContext& ctx) -> std::optional<StepOutcome> {
-    if (work_one(ctx)) {
+  phases.step = [run, params, work_one](SyscallContext& ctx,
+                                        PageCursor& pages) -> std::optional<StepOutcome> {
+    if (work_one(ctx, pages)) {
       if (!ctx.Poll()) {
         return StepOutcome::kExited;
       }

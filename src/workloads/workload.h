@@ -25,9 +25,6 @@ struct AppState {
   std::string failure;
   Vaddr common_base = 0;      // where the common region is mapped (0 = none)
   uint64_t common_bytes = 0;
-  int workers_running = 0;
-  // Scratch shared between leader and worker threads (workload-specific use).
-  std::vector<uint64_t> shared_u64;
 };
 
 class Workload {
@@ -57,7 +54,11 @@ class Workload {
   virtual bool CheckOutput(const Bytes& input, const Bytes& output) const { return true; }
 };
 
-// The app's half of the one-shot lifecycle that MakeAppProgram drives.
+// The app's half of the one-shot lifecycle that MakeAppProgram drives. The compute
+// hooks (worker, step) get the slice's PageCursor for confined and common memory; one
+// whose access fails (At returns nullptr) stops, and the driver fails the run with the
+// cursor's status, whatever the hook returned. The Status-returning hooks open their
+// own cursor if they touch memory, and return its status on a failed access.
 struct AppPhases {
   // Largest client input the app accepts (RecvInput stages up to this many bytes).
   uint64_t max_input = 0;
@@ -65,12 +66,12 @@ struct AppPhases {
   std::function<Status(SyscallContext&)> setup;
   // One slice of each of the manifest's num_threads - 1 workers. The driver exits a
   // worker instead once state->output_sent || state->failed.
-  ProgramFn worker;
+  std::function<StepOutcome(SyscallContext&, PageCursor&)> worker;
   // Takes the client input into the app's state.
   std::function<Status(SyscallContext&, const Bytes&)> install;
   // One compute slice: kYield/kExited, or std::nullopt once the result is ready, in
   // which case the output is released in the same slice.
-  std::function<std::optional<StepOutcome>(SyscallContext&)> step;
+  std::function<std::optional<StepOutcome>(SyscallContext&, PageCursor&)> step;
   // The result to release to the client.
   std::function<StatusOr<Bytes>(SyscallContext&)> output;
 };
@@ -84,22 +85,11 @@ struct AppPhases {
 //      phases.install and input_ready.
 //   3. Compute: phases.step until it reports the result ready.
 //   4. Output: phases.output, SendOutput, output_sent, exit.
-// A failure in any phase is recorded in state once (a failure already recorded,
-// such as MustPage's, is kept) and exits the leader; the workers then exit too.
+// Each compute slice opens one PageCursor for the hook it runs. A failure in any
+// phase, a failed page access in any thread included, is recorded in state once
+// (the first failure is kept) and exits that thread; the other threads then exit
+// too.
 ProgramFn MakeAppProgram(std::shared_ptr<AppState> state, AppPhases phases);
-
-// Helpers shared by workload implementations.
-
-// Touches + returns a page pointer, recording a failure into state on error.
-inline uint8_t* MustPage(SyscallContext& ctx, AppState& state, Vaddr va, bool write) {
-  auto ptr = ctx.PagePtr(va, write);
-  if (!ptr.ok()) {
-    state.failed = true;
-    state.failure = std::string(ptr.status().message());
-    return nullptr;
-  }
-  return *ptr;
-}
 
 // Registry of the five paper workloads (llm, vision, retrieval, graph, ids).
 std::vector<std::unique_ptr<Workload>> MakePaperWorkloads();

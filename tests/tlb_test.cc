@@ -12,9 +12,11 @@
 //      TLB off and on (EREBOR_TLB only changes host time, never the cost model).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <optional>
 #include <random>
 #include <sstream>
+#include <thread>
 
 #include "src/common/metrics.h"
 #include "src/hw/tlb.h"
@@ -23,8 +25,10 @@
 #include "src/kernel/layout.h"
 #include "src/libos/libos.h"
 #include "src/sim/world.h"
-#include "tests/client_data.h"
 #include "src/workloads/lmbench.h"
+#include "src/workloads/runner.h"
+#include "tests/client_data.h"
+#include "tests/small_workloads.h"
 
 namespace erebor {
 namespace {
@@ -264,6 +268,64 @@ TEST_F(TlbMachineTest, InvlpgHookIsLoadBearing) {
       << "invlpg must broadcast to all vCPUs";
 }
 
+// Under the real-thread engine a peer's shootdown only queues on the owner: until
+// the owner drains it, the owner's TLB still holds the page, so a cursor serving it
+// is exactly as fresh as TranslateHit; the drain clears the leaf, and the next
+// cursor access re-walks.
+TEST_F(TlbMachineTest, PeerShootdownBetweenCursorAccessesForcesARewalk) {
+  TlbStateGuard guard;
+  const Vaddr va = 0x40000000;
+  const Paddr root = BuildTree(100, va, 200);
+  Cpu& owner = machine_.cpu(0);
+  owner.TrustedWriteCr(3, root);
+  Task task;
+  SyscallContext ctx(nullptr, &task, &owner);
+  const Tlb::Stats& stats = Tlb::GlobalStats();
+  const auto walks = [&stats] {
+    return CounterLoad(stats.misses) + CounterLoad(stats.psc_hits);
+  };
+  std::atomic<int> phase{0};
+  uint8_t* access[3] = {nullptr, nullptr, nullptr};
+  uint64_t walks_at[3] = {0, 0, 0};
+  bool queued = false;
+  {
+    ExecutionEngine::RealThreadsScope real_threads;
+    std::thread owner_thread([&] {
+      ExecutionEngine::CpuBinding bind(0);
+      PageCursor pages(ctx);
+      access[0] = pages.At(va, false);
+      phase.store(1);
+      while (phase.load() != 2) {
+        std::this_thread::yield();
+      }
+      walks_at[0] = walks();
+      access[1] = pages.At(va, false);
+      walks_at[1] = walks();
+      queued = owner.tlb_invalidations_pending();
+      owner.DrainTlbInvalidations();
+      access[2] = pages.At(va, false);
+      walks_at[2] = walks();
+    });
+    std::thread peer_thread([&] {
+      ExecutionEngine::CpuBinding bind(1);
+      while (phase.load() != 1) {
+        std::this_thread::yield();
+      }
+      machine_.ShootdownTlbLeaf(LeafPa(100, va), /*initiating_cpu=*/1);
+      phase.store(2);
+    });
+    owner_thread.join();
+    peer_thread.join();
+  }
+  ASSERT_NE(access[0], nullptr);
+  EXPECT_EQ(access[1], access[0]);
+  EXPECT_EQ(access[2], access[0]);
+  EXPECT_TRUE(queued) << "a peer's shootdown must queue on the owner, not apply";
+  EXPECT_EQ(walks_at[1] - walks_at[0], 0u) << "before the drain the cursor serves";
+  EXPECT_EQ(walks_at[2] - walks_at[1], 1u) << "after the drain the cursor re-walks";
+  EXPECT_EQ(owner.tlb_invalidations_drained(), 1u);
+}
+
 // ---- Layer 2 (continued): monitor-side hooks, exercised in a booted world ----
 
 class TlbWorldTest : public testing::Test {
@@ -453,15 +515,23 @@ TEST_F(TlbWorldTest, FlushOnExitHookIsLoadBearing) {
 
 // ---- Layer 3: cycle-neutrality ----
 
+// Every LMBench microbenchmark, native and full Erebor: identical simulated counts
+// with the TLB off and on, while the TLB cuts the walker's table reads at least 5x.
 TEST(TlbCycleNeutralityTest, SimulatedCountsAreBitIdenticalOffAndOn) {
   TlbStateGuard guard;
-  for (const char* name : {"stat", "pagefault"}) {
+  uint64_t reads_off = 0;
+  uint64_t reads_on = 0;
+  for (const std::string& name : LmbenchNames()) {
+    uint64_t reads = PageTableWalkReads();
     Tlb::SetEnabled(false);
     const auto off_native = RunLmbench(name, SimMode::kNative, 200);
     const auto off_erebor = RunLmbench(name, SimMode::kEreborFull, 200);
+    reads_off += PageTableWalkReads() - reads;
+    reads = PageTableWalkReads();
     Tlb::SetEnabled(true);
     const auto on_native = RunLmbench(name, SimMode::kNative, 200);
     const auto on_erebor = RunLmbench(name, SimMode::kEreborFull, 200);
+    reads_on += PageTableWalkReads() - reads;
     ASSERT_TRUE(off_native.ok() && off_erebor.ok() && on_native.ok() &&
                 on_erebor.ok());
     EXPECT_EQ(off_native->operations, on_native->operations) << name;
@@ -469,6 +539,29 @@ TEST(TlbCycleNeutralityTest, SimulatedCountsAreBitIdenticalOffAndOn) {
     EXPECT_EQ(off_erebor->operations, on_erebor->operations) << name;
     EXPECT_EQ(off_erebor->total_cycles, on_erebor->total_cycles) << name;
     EXPECT_EQ(off_erebor->emc_count, on_erebor->emc_count) << name;
+  }
+  EXPECT_GE(reads_off, 5 * reads_on) << "off " << reads_off << " on " << reads_on;
+}
+
+// The five paper apps at reduced sizes in full Erebor: the software TLB and the
+// page cursors it enables change host time only.
+TEST(TlbCycleNeutralityTest, PaperAppsAreBitIdenticalOffAndOn) {
+  TlbStateGuard guard;
+  for (const char* name : {"llama.cpp", "yolo", "drugbank", "graphchi", "unicorn"}) {
+    const auto workload = SmallWorkload(name);
+    ASSERT_NE(workload, nullptr) << name;
+    RunnerOptions options;
+    options.memory_frames = 32 * 1024;
+    Tlb::SetEnabled(false);
+    const RunReport off = RunWorkload(*workload, SimMode::kEreborFull, options);
+    Tlb::SetEnabled(true);
+    const RunReport on = RunWorkload(*workload, SimMode::kEreborFull, options);
+    ASSERT_TRUE(off.ok) << name << ": " << off.error;
+    ASSERT_TRUE(on.ok) << name << ": " << on.error;
+    EXPECT_EQ(off.init_cycles, on.init_cycles) << name;
+    EXPECT_EQ(off.run_cycles, on.run_cycles) << name;
+    EXPECT_EQ(off.emc_total, on.emc_total) << name;
+    EXPECT_EQ(off.output, on.output) << name;
   }
 }
 
@@ -567,6 +660,47 @@ std::optional<std::pair<std::string, uint64_t>> ReferenceDenial(const AccessCase
   return std::nullopt;
 }
 
+// The inputs of the check grid, each behind its own setter.
+enum class Knob { kMode, kCr0, kCr4, kPkrs, kAc, kMonitor, kKeyIdMap, kBind };
+constexpr Knob kKnobs[] = {Knob::kMode,    Knob::kCr0,      Knob::kCr4,
+                           Knob::kPkrs,    Knob::kAc,       Knob::kMonitor,
+                           Knob::kKeyIdMap, Knob::kBind};
+
+// c with one knob at a value that allows more: the other CPU mode, the check
+// disabled, or (keyIDs) no map at all and a matching binding.
+AccessCase Relaxed(AccessCase c, Knob knob) {
+  using KeyIds = AccessCase::KeyIds;
+  switch (knob) {
+    case Knob::kMode:
+      c.mode = c.mode == CpuMode::kUser ? CpuMode::kSupervisor : CpuMode::kUser;
+      break;
+    case Knob::kCr0:
+      c.wp = false;
+      break;
+    case Knob::kCr4:
+      c.smep = c.smap = c.pks = false;
+      break;
+    case Knob::kPkrs:
+      c.pkrs = 0;
+      break;
+    case Knob::kAc:
+      c.ac = true;
+      break;
+    case Knob::kMonitor:
+      c.in_monitor = true;
+      break;
+    case Knob::kKeyIdMap:
+      c.keyids = KeyIds::kNone;
+      break;
+    case Knob::kBind:
+      if (c.keyids != KeyIds::kNone) {
+        c.keyids = KeyIds::kMatch;
+      }
+      break;
+  }
+  return c;
+}
+
 class TlbHitPathTest : public testing::Test {
  protected:
   static constexpr Vaddr kBase = 0x40000000;
@@ -577,25 +711,27 @@ class TlbHitPathTest : public testing::Test {
         keyids_(machine_.memory().num_frames()),
         cpu_(machine_.cpu(0)),
         ctx_(nullptr, &task_, &cpu_) {
-    FrameNum next_ptp = 100;
-    const auto write_pte = [this](Paddr pa, Pte value) {
-      machine_.memory().Write64(pa, value);
-      return OkStatus();
-    };
-    const auto alloc_ptp = [&next_ptp]() -> StatusOr<FrameNum> { return next_ptp++; };
-    const PteWriter writer{write_pte, alloc_ptp};
-    const Paddr root = AddrOf(next_ptp++);
     for (int shape = 0; shape < kShapes; ++shape) {
       const AccessCase c = ShapeCase(shape);
       Pte flags = pte::kPresent | (c.user_page ? pte::kUser : 0) |
                   (c.writable ? pte::kWritable : 0) |
                   (c.no_execute ? pte::kNoExecute : 0) | (c.dirty ? pte::kDirty : 0);
       flags = pte::WithPkey(flags, c.pkey);
-      EXPECT_TRUE(MapPage(machine_.memory(), root, PageVa(shape), kFirstData + shape,
-                          flags, writer)
-                      .ok());
+      Map(PageVa(shape), kFirstData + shape, flags);
     }
-    cpu_.TrustedWriteCr(3, root);
+    cpu_.TrustedWriteCr(3, root_);
+  }
+
+  // Maps va -> frame in the fixture's tree with raw table writes.
+  void Map(Vaddr va, FrameNum frame, Pte flags) {
+    const auto write_pte = [this](Paddr pa, Pte value) {
+      machine_.memory().Write64(pa, value);
+      return OkStatus();
+    };
+    const auto alloc_ptp = [this]() -> StatusOr<FrameNum> { return next_ptp_++; };
+    ASSERT_TRUE(
+        MapPage(machine_.memory(), root_, va, frame, flags, PteWriter{write_pte, alloc_ptp})
+            .ok());
   }
 
   static constexpr int kShapes = 32;
@@ -609,36 +745,80 @@ class TlbHitPathTest : public testing::Test {
     c.pkey = (shape & 16) != 0 ? 3 : 0;
     return c;
   }
+  // One point of the grid: the shape's page, with bits 0..6 of `bits` selecting
+  // user mode, SMEP, SMAP, PKS, AC, CR0.WP and the monitor context.
+  static AccessCase GridCase(int shape, int bits, AccessType access, uint64_t pkrs,
+                             AccessCase::KeyIds keyids) {
+    AccessCase c = ShapeCase(shape);
+    c.mode = (bits & 1) != 0 ? CpuMode::kUser : CpuMode::kSupervisor;
+    c.smep = (bits & 2) != 0;
+    c.smap = (bits & 4) != 0;
+    c.pks = (bits & 8) != 0;
+    c.ac = (bits & 16) != 0;
+    c.wp = (bits & 32) != 0;
+    c.in_monitor = (bits & 64) != 0;
+    c.access = access;
+    c.pkrs = pkrs;
+    c.keyids = keyids;
+    return c;
+  }
+
+  // Moves one knob of the CPU state (or the frame's TME-MK binding) to c's value,
+  // through the one setter that owns it. kBind rebinds the frame with no CPU call.
+  void ApplyKnob(Knob knob, const AccessCase& c, FrameNum frame, uint32_t mapped_keyid) {
+    using KeyIds = AccessCase::KeyIds;
+    switch (knob) {
+      case Knob::kMode:
+        cpu_.SetMode(c.mode);
+        return;
+      case Knob::kCr0:
+        cpu_.TrustedWriteCr(0, c.wp ? cr::kCr0Wp : 0);
+        return;
+      case Knob::kCr4:
+        cpu_.TrustedWriteCr(4, (c.smep ? cr::kCr4Smep : 0) | (c.smap ? cr::kCr4Smap : 0) |
+                                   (c.pks ? cr::kCr4Pks : 0));
+        return;
+      case Knob::kPkrs:
+        cpu_.TrustedWriteMsr(msr::kIa32Pkrs, c.pkrs);
+        return;
+      case Knob::kAc:
+        cpu_.TrustedSetAc(c.ac);
+        return;
+      case Knob::kMonitor:
+        cpu_.SetMonitorContext(c.in_monitor);
+        return;
+      case Knob::kKeyIdMap:
+        ApplyKnob(Knob::kBind, c, frame, mapped_keyid);
+        cpu_.SetKeyIdMap(c.keyids == KeyIds::kNone ? nullptr : &keyids_);
+        return;
+      case Knob::kBind:
+        switch (c.keyids) {
+          case KeyIds::kNone:
+            return;
+          case KeyIds::kMatch:
+            keyids_.Bind(frame, mapped_keyid, false);
+            return;
+          case KeyIds::kMismatch:
+            keyids_.Bind(frame, mapped_keyid ^ 1, false);
+            return;
+          case KeyIds::kReadShared:
+            keyids_.Bind(frame, mapped_keyid ^ 1, true);
+            return;
+        }
+    }
+  }
 
   // Loads the case's CPU state and TME-MK binding. None of these writes flushes
   // the TLB: the hit path must re-check against live state.
   void Apply(const AccessCase& c, FrameNum frame, uint32_t mapped_keyid) {
-    cpu_.SetMode(c.mode);
-    cpu_.TrustedWriteCr(4, (c.smep ? cr::kCr4Smep : 0) | (c.smap ? cr::kCr4Smap : 0) |
-                               (c.pks ? cr::kCr4Pks : 0));
-    cpu_.TrustedWriteCr(0, c.wp ? cr::kCr0Wp : 0);
-    cpu_.TrustedSetAc(c.ac);
-    cpu_.TrustedWriteMsr(msr::kIa32Pkrs, c.pkrs);
-    cpu_.SetMonitorContext(c.in_monitor);
-    switch (c.keyids) {
-      case AccessCase::KeyIds::kNone:
-        cpu_.SetKeyIdMap(nullptr);
-        return;
-      case AccessCase::KeyIds::kMatch:
-        keyids_.Bind(frame, mapped_keyid, false);
-        break;
-      case AccessCase::KeyIds::kMismatch:
-        keyids_.Bind(frame, mapped_keyid ^ 1, false);
-        break;
-      case AccessCase::KeyIds::kReadShared:
-        keyids_.Bind(frame, mapped_keyid ^ 1, true);
-        break;
+    for (const Knob knob : kKnobs) {
+      ApplyKnob(knob, c, frame, mapped_keyid);
     }
-    cpu_.SetKeyIdMap(&keyids_);
   }
 
-  // The operation under test, through Translate, ReadVirt/WriteVirt or PagePtr.
-  enum class Op { kTranslate, kCopy, kPagePtr };
+  // The operation under test, through Translate, ReadVirt/WriteVirt, PagePtr or a
+  // fresh PageCursor (whose first access is a miss, so it must behave as PagePtr).
+  enum class Op { kTranslate, kCopy, kPagePtr, kCursor };
   Outcome Run(Op op, Vaddr va, AccessType access) {
     Outcome out;
     Status status;
@@ -658,6 +838,12 @@ class TlbHitPathTest : public testing::Test {
         out.page = page.ok() ? *page : nullptr;
         break;
       }
+      case Op::kCursor: {
+        PageCursor pages(ctx_);
+        out.page = pages.At(va, access == AccessType::kWrite);
+        status = pages.status();
+        break;
+      }
     }
     out.code = status.code();
     out.message = status.message();
@@ -670,6 +856,8 @@ class TlbHitPathTest : public testing::Test {
   Cpu& cpu_;
   Task task_;
   SyscallContext ctx_;
+  FrameNum next_ptp_ = 100;
+  const Paddr root_ = AddrOf(next_ptp_++);
 };
 
 TEST_F(TlbHitPathTest, WarmHitsMatchTheFullPathAcrossTheCheckGrid) {
@@ -688,18 +876,8 @@ TEST_F(TlbHitPathTest, WarmHitsMatchTheFullPathAcrossTheCheckGrid) {
         for (uint64_t pkrs : {uint64_t{0}, pkrs::Ad(3), pkrs::Wd(3), pkrs::Ad(0)}) {
           for (KeyIds keyids :
                {KeyIds::kNone, KeyIds::kMatch, KeyIds::kMismatch, KeyIds::kReadShared}) {
-            AccessCase c = ShapeCase(shape);
-            c.mode = (bits & 1) != 0 ? CpuMode::kUser : CpuMode::kSupervisor;
-            c.smep = (bits & 2) != 0;
-            c.smap = (bits & 4) != 0;
-            c.pks = (bits & 8) != 0;
-            c.ac = (bits & 16) != 0;
-            c.wp = (bits & 32) != 0;
-            c.in_monitor = (bits & 64) != 0;
+            const AccessCase c = GridCase(shape, bits, access, pkrs, keyids);
             const bool via_copy = (bits & 128) != 0;
-            c.access = access;
-            c.pkrs = pkrs;
-            c.keyids = keyids;
             Apply(c, frame, mapped_keyid);
             ++cases;
 
@@ -728,23 +906,31 @@ TEST_F(TlbHitPathTest, WarmHitsMatchTheFullPathAcrossTheCheckGrid) {
 
             // Each operation that takes the hit path, TLB off vs warm TLB: same
             // outcome, and the warm run counts what a plain Translate would —
-            // one hit per translation, no miss.
+            // one hit per translation, no miss. A fresh cursor runs where PagePtr
+            // does.
             const Op op = access == AccessType::kExecute ? Op::kTranslate
                           : via_copy                     ? Op::kCopy
                                                          : Op::kPagePtr;
-            const Outcome off = Run(op, va, access);
-            Tlb::SetEnabled(true);
-            ASSERT_TRUE(cpu_.WalkCached(cpu_.cr3(), va, c.mode).ok());  // warm
-            const Tlb::Stats before = Tlb::GlobalStats();
-            const Outcome warm = Run(op, va, access);
-            const Tlb::Stats& after = Tlb::GlobalStats();
-            ASSERT_EQ(warm, off) << Describe(c);
-            // PagePtr retries a denied access once after the (here unhandled) #PF.
-            const uint64_t translations =
-                op == Op::kPagePtr && expected.has_value() ? 2 : 1;
-            ASSERT_EQ(after.hits - before.hits, translations) << Describe(c);
-            ASSERT_EQ(after.misses - before.misses, 0u) << Describe(c);
-            ASSERT_EQ(after.psc_hits - before.psc_hits, 0u) << Describe(c);
+            const Op ops[] = {op, Op::kCursor};
+            for (int i = 0; i < (op == Op::kPagePtr ? 2 : 1); ++i) {
+              const Op run_op = ops[i];
+              Tlb::SetEnabled(false);
+              const Outcome off = Run(run_op, va, access);
+              Tlb::SetEnabled(true);
+              ASSERT_TRUE(cpu_.WalkCached(cpu_.cr3(), va, c.mode).ok());  // warm
+              const Tlb::Stats before = Tlb::GlobalStats();
+              const Outcome warm = Run(run_op, va, access);
+              const Tlb::Stats& after = Tlb::GlobalStats();
+              ASSERT_EQ(warm, off) << Describe(c);
+              // PagePtr retries a denied access once after the (here unhandled) #PF.
+              const uint64_t translations =
+                  run_op != Op::kTranslate && run_op != Op::kCopy && expected.has_value()
+                      ? 2
+                      : 1;
+              ASSERT_EQ(after.hits - before.hits, translations) << Describe(c);
+              ASSERT_EQ(after.misses - before.misses, 0u) << Describe(c);
+              ASSERT_EQ(after.psc_hits - before.psc_hits, 0u) << Describe(c);
+            }
           }
         }
       }
@@ -753,6 +939,180 @@ TEST_F(TlbHitPathTest, WarmHitsMatchTheFullPathAcrossTheCheckGrid) {
   EXPECT_EQ(cases, uint64_t{kShapes} * 256 * 3 * 4 * 4);
   EXPECT_GT(denials, 0u);
   EXPECT_LT(denials, cases);
+}
+
+// A cursor warmed while one knob allowed more, then that knob alone moves to the
+// case's value (a keyID rebinding without any CPU call included): the next access
+// through the same cursor must match a fresh PagePtr in outcome and in hit, miss
+// and structure-cache counts. Each knob's setter is its only epoch input here, so
+// a setter that forgets to advance the epoch fails the knob's revoking cases.
+TEST_F(TlbHitPathTest, StaleCursorMatchesPagePtrAfterEachStateChange) {
+  using KeyIds = AccessCase::KeyIds;
+  uint64_t cases = 0;
+  uint64_t revoked[std::size(kKnobs)] = {};
+  for (int shape = 0; shape < kShapes; ++shape) {
+    const Vaddr va = PageVa(shape) + 0x10;
+    const FrameNum frame = kFirstData + shape;
+    const auto leaf = cpu_.WalkCached(cpu_.cr3(), va, CpuMode::kSupervisor);
+    ASSERT_TRUE(leaf.ok());
+    const uint32_t mapped_keyid = pte::KeyId(leaf->leaf);
+    ASSERT_TRUE(cpu_.WalkCached(cpu_.cr3(), va, CpuMode::kUser).ok());
+    for (int bits = 0; bits < (1 << 7); ++bits) {
+      for (AccessType access : {AccessType::kRead, AccessType::kWrite}) {
+        const bool write = access == AccessType::kWrite;
+        for (uint64_t pkrs : {uint64_t{0}, pkrs::Ad(3), pkrs::Wd(3), pkrs::Ad(0)}) {
+          for (KeyIds keyids :
+               {KeyIds::kNone, KeyIds::kMatch, KeyIds::kMismatch, KeyIds::kReadShared}) {
+            const AccessCase c = GridCase(shape, bits, access, pkrs, keyids);
+            for (size_t k = 0; k < std::size(kKnobs); ++k) {
+              Apply(Relaxed(c, kKnobs[k]), frame, mapped_keyid);
+              Outcome stale;
+              Tlb::Stats before;
+              {
+                PageCursor pages(ctx_);
+                if (pages.At(va, write) == nullptr) {
+                  continue;  // nothing cached, so nothing can go stale
+                }
+                ApplyKnob(kKnobs[k], c, frame, mapped_keyid);
+                before = Tlb::GlobalStats();
+                stale.page = pages.At(va, write);
+                stale.code = pages.status().code();
+                stale.message = pages.status().message();
+              }
+              const Tlb::Stats mid = Tlb::GlobalStats();
+              const Outcome fresh = Run(Op::kPagePtr, va, access);
+              const Tlb::Stats& after = Tlb::GlobalStats();
+              ++cases;
+              ASSERT_EQ(stale, fresh) << Describe(c) << " knob " << k;
+              ASSERT_EQ(mid.hits - before.hits, after.hits - mid.hits)
+                  << Describe(c) << " knob " << k;
+              ASSERT_EQ(mid.misses - before.misses, after.misses - mid.misses);
+              ASSERT_EQ(mid.psc_hits - before.psc_hits, after.psc_hits - mid.psc_hits);
+              revoked[k] += fresh.code != ErrorCode::kOk;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(cases, 0u);
+  for (size_t k = 0; k < std::size(kKnobs); ++k) {
+    EXPECT_GT(revoked[k], 0u) << "knob " << k << " never revoked a cached access";
+  }
+}
+
+// Every change to what the TLB's leaf probe returns — a fill that evicts the
+// cursor's page and each invalidation primitive — makes the next cursor access
+// re-walk exactly as PagePtr would: no hit, one walk. A CR3 switch that flushes
+// nothing (hook off) leaves the TLB intact; the cursor must still follow the new
+// root and fail as PagePtr does.
+TEST_F(TlbHitPathTest, TlbChangesForceTheCursorToRewalk) {
+  constexpr Vaddr kAliasBase = 0x80000000;
+  AccessCase c = ShapeCase(2);  // supervisor read/write page
+  c.mode = CpuMode::kSupervisor;
+  Apply(c, kFirstData + 2, 0);
+  const Vaddr va = PageVa(2) + 0x10;
+  const auto leaf = cpu_.WalkCached(cpu_.cr3(), va, CpuMode::kSupervisor);
+  ASSERT_TRUE(leaf.ok());
+
+  // An alias page whose fill lands in va's leaf slot. The slot hash is fixed, so
+  // the search finds the same page on every run.
+  Vaddr evictor = 0;
+  for (int i = 0; i < 4096 && evictor == 0; ++i) {
+    const Vaddr alias = kAliasBase + static_cast<Vaddr>(i) * kPageSize;
+    Map(alias, kFirstData + kShapes, pte::kPresent | pte::kWritable);
+    ASSERT_TRUE(cpu_.WalkCached(cpu_.cr3(), va, CpuMode::kSupervisor).ok());
+    ASSERT_TRUE(cpu_.WalkCached(cpu_.cr3(), alias, CpuMode::kSupervisor).ok());
+    if (cpu_.tlb().ProbeLeaf(cpu_.cr3(), va, CpuMode::kSupervisor) == nullptr) {
+      evictor = alias;
+    }
+  }
+  ASSERT_NE(evictor, 0u);
+
+  const std::pair<const char*, std::function<void()>> changes[] = {
+      {"evicting fill",
+       [&] { ASSERT_TRUE(cpu_.WalkCached(cpu_.cr3(), evictor, CpuMode::kSupervisor).ok()); }},
+      {"FlushAll", [&] { cpu_.tlb().FlushAll(); }},
+      {"FlushRoot", [&] { cpu_.tlb().FlushRoot(cpu_.cr3()); }},
+      {"InvalidatePage", [&] { cpu_.tlb().InvalidatePage(cpu_.cr3(), va); }},
+      {"ShootdownEntry", [&] { cpu_.tlb().ShootdownEntry(leaf->leaf_entry_pa); }},
+  };
+  for (const auto& [name, change] : changes) {
+    ASSERT_TRUE(cpu_.WalkCached(cpu_.cr3(), va, CpuMode::kSupervisor).ok());
+    uint8_t* first = nullptr;
+    uint8_t* second = nullptr;
+    Tlb::Stats before;
+    {
+      PageCursor pages(ctx_);
+      first = pages.At(va, true);
+      change();
+      before = Tlb::GlobalStats();
+      second = pages.At(va, true);
+    }
+    const Tlb::Stats& after = Tlb::GlobalStats();
+    ASSERT_NE(first, nullptr) << name;
+    EXPECT_EQ(second, first) << name;
+    EXPECT_EQ(after.hits - before.hits, 0u) << name;
+    EXPECT_EQ(after.misses + after.psc_hits - before.misses - before.psc_hits, 1u) << name;
+  }
+
+  Tlb::hooks().cr3_flush = false;
+  const Paddr empty_root = AddrOf(next_ptp_++);  // never written: maps nothing
+  {
+    PageCursor pages(ctx_);
+    ASSERT_NE(pages.At(va, true), nullptr);
+    cpu_.TrustedWriteCr(3, empty_root);
+    EXPECT_EQ(pages.At(va, true), nullptr);
+    EXPECT_EQ(pages.status(), ctx_.PagePtr(va, true).status());
+  }
+  cpu_.TrustedWriteCr(3, root_);
+}
+
+// A swap to another KeyIdMap with the same generation: only the CPU's epoch step
+// across the swap tells the cursor that the binding it checked is gone.
+TEST_F(TlbHitPathTest, KeyIdMapSwapRechecksCachedPages) {
+  AccessCase c = ShapeCase(2);
+  c.mode = CpuMode::kSupervisor;
+  Apply(c, kFirstData + 2, 0);
+  const Vaddr va = PageVa(2);
+  const auto leaf = cpu_.WalkCached(cpu_.cr3(), va, CpuMode::kSupervisor);
+  ASSERT_TRUE(leaf.ok());
+  const uint32_t mapped_keyid = pte::KeyId(leaf->leaf);
+  KeyIdMap other(machine_.memory().num_frames());
+  keyids_.Bind(kFirstData + 2, mapped_keyid, false);
+  other.Bind(kFirstData + 2, mapped_keyid ^ 1, false);
+  ASSERT_EQ(keyids_.generation(), other.generation());
+  cpu_.SetKeyIdMap(&keyids_);
+  PageCursor pages(ctx_);
+  ASSERT_NE(pages.At(va, false), nullptr);
+  cpu_.SetKeyIdMap(&other);
+  EXPECT_EQ(pages.At(va, false), nullptr);
+  EXPECT_EQ(pages.status(), ctx_.PagePtr(va, false).status());
+  cpu_.SetKeyIdMap(nullptr);
+}
+
+// With the TLB off the cursor caches nothing: every access walks the tables, as
+// PagePtr does, and none counts a hit.
+TEST_F(TlbHitPathTest, CursorCachesNothingWithTheTlbOff) {
+  Tlb::SetEnabled(false);
+  AccessCase c = ShapeCase(2);
+  c.mode = CpuMode::kSupervisor;
+  Apply(c, kFirstData + 2, 0);
+  const Vaddr va = PageVa(2);
+  uint64_t reads = PageTableWalkReads();
+  ASSERT_TRUE(ctx_.PagePtr(va, true).ok());
+  const uint64_t reads_per_walk = PageTableWalkReads() - reads;
+  ASSERT_GT(reads_per_walk, 0u);
+  const uint64_t hits = Tlb::GlobalStats().hits;
+  reads = PageTableWalkReads();
+  {
+    PageCursor pages(ctx_);
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_NE(pages.At(va + 8 * i, i % 2 == 0), nullptr);
+    }
+  }
+  EXPECT_EQ(PageTableWalkReads() - reads, 4 * reads_per_walk);
+  EXPECT_EQ(Tlb::GlobalStats().hits, hits);
 }
 
 // ---- PteRevokesPermissions classification ----

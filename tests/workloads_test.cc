@@ -10,43 +10,10 @@
 #include "src/workloads/retrieval.h"
 #include "src/workloads/runner.h"
 #include "src/workloads/vision.h"
+#include "tests/small_workloads.h"
 
 namespace erebor {
 namespace {
-
-// Scaled-down parameter sets so the full matrix stays fast in CI.
-std::unique_ptr<Workload> SmallWorkload(const std::string& name) {
-  if (name == "llama.cpp") {
-    LlmParams p;
-    p.generate_tokens = 24;
-    p.model_bytes = 4ull << 20;
-    return std::make_unique<LlmWorkload>(p);
-  }
-  if (name == "yolo") {
-    VisionParams p;
-    p.num_images = 12;
-    return std::make_unique<VisionWorkload>(p);
-  }
-  if (name == "drugbank") {
-    RetrievalParams p;
-    p.num_queries = 12'000;
-    p.num_records = 8192;
-    return std::make_unique<RetrievalWorkload>(p);
-  }
-  if (name == "graphchi") {
-    GraphParams p;
-    p.num_nodes = 4000;
-    p.num_edges = 24'000;
-    p.iterations = 4;
-    return std::make_unique<GraphWorkload>(p);
-  }
-  if (name == "unicorn") {
-    IdsParams p;
-    p.num_events = 40'000;
-    return std::make_unique<IdsWorkload>(p);
-  }
-  return nullptr;
-}
 
 class WorkloadMatrixTest
     : public testing::TestWithParam<std::tuple<std::string, SimMode>> {};
