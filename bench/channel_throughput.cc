@@ -1,12 +1,11 @@
 // Channel throughput bench, two parts:
 //
-// Part A (wall clock): single-session seal+open record pipeline, new zero-copy
-// accelerated path (SealRecordWire/ParseRecordWire/OpenRecordWire with the
-// SHA-NI + AVX2 dispatch) versus a faithful replica of the pre-PR scalar path
-// (byte-at-a-time ChaCha20 block XOR, scalar SHA-256, and the full
-// plaintext -> SealedRecord -> Packet::Serialize -> Deserialize -> AeadOpen
-// copy chain). Both paths must produce byte-identical wires and plaintexts;
-// the new path must be >= 4x at 64 KiB records.
+// Part A (wall clock): the single-session record pipeline
+// (SealRecordWire -> ParseRecordWire -> OpenRecordWire), timed twice: with the
+// SHA-NI + AVX2 dispatch on, and with it off (accel::ScopedEnable(false): the
+// portable ChaCha20 and SHA-256). Both runs must produce byte-identical wires
+// and plaintexts; the accelerated run must be >= 4x at 64 KiB records (median
+// of kPipelineReps alternating pairs).
 //
 // Part B (simulated cycles): multi-session ingest aggregate through
 // ProxyDeliverBatch on an 8-vCPU machine, 1/4/16 concurrent sessions, with
@@ -33,7 +32,6 @@
 #include "src/common/rng.h"
 #include "src/crypto/accel.h"
 #include "src/crypto/aead.h"
-#include "src/crypto/chacha20.h"
 #include "src/libos/libos.h"
 #include "src/monitor/channel.h"
 #include "src/sim/world.h"
@@ -42,67 +40,51 @@ using namespace erebor;
 
 namespace {
 
-// ---- Part A: the pre-PR scalar copy-chain, replicated byte-for-byte ----
+// ---- Part A: one record pipeline, accelerated vs portable dispatch ----
 
-ChaChaNonce NonceFromSequence(uint64_t sequence) {
-  ChaChaNonce nonce{};
-  StoreLe64(nonce.data() + 4, sequence);
-  return nonce;
-}
-
-// Pre-PR seal: copy the plaintext into a SealedRecord, encrypt it in place with
-// the byte-wise scalar ChaCha20, MAC with scalar SHA-256, then serialize the
-// whole Packet into yet another buffer.
-Bytes BaselineSealToWire(const AeadKeys& keys, int32_t sandbox_id, uint64_t seq,
-                         const Bytes& plaintext) {
-  accel::ScopedEnable scalar_only(false);
-  Packet packet;
-  packet.type = PacketType::kDataRecord;
-  packet.sandbox_id = sandbox_id;
-  packet.record.sequence = seq;
-  packet.record.ciphertext = plaintext;  // copy 1
-  ChaCha20XorScalar(keys.cipher_key, NonceFromSequence(seq), 1,
-                    packet.record.ciphertext.data(), packet.record.ciphertext.size());
-  packet.record.tag =
-      ComputeTag(keys, RecordAad{static_cast<uint8_t>(packet.type), sandbox_id}, seq,
-                 packet.record.ciphertext.data(), packet.record.ciphertext.size());
-  return packet.Serialize();  // copy 2
-}
-
-// Pre-PR open: deserialize into a Packet (ciphertext copy), verify, then
-// decrypt into a fresh plaintext buffer.
-StatusOr<Bytes> BaselineOpenFromWire(const AeadKeys& keys, const Bytes& wire,
-                                     uint64_t expected_seq) {
-  accel::ScopedEnable scalar_only(false);
-  EREBOR_ASSIGN_OR_RETURN(const Packet packet, Packet::Deserialize(wire));  // copy 3
-  if (packet.record.sequence != expected_seq) {
-    return PermissionDeniedError("sequence mismatch");
-  }
-  const Digest256 tag =
-      ComputeTag(keys, RecordAad{static_cast<uint8_t>(packet.type), packet.sandbox_id},
-                 expected_seq, packet.record.ciphertext.data(),
-                 packet.record.ciphertext.size());
-  if (!ConstantTimeEqual(tag.data(), packet.record.tag.data(), tag.size())) {
-    return PermissionDeniedError("tag mismatch");
-  }
-  Bytes plaintext = packet.record.ciphertext;  // copy 4
-  ChaCha20XorScalar(keys.cipher_key, NonceFromSequence(expected_seq), 1,
-                    plaintext.data(), plaintext.size());
-  return plaintext;
-}
+// Host wall clock is noisy, so each cell times kPipelineReps back-to-back pairs
+// of runs and reports medians; the speedup is the median of the per-pair ratios.
+constexpr int kPipelineReps = 7;
 
 struct PipelineCell {
   size_t record_bytes = 0;
-  double baseline_mbps = 0;
-  double zero_copy_mbps = 0;
-  double speedup() const {
-    return baseline_mbps == 0 ? 0 : zero_copy_mbps / baseline_mbps;
-  }
+  double portable_mbps = 0;     // median over the reps
+  double accelerated_mbps = 0;  // median over the reps
+  double speedup = 0;           // median per-pair ratio
+  double speedup_min = 0;
 };
+
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
 
 double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
       .count();
+}
+
+// Seals one record into its wire, parses it and opens it again.
+StatusOr<Bytes> RoundTrip(const AeadKeys& keys, uint64_t seq, const Bytes& plaintext,
+                          Bytes* wire) {
+  *wire = SealRecordWire(keys, PacketType::kDataRecord, 1, seq, plaintext);
+  EREBOR_ASSIGN_OR_RETURN(const RecordView view, ParseRecordWire(*wire));
+  return OpenRecordWire(keys, view, seq);
+}
+
+// Payload MB/s of `iters` round trips with the SHA-NI/AVX2 dispatch on or off,
+// or 0 if any fails to open.
+double PipelineMbps(const AeadKeys& keys, const Bytes& plaintext, int iters,
+                    bool accelerated) {
+  accel::ScopedEnable dispatch(accelerated);
+  Bytes wire;
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < iters; ++i) {
+    if (!RoundTrip(keys, i, plaintext, &wire).ok()) {
+      return 0;
+    }
+  }
+  return static_cast<double>(plaintext.size()) * iters / SecondsSince(start) / 1e6;
 }
 
 bool RunPipelineCell(size_t record_bytes, PipelineCell* out) {
@@ -112,61 +94,48 @@ bool RunPipelineCell(size_t record_bytes, PipelineCell* out) {
   Bytes plaintext(record_bytes);
   rng.Fill(plaintext.data(), plaintext.size());
 
-  // Cross-check first: the two paths must agree on every byte of both the wire
-  // and the decrypted plaintext, or the speedup would be comparing different
-  // protocols.
-  const Bytes baseline_wire = BaselineSealToWire(keys, 1, 0, plaintext);
-  const Bytes new_wire = SealRecordWire(keys, PacketType::kDataRecord, 1, 0, plaintext);
-  if (baseline_wire != new_wire) {
+  // Cross-check first: both dispatch modes must agree on every byte of both the
+  // wire and the decrypted plaintext, or the speedup would be comparing
+  // different protocols.
+  Bytes accelerated_wire, portable_wire;
+  const auto accelerated_plain = RoundTrip(keys, 0, plaintext, &accelerated_wire);
+  const auto portable_plain = [&] {
+    accel::ScopedEnable portable(false);
+    return RoundTrip(keys, 0, plaintext, &portable_wire);
+  }();
+  if (accelerated_wire != portable_wire) {
     std::printf("channel_throughput: wire mismatch at %zu bytes\n", record_bytes);
     return false;
   }
-  const auto baseline_plain = BaselineOpenFromWire(keys, baseline_wire, 0);
-  auto view = ParseRecordWire(new_wire);
-  if (!view.ok()) {
-    return false;
-  }
-  const auto new_plain = OpenRecordWire(keys, *view, 0);
-  if (!baseline_plain.ok() || !new_plain.ok() || *baseline_plain != plaintext ||
-      *new_plain != plaintext) {
+  if (!accelerated_plain.ok() || !portable_plain.ok() ||
+      *accelerated_plain != plaintext || *portable_plain != plaintext) {
     std::printf("channel_throughput: plaintext mismatch at %zu bytes\n", record_bytes);
     return false;
   }
 
-  // ~32 MiB of record payload per measured cell (floor of 64 iterations).
+  // ~8 MiB of record payload per run (floor of 64 iterations). Each pair
+  // alternates which side runs first, so drifting host load favours neither.
   const int iters =
-      std::max<int>(64, static_cast<int>((32u << 20) / std::max<size_t>(record_bytes, 1)));
-
-  {
-    const auto start = std::chrono::steady_clock::now();
-    for (int i = 0; i < iters; ++i) {
-      const Bytes wire = BaselineSealToWire(keys, 1, i, plaintext);
-      const auto opened = BaselineOpenFromWire(keys, wire, i);
-      if (!opened.ok()) {
-        return false;
-      }
+      std::max<int>(64, static_cast<int>((8u << 20) / std::max<size_t>(record_bytes, 1)));
+  std::vector<double> portable, accelerated, ratios;
+  for (int rep = 0; rep < kPipelineReps; ++rep) {
+    const bool accelerated_first = rep % 2 == 1;
+    const double first = PipelineMbps(keys, plaintext, iters, accelerated_first);
+    const double second = PipelineMbps(keys, plaintext, iters, !accelerated_first);
+    const double p = accelerated_first ? second : first;
+    const double a = accelerated_first ? first : second;
+    if (p == 0 || a == 0) {
+      return false;
     }
-    out->baseline_mbps =
-        static_cast<double>(record_bytes) * iters / SecondsSince(start) / 1e6;
-  }
-  {
-    const auto start = std::chrono::steady_clock::now();
-    for (int i = 0; i < iters; ++i) {
-      const Bytes wire =
-          SealRecordWire(keys, PacketType::kDataRecord, 1, i, plaintext);
-      auto parsed = ParseRecordWire(wire);
-      if (!parsed.ok()) {
-        return false;
-      }
-      const auto opened = OpenRecordWire(keys, *parsed, i);
-      if (!opened.ok()) {
-        return false;
-      }
-    }
-    out->zero_copy_mbps =
-        static_cast<double>(record_bytes) * iters / SecondsSince(start) / 1e6;
+    portable.push_back(p);
+    accelerated.push_back(a);
+    ratios.push_back(a / p);
   }
   out->record_bytes = record_bytes;
+  out->portable_mbps = Median(portable);
+  out->accelerated_mbps = Median(accelerated);
+  out->speedup = Median(ratios);
+  out->speedup_min = *std::min_element(ratios.begin(), ratios.end());
   return true;
 }
 
@@ -181,7 +150,7 @@ struct IngestCell {
   uint64_t bytes = 0;
   Cycles wall_cycles = 0;
   uint64_t wall_ns = 0;  // host wall clock (meaningful on the threaded engine)
-  // Per-session ingested record counts (session.next_recv_seq), the oracle
+  // Per-session ingested record counts (session.recv.next()), the oracle
   // observable for the engine comparison.
   std::vector<uint64_t> recv_seqs;
   // Aggregate simulated throughput in MB/s at 2.1 GHz.
@@ -320,9 +289,9 @@ bool RunIngestCell(int sessions, IngestCell* out,
 
   // Every record must actually have been installed, in order, per session.
   for (int s = 0; s < sessions; ++s) {
-    if (fleet[s]->session.next_recv_seq != static_cast<uint64_t>(kRounds)) {
+    if (fleet[s]->session.recv.next() != static_cast<uint64_t>(kRounds)) {
       std::printf("channel_throughput: session %d ingested %llu/%d records\n", s,
-                  static_cast<unsigned long long>(fleet[s]->session.next_recv_seq),
+                  static_cast<unsigned long long>(fleet[s]->session.recv.next()),
                   kRounds);
       return false;
     }
@@ -344,7 +313,7 @@ bool RunIngestCell(int sessions, IngestCell* out,
           .count());
   out->recv_seqs.clear();
   for (int s = 0; s < sessions; ++s) {
-    out->recv_seqs.push_back(fleet[s]->session.next_recv_seq);
+    out->recv_seqs.push_back(fleet[s]->session.recv.next());
   }
   return true;
 }
@@ -358,8 +327,8 @@ int main() {
 
   // Part A.
   std::printf("\n-- single-session seal+open pipeline (wall clock) --\n");
-  std::printf("%-12s %14s %14s %9s\n", "record", "scalar MB/s", "zero-copy MB/s",
-              "speedup");
+  std::printf("%-12s %14s %14s %9s %9s   (medians of %d pairs)\n", "record",
+              "portable MB/s", "accel MB/s", "speedup", "min", kPipelineReps);
   Json pipeline = Json::Array();
   double speedup_64k = 0;
   bool ok = true;
@@ -370,15 +339,17 @@ int main() {
       return 1;
     }
     if (bytes == 65536) {
-      speedup_64k = cell.speedup();
+      speedup_64k = cell.speedup;
     }
-    std::printf("%-12zu %14.1f %14.1f %8.2fx\n", bytes, cell.baseline_mbps,
-                cell.zero_copy_mbps, cell.speedup());
+    std::printf("%-12zu %14.1f %14.1f %8.2fx %8.2fx\n", bytes, cell.portable_mbps,
+                cell.accelerated_mbps, cell.speedup, cell.speedup_min);
     pipeline.Push(Json::Object()
                       .Set("record_bytes", static_cast<uint64_t>(cell.record_bytes))
-                      .Set("baseline_mbps", cell.baseline_mbps)
-                      .Set("zero_copy_mbps", cell.zero_copy_mbps)
-                      .Set("speedup", cell.speedup()));
+                      .Set("portable_mbps", cell.portable_mbps)
+                      .Set("accelerated_mbps", cell.accelerated_mbps)
+                      .Set("speedup", cell.speedup)
+                      .Set("speedup_min", cell.speedup_min)
+                      .Set("reps", kPipelineReps));
   }
   std::printf("\nspeedup at 64 KiB records: %.2fx (target >= 4x)\n", speedup_64k);
   if (speedup_64k < 4.0) {

@@ -10,8 +10,9 @@
 # trace mismatch; emc_scaling if 4-vCPU EMC throughput is below 3x its own
 # 1-vCPU cell or if any real-thread
 # cell diverges from its deterministic oracle (counters or per-vCPU cycles);
-# channel if the zero-copy seal+open path is below 4x the scalar baseline at
-# 64 KiB or the 16-session aggregate is below 2x one session. Any of those fails
+# channel if the record pipeline with accelerated dispatch is below 4x the same
+# pipeline with dispatch off at 64 KiB, or the 16-session aggregate is below 2x
+# one session. Any of those fails
 # this script, as does any BENCH_<name>.json whose "pass" verdict is not true.
 # BENCH_emc_scaling.json carries both series: "cells" (simulated cycles,
 # deterministic engine) and "engine_cells" (wall-clock ns, real threads vs their

@@ -100,38 +100,34 @@ StatusOr<Bytes> RemoteClient::OpenResult(const Bytes& wire) {
   if (view.sandbox_id != sandbox_id_) {
     return InvalidArgumentError("result record for a different sandbox");
   }
-  const uint64_t seq = view.sequence;
-  if (seq < recv_seq_) {
-    return AlreadyExistsError("duplicate result record (seq " + std::to_string(seq) +
-                              " already consumed)");
-  }
-  if (seq > recv_seq_) {
-    if (seq - recv_seq_ > ChannelSession::kReorderWindow) {
+  switch (recv_.Admit(view)) {
+    case ReceiveWindow::RecordAdmit::kDuplicate:
+      return AlreadyExistsError("duplicate result record (seq " +
+                                std::to_string(view.sequence) + " already consumed)");
+    case ReceiveWindow::RecordAdmit::kRejected:
       return OutOfRangeError("result record beyond the reorder window");
-    }
-    SealedRecord& slot = stashed_[seq];
-    slot.sequence = seq;
-    slot.ciphertext.assign(view.ciphertext, view.ciphertext + view.ciphertext_len);
-    slot.tag = view.tag;
-    return UnavailableError("result out of order; stashed awaiting seq " +
-                            std::to_string(recv_seq_));
+    case ReceiveWindow::RecordAdmit::kStashed:
+      return UnavailableError("result out of order; stashed awaiting seq " +
+                              std::to_string(recv_.next()));
+    case ReceiveWindow::RecordAdmit::kInSequence:
+      break;
   }
-  EREBOR_ASSIGN_OR_RETURN(const Bytes padded,
-                          OpenRecordWire(keys_.server_to_client, view, recv_seq_));
-  ++recv_seq_;
-  return UnpadOutput(padded);
+  return OpenInSequence(view);
 }
 
 StatusOr<Bytes> RemoteClient::PopStashedResult() {
-  const auto it = stashed_.find(recv_seq_);
-  if (it == stashed_.end()) {
-    return NotFoundError("no stashed result at seq " + std::to_string(recv_seq_));
+  Bytes wire;
+  RecordView view;
+  if (!recv_.TakeDrainable(&wire, &view)) {
+    return NotFoundError("no stashed result at seq " + std::to_string(recv_.next()));
   }
-  const RecordAad aad{static_cast<uint8_t>(PacketType::kResultRecord), sandbox_id_};
-  EREBOR_ASSIGN_OR_RETURN(
-      const Bytes padded, AeadOpen(keys_.server_to_client, aad, it->second, recv_seq_));
-  stashed_.erase(it);
-  ++recv_seq_;
+  return OpenInSequence(view);
+}
+
+StatusOr<Bytes> RemoteClient::OpenInSequence(const RecordView& view) {
+  EREBOR_ASSIGN_OR_RETURN(const Bytes padded,
+                          OpenRecordWire(keys_.server_to_client, view, recv_.next()));
+  recv_.Advance();
   return UnpadOutput(padded);
 }
 

@@ -4,8 +4,6 @@
 #ifndef EREBOR_SRC_CLIENT_CLIENT_H_
 #define EREBOR_SRC_CLIENT_CLIENT_H_
 
-#include <map>
-
 #include "src/common/backoff.h"
 #include "src/monitor/channel.h"
 
@@ -36,16 +34,19 @@ class RemoteClient {
   // Data exchange.
   Bytes SealData(const Bytes& plaintext);          // -> kDataRecord wire
   // Opens the next result. The transport (the untrusted host) may duplicate or
-  // reorder records, so the client keeps its own window:
-  //  - a record below recv_seq is a duplicate -> AlreadyExistsError (safe to ignore);
-  //  - a record ahead of recv_seq within kReorderWindow is stashed ->
-  //    UnavailableError (drain it with PopStashedResult once the gap fills);
-  //  - anything further ahead -> OutOfRangeError.
+  // reorder records, so results pass through the same ReceiveWindow as the
+  // monitor's data records:
+  //  - a duplicate -> AlreadyExistsError (safe to ignore);
+  //  - a record stashed ahead of a gap -> UnavailableError (drain it with
+  //    PopStashedResult once the gap fills);
+  //  - anything beyond the reorder window -> OutOfRangeError.
   StatusOr<Bytes> OpenResult(const Bytes& wire);   // <- kResultRecord wire (unpads)
-  // Opens the stashed record at recv_seq, if any (NotFoundError otherwise). Call
-  // repeatedly after an in-order OpenResult to drain a healed reorder gap.
+  // Opens the stashed record that is next in sequence, if any (NotFoundError
+  // otherwise). Call repeatedly after an in-order OpenResult to drain a healed
+  // reorder gap. A stashed record that fails to open is dropped.
   StatusOr<Bytes> PopStashedResult();
-  bool HasStashedResult() const { return stashed_.count(recv_seq_) != 0; }
+  bool HasStashedResult() const { return recv_.HasDrainable(); }
+  const ReceiveWindow& receive_window() const { return recv_; }
   Bytes MakeFin();
 
   // Loss recovery: byte-identical retransmissions of the last hello / data record.
@@ -72,6 +73,8 @@ class RemoteClient {
 
  private:
   void AccountResend();
+  // Authenticates, decrypts and unpads the record at recv_.next(), then advances.
+  StatusOr<Bytes> OpenInSequence(const RecordView& view);
 
   ClientTrustAnchors anchors_;
   Rng rng_;
@@ -80,7 +83,7 @@ class RemoteClient {
   std::array<uint8_t, 32> nonce_{};
   SessionKeys keys_;
   uint64_t send_seq_ = 0;
-  uint64_t recv_seq_ = 0;
+  ReceiveWindow recv_;
   bool established_ = false;
 
   Bytes last_hello_wire_;
@@ -88,7 +91,6 @@ class RemoteClient {
   uint64_t retries_ = 0;
   JitteredBackoff backoff_;
   uint64_t retry_wait_ = 0;
-  std::map<uint64_t, SealedRecord> stashed_;  // out-of-order results awaiting the gap
 };
 
 }  // namespace erebor

@@ -19,8 +19,7 @@ AeadKeys KeysFromMaterial(const Bytes& material) {
   return keys;
 }
 
-}  // namespace
-
+// MAC input is aad.type || aad.sandbox_id (LE32) || sequence (LE64) || ciphertext.
 Digest256 ComputeTag(const AeadKeys& keys, const RecordAad& aad, uint64_t sequence,
                      const uint8_t* ciphertext, size_t len) {
   HmacSha256 mac(keys.mac_key);
@@ -34,6 +33,8 @@ Digest256 ComputeTag(const AeadKeys& keys, const RecordAad& aad, uint64_t sequen
   mac.Update(ciphertext, len);
   return mac.Finish();
 }
+
+}  // namespace
 
 SessionKeys DeriveSessionKeys(const Bytes& shared_secret, const Digest256& transcript_hash) {
   const Bytes salt(transcript_hash.begin(), transcript_hash.end());
@@ -61,28 +62,6 @@ Status AeadOpenInto(const AeadKeys& keys, const RecordAad& aad, uint64_t sequenc
   }
   ChaCha20XorTo(keys.cipher_key, NonceFromSequence(sequence), 1, ciphertext, out, len);
   return OkStatus();
-}
-
-SealedRecord AeadSeal(const AeadKeys& keys, const RecordAad& aad, uint64_t sequence,
-                      const Bytes& plaintext) {
-  SealedRecord record;
-  record.sequence = sequence;
-  record.ciphertext.resize(plaintext.size());
-  record.tag = AeadSealInto(keys, aad, sequence, plaintext.data(), plaintext.size(),
-                            record.ciphertext.data());
-  return record;
-}
-
-StatusOr<Bytes> AeadOpen(const AeadKeys& keys, const RecordAad& aad,
-                         const SealedRecord& record, uint64_t expected_sequence) {
-  if (record.sequence != expected_sequence) {
-    return PermissionDeniedError("AEAD record sequence mismatch (replay or reorder)");
-  }
-  Bytes plaintext(record.ciphertext.size());
-  EREBOR_RETURN_IF_ERROR(AeadOpenInto(keys, aad, record.sequence,
-                                      record.ciphertext.data(), record.ciphertext.size(),
-                                      record.tag, plaintext.data()));
-  return plaintext;
 }
 
 }  // namespace erebor

@@ -33,32 +33,18 @@ struct RecordAad {
   int32_t sandbox_id = -1;
 };
 
-// Sealed record: nonce (derived from seq), ciphertext, 32-byte tag.
-struct SealedRecord {
-  uint64_t sequence = 0;
-  Bytes ciphertext;
-  Digest256 tag{};
-};
-
-// MAC input is aad.type || aad.sandbox_id (LE32) || sequence (LE64) || ciphertext.
-Digest256 ComputeTag(const AeadKeys& keys, const RecordAad& aad, uint64_t sequence,
-                     const uint8_t* ciphertext, size_t len);
-
-SealedRecord AeadSeal(const AeadKeys& keys, const RecordAad& aad, uint64_t sequence,
-                      const Bytes& plaintext);
-
-// Fails (kPermissionDenied) on tag mismatch or sequence/header tampering.
-StatusOr<Bytes> AeadOpen(const AeadKeys& keys, const RecordAad& aad,
-                         const SealedRecord& record, uint64_t expected_sequence);
-
-// Zero-copy variants for the record pipeline. Both accept `out` aliasing the
-// input exactly (in-place); partial overlap is not supported.
+// The record AEAD. The nonce is derived from `sequence`; the 32-byte tag is an
+// HMAC over aad.type || aad.sandbox_id (LE32) || sequence (LE64) || ciphertext.
+// Both calls accept `out` aliasing the input exactly (in-place); partial overlap
+// is not supported.
 //
 // Encrypts plaintext[0..len) into out and returns the tag over the ciphertext.
 Digest256 AeadSealInto(const AeadKeys& keys, const RecordAad& aad, uint64_t sequence,
                        const uint8_t* plaintext, size_t len, uint8_t* out);
 
-// Authenticates first, then decrypts into out. On failure `out` is untouched.
+// Authenticates first, then decrypts into out. kPermissionDenied on a tag
+// mismatch, which covers any ciphertext, sequence or header tampering; on failure
+// `out` is untouched.
 Status AeadOpenInto(const AeadKeys& keys, const RecordAad& aad, uint64_t sequence,
                     const uint8_t* ciphertext, size_t len, const Digest256& tag,
                     uint8_t* out);

@@ -2,7 +2,7 @@
 // cipher of the monitor<->client secure channel. The hot path hashes several
 // blocks per dispatch (8-lane AVX2 when available, 4-lane portable otherwise) and
 // XORs the keystream word-at-a-time; ChaCha20XorScalar keeps the original
-// byte-wise code as the cross-check reference and bench baseline.
+// byte-wise code as the reference the crypto tests cross-check against.
 #ifndef EREBOR_SRC_CRYPTO_CHACHA20_H_
 #define EREBOR_SRC_CRYPTO_CHACHA20_H_
 
@@ -28,7 +28,7 @@ void ChaCha20XorTo(const ChaChaKey& key, const ChaChaNonce& nonce, uint32_t coun
 
 // Reference implementation: one block at a time, byte-wise XOR. Kept verbatim from
 // the original scalar path so tests can assert the optimized paths are
-// bit-identical and benches can measure the speedup against it.
+// bit-identical.
 void ChaCha20XorScalar(const ChaChaKey& key, const ChaChaNonce& nonce, uint32_t counter,
                        uint8_t* data, size_t len);
 

@@ -267,19 +267,12 @@ void FleetSupervisor::HandleClientWire(const Bytes& wire) {
         view->type != PacketType::kResultRecord) {
       return;  // stale sandbox id (pre-replacement) or not a result: drop
     }
+    // A duplicate, stashed-ahead or corrupted result is the client window's
+    // business; either way, drain whatever is now next in sequence.
     auto result = t->client->OpenResult(wire);
-    if (!result.ok()) {
-      // Duplicate / stashed-ahead / corrupted: the client window accounted it.
-      while (t->client->HasStashedResult()) {
-        auto stashed = t->client->PopStashedResult();
-        if (!stashed.ok()) {
-          break;
-        }
-        t->results.push_back(std::move(*stashed));
-      }
-      return;
+    if (result.ok()) {
+      t->results.push_back(std::move(*result));
     }
-    t->results.push_back(std::move(*result));
     while (t->client->HasStashedResult()) {
       auto stashed = t->client->PopStashedResult();
       if (!stashed.ok()) {
@@ -496,7 +489,7 @@ void FleetSupervisor::FireAttack(TenantState& t, int round) {
       Bytes junk(config_.payload_bytes, 0xEE);
       world_->ClientSend(SealRecordWire(junk_keys_.client_to_server,
                                         PacketType::kDataRecord, t.sandbox->id,
-                                        t.sandbox->session.next_recv_seq, junk));
+                                        t.sandbox->session.recv.next(), junk));
       break;
     }
     case AttackClass::kRelabeledRecord: {
@@ -513,7 +506,7 @@ void FleetSupervisor::FireAttack(TenantState& t, int round) {
       Bytes junk(config_.payload_bytes, 0xDD);
       world_->ClientSend(SealRecordWire(junk_keys_.client_to_server,
                                         PacketType::kDataRecord, target->id,
-                                        target->session.next_recv_seq, junk));
+                                        target->session.recv.next(), junk));
       break;
     }
     case AttackClass::kStaleHello: {
@@ -729,7 +722,7 @@ StatusOr<std::vector<uint64_t>> FleetSupervisor::RunBurstIngest(int rounds) {
   std::vector<uint64_t> base(tenants_.size(), 0);
   for (int tenant : live) {
     base[static_cast<size_t>(tenant)] =
-        tenants_[static_cast<size_t>(tenant)].sandbox->session.next_recv_seq;
+        tenants_[static_cast<size_t>(tenant)].sandbox->session.recv.next();
   }
 
   // Tenant t is pinned to vCPU t % num_vcpus (records must stay in sequence per
@@ -762,7 +755,7 @@ StatusOr<std::vector<uint64_t>> FleetSupervisor::RunBurstIngest(int rounds) {
   for (int tenant : live) {
     TenantState& t = tenants_[static_cast<size_t>(tenant)];
     counts[static_cast<size_t>(tenant)] =
-        t.sandbox->session.next_recv_seq - base[static_cast<size_t>(tenant)];
+        t.sandbox->session.recv.next() - base[static_cast<size_t>(tenant)];
   }
   return counts;
 }

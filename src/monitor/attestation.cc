@@ -1,7 +1,7 @@
 // Attestation and secure-channel termination (paper sections 6.3 and 9):
 // the gated tdcall EMC, quote generation, and the ClientHello/DataRecord/Fin
 // packet handlers. Packet plumbing (ProxyDeliverBatch/ProxyFetch) is in
-// emc_dispatch.cc; record-window accounting lives on ChannelSession.
+// emc_dispatch.cc; the record window is ReceiveWindow, accounted by ChannelSession.
 #include <cstring>
 
 #include "src/common/faultpoint.h"
@@ -107,7 +107,7 @@ Status EreborMonitor::IngestDataRecordLocked(Cpu& cpu, Sandbox& sandbox,
                                              const RecordView& view) {
   ChannelSession& session = sandbox.session;
   switch (session.AdmitRecord(view)) {
-    case ChannelSession::RecordAdmit::kDuplicate:
+    case ReceiveWindow::RecordAdmit::kDuplicate:
       // An honest client only re-sends when our result never arrived, so
       // retransmit the cached last result to heal that loss.
       Tracer::Global().Record(TraceEvent::kChannelRetry, cpu.index(), cpu.cycles().now(),
@@ -118,23 +118,24 @@ Status EreborMonitor::IngestDataRecordLocked(Cpu& cpu, Sandbox& sandbox,
         NoteFaultRecovered();
       }
       return OkStatus();
-    case ChannelSession::RecordAdmit::kRejected:
+    case ReceiveWindow::RecordAdmit::kRejected:
       return InvalidArgumentError("data record beyond the reorder window");
-    case ChannelSession::RecordAdmit::kStashed:
+    case ReceiveWindow::RecordAdmit::kStashed:
       return OkStatus();
-    case ChannelSession::RecordAdmit::kInSequence:
+    case ReceiveWindow::RecordAdmit::kInSequence:
       break;
   }
 
   // Authenticate-then-decrypt straight from the wire buffer into the plaintext
-  // destination (no intermediate SealedRecord/Packet copies).
-  auto accept = [&](const uint8_t* ciphertext, size_t len, const Digest256& tag) -> Status {
+  // destination.
+  auto accept = [&](const RecordView& record) -> Status {
     const RecordAad aad{static_cast<uint8_t>(PacketType::kDataRecord), sandbox.id};
-    Bytes plaintext(len);
+    Bytes plaintext(record.ciphertext_len);
     EREBOR_RETURN_IF_ERROR(AeadOpenInto(session.keys.client_to_server, aad,
-                                        session.next_recv_seq, ciphertext, len, tag,
+                                        session.recv.next(), record.ciphertext,
+                                        record.ciphertext_len, record.tag,
                                         plaintext.data()));
-    session.AdvanceRecv();
+    session.recv.Advance();
     session.data_installed = true;
     cpu.cycles().Charge(plaintext.size() * cpu.costs().crypto_per_byte_x100 / 100);
     Tracer::Global().Record(TraceEvent::kChannelDecrypt, cpu.index(), cpu.cycles().now(),
@@ -144,7 +145,7 @@ Status EreborMonitor::IngestDataRecordLocked(Cpu& cpu, Sandbox& sandbox,
     return sandbox_mgr_->Seal(cpu, sandbox);
   };
 
-  const Status st = accept(view.ciphertext, view.ciphertext_len, view.tag);
+  const Status st = accept(view);
   if (!st.ok()) {
     // Authentication failure proves nothing about the sender — a forged header
     // can name any sandbox — so the reject is counted globally, never against
@@ -155,9 +156,10 @@ Status EreborMonitor::IngestDataRecordLocked(Cpu& cpu, Sandbox& sandbox,
   }
   // Drain any stashed reordered records that are now in sequence. A stashed record
   // that fails to open was corrupt on the wire: drop it (the client retransmits).
-  SealedRecord stashed;
-  while (session.TakeDrainable(&stashed)) {
-    if (!accept(stashed.ciphertext.data(), stashed.ciphertext.size(), stashed.tag).ok()) {
+  Bytes stashed_wire;
+  RecordView stashed;
+  while (session.recv.TakeDrainable(&stashed_wire, &stashed)) {
+    if (!accept(stashed).ok()) {
       NoteChannelAuthReject();
       break;
     }

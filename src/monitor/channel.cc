@@ -14,11 +14,6 @@ void Put32(Bytes& out, uint32_t v) {
   StoreLe32(out.data() + out.size() - 4, v);
 }
 
-void Put64(Bytes& out, uint64_t v) {
-  out.resize(out.size() + 8);
-  StoreLe64(out.data() + out.size() - 8, v);
-}
-
 void PutBytes(Bytes& out, const Bytes& b) {
   Put32(out, static_cast<uint32_t>(b.size()));
   out.insert(out.end(), b.begin(), b.end());
@@ -34,6 +29,7 @@ class Reader {
   explicit Reader(const Bytes& wire) : wire_(wire) {}
 
   bool ok() const { return ok_; }
+  bool AtEnd() const { return pos_ == wire_.size(); }
 
   uint8_t Get8() {
     if (!Need(1)) {
@@ -47,14 +43,6 @@ class Reader {
     }
     const uint32_t v = LoadLe32(wire_.data() + pos_);
     pos_ += 4;
-    return v;
-  }
-  uint64_t Get64() {
-    if (!Need(8)) {
-      return 0;
-    }
-    const uint64_t v = LoadLe64(wire_.data() + pos_);
-    pos_ += 8;
     return v;
   }
   Bytes GetBytes() {
@@ -126,9 +114,7 @@ Bytes Packet::Serialize() const {
     }
     case PacketType::kDataRecord:
     case PacketType::kResultRecord:
-      Put64(out, record.sequence);
-      PutBytes(out, record.ciphertext);
-      out.insert(out.end(), record.tag.begin(), record.tag.end());
+      assert(false && "records are built by SealRecordWire");
       break;
     case PacketType::kFin:
       break;
@@ -169,12 +155,8 @@ StatusOr<Packet> DeserializeImpl(const Bytes& wire) {
       break;
     }
     case PacketType::kDataRecord:
-    case PacketType::kResultRecord: {
-      packet.record.sequence = reader.Get64();
-      packet.record.ciphertext = reader.GetBytes();
-      reader.GetArray(packet.record.tag);
-      break;
-    }
+    case PacketType::kResultRecord:
+      return InvalidArgumentError("record packets are read by ParseRecordWire");
     case PacketType::kFin:
       break;
     default:
@@ -182,6 +164,9 @@ StatusOr<Packet> DeserializeImpl(const Bytes& wire) {
   }
   if (!reader.ok()) {
     return InvalidArgumentError("truncated packet");
+  }
+  if (!reader.AtEnd()) {
+    return InvalidArgumentError("trailing bytes after packet");
   }
   return packet;
 }
@@ -197,8 +182,8 @@ StatusOr<Packet> Packet::Deserialize(const Bytes& wire) {
 
 Bytes SealRecordWire(const AeadKeys& keys, PacketType type, int32_t sandbox_id,
                      uint64_t sequence, const uint8_t* plaintext, size_t len) {
-  // Same bytes as Packet::Serialize for a data/result record, but the ciphertext
-  // is produced in place in the wire buffer: one encryption pass, no staging copy.
+  // The ciphertext is produced in place in the wire buffer: one encryption pass,
+  // no staging copy.
   Bytes out(wire::kRecordHeaderBytes + len + wire::kRecordTagBytes);
   out[0] = static_cast<uint8_t>(type);
   StoreLe32(out.data() + 1, static_cast<uint32_t>(sandbox_id));
@@ -237,6 +222,7 @@ StatusOr<RecordView> ParseRecordWireImpl(const Bytes& wire) {
   view.ciphertext_len = ct_len;
   std::memcpy(view.tag.data(), wire.data() + wire::kRecordHeaderBytes + ct_len,
               view.tag.size());
+  view.wire = &wire;
   return view;
 }
 
@@ -264,75 +250,66 @@ void NoteChannelAuthReject() {
   MetricsRegistry::Global().Increment("channel.corrupt_rejects");
 }
 
-namespace {
-
-// Shared admission logic; `stash` is invoked only for kStashed so the zero-copy
-// caller materializes a SealedRecord copy only when one is actually parked.
-template <typename StashFn>
-ChannelSession::RecordAdmit AdmitRecordImpl(ChannelSession& session, uint64_t seq,
-                                            StashFn&& stash) {
-  using RecordAdmit = ChannelSession::RecordAdmit;
-  if (seq < session.next_recv_seq) {
-    // Replay window: a duplicate of an already-accepted record. It is absorbed,
-    // never re-decrypted or re-delivered (replay cannot double-install client data).
-    ++session.duplicates;
-    MetricsRegistry::Global().Increment("channel.duplicates");
+ReceiveWindow::RecordAdmit ReceiveWindow::Admit(const RecordView& view) {
+  const uint64_t seq = view.sequence;
+  if (seq < next_) {
     return RecordAdmit::kDuplicate;
   }
-  if (seq > session.next_recv_seq) {
-    if (seq - session.next_recv_seq > ChannelSession::kReorderWindow) {
-      ++session.rejects;
-      MetricsRegistry::Global().Increment("channel.rejects");
-      return RecordAdmit::kRejected;
-    }
-    // Reordered ahead of a gap: stash the sealed record until the gap fills.
-    // Nothing is decrypted out of order — AEAD still runs at exactly the
-    // expected sequence.
-    ++session.reorders;
-    MetricsRegistry::Global().Increment("channel.reorders");
-    stash();
-    // Every key is in (next_recv_seq, next_recv_seq + kReorderWindow], so the
-    // buffer can never hold more than kReorderWindow entries.
-    assert(session.reorder.size() <= ChannelSession::kReorderWindow);
-    return RecordAdmit::kStashed;
+  if (seq == next_) {
+    return RecordAdmit::kInSequence;
   }
-  return RecordAdmit::kInSequence;
+  if (seq - next_ > kReorderWindow) {
+    return RecordAdmit::kRejected;
+  }
+  // Reordered ahead of a gap: park the wire until the gap fills. Nothing is
+  // decrypted out of order — AEAD still runs at exactly the expected sequence.
+  stash_[seq] = *view.wire;
+  // Every key is in (next_, next_ + kReorderWindow], so the stash can never hold
+  // more than kReorderWindow entries.
+  assert(stash_.size() <= kReorderWindow);
+  return RecordAdmit::kStashed;
 }
 
-}  // namespace
-
-ChannelSession::RecordAdmit ChannelSession::AdmitRecord(uint64_t seq,
-                                                        const SealedRecord& record) {
-  return AdmitRecordImpl(*this, seq, [&] { reorder[seq] = record; });
-}
-
-ChannelSession::RecordAdmit ChannelSession::AdmitRecord(const RecordView& view) {
-  return AdmitRecordImpl(*this, view.sequence, [&] {
-    SealedRecord& slot = reorder[view.sequence];
-    slot.sequence = view.sequence;
-    slot.ciphertext.assign(view.ciphertext, view.ciphertext + view.ciphertext_len);
-    slot.tag = view.tag;
-  });
-}
-
-bool ChannelSession::TakeDrainable(SealedRecord* out) {
-  const auto it = reorder.find(next_recv_seq);
-  if (it == reorder.end()) {
+bool ReceiveWindow::TakeDrainable(Bytes* wire, RecordView* view) {
+  const auto it = stash_.find(next_);
+  if (it == stash_.end()) {
     return false;
   }
-  *out = it->second;
-  reorder.erase(it);
+  *wire = std::move(it->second);
+  stash_.erase(it);
+  StatusOr<RecordView> parsed = ParseRecordWireImpl(*wire);
+  assert(parsed.ok());  // it parsed when it arrived
+  *view = *parsed;
   return true;
 }
 
-void ChannelSession::AdvanceRecv() {
-  ++next_recv_seq;
-  // Prune every stash entry the window has passed. A record can be stashed AND
-  // later accepted via direct in-sequence arrival; without this, that stale
-  // stash entry (seq < next_recv_seq) would never be erased (TakeDrainable only
-  // looks at exactly next_recv_seq) and the buffer would leak.
-  reorder.erase(reorder.begin(), reorder.lower_bound(next_recv_seq));
-  assert(reorder.size() <= kReorderWindow);
+void ReceiveWindow::Advance() {
+  ++next_;
+  // Prune every stash entry the window has passed: a record can be stashed AND
+  // later accepted via direct in-sequence arrival, and TakeDrainable only looks
+  // at exactly next_.
+  stash_.erase(stash_.begin(), stash_.lower_bound(next_));
+}
+
+ReceiveWindow::RecordAdmit ChannelSession::AdmitRecord(const RecordView& view) {
+  const ReceiveWindow::RecordAdmit admit = recv.Admit(view);
+  switch (admit) {
+    case ReceiveWindow::RecordAdmit::kDuplicate:
+      ++duplicates;
+      MetricsRegistry::Global().Increment("channel.duplicates");
+      break;
+    case ReceiveWindow::RecordAdmit::kStashed:
+      ++reorders;
+      MetricsRegistry::Global().Increment("channel.reorders");
+      break;
+    case ReceiveWindow::RecordAdmit::kRejected:
+      ++rejects;
+      MetricsRegistry::Global().Increment("channel.rejects");
+      break;
+    case ReceiveWindow::RecordAdmit::kInSequence:
+      break;
+  }
+  return admit;
 }
 
 bool ChannelSession::IsHelloReplay(const U256& client_public,

@@ -8,7 +8,6 @@
 #ifndef EREBOR_SRC_MONITOR_CHANNEL_H_
 #define EREBOR_SRC_MONITOR_CHANNEL_H_
 
-#include <deque>
 #include <map>
 
 #include "src/crypto/aead.h"
@@ -37,6 +36,9 @@ enum class PacketType : uint8_t {
   kFin = 5,
 };
 
+// A handshake or teardown packet. Data/result records never take this form:
+// they exist only as wire bytes, built by SealRecordWire and read through
+// ParseRecordWire.
 struct Packet {
   PacketType type = PacketType::kFin;
   int32_t sandbox_id = -1;
@@ -49,10 +51,8 @@ struct Packet {
   U256 monitor_public;
   TdQuote quote;
 
-  // kDataRecord / kResultRecord
-  SealedRecord record;
-
   Bytes Serialize() const;
+  // InvalidArgument on a record-typed wire, a truncated one, or trailing bytes.
   static StatusOr<Packet> Deserialize(const Bytes& wire);
 };
 
@@ -61,12 +61,9 @@ struct Packet {
 Digest256 HandshakeTranscript(const U256& client_public, const U256& monitor_public,
                               const std::array<uint8_t, 32>& nonce);
 
-// Zero-copy record path. Data/result records are by far the hottest packets, so
-// they get a dedicated pipeline that never round-trips the ciphertext through a
-// Packet: SealRecordWire encrypts straight into the wire buffer, ParseRecordWire
-// yields a borrowed view into the received buffer, and the AEAD open decrypts
-// from that view into its destination. The bytes produced/consumed are identical
-// to Packet::Serialize/Deserialize for the same record.
+// The record path. A data/result record is built straight into its wire buffer
+// (SealRecordWire), read as a borrowed view of the received buffer
+// (ParseRecordWire), and decrypted from that view into its destination.
 
 // Borrowed, non-owning view of a data/result record inside a wire buffer. Valid
 // only while the underlying buffer is alive and unmodified.
@@ -77,6 +74,8 @@ struct RecordView {
   const uint8_t* ciphertext = nullptr;
   size_t ciphertext_len = 0;
   Digest256 tag{};
+  // The whole wire buffer the view borrows from.
+  const Bytes* wire = nullptr;
 
   // The AAD the record's tag must cover: exactly the rewritable header fields.
   RecordAad Aad() const { return RecordAad{static_cast<uint8_t>(type), sandbox_id}; }
@@ -93,7 +92,7 @@ inline Bytes SealRecordWire(const AeadKeys& keys, PacketType type, int32_t sandb
 
 // Parses a kDataRecord/kResultRecord wire packet without copying the ciphertext.
 // Bumps the same parse metrics as Packet::Deserialize. InvalidArgument on anything
-// that is not a well-formed record packet.
+// that is not a well-formed record packet, trailing bytes included.
 StatusOr<RecordView> ParseRecordWire(const Bytes& wire);
 
 // Authenticate-then-decrypt a viewed record into a fresh buffer, enforcing the
@@ -108,45 +107,66 @@ StatusOr<Bytes> OpenRecordWire(const AeadKeys& keys, const RecordView& view,
 // an innocent session.
 void NoteChannelAuthReject();
 
-// Channel session state (one per connected client/sandbox).
-//
-// Robustness against a lossy/adversarial transport (the untrusted host carries every
-// packet) is built into the session, not bolted onto callers:
-//  - The replay window: a record whose wire sequence is below next_recv_seq is a
-//    duplicate — it is counted and absorbed (optionally triggering a retransmit of
-//    the cached last result so a dropped response heals) but NEVER re-decrypted or
-//    re-delivered, so replay cannot double-install client data.
-//  - The reorder window: a record up to kReorderWindow ahead of next_recv_seq is
-//    stashed and drained once the gap fills; anything further out is rejected.
-//  - The handshake replay cache: an identical retransmitted ClientHello gets the
-//    identical cached ServerHello back instead of re-keying a live session.
-struct ChannelSession {
+// The receive side of one channel direction, applied by both ends: the monitor's
+// ChannelSession to inbound data records, RemoteClient to inbound result records.
+// The untrusted host carries every packet, so it may drop, duplicate or reorder:
+//  - a record below next() is a duplicate of an accepted one: it is never
+//    re-decrypted or re-delivered, so replay cannot double-install data;
+//  - a record up to kReorderWindow ahead of next() is stashed as its received
+//    wire bytes and drained once the gap fills;
+//  - anything further ahead is rejected.
+// The window only classifies and stores; it decrypts nothing and counts nothing.
+class ReceiveWindow {
+ public:
   static constexpr uint64_t kReorderWindow = 8;
 
-  // Where an inbound data record lands relative to the receive window.
+  // Where an inbound record lands relative to the window.
   enum class RecordAdmit : uint8_t {
-    kInSequence,  // exactly next_recv_seq: decrypt now
+    kInSequence,  // exactly next(): decrypt now
     kDuplicate,   // below the window: absorbed, never re-decrypted
-    kStashed,     // ahead within kReorderWindow: parked until the gap fills
+    kStashed,     // ahead within kReorderWindow: its wire is parked until the gap fills
     kRejected,    // beyond the reorder window
   };
 
-  // Classifies (and accounts for) one inbound record: duplicate/reorder/reject
-  // counters and their global metrics are bumped here, and a kStashed record is
-  // parked in the reorder buffer. The caller only decrypts on kInSequence.
-  RecordAdmit AdmitRecord(uint64_t seq, const SealedRecord& record);
-  // Same, for the zero-copy path: the view's ciphertext is copied into the stash
-  // only when the record is actually parked (kStashed).
-  RecordAdmit AdmitRecord(const RecordView& view);
+  // Classifies one parsed record; on kStashed a copy of view.wire is parked.
+  RecordAdmit Admit(const RecordView& view);
 
-  // Pops the stashed record at next_recv_seq, if any (the drain loop after an
-  // in-sequence accept).
-  bool TakeDrainable(SealedRecord* out);
+  // True when the record at next() is stashed (the drain after an in-sequence
+  // accept).
+  bool HasDrainable() const { return stash_.count(next_) != 0; }
 
-  // Advances the receive window past an accepted record and prunes every stashed
-  // entry the window has passed. Without the prune, a record that was stashed and
-  // then also arrived in sequence leaks its stale stash entry forever.
-  void AdvanceRecv();
+  // Moves the stashed wire at next() into *wire and views it in *view (which
+  // borrows *wire). False when nothing is stashed there. The wire was parsed and
+  // counted when it arrived, so it is re-read without bumping the parse metrics.
+  bool TakeDrainable(Bytes* wire, RecordView* view);
+
+  // Advances past an accepted record and prunes every stashed entry the window
+  // has passed. Without the prune, a record that was stashed and then also
+  // arrived in sequence would leak its stale stash entry forever.
+  void Advance();
+
+  uint64_t next() const { return next_; }
+  size_t stashed() const { return stash_.size(); }
+
+ private:
+  uint64_t next_ = 0;
+  // Wire sequence -> received wire, at most kReorderWindow entries.
+  std::map<uint64_t, Bytes> stash_;
+};
+
+// Channel session state (one per connected client/sandbox).
+//
+// Robustness against a lossy/adversarial transport is built into the session, not
+// bolted onto callers:
+//  - The receive window (ReceiveWindow above); a duplicate may trigger a
+//    retransmit of the cached last result so a dropped response heals.
+//  - The handshake replay cache: an identical retransmitted ClientHello gets the
+//    identical cached ServerHello back instead of re-keying a live session.
+struct ChannelSession {
+  // Classifies one inbound record through `recv` and accounts for it: the
+  // duplicate/reorder/reject counters and their global metrics are bumped here.
+  // The caller only decrypts on kInSequence.
+  ReceiveWindow::RecordAdmit AdmitRecord(const RecordView& view);
 
   // True when a ClientHello is a byte-identical retransmit of the hello that
   // established this session (answered from the cached ServerHello).
@@ -170,12 +190,8 @@ struct ChannelSession {
   // Set when the client's kFin arrives; re-opens renegotiation for this slot.
   bool fin_seen = false;
   SessionKeys keys;
-  uint64_t next_recv_seq = 0;
+  ReceiveWindow recv;
   uint64_t next_send_seq = 0;
-
-  // Reorder buffer: wire sequence -> sealed record awaiting the gap fill (bounded by
-  // kReorderWindow entries).
-  std::map<uint64_t, SealedRecord> reorder;
 
   // Handshake replay cache.
   U256 hello_client_public;

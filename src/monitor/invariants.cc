@@ -129,7 +129,7 @@ Status InvariantChecker::CheckQuarantine() {
     // The teardown scrub must have left nothing deliverable: a stashed reorder
     // record or a queued outbound wire here would be ciphertext under destroyed
     // keys at best, and a use-after-scrub at worst.
-    if (!sandbox->session.reorder.empty()) {
+    if (sandbox->session.recv.stashed() != 0) {
       return InternalError(who + ": undelivered reorder-buffer records survive");
     }
     if (!sandbox->input_plaintext.empty()) {

@@ -29,22 +29,64 @@ TEST(PacketTest, ClientHelloRoundTrip) {
 }
 
 TEST(PacketTest, DataRecordRoundTrip) {
-  Packet packet;
-  packet.type = PacketType::kDataRecord;
-  packet.sandbox_id = 3;
-  packet.record.sequence = 42;
-  packet.record.ciphertext = ToBytes("ciphertext bytes");
-  packet.record.tag.fill(0xAD);
-  const auto back = Packet::Deserialize(packet.Serialize());
+  const SessionKeys keys = DeriveSessionKeys(Bytes(32, 0x24), Digest256{});
+  const Bytes plaintext = ToBytes("plaintext bytes");
+  const Bytes wire =
+      SealRecordWire(keys.client_to_server, PacketType::kDataRecord, 3, 42, plaintext);
+  const auto back = ParseRecordWire(wire);
   ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->record.sequence, 42u);
-  EXPECT_EQ(back->record.ciphertext, packet.record.ciphertext);
-  EXPECT_EQ(back->record.tag, packet.record.tag);
+  EXPECT_EQ(back->type, PacketType::kDataRecord);
+  EXPECT_EQ(back->sandbox_id, 3);
+  EXPECT_EQ(back->sequence, 42u);
+  // The view's ciphertext and tag are exactly the wire's bytes after the header.
+  ASSERT_EQ(back->ciphertext_len, plaintext.size());
+  EXPECT_EQ(back->ciphertext, wire.data() + wire::kRecordHeaderBytes);
+  EXPECT_TRUE(std::equal(back->tag.begin(), back->tag.end(),
+                         wire.end() - wire::kRecordTagBytes));
+  const auto opened = OpenRecordWire(keys.client_to_server, *back, 42);
+  ASSERT_TRUE(opened.ok());
+  EXPECT_EQ(*opened, plaintext);
 }
 
 TEST(PacketTest, RejectsGarbage) {
   EXPECT_FALSE(Packet::Deserialize(ToBytes("x")).ok());
   EXPECT_FALSE(Packet::Deserialize(Bytes{0x63, 0, 0, 0, 0}).ok());  // unknown type
+}
+
+TEST(PacketTest, RecordWireRejected) {
+  // Records exist only as wire bytes read by ParseRecordWire; the Packet codec
+  // refuses them outright.
+  const SessionKeys keys = DeriveSessionKeys(Bytes(32, 0x25), Digest256{});
+  for (const PacketType type : {PacketType::kDataRecord, PacketType::kResultRecord}) {
+    const Bytes wire = SealRecordWire(keys.client_to_server, type, 1, 0, ToBytes("r"));
+    ASSERT_TRUE(ParseRecordWire(wire).ok());
+    const auto parsed = Packet::Deserialize(wire);
+    ASSERT_FALSE(parsed.ok()) << "type " << static_cast<int>(type);
+    EXPECT_EQ(parsed.status().code(), ErrorCode::kInvalidArgument);
+  }
+}
+
+TEST(PacketTest, TrailingBytesRejected) {
+  Rng rng(3);
+  Packet hello;
+  hello.type = PacketType::kClientHello;
+  hello.sandbox_id = 1;
+  hello.client_public = GenerateKeyPair(GroupParams::Default(), rng).public_key;
+  Packet server;
+  server.type = PacketType::kServerHello;
+  server.sandbox_id = 1;
+  server.monitor_public = GenerateKeyPair(GroupParams::Default(), rng).public_key;
+  Packet fin;
+  fin.type = PacketType::kFin;
+  fin.sandbox_id = 1;
+  for (const Packet& packet : {hello, server, fin}) {
+    Bytes wire = packet.Serialize();
+    ASSERT_TRUE(Packet::Deserialize(wire).ok()) << "type " << static_cast<int>(packet.type);
+    wire.push_back(0);
+    const auto parsed = Packet::Deserialize(wire);
+    ASSERT_FALSE(parsed.ok()) << "type " << static_cast<int>(packet.type);
+    EXPECT_EQ(parsed.status().code(), ErrorCode::kInvalidArgument);
+  }
 }
 
 class PaddingTest : public testing::TestWithParam<size_t> {};
@@ -102,16 +144,12 @@ TEST(PaddingTest, UnpadRejectsLengthBeyondBuffer) {
 TEST(PacketTest, HugeLengthPrefixRejected) {
   // A DataRecord whose ciphertext length prefix claims ~4 GiB but whose wire is a few
   // bytes: parsing must fail without sizing a buffer from the prefix.
-  Packet packet;
-  packet.type = PacketType::kDataRecord;
-  packet.sandbox_id = 1;
-  packet.record.sequence = 0;
-  packet.record.ciphertext = ToBytes("tiny");
-  packet.record.tag.fill(0);
-  Bytes wire = packet.Serialize();
+  const SessionKeys keys = DeriveSessionKeys(Bytes(32, 0x26), Digest256{});
+  Bytes wire = SealRecordWire(keys.client_to_server, PacketType::kDataRecord, 1, 0,
+                              ToBytes("tiny"));
   // The ciphertext length prefix sits after type(1) + sandbox(4) + sequence(8).
   StoreLe32(wire.data() + 13, 0xFFFFFFF0u);
-  const auto parsed = Packet::Deserialize(wire);
+  const auto parsed = ParseRecordWire(wire);
   ASSERT_FALSE(parsed.ok());
   EXPECT_EQ(parsed.status().code(), ErrorCode::kInvalidArgument);
 }
@@ -258,12 +296,12 @@ TEST_F(ChannelE2eTest, ReplayedDataRecordRejected) {
   world_->ClientSend(wire);
   auto result = world_->AwaitClientPacket(sandbox_->id);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(sandbox_->session.next_recv_seq, 1u);
+  EXPECT_EQ(sandbox_->session.recv.next(), 1u);
 
   // Replaying the same record does not advance the session (AEAD sequence check).
   world_->ClientSend(wire);
   world_->kernel().Run(2000);
-  EXPECT_EQ(sandbox_->session.next_recv_seq, 1u);
+  EXPECT_EQ(sandbox_->session.recv.next(), 1u);
 }
 
 
@@ -329,7 +367,7 @@ TEST_F(ChannelE2eTest, InjectedDataDuplicationAbsorbedByReplayWindow) {
   ASSERT_TRUE(result_wire.ok());
   ASSERT_TRUE(client.OpenResult(*result_wire).ok());
   EXPECT_GE(sandbox_->session.duplicates, 1u);
-  EXPECT_EQ(sandbox_->session.next_recv_seq, 1u);
+  EXPECT_EQ(sandbox_->session.recv.next(), 1u);
 
   // Client-side deliberate retransmission: the monitor absorbs it as a duplicate and
   // retransmits the cached result, which the client's own window then rejects.
@@ -337,7 +375,7 @@ TEST_F(ChannelE2eTest, InjectedDataDuplicationAbsorbedByReplayWindow) {
   auto retransmit = world_->AwaitClientPacket(sandbox_->id);
   ASSERT_TRUE(retransmit.ok());
   EXPECT_EQ(client.OpenResult(*retransmit).status().code(), ErrorCode::kAlreadyExists);
-  EXPECT_EQ(sandbox_->session.next_recv_seq, 1u);
+  EXPECT_EQ(sandbox_->session.recv.next(), 1u);
   EXPECT_GE(sandbox_->session.retransmits, 1u);
 }
 
@@ -381,8 +419,8 @@ TEST_F(ChannelE2eTest, InjectedReorderHealsWithinWindow) {
   EXPECT_EQ(*plain0, expect0);
   EXPECT_EQ(*plain1, expect1);
   EXPECT_GE(sandbox_->session.reorders, 1u);
-  EXPECT_EQ(sandbox_->session.next_recv_seq, 2u);
-  EXPECT_TRUE(sandbox_->session.reorder.empty());  // stash fully drained
+  EXPECT_EQ(sandbox_->session.recv.next(), 2u);
+  EXPECT_EQ(sandbox_->session.recv.stashed(), 0u);  // stash fully drained
 }
 
 TEST_F(ChannelE2eTest, MidHandshakeTruncationRetried) {
@@ -428,7 +466,7 @@ TEST_F(ChannelE2eTest, CorruptedRecordRejectedThenRetransmitHeals) {
   // sequence — so the byte-identical retransmission is accepted cleanly.
   world_->ClientSend(client.SealData(ToBytes("tamper target")));
   world_->kernel().Run(2000);
-  EXPECT_EQ(sandbox_->session.next_recv_seq, 0u);
+  EXPECT_EQ(sandbox_->session.recv.next(), 0u);
   EXPECT_TRUE(sandbox_->input_plaintext.empty());
   EXPECT_FALSE(world_->ClientReceive().ok());
 
@@ -442,7 +480,7 @@ TEST_F(ChannelE2eTest, CorruptedRecordRejectedThenRetransmitHeals) {
     b ^= 0x20;
   }
   EXPECT_EQ(*result, expected);
-  EXPECT_EQ(sandbox_->session.next_recv_seq, 1u);
+  EXPECT_EQ(sandbox_->session.recv.next(), 1u);
   EXPECT_GE(client.retries(), 1u);
 }
 
@@ -497,9 +535,9 @@ TEST_F(ChannelE2eTest, ConcurrentSessionsAreIsolated) {
   };
   Bytes alice_plain, bob_plain;
   for (const Bytes* wire : {&*result1, &*result2}) {
-    const auto packet = Packet::Deserialize(*wire);
-    ASSERT_TRUE(packet.ok());
-    if (packet->sandbox_id == sandbox_->id) {
+    const auto view = ParseRecordWire(*wire);
+    ASSERT_TRUE(view.ok());
+    if (view->sandbox_id == sandbox_->id) {
       auto r = try_open(alice, *wire);
       ASSERT_TRUE(r.ok());
       alice_plain = *r;
@@ -525,23 +563,25 @@ TEST_F(ChannelE2eTest, ConcurrentSessionsAreIsolated) {
 
 // ---- Zero-copy record wire path ----
 
-TEST(RecordWireTest, SealRecordWireMatchesPacketSerialize) {
-  // The zero-copy seal must emit byte-identical wire to the Packet path, or a
-  // mixed-version client/monitor pair would desync.
+TEST(RecordWireTest, SealRecordWireMatchesPinnedWire) {
+  // The record wire format, key schedule and AEAD pinned byte for byte: any
+  // change here desyncs every deployed client/monitor pair.
+  //   type 03 | sandbox 05000000 | seq 0300000000000000 | ct_len 11000000 | ct | tag
   const SessionKeys keys = DeriveSessionKeys(Bytes(32, 0x21), Digest256{});
   const Bytes plaintext = ToBytes("zero copy or bust");
   const Bytes wire =
       SealRecordWire(keys.client_to_server, PacketType::kDataRecord, 5, 3, plaintext);
-
-  Packet packet;
-  packet.type = PacketType::kDataRecord;
-  packet.sandbox_id = 5;
-  packet.record =
-      AeadSeal(keys.client_to_server,
-               RecordAad{static_cast<uint8_t>(PacketType::kDataRecord), 5}, 3,
-               plaintext);
-  packet.record.sequence = 3;
-  EXPECT_EQ(wire, packet.Serialize());
+  const std::string kPinned =
+      "0305000000030000000000000011000000"
+      "1597bf2dfda0d59d666aa32357af995c61"
+      "17449f7e296beb8b4232ffbbc1bd6c85d58b16e7ea64ea8a7dde2853aed93f80";
+  std::string hex;
+  for (const uint8_t b : wire) {
+    static const char kDigits[] = "0123456789abcdef";
+    hex += kDigits[b >> 4];
+    hex += kDigits[b & 0xF];
+  }
+  EXPECT_EQ(hex, kPinned);
 }
 
 TEST(RecordWireTest, ParseOpenRoundTripAndRejections) {
@@ -574,64 +614,109 @@ TEST(RecordWireTest, ParseOpenRoundTripAndRejections) {
   EXPECT_FALSE(ParseRecordWire(relabeled).ok());
 }
 
-// ---- Reorder buffer hygiene (the stale-stash leak) ----
+// ---- Receive window hygiene (the stale-stash leak), at both channel ends ----
 
-SealedRecord MakeStashRecord(uint64_t seq) {
-  SealedRecord record;
-  record.sequence = seq;
-  record.ciphertext = ToBytes("stash payload");
-  return record;
+// The window tests need an attested client, so they share the e2e fixture.
+class ChannelSessionTest : public ChannelE2eTest {};
+
+RecordView MustParse(const Bytes& wire) {
+  auto view = ParseRecordWire(wire);
+  EXPECT_TRUE(view.ok());
+  return view.ok() ? *view : RecordView{};
 }
 
-TEST(ChannelSessionTest, StaleStashEntryPrunedWhenGapFillsInSequence) {
+TEST_F(ChannelSessionTest, StaleStashEntryPrunedWhenGapFillsInSequence) {
   // Seq 1 arrives early and is stashed; then 0 and 1 both arrive in sequence
-  // (the client retransmitted 1, racing its own reordered copy). The stashed
-  // copy of 1 falls below the window and must be pruned on advance — before the
-  // fix it sat in the map forever, because TakeDrainable only ever looks at
-  // exactly next_recv_seq.
+  // (the peer retransmitted 1, racing its own reordered copy). The stashed copy
+  // of 1 falls below the window and must be pruned on advance: TakeDrainable
+  // only ever looks at exactly next(), so an unpruned entry would sit in the
+  // stash forever. Both ends run the same window, so both are checked.
+  using Admit = ReceiveWindow::RecordAdmit;
+
+  // Monitor end: data records into a ChannelSession.
+  const SessionKeys keys = DeriveSessionKeys(Bytes(32, 0x23), Digest256{});
+  auto data = [&](uint64_t seq) {
+    return SealRecordWire(keys.client_to_server, PacketType::kDataRecord, 1, seq,
+                          ToBytes("stash payload"));
+  };
   ChannelSession session;
   session.established = true;
-  EXPECT_EQ(session.AdmitRecord(1, MakeStashRecord(1)),
-            ChannelSession::RecordAdmit::kStashed);
-  EXPECT_EQ(session.reorder.size(), 1u);
+  const Bytes data0 = data(0), data1 = data(1);
+  EXPECT_EQ(session.AdmitRecord(MustParse(data1)), Admit::kStashed);
+  EXPECT_EQ(session.recv.stashed(), 1u);
+  EXPECT_EQ(session.AdmitRecord(MustParse(data0)), Admit::kInSequence);
+  session.recv.Advance();
+  EXPECT_EQ(session.AdmitRecord(MustParse(data1)), Admit::kInSequence);
+  session.recv.Advance();
+  EXPECT_EQ(session.recv.stashed(), 0u) << "stale stash entry leaked (monitor)";
+  EXPECT_EQ(session.recv.next(), 2u);
 
-  EXPECT_EQ(session.AdmitRecord(0, MakeStashRecord(0)),
-            ChannelSession::RecordAdmit::kInSequence);
-  session.AdvanceRecv();
-  EXPECT_EQ(session.AdmitRecord(1, MakeStashRecord(1)),
-            ChannelSession::RecordAdmit::kInSequence);
-  session.AdvanceRecv();
-  EXPECT_TRUE(session.reorder.empty()) << "stale stash entry leaked";
-  EXPECT_EQ(session.next_recv_seq, 2u);
+  // Client end: result records into an attested RemoteClient.
+  RemoteClient client(world_->MakeTrustAnchors(), 95);
+  world_->ClientSend(client.MakeHello(sandbox_->id));
+  auto server_hello = world_->AwaitClientPacket(sandbox_->id);
+  ASSERT_TRUE(server_hello.ok());
+  ASSERT_TRUE(client.ProcessServerHello(*server_hello).ok());
+  auto result = [&](uint64_t seq) {
+    return SealRecordWire(sandbox_->session.keys.server_to_client,
+                          PacketType::kResultRecord, sandbox_->id, seq,
+                          *PadOutput(ToBytes("result " + std::to_string(seq)), 64));
+  };
+  EXPECT_EQ(client.OpenResult(result(1)).status().code(), ErrorCode::kUnavailable);
+  EXPECT_EQ(client.receive_window().stashed(), 1u);
+  auto plain0 = client.OpenResult(result(0));
+  ASSERT_TRUE(plain0.ok()) << plain0.status().ToString();
+  EXPECT_EQ(*plain0, ToBytes("result 0"));
+  auto plain1 = client.OpenResult(result(1));
+  ASSERT_TRUE(plain1.ok()) << plain1.status().ToString();
+  EXPECT_EQ(*plain1, ToBytes("result 1"));
+  EXPECT_EQ(client.receive_window().stashed(), 0u) << "stale stash entry leaked (client)";
+  EXPECT_FALSE(client.HasStashedResult());
+  EXPECT_EQ(client.receive_window().next(), 2u);
 }
 
-TEST(ChannelSessionTest, ReorderBufferBoundedAtWindowAndDrainsEmpty) {
+TEST_F(ChannelSessionTest, ReorderBufferBoundedAtWindowAndDrainsEmpty) {
+  using Admit = ReceiveWindow::RecordAdmit;
+  constexpr uint64_t kWindow = ReceiveWindow::kReorderWindow;
+  const SessionKeys keys = DeriveSessionKeys(Bytes(32, 0x27), Digest256{});
+  std::vector<Bytes> wires;
+  for (uint64_t seq = 0; seq <= kWindow + 1; ++seq) {
+    wires.push_back(SealRecordWire(keys.client_to_server, PacketType::kDataRecord, 1, seq,
+                                   ToBytes("record " + std::to_string(seq))));
+  }
   ChannelSession session;
   session.established = true;
   // Fill the entire window ahead of the gap at 0.
-  for (uint64_t seq = 1; seq <= ChannelSession::kReorderWindow; ++seq) {
-    EXPECT_EQ(session.AdmitRecord(seq, MakeStashRecord(seq)),
-              ChannelSession::RecordAdmit::kStashed);
-    EXPECT_LE(session.reorder.size(), ChannelSession::kReorderWindow);
+  for (uint64_t seq = 1; seq <= kWindow; ++seq) {
+    EXPECT_EQ(session.AdmitRecord(MustParse(wires[seq])), Admit::kStashed);
+    EXPECT_LE(session.recv.stashed(), kWindow);
   }
   // One past the window is refused outright, never stashed.
-  EXPECT_EQ(session.AdmitRecord(ChannelSession::kReorderWindow + 1,
-                                MakeStashRecord(ChannelSession::kReorderWindow + 1)),
-            ChannelSession::RecordAdmit::kRejected);
-  EXPECT_EQ(session.reorder.size(), ChannelSession::kReorderWindow);
+  EXPECT_EQ(session.AdmitRecord(MustParse(wires[kWindow + 1])), Admit::kRejected);
+  EXPECT_EQ(session.recv.stashed(), kWindow);
 
-  // The gap fills: drain everything, checking the bound at every step.
-  EXPECT_EQ(session.AdmitRecord(0, MakeStashRecord(0)),
-            ChannelSession::RecordAdmit::kInSequence);
-  session.AdvanceRecv();
-  SealedRecord drained;
-  while (session.TakeDrainable(&drained)) {
-    EXPECT_EQ(drained.sequence, session.next_recv_seq);
-    session.AdvanceRecv();
-    EXPECT_LE(session.reorder.size(), ChannelSession::kReorderWindow);
+  // The gap fills: drain everything, checking the bound at every step. Each
+  // drained wire still opens at its sequence, and re-reading a stashed wire
+  // does not count a second parse.
+  EXPECT_EQ(session.AdmitRecord(MustParse(wires[0])), Admit::kInSequence);
+  session.recv.Advance();
+  const uint64_t parsed_before = MetricsRegistry::Global().Value("channel.packets_parsed");
+  Bytes wire;
+  RecordView drained;
+  while (session.recv.TakeDrainable(&wire, &drained)) {
+    EXPECT_EQ(drained.sequence, session.recv.next());
+    EXPECT_EQ(wire, wires[drained.sequence]);
+    auto opened = OpenRecordWire(keys.client_to_server, drained, session.recv.next());
+    ASSERT_TRUE(opened.ok());
+    EXPECT_EQ(*opened, ToBytes("record " + std::to_string(drained.sequence)));
+    session.recv.Advance();
+    EXPECT_LE(session.recv.stashed(), kWindow);
   }
-  EXPECT_TRUE(session.reorder.empty());
-  EXPECT_EQ(session.next_recv_seq, ChannelSession::kReorderWindow + 1);
+  EXPECT_EQ(MetricsRegistry::Global().Value("channel.packets_parsed"), parsed_before);
+  EXPECT_EQ(session.recv.stashed(), 0u);
+  EXPECT_EQ(session.recv.next(), kWindow + 1);
+  EXPECT_EQ(session.reorders, kWindow);
+  EXPECT_EQ(session.rejects, 1u);
 }
 
 TEST_F(ChannelE2eTest, ForgedRecordHeaderDoesNotStrikeVictimSession) {
@@ -670,21 +755,21 @@ TEST_F(ChannelE2eTest, ForgedRecordHeaderDoesNotStrikeVictimSession) {
   // field to Alice's expected one so it reaches authentication.
   Bytes rerouted = bob.SealData(ToBytes("poison pill"));
   StoreLe32(rerouted.data() + 1, static_cast<uint32_t>(sandbox_->id));
-  StoreLe64(rerouted.data() + 5, sandbox_->session.next_recv_seq);
+  StoreLe64(rerouted.data() + 5, sandbox_->session.recv.next());
   world_->ClientSend(rerouted);
 
   // Attack 2: relabel Alice's own result record (kResultRecord -> kDataRecord)
   // and bounce it back at her sandbox with a patched sequence.
   Bytes relabeled = *result0;
   relabeled[0] = static_cast<uint8_t>(PacketType::kDataRecord);
-  StoreLe64(relabeled.data() + 5, sandbox_->session.next_recv_seq);
+  StoreLe64(relabeled.data() + 5, sandbox_->session.recv.next());
   world_->ClientSend(relabeled);
   world_->kernel().Run(3000);
 
   // Both forgeries were rejected by the AAD-bound tag...
   EXPECT_EQ(MetricsRegistry::Global().Value("channel.corrupt_rejects"),
             corrupt_before + 2);
-  EXPECT_EQ(sandbox_->session.next_recv_seq, 1u);
+  EXPECT_EQ(sandbox_->session.recv.next(), 1u);
   EXPECT_EQ(sandbox_->input_plaintext.size(), 0u);  // consumed the one legit input
   // ...and NOTHING was charged to the victim: no session rejects, no fault
   // strikes, no quarantine.
@@ -733,7 +818,7 @@ TEST_F(ChannelE2eTest, StaleHelloCannotTearDownLiveSession) {
 
   // The live session survived: same keys, same sequence space, still serving.
   EXPECT_TRUE(sandbox_->session.established);
-  EXPECT_EQ(sandbox_->session.next_recv_seq, 1u);
+  EXPECT_EQ(sandbox_->session.recv.next(), 1u);
   world_->ClientSend(alice.SealData(ToBytes("still alive")));
   auto result2 = world_->AwaitClientPacket(sandbox_->id);
   ASSERT_TRUE(result2.ok()) << result2.status().ToString();
@@ -818,8 +903,8 @@ TEST_F(ChannelE2eTest, BatchedIngestProcessesEveryPacketAcrossSessions) {
       world_->monitor()->ProxyDeliverBatch(world_->machine().cpu(0), wires);
   EXPECT_FALSE(st.ok()) << "malformed packet's error must surface";
 
-  EXPECT_EQ(sandbox_->session.next_recv_seq, 2u);
-  EXPECT_EQ((*sandbox2)->session.next_recv_seq, 2u);
+  EXPECT_EQ(sandbox_->session.recv.next(), 2u);
+  EXPECT_EQ((*sandbox2)->session.recv.next(), 2u);
   EXPECT_EQ(sandbox_->input_plaintext.size(), 2u);
   EXPECT_EQ((*sandbox2)->input_plaintext.size(), 2u);
 }
@@ -845,13 +930,12 @@ TEST_F(ChannelE2eTest, CrossSessionRecordInjectionRejected) {
   ASSERT_TRUE(bob.ProcessServerHello(*hello_b).ok());
 
   // Re-tag Bob's record for Alice's sandbox.
-  auto packet = Packet::Deserialize(bob.SealData(ToBytes("poison")));
-  ASSERT_TRUE(packet.ok());
-  packet->sandbox_id = sandbox_->id;
-  world_->ClientSend(packet->Serialize());
+  Bytes forged = bob.SealData(ToBytes("poison"));
+  StoreLe32(forged.data() + 1, static_cast<uint32_t>(sandbox_->id));
+  world_->ClientSend(forged);
   world_->kernel().Run(3000);
   // Alice's sandbox received nothing and was not sealed by the forged record.
-  EXPECT_EQ(sandbox_->session.next_recv_seq, 0u);
+  EXPECT_EQ(sandbox_->session.recv.next(), 0u);
   EXPECT_TRUE(sandbox_->input_plaintext.empty());
 }
 

@@ -20,32 +20,32 @@ TEST_P(PacketFuzzTest, RandomBytesNeverCrashDeserializer) {
     rng.Fill(wire.data(), wire.size());
     // Must either parse cleanly or return an error — never crash / overread.
     (void)Packet::Deserialize(wire);
+    (void)ParseRecordWire(wire);
   }
 }
 
 TEST_P(PacketFuzzTest, TruncationsOfValidPacketsRejectOrParse) {
   Rng rng(GetParam());
-  Packet packet;
-  packet.type = PacketType::kDataRecord;
-  packet.sandbox_id = 1;
-  packet.record.sequence = 7;
-  packet.record.ciphertext.resize(100);
-  rng.Fill(packet.record.ciphertext.data(), packet.record.ciphertext.size());
-  const Bytes wire = packet.Serialize();
+  const SessionKeys keys = DeriveSessionKeys(Bytes(32, 0x31), Digest256{});
+  Bytes plaintext(100);
+  rng.Fill(plaintext.data(), plaintext.size());
+  const Bytes wire =
+      SealRecordWire(keys.client_to_server, PacketType::kDataRecord, 1, 7, plaintext);
   for (size_t cut = 0; cut < wire.size(); ++cut) {
     Bytes truncated(wire.begin(), wire.begin() + cut);
-    const auto parsed = Packet::Deserialize(truncated);
-    if (parsed.ok()) {
-      // If a prefix happens to parse, it must not fabricate ciphertext bytes.
-      EXPECT_LE(parsed->record.ciphertext.size(), cut);
-    }
+    // A record's length prefix must match its wire exactly, so no prefix parses
+    // (and none can fabricate ciphertext bytes).
+    EXPECT_FALSE(ParseRecordWire(truncated).ok()) << "cut " << cut;
+    EXPECT_FALSE(Packet::Deserialize(truncated).ok()) << "cut " << cut;
   }
 }
 
 TEST_P(PacketFuzzTest, AllPacketTypesRoundTripAndSurviveMutation) {
-  // Every packet type must (a) round-trip byte-exactly through
-  // Serialize/Deserialize, and (b) parse-or-reject — never crash or overread —
-  // when truncated at every byte offset or hit by random single-byte flips.
+  // Every packet type must (a) round-trip byte-exactly through its codec
+  // (Serialize/Deserialize, or SealRecordWire/ParseRecordWire/OpenRecordWire for
+  // records), and (b) parse-or-reject — never crash or overread — when truncated
+  // at every byte offset or hit by random single-byte flips. A mutated record
+  // must never open.
   Rng rng(GetParam() * 977 + 5);
   std::vector<Packet> packets;
   {
@@ -75,16 +75,6 @@ TEST_P(PacketFuzzTest, AllPacketTypesRoundTripAndSurviveMutation) {
         GenerateKeyPair(GroupParams::Default(), rng).public_key;
     packets.push_back(server);
   }
-  for (const PacketType type : {PacketType::kDataRecord, PacketType::kResultRecord}) {
-    Packet record;
-    record.type = type;
-    record.sandbox_id = 11;
-    record.record.sequence = rng.Next();
-    record.record.ciphertext.resize(1 + rng.NextBelow(300));
-    rng.Fill(record.record.ciphertext.data(), record.record.ciphertext.size());
-    rng.Fill(record.record.tag.data(), record.record.tag.size());
-    packets.push_back(record);
-  }
   {
     Packet fin;
     fin.type = PacketType::kFin;
@@ -106,6 +96,40 @@ TEST_P(PacketFuzzTest, AllPacketTypesRoundTripAndSurviveMutation) {
       mutated[rng.NextBelow(mutated.size())] ^=
           static_cast<uint8_t>(1 + rng.NextBelow(255));
       (void)Packet::Deserialize(mutated);
+    }
+  }
+
+  const SessionKeys keys = DeriveSessionKeys(Bytes(32, 0x32), Digest256{});
+  for (const PacketType type : {PacketType::kDataRecord, PacketType::kResultRecord}) {
+    const uint64_t seq = rng.Next();
+    Bytes plaintext(1 + rng.NextBelow(300));
+    rng.Fill(plaintext.data(), plaintext.size());
+    const Bytes wire = SealRecordWire(keys.client_to_server, type, 11, seq, plaintext);
+    const auto view = ParseRecordWire(wire);
+    ASSERT_TRUE(view.ok()) << "type " << static_cast<int>(type);
+    const auto opened = OpenRecordWire(keys.client_to_server, *view, seq);
+    ASSERT_TRUE(opened.ok());
+    EXPECT_EQ(*opened, plaintext);
+    EXPECT_EQ(SealRecordWire(keys.client_to_server, view->type, view->sandbox_id,
+                             view->sequence, *opened),
+              wire)
+        << "round trip not byte-exact";
+    EXPECT_FALSE(Packet::Deserialize(wire).ok());
+
+    for (size_t cut = 0; cut < wire.size(); ++cut) {
+      (void)ParseRecordWire(Bytes(wire.begin(), wire.begin() + cut));
+    }
+    for (int round = 0; round < 200; ++round) {
+      Bytes mutated = wire;
+      mutated[rng.NextBelow(mutated.size())] ^=
+          static_cast<uint8_t>(1 + rng.NextBelow(255));
+      const auto mutated_view = ParseRecordWire(mutated);
+      if (mutated_view.ok()) {
+        EXPECT_FALSE(
+            OpenRecordWire(keys.client_to_server, *mutated_view, mutated_view->sequence)
+                .ok())
+            << "mutated record opened";
+      }
     }
   }
 }
@@ -263,12 +287,18 @@ TEST(ChannelPropertyTest, LongSessionsRejectEveryOutOfOrderRecord) {
   const Bytes secret(32, 0x3A);
   Digest256 transcript{};
   const SessionKeys keys = DeriveSessionKeys(secret, transcript);
-  const RecordAad aad{static_cast<uint8_t>(PacketType::kDataRecord), 1};
-  std::vector<SealedRecord> records;
+  std::vector<Bytes> wires;
   for (uint64_t seq = 0; seq < 64; ++seq) {
     Bytes payload(rng.NextBelow(256) + 1);
     rng.Fill(payload.data(), payload.size());
-    records.push_back(AeadSeal(keys.client_to_server, aad, seq, payload));
+    wires.push_back(
+        SealRecordWire(keys.client_to_server, PacketType::kDataRecord, 1, seq, payload));
+  }
+  std::vector<RecordView> records;
+  for (const Bytes& wire : wires) {
+    auto view = ParseRecordWire(wire);
+    ASSERT_TRUE(view.ok());
+    records.push_back(*view);
   }
   uint64_t expected = 0;
   for (uint64_t seq = 0; seq < 64; ++seq) {
@@ -277,9 +307,16 @@ TEST(ChannelPropertyTest, LongSessionsRejectEveryOutOfOrderRecord) {
       if (probe == expected) {
         continue;
       }
-      EXPECT_FALSE(AeadOpen(keys.client_to_server, aad, records[probe], expected).ok());
+      const RecordView& record = records[probe];
+      EXPECT_FALSE(OpenRecordWire(keys.client_to_server, record, expected).ok());
+      // Past the sequence check, the tag itself binds the sequence.
+      Bytes out(record.ciphertext_len);
+      EXPECT_FALSE(AeadOpenInto(keys.client_to_server, record.Aad(), expected,
+                                record.ciphertext, record.ciphertext_len, record.tag,
+                                out.data())
+                       .ok());
     }
-    EXPECT_TRUE(AeadOpen(keys.client_to_server, aad, records[expected], expected).ok());
+    EXPECT_TRUE(OpenRecordWire(keys.client_to_server, records[expected], expected).ok());
     ++expected;
   }
 }
