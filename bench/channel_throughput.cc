@@ -2,10 +2,10 @@
 //
 // Part A (wall clock): the single-session record pipeline
 // (SealRecordWire -> ParseRecordWire -> OpenRecordWire), timed twice: with the
-// SHA-NI + AVX2 dispatch on, and with it off (accel::ScopedEnable(false): the
-// portable ChaCha20 and SHA-256). Both runs must produce byte-identical wires
-// and plaintexts; the accelerated run must be >= 4x at 64 KiB records (median
-// of kPipelineReps alternating pairs).
+// SHA-NI + AVX-512F dispatch on, and with it off (accel::ScopedEnable(false):
+// the portable ChaCha20 and SHA-256). Both runs must produce byte-identical
+// wires and plaintexts; the accelerated run must be >= 4x at 64 KiB records
+// (median of kPipelineReps alternating pairs).
 //
 // Part B (simulated cycles): multi-session ingest aggregate through
 // ProxyDeliverBatch on an 8-vCPU machine, 1/4/16 concurrent sessions, with
@@ -19,7 +19,8 @@
 // record counts as a fresh deterministic oracle run. Set
 // EREBOR_EXEC=deterministic to skip the threaded half.
 //
-// Emits BENCH_channel.json (scripts/bench.sh collects and validates it).
+// Emits BENCH_channel.json with one checks[] entry per gate (scripts/bench.sh
+// collects it and asserts every check passed).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -72,7 +73,7 @@ StatusOr<Bytes> RoundTrip(const AeadKeys& keys, uint64_t seq, const Bytes& plain
   return OpenRecordWire(keys, view, seq);
 }
 
-// Payload MB/s of `iters` round trips with the SHA-NI/AVX2 dispatch on or off,
+// Payload MB/s of `iters` round trips with the SHA-NI/AVX-512 dispatch on or off,
 // or 0 if any fails to open.
 double PipelineMbps(const AeadKeys& keys, const Bytes& plaintext, int iters,
                     bool accelerated) {
@@ -321,9 +322,21 @@ bool RunIngestCell(int sessions, IngestCell* out,
 }  // namespace
 
 int main() {
-  const bool accelerated = accel::HasShaNi() && accel::HasAvx2();
+  const bool accelerated = accel::HasShaNi() && accel::HasAvx512();
   std::printf("=== channel throughput ===\n");
-  std::printf("cpu features: sha_ni=%d avx2=%d\n", accel::HasShaNi(), accel::HasAvx2());
+  std::printf("cpu features: sha_ni=%d avx512=%d\n", accel::HasShaNi(),
+              accel::HasAvx512());
+  // One {name, value, bound, pass} entry per gate; `ok` is their conjunction
+  // (and the engine oracle's).
+  Json checks = Json::Array();
+  auto check = [&checks](const char* name, double value, double bound, bool pass) {
+    checks.Push(Json::Object()
+                    .Set("name", name)
+                    .Set("value", value)
+                    .Set("bound", bound)
+                    .Set("pass", pass));
+    return pass;
+  };
 
   // Part A.
   std::printf("\n-- single-session seal+open pipeline (wall clock) --\n");
@@ -355,12 +368,12 @@ int main() {
   if (speedup_64k < 4.0) {
     if (accelerated) {
       std::printf("channel_throughput: FAIL below 4x at 64 KiB\n");
-      ok = false;
     } else {
-      std::printf("channel_throughput: WARN no SHA-NI/AVX2 on this host; "
+      std::printf("channel_throughput: WARN no SHA-NI/AVX-512F on this host; "
                   "4x gate skipped\n");
     }
   }
+  ok &= check("speedup_64k", speedup_64k, 4.0, speedup_64k >= 4.0 || !accelerated);
 
   // Part B.
   std::printf("\n-- multi-session batched ingest (simulated cycles, %d vCPUs) --\n",
@@ -390,8 +403,8 @@ int main() {
   std::printf("\naggregate, 16 sessions vs 1: %.2fx (target >= 2x)\n", scale_16);
   if (scale_16 < 2.0) {
     std::printf("channel_throughput: FAIL 16-session aggregate below 2x\n");
-    ok = false;
   }
+  ok &= check("sharded_scale_16_sessions", scale_16, 2.0, scale_16 >= 2.0);
 
   // -- real-thread engine: same ingest cells, record-count oracle --
   Json ingest_engine = Json::Array();
@@ -433,13 +446,14 @@ int main() {
   Json root = Json::Object();
   root.Set("bench", "channel")
       .Set("sha_ni", accel::HasShaNi())
-      .Set("avx2", accel::HasAvx2())
+      .Set("avx512", accel::HasAvx512())
       .Set("pipeline", std::move(pipeline))
       .Set("ingest", std::move(ingest))
       .Set("ingest_engine", std::move(ingest_engine))
       .Set("engine_oracle_match", engine_oracle)
       .Set("speedup_64k", speedup_64k)
       .Set("sharded_scale_16_sessions", scale_16)
+      .Set("checks", std::move(checks))
       .Set("pass", ok);
   std::string path;
   if (WriteBenchJson("channel", root, &path)) {

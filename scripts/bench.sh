@@ -13,7 +13,8 @@
 # channel if the record pipeline with accelerated dispatch is below 4x the same
 # pipeline with dispatch off at 64 KiB, or the 16-session aggregate is below 2x
 # one session. Any of those fails
-# this script, as does any BENCH_<name>.json whose "pass" verdict is not true.
+# this script, as does any BENCH_<name>.json whose "pass" verdict is not true or
+# that has a "checks" entry ({name, value, bound, pass}) that did not pass.
 # BENCH_emc_scaling.json carries both series: "cells" (simulated cycles,
 # deterministic engine) and "engine_cells" (wall-clock ns, real threads vs their
 # oracle twins; reported, not gated).
@@ -111,9 +112,10 @@ for name in fig8 fig9 tab3 tab6 emc_scaling channel batched_mmu serving tab7_pla
   fi
 done
 # Every BENCH_<name>.json must be well-formed JSON naming its bench. A bench that
-# gates on anything folds all of its checks into one "pass" verdict; re-check it
-# here so a stale or hand-edited file cannot masquerade as a clean run. Fall back
-# to a grep when no python3 is installed.
+# gates on anything folds all of its checks into one "pass" verdict, and may list
+# them one by one in a "checks" array; re-check both here so a stale or
+# hand-edited file cannot masquerade as a clean run. Fall back to a grep when no
+# python3 is installed.
 for f in "$OUT_DIR"/BENCH_*.json; do
   if command -v python3 >/dev/null 2>&1; then
     python3 -c 'import json,os,sys
@@ -121,12 +123,15 @@ path = sys.argv[1]
 doc = json.load(open(path))
 name = os.path.basename(path)[len("BENCH_"):-len(".json")]
 assert doc.get("bench") == name, "bench key is not " + name
-assert doc.get("pass", True) is True, name + " did not pass"' "$f" || {
+assert doc.get("pass", True) is True, name + " did not pass"
+for check in doc.get("checks", []):
+    assert check.get("pass") is True, name + ": check " + str(check.get("name")) + " failed"' "$f" || {
       echo "bench.sh: $f failed validation" >&2
       exit 1
     }
   elif ! grep -q '"bench"' "$f" ||
-      { grep -q '"pass"' "$f" && ! grep -q '"pass": *true' "$f"; }; then
+      { grep -q '"pass"' "$f" && ! grep -q '"pass": *true' "$f"; } ||
+      grep -q '"pass": *false' "$f"; then
     echo "bench.sh: $f failed validation" >&2
     exit 1
   fi

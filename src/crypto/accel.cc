@@ -12,7 +12,7 @@ namespace {
 
 struct Features {
   bool sha_ni = false;
-  bool avx2 = false;
+  bool avx512 = false;
 };
 
 Features Detect() {
@@ -24,10 +24,11 @@ Features Detect() {
   }
   __cpuid_count(7, 0, eax, ebx, ecx, edx);
   const bool cpu_sha = (ebx & (1u << 29)) != 0;
-  const bool cpu_avx2 = (ebx & (1u << 5)) != 0;
+  const bool cpu_avx512f = (ebx & (1u << 16)) != 0;
 
-  // AVX2 additionally needs the OS to save YMM state (OSXSAVE + XCR0 bits 1|2).
-  bool os_avx = false;
+  // AVX-512 additionally needs the OS to save the XMM/YMM state and the opmask
+  // and ZMM state (OSXSAVE + XCR0 bits 1, 2, 5, 6 and 7).
+  bool os_avx512 = false;
   __cpuid_count(1, 0, eax, ebx, ecx, edx);
   if ((ecx & (1u << 27)) != 0) {  // OSXSAVE
     // xgetbv(0): _xgetbv() would need -mxsave on this TU, so issue it directly.
@@ -35,12 +36,12 @@ Features Detect() {
     __asm__ volatile(".byte 0x0f, 0x01, 0xd0"  // xgetbv
                      : "=a"(xcr0_lo), "=d"(xcr0_hi)
                      : "c"(0));
-    os_avx = (xcr0_lo & 0x6) == 0x6;
+    os_avx512 = (xcr0_lo & 0xE6) == 0xE6;
   }
   const bool cpu_sse41 = (ecx & (1u << 19)) != 0;
 
   f.sha_ni = cpu_sha && cpu_sse41;
-  f.avx2 = cpu_avx2 && os_avx;
+  f.avx512 = cpu_avx512f && os_avx512;
 #endif
   return f;
 }
@@ -55,7 +56,7 @@ bool g_enabled = true;
 }  // namespace
 
 bool HasShaNi() { return Cached().sha_ni; }
-bool HasAvx2() { return Cached().avx2; }
+bool HasAvx512() { return Cached().avx512; }
 
 bool SetEnabled(bool on) {
   const bool previous = g_enabled;

@@ -1,4 +1,4 @@
-// Runtime CPU-feature dispatch for the crypto hot paths (SHA-NI, AVX2). The
+// Runtime CPU-feature dispatch for the crypto hot paths (SHA-NI, AVX-512F). The
 // channel record pipeline is the only consumer: everything else in the tree uses
 // the portable scalar code unconditionally. Detection is done once with CPUID;
 // a process-wide switch lets benches and cross-check tests force the scalar
@@ -12,7 +12,7 @@ namespace accel {
 // CPU capability bits, detected once and cached. These report what the hardware
 // (and OS, for vector state) can do, independent of the Enabled() switch.
 bool HasShaNi();
-bool HasAvx2();
+bool HasAvx512();  // AVX-512F with OS-enabled opmask and ZMM state
 
 // Master switch consulted by every dispatch site. Defaults to on. Returns the
 // previous value so callers can save/restore around a measurement.

@@ -78,7 +78,7 @@ inline void XorWords(const uint8_t* src, const uint8_t* mask, uint8_t* dst, size
 }
 
 // One round step applied across kLanes independent blocks; the lane loop is what
-// the vectorizer turns into packed 32-bit ops (8 lanes -> one YMM op under AVX2).
+// the vectorizer turns into packed 32-bit ops (4 lanes -> one XMM op).
 #define EREBOR_CHACHA_QR(a, b, c, d)           \
   for (int l = 0; l < kLanes; ++l) {           \
     x[a][l] += x[b][l];                        \
@@ -92,8 +92,8 @@ inline void XorWords(const uint8_t* src, const uint8_t* mask, uint8_t* dst, size
   }
 
 // Hashes kLanes consecutive blocks (counters state[12] .. state[12]+kLanes-1)
-// into keystream[64 * kLanes]. always_inline so each wrapper below compiles it
-// with its own target ISA.
+// into keystream[64 * kLanes]. always_inline so the lane loops fold into each
+// caller.
 template <int kLanes>
 [[gnu::always_inline]] inline void HashLanes(const uint32_t state[16],
                                              uint8_t* keystream) {
@@ -141,70 +141,68 @@ template <int kLanes>
 
 #ifdef EREBOR_CHACHA_X86
 
-// The 16- and 8-bit rotations are byte permutations, so they compile to a single
-// vpshufb instead of two shifts and an or.
-#define EREBOR_VQR(a, b, c, d)                                        \
-  a = _mm256_add_epi32(a, b);                                         \
-  d = _mm256_shuffle_epi8(_mm256_xor_si256(d, a), rot16);             \
-  c = _mm256_add_epi32(c, d);                                         \
-  b = _mm256_xor_si256(b, c);                                         \
-  b = _mm256_or_si256(_mm256_slli_epi32(b, 12), _mm256_srli_epi32(b, 20)); \
-  a = _mm256_add_epi32(a, b);                                         \
-  d = _mm256_shuffle_epi8(_mm256_xor_si256(d, a), rot8);              \
-  c = _mm256_add_epi32(c, d);                                         \
-  b = _mm256_xor_si256(b, c);                                         \
-  b = _mm256_or_si256(_mm256_slli_epi32(b, 7), _mm256_srli_epi32(b, 25));
+// GCC 12's _mm512_rol_epi32 and _mm512_shuffle_i32x4 pass a self-initialized
+// _mm512_undefined_epi32() as the (fully overwritten) merge source, which
+// -Wmaybe-uninitialized flags once they are inlined here. The kernel has no
+// uninitialized state, so silence that one warning for this kernel only.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 
-// 8x8 transpose of 32-bit elements across rows r0..r7 (in place).
-#define EREBOR_TRANSPOSE8(r0, r1, r2, r3, r4, r5, r6, r7)  \
-  {                                                        \
-    const __m256i t0 = _mm256_unpacklo_epi32(r0, r1);      \
-    const __m256i t1 = _mm256_unpackhi_epi32(r0, r1);      \
-    const __m256i t2 = _mm256_unpacklo_epi32(r2, r3);      \
-    const __m256i t3 = _mm256_unpackhi_epi32(r2, r3);      \
-    const __m256i t4 = _mm256_unpacklo_epi32(r4, r5);      \
-    const __m256i t5 = _mm256_unpackhi_epi32(r4, r5);      \
-    const __m256i t6 = _mm256_unpacklo_epi32(r6, r7);      \
-    const __m256i t7 = _mm256_unpackhi_epi32(r6, r7);      \
-    const __m256i u0 = _mm256_unpacklo_epi64(t0, t2);      \
-    const __m256i u1 = _mm256_unpackhi_epi64(t0, t2);      \
-    const __m256i u2 = _mm256_unpacklo_epi64(t1, t3);      \
-    const __m256i u3 = _mm256_unpackhi_epi64(t1, t3);      \
-    const __m256i u4 = _mm256_unpacklo_epi64(t4, t6);      \
-    const __m256i u5 = _mm256_unpackhi_epi64(t4, t6);      \
-    const __m256i u6 = _mm256_unpacklo_epi64(t5, t7);      \
-    const __m256i u7 = _mm256_unpackhi_epi64(t5, t7);      \
-    r0 = _mm256_permute2x128_si256(u0, u4, 0x20);          \
-    r1 = _mm256_permute2x128_si256(u1, u5, 0x20);          \
-    r2 = _mm256_permute2x128_si256(u2, u6, 0x20);          \
-    r3 = _mm256_permute2x128_si256(u3, u7, 0x20);          \
-    r4 = _mm256_permute2x128_si256(u0, u4, 0x31);          \
-    r5 = _mm256_permute2x128_si256(u1, u5, 0x31);          \
-    r6 = _mm256_permute2x128_si256(u2, u6, 0x31);          \
-    r7 = _mm256_permute2x128_si256(u3, u7, 0x31);          \
+// AVX-512 has a native 32-bit rotate (vprold), so every rotation is one op.
+#define EREBOR_VQR(a, b, c, d)                           \
+  a = _mm512_add_epi32(a, b);                            \
+  d = _mm512_rol_epi32(_mm512_xor_si512(d, a), 16);      \
+  c = _mm512_add_epi32(c, d);                            \
+  b = _mm512_rol_epi32(_mm512_xor_si512(b, c), 12);      \
+  a = _mm512_add_epi32(a, b);                            \
+  d = _mm512_rol_epi32(_mm512_xor_si512(d, a), 8);       \
+  c = _mm512_add_epi32(c, d);                            \
+  b = _mm512_rol_epi32(_mm512_xor_si512(b, c), 7);
+
+// 4x4 transpose of 32-bit elements inside each 128-bit lane of rows r0..r3:
+// afterwards lane k of r<j> holds words 0..3 of the input rows' column 4k + j.
+#define EREBOR_TRANSPOSE4(r0, r1, r2, r3)                \
+  {                                                      \
+    const __m512i t0 = _mm512_unpacklo_epi32(r0, r1);    \
+    const __m512i t1 = _mm512_unpackhi_epi32(r0, r1);    \
+    const __m512i t2 = _mm512_unpacklo_epi32(r2, r3);    \
+    const __m512i t3 = _mm512_unpackhi_epi32(r2, r3);    \
+    r0 = _mm512_unpacklo_epi64(t0, t2);                  \
+    r1 = _mm512_unpackhi_epi64(t0, t2);                  \
+    r2 = _mm512_unpacklo_epi64(t1, t3);                  \
+    r3 = _mm512_unpackhi_epi64(t1, t3);                  \
   }
 
-// Eight blocks per iteration: word i of vector v[i] lane l belongs to block l, so
-// after the rounds two 8x8 transposes turn the registers back into contiguous
-// 64-byte keystream blocks (words 0..7 from the first matrix, 8..15 from the
-// second). x86 is little-endian, so the packed words already have wire order.
-__attribute__((target("avx2")))
-void XorRunAvx2(uint32_t state[16], const uint8_t*& src, uint8_t*& dst,
-                size_t& remaining) {
-  const __m256i rot16 =
-      _mm256_set_epi8(13, 12, 15, 14, 9, 8, 11, 10, 5, 4, 7, 6, 1, 0, 3, 2, 13, 12,
-                      15, 14, 9, 8, 11, 10, 5, 4, 7, 6, 1, 0, 3, 2);
-  const __m256i rot8 =
-      _mm256_set_epi8(14, 13, 12, 15, 10, 9, 8, 11, 6, 5, 4, 7, 2, 1, 0, 3, 14, 13,
-                      12, 15, 10, 9, 8, 11, 6, 5, 4, 7, 2, 1, 0, 3);
-  const __m256i lane_counters = _mm256_set_epi32(7, 6, 5, 4, 3, 2, 1, 0);
-  while (remaining >= 512) {
-    __m256i v[16];
+// 4x4 transpose of 128-bit lanes across a0..a3: afterwards lane g of a<k> is
+// lane k of the input a<g>.
+#define EREBOR_TRANSPOSE_LANES(a0, a1, a2, a3)               \
+  {                                                          \
+    const __m512i p0 = _mm512_shuffle_i32x4(a0, a1, 0x44);   \
+    const __m512i p1 = _mm512_shuffle_i32x4(a0, a1, 0xEE);   \
+    const __m512i p2 = _mm512_shuffle_i32x4(a2, a3, 0x44);   \
+    const __m512i p3 = _mm512_shuffle_i32x4(a2, a3, 0xEE);   \
+    a0 = _mm512_shuffle_i32x4(p0, p2, 0x88);                 \
+    a1 = _mm512_shuffle_i32x4(p0, p2, 0xDD);                 \
+    a2 = _mm512_shuffle_i32x4(p1, p3, 0x88);                 \
+    a3 = _mm512_shuffle_i32x4(p1, p3, 0xDD);                 \
+  }
+
+// Sixteen blocks per iteration: lane l of v[i] is word i of block l. After the
+// rounds a 16x16 transpose (4x4 inside each 128-bit lane, then 4x4 across the
+// lanes) turns the registers back into contiguous 64-byte keystream blocks.
+// x86 is little-endian, so the packed words already have wire order.
+__attribute__((target("avx512f")))
+void XorRunAvx512(uint32_t state[16], const uint8_t*& src, uint8_t*& dst,
+                  size_t& remaining) {
+  const __m512i lane_counters =
+      _mm512_set_epi32(15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0);
+  while (remaining >= 1024) {
+    __m512i v[16];
     for (int i = 0; i < 16; ++i) {
-      v[i] = _mm256_set1_epi32(static_cast<int>(state[i]));
+      v[i] = _mm512_set1_epi32(static_cast<int>(state[i]));
     }
-    v[12] = _mm256_add_epi32(v[12], lane_counters);
-    const __m256i counters = v[12];
+    v[12] = _mm512_add_epi32(v[12], lane_counters);
+    const __m512i counters = v[12];
     for (int round = 0; round < 10; ++round) {
       EREBOR_VQR(v[0], v[4], v[8], v[12])
       EREBOR_VQR(v[1], v[5], v[9], v[13])
@@ -216,29 +214,34 @@ void XorRunAvx2(uint32_t state[16], const uint8_t*& src, uint8_t*& dst,
       EREBOR_VQR(v[3], v[4], v[9], v[14])
     }
     for (int i = 0; i < 16; ++i) {
-      v[i] = _mm256_add_epi32(
-          v[i], i == 12 ? counters : _mm256_set1_epi32(static_cast<int>(state[i])));
+      v[i] = _mm512_add_epi32(
+          v[i], i == 12 ? counters : _mm512_set1_epi32(static_cast<int>(state[i])));
     }
-    EREBOR_TRANSPOSE8(v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7])
-    EREBOR_TRANSPOSE8(v[8], v[9], v[10], v[11], v[12], v[13], v[14], v[15])
-    for (int l = 0; l < 8; ++l) {
-      const __m256i lo = _mm256_xor_si256(
-          v[l], _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + 64 * l)));
-      const __m256i hi = _mm256_xor_si256(
-          v[8 + l],
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + 64 * l + 32)));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + 64 * l), lo);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + 64 * l + 32), hi);
+    // Rows 4g..4g+3: lane k of v[4g + j] becomes words 4g..4g+3 of block 4k + j.
+    EREBOR_TRANSPOSE4(v[0], v[1], v[2], v[3])
+    EREBOR_TRANSPOSE4(v[4], v[5], v[6], v[7])
+    EREBOR_TRANSPOSE4(v[8], v[9], v[10], v[11])
+    EREBOR_TRANSPOSE4(v[12], v[13], v[14], v[15])
+    // Column j: v[4k + j] becomes all of block 4k + j.
+    EREBOR_TRANSPOSE_LANES(v[0], v[4], v[8], v[12])
+    EREBOR_TRANSPOSE_LANES(v[1], v[5], v[9], v[13])
+    EREBOR_TRANSPOSE_LANES(v[2], v[6], v[10], v[14])
+    EREBOR_TRANSPOSE_LANES(v[3], v[7], v[11], v[15])
+    for (int l = 0; l < 16; ++l) {
+      const __m512i in = _mm512_loadu_si512(src + 64 * l);
+      _mm512_storeu_si512(dst + 64 * l, _mm512_xor_si512(v[l], in));
     }
-    state[12] += 8;
-    src += 512;
-    dst += 512;
-    remaining -= 512;
+    state[12] += 16;
+    src += 1024;
+    dst += 1024;
+    remaining -= 1024;
   }
 }
 
-#undef EREBOR_TRANSPOSE8
+#undef EREBOR_TRANSPOSE_LANES
+#undef EREBOR_TRANSPOSE4
 #undef EREBOR_VQR
+#pragma GCC diagnostic pop
 
 #endif
 
@@ -255,8 +258,8 @@ void ChaCha20XorTo(const ChaChaKey& key, const ChaChaNonce& nonce, uint32_t coun
   InitState(state, key, nonce, counter);
   size_t remaining = len;
 #ifdef EREBOR_CHACHA_X86
-  if (accel::Enabled() && accel::HasAvx2()) {
-    XorRunAvx2(state, src, dst, remaining);
+  if (accel::Enabled() && accel::HasAvx512()) {
+    XorRunAvx512(state, src, dst, remaining);
   }
 #endif
   XorRunPortable(state, src, dst, remaining);

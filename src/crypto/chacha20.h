@@ -1,8 +1,10 @@
 // ChaCha20 stream cipher (RFC 8439 block function), from scratch. Used as the bulk
-// cipher of the monitor<->client secure channel. The hot path hashes several
-// blocks per dispatch (8-lane AVX2 when available, 4-lane portable otherwise) and
-// XORs the keystream word-at-a-time; ChaCha20XorScalar keeps the original
-// byte-wise code as the reference the crypto tests cross-check against.
+// cipher of the monitor<->client secure channel. The hot path hashes 16 blocks
+// per step with AVX-512F when the host has it (1 KiB of keystream XORed per
+// step); hosts without AVX-512F, AVX2-only ones included, run the portable
+// 4-lane code, which also finishes every tail below 1 KiB. Keystream is XORed
+// word-at-a-time; ChaCha20XorScalar keeps the original byte-wise code as the
+// reference the crypto tests cross-check against.
 #ifndef EREBOR_SRC_CRYPTO_CHACHA20_H_
 #define EREBOR_SRC_CRYPTO_CHACHA20_H_
 

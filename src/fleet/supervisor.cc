@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "src/common/metrics.h"
 #include "src/kernel/mmu_ring.h"
@@ -22,6 +23,8 @@ constexpr int kMaxResendRounds = 8;
 // Hostile ring descriptors published per attack round (each is one strike).
 constexpr int kRingStrikesPerRound = 2;
 constexpr uint8_t kBogusRingOpcode = 0xC7;
+// The service's reply is its request with every byte XORed with 0x5A.
+constexpr uint64_t kServiceMask = 0x5A5A5A5A5A5A5A5Aull;
 
 // Per-tenant service cost tiers, fig9-flavoured: light / medium / heavy
 // request-handling compute.
@@ -153,9 +156,16 @@ ProgramFn FleetSupervisor::MakeServiceProgram(const std::string& name,
       (void)ctx.Syscall(sys::kGetpid);
       return StepOutcome::kYield;
     }
-    Bytes out = *input;
-    for (uint8_t& b : out) {
-      b ^= 0x5A;
+    Bytes out = std::move(*input);
+    size_t off = 0;
+    for (; off + 8 <= out.size(); off += 8) {
+      uint64_t word;
+      std::memcpy(&word, out.data() + off, 8);
+      word ^= kServiceMask;
+      std::memcpy(out.data() + off, &word, 8);
+    }
+    for (; off < out.size(); ++off) {
+      out[off] ^= static_cast<uint8_t>(kServiceMask);
     }
     ctx.Compute(service_cycles);
     (void)env->SendOutput(ctx, out);
@@ -419,16 +429,25 @@ Status FleetSupervisor::Start() {
 }
 
 void FleetSupervisor::ServeOne(TenantState& t, int round) {
-  Bytes payload(config_.payload_bytes);
+  // The request and the reply the service owes for it, filled together a
+  // 64-bit word at a time (the last word truncated to the tail).
+  const size_t bytes = config_.payload_bytes;
+  Bytes payload(bytes);
+  Bytes expected(bytes);
   SplitMix64 fill(config_.seed ^ (static_cast<uint64_t>(t.tenant) << 32) ^
                   static_cast<uint64_t>(round));
-  for (size_t off = 0; off < payload.size(); off += 8) {
+  size_t off = 0;
+  for (; off + 8 <= bytes; off += 8) {
     const uint64_t word = fill.Next();
-    std::memcpy(payload.data() + off, &word, std::min<size_t>(8, payload.size() - off));
+    const uint64_t reply = word ^ kServiceMask;
+    std::memcpy(payload.data() + off, &word, 8);
+    std::memcpy(expected.data() + off, &reply, 8);
   }
-  Bytes expected = payload;
-  for (uint8_t& b : expected) {
-    b ^= 0x5A;
+  if (off < bytes) {
+    const uint64_t word = fill.Next();
+    const uint64_t reply = word ^ kServiceMask;
+    std::memcpy(payload.data() + off, &word, bytes - off);
+    std::memcpy(expected.data() + off, &reply, bytes - off);
   }
   // Results of earlier, timed-out requests that straggled in are stale now.
   t.results.clear();

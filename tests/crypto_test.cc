@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/crypto/accel.h"
 #include "src/crypto/aead.h"
 #include "src/crypto/chacha20.h"
@@ -264,9 +266,11 @@ TEST(ChaCha20Test, XorIsInvolution) {
 }
 
 TEST(ChaCha20Test, MultiBlockPathsMatchScalarReference) {
-  // The wide paths (AVX2 8-block, portable 4-block, single-block word XOR) must
-  // produce exactly the reference byte-at-a-time keystream at every length that
-  // exercises a different path/tail combination.
+  // The wide paths (AVX-512 16-block, portable 4-block, single-block word XOR)
+  // must produce exactly the reference byte-at-a-time keystream at every length
+  // that exercises a different path/tail combination: either side of the 1 KiB
+  // and 2 KiB group boundaries, and 3583 = three 1 KiB groups + one 4-block
+  // group + three single blocks + a 63-byte tail.
   ChaChaKey key;
   for (int i = 0; i < 32; ++i) {
     key[i] = static_cast<uint8_t>(i * 7 + 1);
@@ -274,18 +278,32 @@ TEST(ChaCha20Test, MultiBlockPathsMatchScalarReference) {
   ChaChaNonce nonce{};
   nonce[3] = 0x9C;
   Rng rng(4242);
+  struct Case {
+    uint32_t counter;
+    size_t len;
+  };
+  std::vector<Case> cases;
+  for (const size_t len :
+       {size_t{0}, size_t{1}, size_t{7}, size_t{63}, size_t{64}, size_t{65},
+        size_t{255}, size_t{256}, size_t{257}, size_t{511}, size_t{512}, size_t{513},
+        size_t{1023}, size_t{1024}, size_t{1025}, size_t{2047}, size_t{2049},
+        size_t{3583}, size_t{4096}, size_t{65536}, size_t{100001}}) {
+    cases.push_back({1, len});
+  }
+  // The last full 16-block group before the 32-bit block counter wraps, and a
+  // run whose counter wraps to 0 after that group.
+  cases.push_back({0xFFFFFFF0u, 1024});
+  cases.push_back({0xFFFFFFF0u, 3583});
   for (const bool accelerated : {true, false}) {
     accel::ScopedEnable scoped(accelerated);
-    for (const size_t len : {size_t{0}, size_t{1}, size_t{7}, size_t{63}, size_t{64},
-                             size_t{65}, size_t{255}, size_t{256}, size_t{257},
-                             size_t{511}, size_t{512}, size_t{513}, size_t{1024},
-                             size_t{4096}, size_t{65536}, size_t{100001}}) {
-      Bytes wide(len);
+    for (const Case& c : cases) {
+      Bytes wide(c.len);
       rng.Fill(wide.data(), wide.size());
       Bytes reference = wide;
-      ChaCha20Xor(key, nonce, 1, wide.data(), wide.size());
-      ChaCha20XorScalar(key, nonce, 1, reference.data(), reference.size());
-      ASSERT_EQ(wide, reference) << "len=" << len << " accel=" << accelerated;
+      ChaCha20Xor(key, nonce, c.counter, wide.data(), wide.size());
+      ChaCha20XorScalar(key, nonce, c.counter, reference.data(), reference.size());
+      ASSERT_EQ(wide, reference)
+          << "len=" << c.len << " counter=" << c.counter << " accel=" << accelerated;
     }
   }
 }

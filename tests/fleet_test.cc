@@ -270,5 +270,30 @@ TEST(FleetMetricsTest, ReplacementsAndDeferralsAreCounted) {
   EXPECT_GT(metrics.Value("serving.p99_ns.tenant0"), 0u);
 }
 
+// ---- 7. Payloads that end mid-word ----
+
+TEST(FleetPayloadTest, PartialWordTailsAreServed) {
+  // The supervisor builds each request and its expected reply a 64-bit word at
+  // a time and the service XORs in words, each with a byte tail. A request
+  // counts as served only if the reply equals the expected bytes, so a tail
+  // either side gets wrong shows up as an unserved request.
+  FaultGuard guard;
+  for (const uint64_t payload_bytes : {uint64_t{1003}, uint64_t{5}}) {
+    FleetConfig config = SoakConfig(5);
+    config.attacks.assign(static_cast<size_t>(config.num_tenants),
+                          AttackClass::kNone);
+    config.payload_bytes = payload_bytes;
+    const SoakResult result = RunSoakSeed(config, /*burst_rounds=*/1);
+    ASSERT_TRUE(result.ok) << payload_bytes << " B";
+    EXPECT_EQ(result.report.total_served,
+              static_cast<uint64_t>(config.num_tenants * config.requests_per_tenant))
+        << payload_bytes << " B";
+    for (const TenantReport& t : result.report.tenants) {
+      EXPECT_EQ(t.failed, 0u) << payload_bytes << " B tenant " << t.tenant;
+      EXPECT_EQ(t.quarantines, 0u) << payload_bytes << " B tenant " << t.tenant;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace erebor
