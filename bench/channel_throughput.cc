@@ -5,7 +5,9 @@
 // SHA-NI + AVX-512F dispatch on, and with it off (accel::ScopedEnable(false):
 // the portable ChaCha20 and SHA-256). Both runs must produce byte-identical
 // wires and plaintexts; the accelerated run must be >= 4x at 64 KiB records
-// (median of kPipelineReps alternating pairs).
+// (median of kPipelineReps alternating pairs). Every cell also reports ns per
+// record round trip for both runs: the fixed per-record cost that dominates the
+// 64 B and 256 B cells (256 B is the serving workload's input record).
 //
 // Part B (simulated cycles): multi-session ingest aggregate through
 // ProxyDeliverBatch on an 8-vCPU machine, 1/4/16 concurrent sessions, with
@@ -53,6 +55,10 @@ struct PipelineCell {
   double accelerated_mbps = 0;  // median over the reps
   double speedup = 0;           // median per-pair ratio
   double speedup_min = 0;
+  // Wall-clock ns per seal+parse+open round trip at the median MB/s: the
+  // per-record fixed cost that dominates small records.
+  double portable_ns_per_record = 0;
+  double accelerated_ns_per_record = 0;
 };
 
 double Median(std::vector<double> values) {
@@ -137,6 +143,8 @@ bool RunPipelineCell(size_t record_bytes, PipelineCell* out) {
   out->accelerated_mbps = Median(accelerated);
   out->speedup = Median(ratios);
   out->speedup_min = *std::min_element(ratios.begin(), ratios.end());
+  out->portable_ns_per_record = record_bytes * 1e3 / out->portable_mbps;
+  out->accelerated_ns_per_record = record_bytes * 1e3 / out->accelerated_mbps;
   return true;
 }
 
@@ -340,13 +348,15 @@ int main() {
 
   // Part A.
   std::printf("\n-- single-session seal+open pipeline (wall clock) --\n");
-  std::printf("%-12s %14s %14s %9s %9s   (medians of %d pairs)\n", "record",
-              "portable MB/s", "accel MB/s", "speedup", "min", kPipelineReps);
+  std::printf("%-12s %14s %14s %11s %11s %9s %9s   (medians of %d pairs)\n", "record",
+              "portable MB/s", "accel MB/s", "port ns/rec", "accel ns/rec", "speedup",
+              "min", kPipelineReps);
   Json pipeline = Json::Array();
   double speedup_64k = 0;
   bool ok = true;
   for (const size_t bytes :
-       {size_t{64}, size_t{1024}, size_t{4096}, size_t{65536}, size_t{262144}}) {
+       {size_t{64}, size_t{256}, size_t{1024}, size_t{4096}, size_t{65536},
+        size_t{262144}}) {
     PipelineCell cell;
     if (!RunPipelineCell(bytes, &cell)) {
       return 1;
@@ -354,12 +364,15 @@ int main() {
     if (bytes == 65536) {
       speedup_64k = cell.speedup;
     }
-    std::printf("%-12zu %14.1f %14.1f %8.2fx %8.2fx\n", bytes, cell.portable_mbps,
-                cell.accelerated_mbps, cell.speedup, cell.speedup_min);
+    std::printf("%-12zu %14.1f %14.1f %11.0f %11.0f %8.2fx %8.2fx\n", bytes,
+                cell.portable_mbps, cell.accelerated_mbps, cell.portable_ns_per_record,
+                cell.accelerated_ns_per_record, cell.speedup, cell.speedup_min);
     pipeline.Push(Json::Object()
                       .Set("record_bytes", static_cast<uint64_t>(cell.record_bytes))
                       .Set("portable_mbps", cell.portable_mbps)
                       .Set("accelerated_mbps", cell.accelerated_mbps)
+                      .Set("portable_ns_per_record", cell.portable_ns_per_record)
+                      .Set("accelerated_ns_per_record", cell.accelerated_ns_per_record)
                       .Set("speedup", cell.speedup)
                       .Set("speedup_min", cell.speedup_min)
                       .Set("reps", kPipelineReps));

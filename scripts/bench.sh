@@ -136,5 +136,15 @@ for check in doc.get("checks", []):
     exit 1
   fi
 done
+# The channel's per-record fixed cost: the serving workload's 256 B input record
+# and its 4 KiB padded result.
+if command -v python3 >/dev/null 2>&1; then
+  python3 -c 'import json,sys
+for cell in json.load(open(sys.argv[1]))["pipeline"]:
+    if cell["record_bytes"] in (256, 4096):
+        print("channel: %6d B record  %8.0f ns accelerated  %8.0f ns portable" % (
+            cell["record_bytes"], cell["accelerated_ns_per_record"],
+            cell["portable_ns_per_record"]))' "$OUT_DIR/BENCH_channel.json"
+fi
 echo "bench.sh: JSON results in $OUT_DIR/:"
 ls -l "$OUT_DIR"/BENCH_*.json

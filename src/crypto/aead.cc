@@ -39,8 +39,9 @@ Digest256 ComputeTag(const AeadKeys& keys, const RecordAad& aad, uint64_t sequen
 SessionKeys DeriveSessionKeys(const Bytes& shared_secret, const Digest256& transcript_hash) {
   const Bytes salt(transcript_hash.begin(), transcript_hash.end());
   const Digest256 prk = HkdfExtract(salt, shared_secret);
-  const Bytes c2s = HkdfExpand(prk, "erebor channel c2s", 64);
-  const Bytes s2c = HkdfExpand(prk, "erebor channel s2c", 64);
+  // 64 bytes is two hash blocks, far inside HKDF-Expand's bound: cannot fail.
+  const Bytes c2s = *HkdfExpand(prk, "erebor channel c2s", 64);
+  const Bytes s2c = *HkdfExpand(prk, "erebor channel s2c", 64);
   SessionKeys keys;
   keys.client_to_server = KeysFromMaterial(c2s);
   keys.server_to_client = KeysFromMaterial(s2c);

@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "src/common/bytes.h"
 #include "src/crypto/accel.h"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -238,6 +239,106 @@ void XorRunAvx512(uint32_t state[16], const uint8_t*& src, uint8_t*& dst,
   }
 }
 
+// dst = src ^ keystream over the first len < 64 bytes of one block. AVX-512F
+// masks whole dwords only (byte masks are AVX-512BW), so the last len % 4 bytes
+// take their keystream from a spilled copy.
+__attribute__((target("avx512f"))) inline void XorPartialBlock(__m512i keystream,
+                                                               const uint8_t* src,
+                                                               uint8_t* dst, size_t len) {
+  const __mmask16 words = static_cast<__mmask16>((1u << (len / 4)) - 1);
+  const __m512i in = _mm512_maskz_loadu_epi32(words, src);
+  _mm512_mask_storeu_epi32(dst, words, _mm512_xor_si512(in, keystream));
+  alignas(64) uint8_t bytes[64];
+  _mm512_store_si512(bytes, keystream);
+  for (size_t i = len & ~size_t{3}; i < len; ++i) {
+    dst[i] = static_cast<uint8_t>(src[i] ^ bytes[i]);
+  }
+}
+
+// One step of the row-layout kernel for runs shorter than 1 KiB. Each register
+// holds one 4-word state row of four consecutive blocks, one block per 128-bit
+// lane, so a column round is four packed quarter rounds and the diagonal round
+// only rotates rows b, c and d inside their lanes. kGroups register sets run
+// interleaved, whose independent chains hide the rotate latency that bounds a
+// single set. XORs up to 4 * kGroups blocks and stops at the end of the run.
+// rows[0..2] are the first three state rows in every lane; `counters` is row 3
+// of the step's first four blocks and advances past the step's blocks.
+template <int kGroups>
+__attribute__((target("avx512f"), always_inline)) inline void XorRowStep(
+    const __m512i rows[4], __m512i& counters, const uint8_t*& src, uint8_t*& dst,
+    size_t& remaining) {
+  const __m512i four = _mm512_set_epi32(0, 0, 0, 4, 0, 0, 0, 4, 0, 0, 0, 4, 0, 0, 0, 4);
+  __m512i a[kGroups], b[kGroups], c[kGroups], d[kGroups], d_in[kGroups];
+  for (int g = 0; g < kGroups; ++g) {
+    a[g] = rows[0];
+    b[g] = rows[1];
+    c[g] = rows[2];
+    d[g] = d_in[g] = counters;
+    counters = _mm512_add_epi32(counters, four);
+  }
+  for (int round = 0; round < 10; ++round) {
+    for (int g = 0; g < kGroups; ++g) {
+      EREBOR_VQR(a[g], b[g], c[g], d[g])
+      // Diagonals: word i of each lane of b, c, d takes word i+1, i+2, i+3.
+      b[g] = _mm512_shuffle_epi32(b[g], _MM_PERM_ADCB);
+      c[g] = _mm512_shuffle_epi32(c[g], _MM_PERM_BADC);
+      d[g] = _mm512_shuffle_epi32(d[g], _MM_PERM_CBAD);
+      EREBOR_VQR(a[g], b[g], c[g], d[g])
+      b[g] = _mm512_shuffle_epi32(b[g], _MM_PERM_CBAD);
+      c[g] = _mm512_shuffle_epi32(c[g], _MM_PERM_BADC);
+      d[g] = _mm512_shuffle_epi32(d[g], _MM_PERM_ADCB);
+    }
+  }
+  __m512i blocks[4 * kGroups];
+  for (int g = 0; g < kGroups; ++g) {
+    a[g] = _mm512_add_epi32(a[g], rows[0]);
+    b[g] = _mm512_add_epi32(b[g], rows[1]);
+    c[g] = _mm512_add_epi32(c[g], rows[2]);
+    d[g] = _mm512_add_epi32(d[g], d_in[g]);
+    // Lane k of a, b, c, d holds the rows of block 4g + k; gather each block.
+    EREBOR_TRANSPOSE_LANES(a[g], b[g], c[g], d[g])
+    blocks[4 * g] = a[g];
+    blocks[4 * g + 1] = b[g];
+    blocks[4 * g + 2] = c[g];
+    blocks[4 * g + 3] = d[g];
+  }
+  for (int l = 0; l < 4 * kGroups && remaining != 0; ++l) {
+    if (remaining < 64) {
+      XorPartialBlock(blocks[l], src, dst, remaining);
+      remaining = 0;
+      return;
+    }
+    _mm512_storeu_si512(dst, _mm512_xor_si512(blocks[l], _mm512_loadu_si512(src)));
+    src += 64;
+    dst += 64;
+    remaining -= 64;
+  }
+}
+
+// Finishes a run shorter than 1 KiB (1 to 16 blocks, the last one possibly
+// partial). Two interleaved register sets cost little more than one, so runs
+// past four blocks take eight per step; a run of four or fewer takes one set.
+__attribute__((target("avx512f")))
+void XorTailAvx512(const uint32_t state[16], const uint8_t* src, uint8_t* dst,
+                   size_t remaining) {
+  __m512i rows[4];
+  for (int r = 0; r < 4; ++r) {
+    rows[r] = _mm512_set4_epi32(static_cast<int>(state[4 * r + 3]),
+                                static_cast<int>(state[4 * r + 2]),
+                                static_cast<int>(state[4 * r + 1]),
+                                static_cast<int>(state[4 * r]));
+  }
+  // Lane k starts at block counter state[12] + k.
+  __m512i counters = _mm512_add_epi32(
+      rows[3], _mm512_set_epi32(0, 0, 0, 3, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 0));
+  while (remaining > 256) {
+    XorRowStep<2>(rows, counters, src, dst, remaining);
+  }
+  if (remaining != 0) {
+    XorRowStep<1>(rows, counters, src, dst, remaining);
+  }
+}
+
 #undef EREBOR_TRANSPOSE_LANES
 #undef EREBOR_TRANSPOSE4
 #undef EREBOR_VQR
@@ -260,6 +361,8 @@ void ChaCha20XorTo(const ChaChaKey& key, const ChaChaNonce& nonce, uint32_t coun
 #ifdef EREBOR_CHACHA_X86
   if (accel::Enabled() && accel::HasAvx512()) {
     XorRunAvx512(state, src, dst, remaining);
+    XorTailAvx512(state, src, dst, remaining);
+    return;
   }
 #endif
   XorRunPortable(state, src, dst, remaining);

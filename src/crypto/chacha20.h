@@ -1,17 +1,17 @@
 // ChaCha20 stream cipher (RFC 8439 block function), from scratch. Used as the bulk
-// cipher of the monitor<->client secure channel. The hot path hashes 16 blocks
-// per step with AVX-512F when the host has it (1 KiB of keystream XORed per
-// step); hosts without AVX-512F, AVX2-only ones included, run the portable
-// 4-lane code, which also finishes every tail below 1 KiB. Keystream is XORed
+// cipher of the monitor<->client secure channel. With AVX-512F the hot path
+// hashes 16 blocks per step (1 KiB of keystream XORed per step), and a
+// row-layout kernel of four or eight blocks per step finishes the run below
+// 1 KiB, partial last block included. Hosts without AVX-512F, AVX2-only ones
+// included, run the portable 4-lane code for everything. Keystream is XORed
 // word-at-a-time; ChaCha20XorScalar keeps the original byte-wise code as the
 // reference the crypto tests cross-check against.
 #ifndef EREBOR_SRC_CRYPTO_CHACHA20_H_
 #define EREBOR_SRC_CRYPTO_CHACHA20_H_
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
-
-#include "src/common/bytes.h"
 
 namespace erebor {
 
@@ -33,13 +33,6 @@ void ChaCha20XorTo(const ChaChaKey& key, const ChaChaNonce& nonce, uint32_t coun
 // bit-identical.
 void ChaCha20XorScalar(const ChaChaKey& key, const ChaChaNonce& nonce, uint32_t counter,
                        uint8_t* data, size_t len);
-
-inline Bytes ChaCha20Encrypt(const ChaChaKey& key, const ChaChaNonce& nonce,
-                             const Bytes& plaintext) {
-  Bytes out = plaintext;
-  ChaCha20Xor(key, nonce, 1, out.data(), out.size());
-  return out;
-}
 
 }  // namespace erebor
 

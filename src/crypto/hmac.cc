@@ -45,7 +45,11 @@ Digest256 HkdfExtract(const Bytes& salt, const Bytes& ikm) {
   return mac.Finish();
 }
 
-Bytes HkdfExpand(const Digest256& prk, std::string_view info, size_t out_len) {
+StatusOr<Bytes> HkdfExpand(const Digest256& prk, std::string_view info, size_t out_len) {
+  // RFC 5869 section 2.3: L <= 255 * HashLen.
+  if (out_len > 255 * sizeof(Digest256)) {
+    return InvalidArgumentError("HKDF-Expand output longer than 255 hash blocks");
+  }
   Bytes out;
   out.reserve(out_len);
   Bytes prk_bytes(prk.begin(), prk.end());

@@ -6,6 +6,7 @@
 #include <string_view>
 
 #include "src/common/bytes.h"
+#include "src/common/status.h"
 #include "src/crypto/sha256.h"
 
 namespace erebor {
@@ -28,9 +29,10 @@ class HmacSha256 {
   uint8_t opad_key_[64];
 };
 
-// HKDF-Extract + Expand, SHA-256 based.
+// HKDF-Extract + Expand, SHA-256 based. Expand refuses out_len above
+// 255 * 32 bytes with InvalidArgument: its one-byte block counter would wrap.
 Digest256 HkdfExtract(const Bytes& salt, const Bytes& ikm);
-Bytes HkdfExpand(const Digest256& prk, std::string_view info, size_t out_len);
+StatusOr<Bytes> HkdfExpand(const Digest256& prk, std::string_view info, size_t out_len);
 
 }  // namespace erebor
 

@@ -209,19 +209,20 @@ void Sha256::Update(const uint8_t* data, size_t len) {
 }
 
 Digest256 Sha256::Finish() {
+  // The final one or two blocks, compressed in one call: the staged tail, 0x80,
+  // zeros, and the message length in bits as a big-endian 64-bit word. A tail of
+  // 56 bytes or more leaves no room for the length, so it spills into a second
+  // block.
+  uint8_t last[128];
+  const size_t len_at = buffer_len_ < 56 ? 56 : 120;
+  std::memcpy(last, buffer_, buffer_len_);
+  last[buffer_len_] = 0x80;
+  std::memset(last + buffer_len_ + 1, 0, len_at - buffer_len_ - 1);
   const uint64_t bit_len = total_len_ * 8;
-  const uint8_t pad = 0x80;
-  Update(&pad, 1);
-  const uint8_t zero = 0;
-  while (buffer_len_ != 56) {
-    Update(&zero, 1);
-  }
-  uint8_t len_bytes[8];
   for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
+    last[len_at + i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
   }
-  total_len_ -= 9;  // Padding bytes are not part of the message length.
-  Update(len_bytes, 8);
+  ProcessBlocks(last, (len_at + 8) / 64);
 
   Digest256 out;
   for (int i = 0; i < 8; ++i) {

@@ -1,5 +1,7 @@
 // SHA-256, implemented from scratch (FIPS 180-4). Used for boot measurements,
 // HMAC/HKDF, transcript hashing and Schnorr challenges in the attestation protocol.
+// Compression runs on SHA-NI when the host has it (see ProcessBlocks); Finish
+// pads the final one or two blocks at once and compresses them in one call.
 #ifndef EREBOR_SRC_CRYPTO_SHA256_H_
 #define EREBOR_SRC_CRYPTO_SHA256_H_
 

@@ -99,11 +99,27 @@ TEST(HkdfTest, Rfc5869Case1) {
   for (int i = 0; i < 10; ++i) {
     info[i] = static_cast<uint8_t>(0xf0 + i);
   }
-  const Bytes okm =
+  const auto okm =
       HkdfExpand(prk, std::string_view(reinterpret_cast<char*>(info.data()), info.size()), 42);
-  EXPECT_EQ(HexEncode(okm),
+  ASSERT_TRUE(okm.ok()) << okm.status();
+  EXPECT_EQ(HexEncode(*okm),
             "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf"
             "34007208d5b887185865");
+}
+
+TEST(HkdfTest, ExpandStopsAt255Blocks) {
+  // RFC 5869 caps L at 255 * HashLen: the one-byte block counter runs 1..255 and
+  // must not wrap to 0. The longest output is pinned by python3's hmac module.
+  const Digest256 prk = HkdfExtract(Bytes{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12},
+                                    Bytes(22, 0x0b));
+  const auto longest = HkdfExpand(prk, "erebor hkdf bound", 255 * 32);
+  ASSERT_TRUE(longest.ok()) << longest.status();
+  ASSERT_EQ(longest->size(), 8160u);
+  EXPECT_EQ(HexEncode(Sha256::Hash(*longest).data(), 32),
+            "93088076fe9b1bcd0ea61d60c552c1529c4976f1ef1ecacbf4608f51584c972c");
+  const auto too_long = HkdfExpand(prk, "erebor hkdf bound", 255 * 32 + 1);
+  ASSERT_FALSE(too_long.ok());
+  EXPECT_EQ(too_long.status().code(), ErrorCode::kInvalidArgument);
 }
 
 // ---- U256 ----
@@ -266,11 +282,14 @@ TEST(ChaCha20Test, XorIsInvolution) {
 }
 
 TEST(ChaCha20Test, MultiBlockPathsMatchScalarReference) {
-  // The wide paths (AVX-512 16-block, portable 4-block, single-block word XOR)
-  // must produce exactly the reference byte-at-a-time keystream at every length
-  // that exercises a different path/tail combination: either side of the 1 KiB
-  // and 2 KiB group boundaries, and 3583 = three 1 KiB groups + one 4-block
-  // group + three single blocks + a 63-byte tail.
+  // The wide paths (AVX-512 16-block and row-layout tail, portable 4-block,
+  // single-block word XOR) must produce exactly the reference byte-at-a-time
+  // keystream at every length up to 1100 (every sub-KiB run, partial last block
+  // included, and short tails after one 1 KiB group), a 1 KiB group plus the
+  // tails 1, 255, 608 and 1023, and longer runs: 3583 = three 1 KiB groups + one
+  // 4-block group + three single blocks + a 63-byte tail. Each case runs in
+  // place and out of place on exact-length heap buffers, so a sanitizer build
+  // flags any access past the end of the run.
   ChaChaKey key;
   for (int i = 0; i < 32; ++i) {
     key[i] = static_cast<uint8_t>(i * 7 + 1);
@@ -283,43 +302,69 @@ TEST(ChaCha20Test, MultiBlockPathsMatchScalarReference) {
     size_t len;
   };
   std::vector<Case> cases;
+  for (size_t len = 0; len <= 1100; ++len) {
+    cases.push_back({1, len});
+  }
   for (const size_t len :
-       {size_t{0}, size_t{1}, size_t{7}, size_t{63}, size_t{64}, size_t{65},
-        size_t{255}, size_t{256}, size_t{257}, size_t{511}, size_t{512}, size_t{513},
-        size_t{1023}, size_t{1024}, size_t{1025}, size_t{2047}, size_t{2049},
+       {size_t{1279}, size_t{1632}, size_t{2047}, size_t{2049},
         size_t{3583}, size_t{4096}, size_t{65536}, size_t{100001}}) {
     cases.push_back({1, len});
   }
-  // The last full 16-block group before the 32-bit block counter wraps, and a
-  // run whose counter wraps to 0 after that group.
+  // The last full 16-block group before the 32-bit block counter wraps, a run
+  // whose counter wraps to 0 after that group, and a sub-KiB run whose counter
+  // wraps between its second and third block.
   cases.push_back({0xFFFFFFF0u, 1024});
   cases.push_back({0xFFFFFFF0u, 3583});
+  cases.push_back({0xFFFFFFFEu, 300});
   for (const bool accelerated : {true, false}) {
     accel::ScopedEnable scoped(accelerated);
     for (const Case& c : cases) {
-      Bytes wide(c.len);
-      rng.Fill(wide.data(), wide.size());
-      Bytes reference = wide;
-      ChaCha20Xor(key, nonce, c.counter, wide.data(), wide.size());
+      Bytes in_place(c.len);
+      rng.Fill(in_place.data(), in_place.size());
+      Bytes reference = in_place;
       ChaCha20XorScalar(key, nonce, c.counter, reference.data(), reference.size());
-      ASSERT_EQ(wide, reference)
-          << "len=" << c.len << " counter=" << c.counter << " accel=" << accelerated;
+      Bytes out_of_place(c.len);
+      ChaCha20XorTo(key, nonce, c.counter, in_place.data(), out_of_place.data(),
+                    c.len);
+      ASSERT_EQ(out_of_place, reference)
+          << "out of place len=" << c.len << " counter=" << c.counter
+          << " accel=" << accelerated;
+      ChaCha20Xor(key, nonce, c.counter, in_place.data(), in_place.size());
+      ASSERT_EQ(in_place, reference)
+          << "in place len=" << c.len << " counter=" << c.counter
+          << " accel=" << accelerated;
     }
   }
 }
 
-TEST(ChaCha20Test, OutOfPlaceMatchesInPlace) {
-  ChaChaKey key{};
-  key[31] = 0xEE;
-  ChaChaNonce nonce{};
-  Bytes src(777);
-  Rng rng(99);
-  rng.Fill(src.data(), src.size());
-  Bytes dst(src.size());
-  ChaCha20XorTo(key, nonce, 5, src.data(), dst.data(), src.size());
-  Bytes in_place = src;
-  ChaCha20Xor(key, nonce, 5, in_place.data(), in_place.size());
-  EXPECT_EQ(dst, in_place);
+TEST(Sha256Test, PaddingKnownAnswerEveryTailLength) {
+  // Messages of 0..256 bytes leave every staged tail length 0..63 at Finish,
+  // across both the one-block (tail <= 55) and two-block (tail >= 56) final pad.
+  // The SHA-256 of their concatenated digests is pinned from python3 hashlib.
+  // Each message is also fed as two Update calls split at every offset, with
+  // the SHA-NI dispatch on and off (both paths share Finish).
+  Bytes pattern(256);
+  for (size_t i = 0; i < pattern.size(); ++i) {
+    pattern[i] = static_cast<uint8_t>(i * 37 + 11);
+  }
+  for (const bool accelerated : {true, false}) {
+    accel::ScopedEnable scoped(accelerated);
+    Sha256 digests;
+    for (size_t len = 0; len <= pattern.size(); ++len) {
+      const Digest256 one_shot = Sha256::Hash(pattern.data(), len);
+      digests.Update(one_shot.data(), one_shot.size());
+      for (size_t split = 0; split <= len; ++split) {
+        Sha256 two_calls;
+        two_calls.Update(pattern.data(), split);
+        two_calls.Update(pattern.data() + split, len - split);
+        ASSERT_EQ(two_calls.Finish(), one_shot)
+            << "len=" << len << " split=" << split << " accel=" << accelerated;
+      }
+    }
+    EXPECT_EQ(HexEncode(digests.Finish().data(), 32),
+              "d6915386d0c2bcf87c8cee4343d3fd93f32a04f6d3dde8614209148addbf57d1")
+        << "accel=" << accelerated;
+  }
 }
 
 TEST(Sha256Test, AcceleratedMatchesPortable) {
