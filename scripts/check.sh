@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Tier-1 check: configure, build, run the full test suite (tier1, then the
 # real-thread engine tests, then the chaos soak), re-run it under ASan+UBSan,
-# run the threads label again under ThreadSanitizer, then a tracing smoke test
-# (the trace-vs-counter EMC cross-check must hold with the tracer enabled), then
-# the deterministic halves of the emc_scaling and batched_mmu bench gates, then
-# short perfbench runs (jobs, serve, ingest, and one traced serve run) whose
-# correctness gates must pass.
+# run the threads label again under ThreadSanitizer, then the dead-code ratchet
+# (scripts/dead_code.sh), then a tracing smoke test (the trace-vs-counter EMC
+# cross-check must hold with the tracer enabled), then the deterministic halves
+# of the emc_scaling and batched_mmu bench gates, then short perfbench runs
+# (jobs, serve, ingest, and one traced serve run) whose correctness gates must
+# pass.
 #
 # Usage: scripts/check.sh [build-dir]   (default: build)
 #   EREBOR_SKIP_SANITIZE=1 skips the sanitizer passes (e.g. on memory-tight CI).
@@ -51,6 +52,12 @@ if [[ "${EREBOR_SKIP_SANITIZE:-0}" != "1" ]]; then
   "$TSAN_DIR/tests/fleet_test"
   "$TSAN_DIR/tests/churn_test"
 fi
+
+# Dead-code ratchet: every test, bench, example and perfbench binary linked at
+# -O0 with --gc-sections in its own build trees; a src function that none of
+# them keeps fails the check unless scripts/dead_code_allowlist.txt names it.
+# About 2.5 minutes on a 4-core host.
+scripts/dead_code.sh "${BUILD_DIR}-gc"
 
 # Trace smoke test: the end-to-end trace tests re-run with the env toggles set, and
 # the Chrome trace export must be produced and non-trivial.

@@ -38,30 +38,6 @@ bool SiteMatches(const std::string& pattern, const char* site, size_t site_len) 
 
 }  // namespace
 
-const char* FaultActionName(FaultAction action) {
-  switch (action) {
-    case FaultAction::kNone:
-      return "none";
-    case FaultAction::kFail:
-      return "fail";
-    case FaultAction::kDrop:
-      return "drop";
-    case FaultAction::kDuplicate:
-      return "duplicate";
-    case FaultAction::kReorder:
-      return "reorder";
-    case FaultAction::kCorrupt:
-      return "corrupt";
-    case FaultAction::kTruncate:
-      return "truncate";
-    case FaultAction::kPreempt:
-      return "preempt";
-    case FaultAction::kExhaust:
-      return "exhaust";
-  }
-  return "?";
-}
-
 FaultInjector& FaultInjector::Global() {
   static FaultInjector* injector = new FaultInjector();
   return *injector;
@@ -160,12 +136,6 @@ uint64_t FaultInjector::JournalHash() const {
     hash = Fnv1aWord(static_cast<uint64_t>(fired->action), hash);
   }
   return hash;
-}
-
-uint64_t FaultInjector::SiteHits(const std::string& site) const {
-  std::lock_guard<std::mutex> guard(mu_);
-  const auto it = hits_.find(site);
-  return it == hits_.end() ? 0 : it->second;
 }
 
 FaultSchedule FaultSchedule::Randomized(uint64_t seed) {

@@ -37,8 +37,6 @@ enum class FaultAction : uint8_t {
   kExhaust,    // a resource allocator reports exhaustion
 };
 
-const char* FaultActionName(FaultAction action);
-
 struct FaultDecision {
   FaultAction action = FaultAction::kNone;
   uint64_t entropy = 0;  // deterministic per-firing word (corruption offset, size...)
@@ -119,9 +117,6 @@ class FaultInjector {
   // order may differ between a threaded run and its single-thread replay, the
   // fired set may not.
   uint64_t JournalHash() const;
-  // Per-site visit count so far (0 if never probed); a replay harness matches
-  // these to certify that a journal-hash comparison is meaningful.
-  uint64_t SiteHits(const std::string& site) const;
 
  private:
   FaultInjector() = default;

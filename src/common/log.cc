@@ -26,7 +26,6 @@ const char* LevelTag(LogLevel level) {
 }
 }  // namespace
 
-void SetLogLevel(LogLevel level) { g_level = level; }
 LogLevel GetLogLevel() { return g_level; }
 
 namespace log_internal {

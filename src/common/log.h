@@ -17,9 +17,8 @@ enum class LogLevel : int {
   kNone = 5,
 };
 
-// Global minimum level; messages below it are discarded. Defaults to kWarning so tests
+// Global minimum level; messages below it are discarded. Fixed at kWarning so tests
 // and benches stay quiet unless a failure is being diagnosed.
-void SetLogLevel(LogLevel level);
 LogLevel GetLogLevel();
 
 namespace log_internal {

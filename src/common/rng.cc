@@ -56,16 +56,20 @@ uint64_t Rng::NextZipf(uint64_t n, double s) {
 }
 
 void Rng::Fill(uint8_t* data, size_t len) {
+  // Runs a local copy of the state: the byte stores may alias s_, which would
+  // otherwise force a reload and store of all four words per output word.
+  Rng local = *this;
   size_t i = 0;
   for (; i + 8 <= len; i += 8) {
-    StoreLe64(data + i, Next());
+    StoreLe64(data + i, local.Next());
   }
   if (i < len) {
-    const uint64_t v = Next();
+    const uint64_t v = local.Next();
     for (int b = 0; i < len; ++i, ++b) {
       data[i] = static_cast<uint8_t>(v >> (8 * b));
     }
   }
+  *this = local;
 }
 
 EdgeList GeneratePowerLawGraph(uint32_t num_nodes, uint32_t num_edges, uint64_t seed) {

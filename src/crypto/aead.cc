@@ -13,16 +13,15 @@ ChaChaNonce NonceFromSequence(uint64_t sequence) {
 }
 
 AeadKeys KeysFromMaterial(const Bytes& material) {
-  AeadKeys keys;
-  std::memcpy(keys.cipher_key.data(), material.data(), 32);
-  keys.mac_key.assign(material.begin() + 32, material.begin() + 64);
-  return keys;
+  ChaChaKey cipher_key;
+  std::memcpy(cipher_key.data(), material.data(), 32);
+  return AeadKeys(cipher_key, Bytes(material.begin() + 32, material.begin() + 64));
 }
 
 // MAC input is aad.type || aad.sandbox_id (LE32) || sequence (LE64) || ciphertext.
 Digest256 ComputeTag(const AeadKeys& keys, const RecordAad& aad, uint64_t sequence,
                      const uint8_t* ciphertext, size_t len) {
-  HmacSha256 mac(keys.mac_key);
+  HmacSha256 mac(keys.mac);
   // Header-as-AAD: the routing fields precede the sequence so the MAC covers the
   // exact bytes an attacker can rewrite on the wire.
   uint8_t header[1 + 4 + 8];

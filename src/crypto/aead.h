@@ -2,7 +2,9 @@
 // record header (type, sandbox id) and sequence number as associated data. This
 // is the record layer of the monitor<->client secure channel (paper section 6.3):
 // the header bytes an attacker can rewrite on the wire are exactly the bytes the
-// MAC covers, so relabeled or re-routed records fail authentication.
+// MAC covers, so relabeled or re-routed records fail authentication. The MAC key
+// is scheduled once per direction (AeadKeys::mac): each record's tag starts from
+// copies of its keyed SHA-256 states rather than re-hashing the pad blocks.
 #ifndef EREBOR_SRC_CRYPTO_AEAD_H_
 #define EREBOR_SRC_CRYPTO_AEAD_H_
 
@@ -13,8 +15,13 @@
 namespace erebor {
 
 struct AeadKeys {
+  AeadKeys() = default;
+  AeadKeys(const ChaChaKey& cipher, const Bytes& mac_key_bytes)
+      : cipher_key(cipher), mac_key(mac_key_bytes), mac(mac_key_bytes) {}
+
   ChaChaKey cipher_key{};
-  Bytes mac_key;  // 32 bytes
+  Bytes mac_key;       // 32 bytes
+  HmacSha256Key mac;   // mac_key's schedule; what every record tag starts from
 };
 
 // Derives directional AEAD keys from a DH shared secret and a transcript hash.

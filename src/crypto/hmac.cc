@@ -4,7 +4,7 @@
 
 namespace erebor {
 
-HmacSha256::HmacSha256(const uint8_t* key, size_t key_len) {
+HmacSha256Key::HmacSha256Key(const uint8_t* key, size_t key_len) {
   uint8_t block_key[64];
   std::memset(block_key, 0, sizeof(block_key));
   if (key_len > 64) {
@@ -14,23 +14,23 @@ HmacSha256::HmacSha256(const uint8_t* key, size_t key_len) {
     std::memcpy(block_key, key, key_len);
   }
 
-  uint8_t ipad_key[64];
+  uint8_t pad[64];
   for (int i = 0; i < 64; ++i) {
-    ipad_key[i] = block_key[i] ^ 0x36;
-    opad_key_[i] = block_key[i] ^ 0x5c;
+    pad[i] = block_key[i] ^ 0x36;
   }
-  inner_.Update(ipad_key, sizeof(ipad_key));
+  inner_.Update(pad, sizeof(pad));
+  for (int i = 0; i < 64; ++i) {
+    pad[i] = block_key[i] ^ 0x5c;
+  }
+  outer_.Update(pad, sizeof(pad));
   SecureZero(block_key, sizeof(block_key));
-  SecureZero(ipad_key, sizeof(ipad_key));
+  SecureZero(pad, sizeof(pad));
 }
 
 Digest256 HmacSha256::Finish() {
   const Digest256 inner_digest = inner_.Finish();
-  Sha256 outer;
-  outer.Update(opad_key_, sizeof(opad_key_));
-  outer.Update(inner_digest.data(), inner_digest.size());
-  SecureZero(opad_key_, sizeof(opad_key_));
-  return outer.Finish();
+  outer_.Update(inner_digest.data(), inner_digest.size());
+  return outer_.Finish();
 }
 
 Digest256 HmacSha256::Mac(const Bytes& key, const Bytes& message) {
@@ -52,12 +52,12 @@ StatusOr<Bytes> HkdfExpand(const Digest256& prk, std::string_view info, size_t o
   }
   Bytes out;
   out.reserve(out_len);
-  Bytes prk_bytes(prk.begin(), prk.end());
+  const HmacSha256Key key(prk.data(), prk.size());
   Digest256 t{};
   size_t t_len = 0;
   uint8_t counter = 1;
   while (out.size() < out_len) {
-    HmacSha256 mac(prk_bytes);
+    HmacSha256 mac(key);
     mac.Update(t.data(), t_len);
     mac.Update(info);
     mac.Update(&counter, 1);

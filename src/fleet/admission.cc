@@ -16,18 +16,6 @@ const char* TenantAdmitStateName(TenantAdmitState state) {
   return "?";
 }
 
-const char* AdmitDecisionName(AdmitDecision decision) {
-  switch (decision) {
-    case AdmitDecision::kAdmit:
-      return "admit";
-    case AdmitDecision::kDefer:
-      return "defer";
-    case AdmitDecision::kShed:
-      return "shed";
-  }
-  return "?";
-}
-
 void AdmissionController::RegisterTenant(int tenant) { tenants_[tenant]; }
 
 void AdmissionController::SetState(int tenant, TenantAdmitState state) {
@@ -68,11 +56,6 @@ AdmitDecision AdmissionController::Admit(int tenant) {
       return AdmitDecision::kShed;
   }
   return AdmitDecision::kShed;
-}
-
-uint64_t AdmissionController::admitted(int tenant) const {
-  auto it = tenants_.find(tenant);
-  return it == tenants_.end() ? 0 : it->second.admitted;
 }
 
 uint64_t AdmissionController::deferred(int tenant) const {

@@ -26,7 +26,6 @@ enum class TenantAdmitState : uint8_t { kServing, kDraining, kShedding };
 enum class AdmitDecision : uint8_t { kAdmit, kDefer, kShed };
 
 const char* TenantAdmitStateName(TenantAdmitState state);
-const char* AdmitDecisionName(AdmitDecision decision);
 
 struct AdmissionPolicy {
   // Requests a draining tenant may defer before further ones are shed: bounds the
@@ -48,7 +47,6 @@ class AdmissionController {
   // Classifies one incoming request and accounts the decision.
   AdmitDecision Admit(int tenant);
 
-  uint64_t admitted(int tenant) const;
   uint64_t deferred(int tenant) const;
   uint64_t shed(int tenant) const;
 

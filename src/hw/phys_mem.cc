@@ -10,8 +10,7 @@ PhysMemory::PhysMemory(uint64_t num_frames)
 uint8_t* PhysMemory::EnsureFrame(FrameNum frame) const {
   auto& slot = frames_[frame];
   if (!slot) {
-    slot = std::make_unique<uint8_t[]>(kPageSize);
-    std::memset(slot.get(), 0, kPageSize);
+    slot = std::make_unique<uint8_t[]>(kPageSize);  // value-initialized: zeroed
     ++committed_frames_;
   }
   return slot.get();

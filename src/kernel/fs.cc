@@ -21,13 +21,6 @@ StatusOr<RamFile*> RamFs::Open(const std::string& path, bool create) {
   return it->second.get();
 }
 
-Status RamFs::Remove(const std::string& path) {
-  if (files_.erase(path) == 0) {
-    return NotFoundError("no such file: " + path);
-  }
-  return OkStatus();
-}
-
 StatusOr<uint64_t> RamFs::SizeOf(const std::string& path) const {
   const auto it = files_.find(path);
   if (it == files_.end()) {
@@ -36,22 +29,6 @@ StatusOr<uint64_t> RamFs::SizeOf(const std::string& path) const {
   return it->second->data.size();
 }
 
-std::vector<std::string> RamFs::List() const {
-  std::vector<std::string> names;
-  names.reserve(files_.size());
-  for (const auto& [name, _] : files_) {
-    names.push_back(name);
-  }
-  return names;
-}
-
-uint64_t RamFs::total_bytes() const {
-  uint64_t total = 0;
-  for (const auto& [_, file] : files_) {
-    total += file->data.size();
-  }
-  return total;
-}
 
 int FdTable::Install(OpenFile file) {
   const int fd = next_fd_++;

@@ -7,7 +7,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "src/common/status.h"
 #include "src/common/bytes.h"
@@ -23,11 +22,7 @@ class RamFs {
   Status Create(const std::string& path, Bytes contents);
   bool Exists(const std::string& path) const { return files_.count(path) > 0; }
   StatusOr<RamFile*> Open(const std::string& path, bool create);
-  Status Remove(const std::string& path);
   StatusOr<uint64_t> SizeOf(const std::string& path) const;
-  std::vector<std::string> List() const;
-
-  uint64_t total_bytes() const;
 
  private:
   std::map<std::string, std::unique_ptr<RamFile>> files_;

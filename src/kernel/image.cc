@@ -149,14 +149,6 @@ const KernelSection* KernelImage::FindSection(const std::string& name) const {
   return nullptr;
 }
 
-uint64_t KernelImage::TotalLoadSize() const {
-  uint64_t total = 0;
-  for (const auto& section : sections) {
-    total += section.data.size();
-  }
-  return total;
-}
-
 namespace {
 
 // Filler "instruction stream" bytes. Restricted to encodings that cannot combine with

@@ -41,7 +41,6 @@ struct KernelImage {
   static StatusOr<KernelImage> Deserialize(const Bytes& raw);
 
   const KernelSection* FindSection(const std::string& name) const;
-  uint64_t TotalLoadSize() const;
 };
 
 struct KernelBuildOptions {

@@ -175,13 +175,6 @@ StatusOr<Vaddr> LibosEnv::Alloc(uint64_t size) {
   return va;
 }
 
-Status LibosEnv::Free(Vaddr va) {
-  // Coarse free: the mini-allocator does not track sizes per block; freeing returns
-  // nothing to the pool (matches the stateless one-shot execution model where the
-  // whole sandbox is zeroized after the session).
-  return OkStatus();
-}
-
 Status LibosEnv::FileCreate(SyscallContext& ctx, const std::string& name,
                             const Bytes& contents) {
   ChargeEmulation(ctx);

@@ -76,7 +76,6 @@ class LibosEnv {
 
   // ---- Heap (bump + free-list over the confined arena) ----
   StatusOr<Vaddr> Alloc(uint64_t size);
-  Status Free(Vaddr va);
   uint64_t heap_used() const { return heap_used_; }
 
   // ---- In-memory stateless filesystem ----

@@ -764,13 +764,13 @@ StatusOr<Bytes> EreborMonitor::ProxyFetch(Cpu& cpu, int* source_sandbox_out) {
   EmcCall call{};
   call.op = EmcOp::kChannelOp;
   const Status st = EmcDispatch(cpu, call, [&]() -> Status {
-    for (auto& [id, sandbox] : sandbox_mgr_->mutable_sandboxes()) {
-      if (!sandbox->outbound_wire.empty()) {
+    for (const auto& sandbox : sandbox_mgr_->sandboxes()) {
+      if (sandbox != nullptr && !sandbox->outbound_wire.empty()) {
         SimLockGuard guard = locks_.SandboxGuard(cpu, sandbox->lock);
         out = std::move(sandbox->outbound_wire.front());
         sandbox->outbound_wire.pop_front();
         if (source_sandbox_out != nullptr) {
-          *source_sandbox_out = id;
+          *source_sandbox_out = sandbox->id;
         }
         return OkStatus();
       }

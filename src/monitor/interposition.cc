@@ -171,25 +171,43 @@ void EreborMonitor::ApplyExitMitigations(Cpu& cpu, Sandbox& sandbox) {
 
 // ---- Guest memory helpers ----
 
-Status EreborMonitor::ReadGuest(AddressSpace& aspace, Vaddr va, uint8_t* out,
-                                uint64_t len) {
+namespace {
+
+// The physical address of `va` in `aspace`, as `cpu` would translate it for its
+// user mode: the cached leaf when its TLB holds one, else a walk from the root.
+// Callers first drain peer invalidations queued for `cpu`, so a translation
+// another vCPU has already revoked is never used.
+StatusOr<Paddr> GuestPa(Cpu& cpu, const AddressSpace& aspace, Vaddr va) {
+  if (const WalkResult* hit = cpu.tlb().ProbeLeaf(aspace.root(), va, CpuMode::kUser)) {
+    return hit->pa + (va & kPageMask);
+  }
+  EREBOR_ASSIGN_OR_RETURN(const WalkResult walk, aspace.Lookup(va));
+  return walk.pa;
+}
+
+}  // namespace
+
+Status EreborMonitor::ReadGuest(Cpu& cpu, const AddressSpace& aspace, Vaddr va,
+                                uint8_t* out, uint64_t len) {
+  cpu.DrainTlbInvalidations();
   uint64_t done = 0;
   while (done < len) {
-    EREBOR_ASSIGN_OR_RETURN(const WalkResult walk, aspace.Lookup(va + done));
+    EREBOR_ASSIGN_OR_RETURN(const Paddr pa, GuestPa(cpu, aspace, va + done));
     const uint64_t take = std::min(len - done, kPageSize - ((va + done) & kPageMask));
-    EREBOR_RETURN_IF_ERROR(machine_->memory().Read(walk.pa, out + done, take));
+    EREBOR_RETURN_IF_ERROR(machine_->memory().Read(pa, out + done, take));
     done += take;
   }
   return OkStatus();
 }
 
-Status EreborMonitor::WriteGuest(AddressSpace& aspace, Vaddr va, const uint8_t* data,
-                                 uint64_t len) {
+Status EreborMonitor::WriteGuest(Cpu& cpu, const AddressSpace& aspace, Vaddr va,
+                                 const uint8_t* data, uint64_t len) {
+  cpu.DrainTlbInvalidations();
   uint64_t done = 0;
   while (done < len) {
-    EREBOR_ASSIGN_OR_RETURN(const WalkResult walk, aspace.Lookup(va + done));
+    EREBOR_ASSIGN_OR_RETURN(const Paddr pa, GuestPa(cpu, aspace, va + done));
     const uint64_t take = std::min(len - done, kPageSize - ((va + done) & kPageMask));
-    EREBOR_RETURN_IF_ERROR(machine_->memory().Write(walk.pa, data + done, take));
+    EREBOR_RETURN_IF_ERROR(machine_->memory().Write(pa, data + done, take));
     done += take;
   }
   return OkStatus();
@@ -235,7 +253,7 @@ StatusOr<uint64_t> EreborMonitor::DeviceIoctl(SyscallContext& ctx, Task& task,
         return FailedPreconditionError("declare-confined from non-sandbox task");
       }
       uint8_t buf[16];
-      EREBOR_RETURN_IF_ERROR(ReadGuest(*task.aspace, arg_va, buf, sizeof(buf)));
+      EREBOR_RETURN_IF_ERROR(ReadGuest(cpu, *task.aspace, arg_va, buf, sizeof(buf)));
       const Vaddr va = LoadLe64(buf);
       const uint64_t len = LoadLe64(buf + 8);
       EREBOR_RETURN_IF_ERROR(DeclareConfined(cpu, *sandbox, va, len));
@@ -247,7 +265,7 @@ StatusOr<uint64_t> EreborMonitor::DeviceIoctl(SyscallContext& ctx, Task& task,
       }
       ++sandbox->exits.ioctl_io;
       uint8_t buf[16];
-      EREBOR_RETURN_IF_ERROR(ReadGuest(*task.aspace, arg_va, buf, sizeof(buf)));
+      EREBOR_RETURN_IF_ERROR(ReadGuest(cpu, *task.aspace, arg_va, buf, sizeof(buf)));
       const Vaddr dst = LoadLe64(buf);
       const uint64_t cap = LoadLe64(buf + 8);
       if (sandbox->input_plaintext.empty()) {
@@ -282,7 +300,7 @@ StatusOr<uint64_t> EreborMonitor::DeviceIoctl(SyscallContext& ctx, Task& task,
       }
       const uint64_t n = data.size();
       StoreLe64(buf + 8, n);
-      EREBOR_RETURN_IF_ERROR(WriteGuest(*task.aspace, arg_va, buf, sizeof(buf)));
+      EREBOR_RETURN_IF_ERROR(WriteGuest(cpu, *task.aspace, arg_va, buf, sizeof(buf)));
       sandbox->input_plaintext.pop_front();
       return n;
     }
@@ -296,7 +314,7 @@ StatusOr<uint64_t> EreborMonitor::DeviceIoctl(SyscallContext& ctx, Task& task,
         return FailedPreconditionError("output without an established session");
       }
       uint8_t buf[16];
-      EREBOR_RETURN_IF_ERROR(ReadGuest(*task.aspace, arg_va, buf, sizeof(buf)));
+      EREBOR_RETURN_IF_ERROR(ReadGuest(cpu, *task.aspace, arg_va, buf, sizeof(buf)));
       const Vaddr src = LoadLe64(buf);
       const uint64_t len = LoadLe64(buf + 8);
       if (len > wire::kMaxWireBytes) {
@@ -342,14 +360,14 @@ StatusOr<uint64_t> EreborMonitor::DeviceIoctl(SyscallContext& ctx, Task& task,
         return PermissionDeniedError("proxy ioctls are not for sandbox tasks");
       }
       uint8_t buf[16];
-      EREBOR_RETURN_IF_ERROR(ReadGuest(*task.aspace, arg_va, buf, sizeof(buf)));
+      EREBOR_RETURN_IF_ERROR(ReadGuest(cpu, *task.aspace, arg_va, buf, sizeof(buf)));
       const Vaddr src = LoadLe64(buf);
       const uint64_t len = LoadLe64(buf + 8);
       if (len > wire::kMaxWireBytes) {
         return InvalidArgumentError("proxy batch exceeds the wire limit");
       }
       Bytes blob(len);
-      EREBOR_RETURN_IF_ERROR(ReadGuest(*task.aspace, src, blob.data(), len));
+      EREBOR_RETURN_IF_ERROR(ReadGuest(cpu, *task.aspace, src, blob.data(), len));
       // Proxy-framed burst: [LE32 packet_len | packet]*. The framing is
       // proxy-controlled, so every prefix is bounded against the bytes present.
       std::vector<Bytes> wires;
@@ -374,7 +392,7 @@ StatusOr<uint64_t> EreborMonitor::DeviceIoctl(SyscallContext& ctx, Task& task,
         return PermissionDeniedError("proxy ioctls are not for sandbox tasks");
       }
       uint8_t buf[16];
-      EREBOR_RETURN_IF_ERROR(ReadGuest(*task.aspace, arg_va, buf, sizeof(buf)));
+      EREBOR_RETURN_IF_ERROR(ReadGuest(cpu, *task.aspace, arg_va, buf, sizeof(buf)));
       const Vaddr dst = LoadLe64(buf);
       const uint64_t cap = LoadLe64(buf + 8);
       int source_sandbox = -1;
@@ -388,7 +406,7 @@ StatusOr<uint64_t> EreborMonitor::DeviceIoctl(SyscallContext& ctx, Task& task,
                                      : kernel_->FaultInUserRange(ctx, task, dst,
                                                                  wire->size());
       if (st.ok()) {
-        st = WriteGuest(*task.aspace, dst, wire->data(), wire->size());
+        st = WriteGuest(cpu, *task.aspace, dst, wire->data(), wire->size());
       }
       if (!st.ok()) {
         Sandbox* origin = sandbox_mgr_->Find(source_sandbox);

@@ -121,11 +121,11 @@ Status InvariantChecker::CheckRings() {
 
 Status InvariantChecker::CheckQuarantine() {
   EmcRingTable& rings = monitor_->rings();
-  for (const auto& [id, sandbox] : monitor_->sandboxes().sandboxes()) {
-    if (sandbox->state != SandboxState::kQuarantined) {
+  for (const auto& sandbox : monitor_->sandboxes().sandboxes()) {
+    if (sandbox == nullptr || sandbox->state != SandboxState::kQuarantined) {
       continue;
     }
-    const std::string who = "quarantined sandbox " + std::to_string(id);
+    const std::string who = "quarantined sandbox " + std::to_string(sandbox->id);
     // The teardown scrub must have left nothing deliverable: a stashed reorder
     // record or a queued outbound wire here would be ciphertext under destroyed
     // keys at best, and a use-after-scrub at worst.
@@ -147,7 +147,7 @@ Status InvariantChecker::CheckQuarantine() {
     // against released frames.
     for (int i = 0; i < rings.size(); ++i) {
       const RingState* rs = rings.state(i);
-      if (rs == nullptr || rs->bound_sandbox != id) {
+      if (rs == nullptr || rs->bound_sandbox != sandbox->id) {
         continue;
       }
       if (!rs->poisoned) {
@@ -163,8 +163,11 @@ Status InvariantChecker::CheckDomains() {
   const IsolationBackend& iso = monitor_->isolation();
   uint64_t live = 0;
   std::set<uint32_t> tags;
-  for (const auto& [id, sandbox] : monitor_->sandboxes().sandboxes()) {
-    const std::string who = "sandbox " + std::to_string(id);
+  for (const auto& sandbox : monitor_->sandboxes().sandboxes()) {
+    if (sandbox == nullptr) {
+      continue;
+    }
+    const std::string who = "sandbox " + std::to_string(sandbox->id);
     if (sandbox->state == SandboxState::kInitializing ||
         sandbox->state == SandboxState::kSealed) {
       // Templates and unpromoted (domain-deferred) warm clones legitimately
@@ -187,7 +190,7 @@ Status InvariantChecker::CheckDomains() {
                              std::to_string(sandbox->domain_tag) +
                              " with another live sandbox");
       }
-      if (iso.DomainTagOf(id) != sandbox->domain_tag) {
+      if (iso.DomainTagOf(sandbox->id) != sandbox->domain_tag) {
         return InternalError(who + " domain tag diverged from the backend's record");
       }
     } else if (sandbox->domain_tag != 0) {

@@ -222,9 +222,15 @@ class EreborMonitor {
   StatusOr<uint64_t> DeviceIoctl(SyscallContext& ctx, Task& task, uint64_t cmd,
                                  Vaddr arg_va);
 
-  // Guest-memory access for monitor use (privileged; no SMAP constraints).
-  Status ReadGuest(AddressSpace& aspace, Vaddr va, uint8_t* out, uint64_t len);
-  Status WriteGuest(AddressSpace& aspace, Vaddr va, const uint8_t* data, uint64_t len);
+  // Guest-memory access for monitor use (privileged; no SMAP constraints) on
+  // behalf of a task running on `cpu`. Each page translates through `cpu`'s
+  // cached user translation when its TLB holds one (the task usually just wrote
+  // the bytes), else by a walk from `aspace`'s root. The probe counts and fills
+  // nothing, so TLB statistics do not depend on whether it hit.
+  Status ReadGuest(Cpu& cpu, const AddressSpace& aspace, Vaddr va, uint8_t* out,
+                   uint64_t len);
+  Status WriteGuest(Cpu& cpu, const AddressSpace& aspace, Vaddr va, const uint8_t* data,
+                    uint64_t len);
 
   StatusOr<uint64_t> CachedCpuid(Cpu& cpu, uint32_t leaf, bool allow_hypercall);
   StatusOr<TdQuote> GenerateQuote(Cpu& cpu, const std::array<uint8_t, 64>& report_data);

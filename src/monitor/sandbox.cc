@@ -87,21 +87,16 @@ StatusOr<Sandbox*> SandboxManager::Create(Task& leader, const SandboxSpec& spec)
   sandbox->aspace = leader.aspace;
   leader.is_sandbox_member = true;
   leader.sandbox_id = sandbox->id;
-  Sandbox* raw = sandbox.get();
-  sandboxes_[sandbox->id] = std::move(sandbox);
-  return raw;
+  return Adopt(std::move(sandbox));
 }
 
-Sandbox* SandboxManager::Find(int id) {
-  const auto it = sandboxes_.find(id);
-  return it == sandboxes_.end() ? nullptr : it->second.get();
-}
-
-Sandbox* SandboxManager::FindByTask(const Task& task) {
-  if (!task.is_sandbox_member) {
-    return nullptr;
+Sandbox* SandboxManager::Adopt(std::unique_ptr<Sandbox> sandbox) {
+  const size_t slot = static_cast<size_t>(sandbox->id);
+  if (sandboxes_.size() <= slot) {
+    sandboxes_.resize(slot + 1);
   }
-  return Find(task.sandbox_id);
+  sandboxes_[slot] = std::move(sandbox);
+  return sandboxes_[slot].get();
 }
 
 Status SandboxManager::UnmapFromDirectMap(Cpu& cpu, FrameNum first, uint64_t count) {
@@ -270,10 +265,8 @@ StatusOr<Sandbox*> SandboxManager::CloneFromTemplate(Cpu& cpu, Task& leader,
     }
   }
   ++tmpl.live_clones;
-  Sandbox* raw = sandbox.get();
-  sandboxes_[sandbox->id] = std::move(sandbox);
   MetricsRegistry::Global().Increment("sandbox.clones");
-  return raw;
+  return Adopt(std::move(sandbox));
 }
 
 Status SandboxManager::ActivateClone(Cpu& cpu, Sandbox& sandbox) {
@@ -650,8 +643,8 @@ Status SandboxManager::ValidateCommonMapping(Paddr root, FrameNum frame,
                                              bool writable) const {
   // Find the sandbox owning this page-table root.
   const Sandbox* owner = nullptr;
-  for (const auto& [id, sandbox] : sandboxes_) {
-    if (sandbox->aspace && sandbox->aspace->root() == root) {
+  for (const auto& sandbox : sandboxes_) {
+    if (sandbox != nullptr && sandbox->aspace && sandbox->aspace->root() == root) {
       owner = sandbox.get();
       break;
     }

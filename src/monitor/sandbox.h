@@ -12,8 +12,8 @@
 
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
+#include <vector>
 
 #include "src/kernel/kernel.h"
 #include "src/monitor/channel.h"
@@ -133,8 +133,15 @@ class SandboxManager {
 
   // ---- Lifecycle ----
   StatusOr<Sandbox*> Create(Task& leader, const SandboxSpec& spec);
-  Sandbox* Find(int id);
-  Sandbox* FindByTask(const Task& task);
+  // O(1): the table is indexed by id. Torn-down and quarantined sandboxes are
+  // still found; an id never handed out, or whose launch was refused, is nullptr.
+  Sandbox* Find(int id) {
+    const size_t slot = static_cast<size_t>(id);  // negative ids wrap past the end
+    return slot < sandboxes_.size() ? sandboxes_[slot].get() : nullptr;
+  }
+  Sandbox* FindByTask(const Task& task) {
+    return task.is_sandbox_member ? Find(task.sandbox_id) : nullptr;
+  }
 
   // Declares a confined region of `len` bytes at sandbox VA `va` (pre-seal only).
   Status DeclareConfined(Cpu& cpu, Sandbox& sandbox, Vaddr va, uint64_t len);
@@ -232,12 +239,14 @@ class SandboxManager {
     AddressSpace& aspace_;
   };
 
-  const std::map<int, std::unique_ptr<Sandbox>>& sandboxes() const { return sandboxes_; }
-  std::map<int, std::unique_ptr<Sandbox>>& mutable_sandboxes() { return sandboxes_; }
+  // Every sandbox in id order, at index id; null slots are ids without one.
+  const std::vector<std::unique_ptr<Sandbox>>& sandboxes() const { return sandboxes_; }
   uint64_t cma_frames_used() const { return cma_ ? cma_->used() : 0; }
 
  private:
   Status UnmapFromDirectMap(Cpu& cpu, FrameNum first, uint64_t count);
+  // Stores a new sandbox at its id's slot, growing the table to reach it.
+  Sandbox* Adopt(std::unique_ptr<Sandbox> sandbox);
 
   Machine* machine_;
   FrameTable* frames_;
@@ -245,7 +254,7 @@ class SandboxManager {
   IsolationBackend* isolation_;
   Kernel* kernel_ = nullptr;
   std::unique_ptr<FrameAllocator> cma_;
-  std::map<int, std::unique_ptr<Sandbox>> sandboxes_;
+  std::vector<std::unique_ptr<Sandbox>> sandboxes_;  // indexed by id
   // Deque, not vector: CreateCommonRegion hands out pointers into this container and
   // a vector would invalidate them on reallocation.
   std::deque<CommonRegion> common_regions_;

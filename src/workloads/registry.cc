@@ -18,23 +18,4 @@ std::vector<std::unique_ptr<Workload>> MakePaperWorkloads() {
   return workloads;
 }
 
-std::unique_ptr<Workload> MakeWorkloadByName(const std::string& name) {
-  if (name == "llama.cpp" || name == "llama" || name == "llm") {
-    return std::make_unique<LlmWorkload>();
-  }
-  if (name == "yolo" || name == "vision") {
-    return std::make_unique<VisionWorkload>();
-  }
-  if (name == "drugbank" || name == "retrieval") {
-    return std::make_unique<RetrievalWorkload>();
-  }
-  if (name == "graphchi" || name == "graph") {
-    return std::make_unique<GraphWorkload>();
-  }
-  if (name == "unicorn" || name == "ids") {
-    return std::make_unique<IdsWorkload>();
-  }
-  return nullptr;
-}
-
 }  // namespace erebor

@@ -93,7 +93,6 @@ ProgramFn MakeAppProgram(std::shared_ptr<AppState> state, AppPhases phases);
 
 // Registry of the five paper workloads (llm, vision, retrieval, graph, ids).
 std::vector<std::unique_ptr<Workload>> MakePaperWorkloads();
-std::unique_ptr<Workload> MakeWorkloadByName(const std::string& name);
 
 }  // namespace erebor
 

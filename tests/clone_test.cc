@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -377,6 +378,53 @@ TEST_F(CloneTest, SealPromotesDeferredClone) {
   EXPECT_EQ(clone->state, SandboxState::kSealed);
   EXPECT_FALSE(clone->domain_deferred);
   EXPECT_NE(clone->domain_tag, 0u);
+  EXPECT_TRUE(InvariantsClean());
+}
+
+// The sandbox table is indexed by id. Every launch consumes the next id: cold
+// ones, a cold one the backend refuses (PKS runs out of keys), and standby
+// clones after it. Find returns exactly the sandbox holding an id, torn-down
+// and quarantined ones included, and nullptr for every id none holds.
+TEST_F(CloneTest, SandboxTableFindsEveryIdAndOnlyThose) {
+  Boot(IsolationKind::kPks);
+  BootTemplate();
+  SandboxManager& table = world_->monitor()->sandboxes();
+  std::vector<Sandbox*> launched = {tmpl_};
+  int next_id = tmpl_->id + 1;
+  int refused_id = -1;
+  for (int i = 0; refused_id < 0; ++i) {
+    ASSERT_LT(i, 32) << "PKS must run out of keys";
+    const auto cold = world_->LaunchSandboxProcess(
+        "cold-" + std::to_string(i), Spec("cold"),
+        [](SyscallContext&) { return StepOutcome::kYield; });
+    if (!cold.ok()) {
+      EXPECT_EQ(cold.status().code(), ErrorCode::kUnavailable) << cold.status().ToString();
+      refused_id = next_id++;
+      break;
+    }
+    EXPECT_EQ((*cold)->id, next_id++);
+    launched.push_back(*cold);
+  }
+  EXPECT_EQ(table.Find(refused_id), nullptr);
+  for (int i = 0; i < 3; ++i) {
+    Sandbox* clone = MakeClone("standby-" + std::to_string(i), nullptr);
+    ASSERT_NE(clone, nullptr);
+    EXPECT_EQ(clone->id, next_id++);
+    launched.push_back(clone);
+  }
+
+  ASSERT_TRUE(table.Teardown(cpu(), *launched[1]).ok());
+  ASSERT_TRUE(table.Quarantine(cpu(), *launched[2], "table test").ok());
+  EXPECT_EQ(launched[1]->state, SandboxState::kTornDown);
+  EXPECT_EQ(launched[2]->state, SandboxState::kQuarantined);
+  for (Sandbox* sandbox : launched) {
+    EXPECT_EQ(table.Find(sandbox->id), sandbox) << "id " << sandbox->id;
+    EXPECT_EQ(table.FindByTask(*sandbox->leader), sandbox) << "id " << sandbox->id;
+  }
+  for (const int id : {-1, 0, next_id, next_id + 1000, std::numeric_limits<int>::min(),
+                       std::numeric_limits<int>::max()}) {
+    EXPECT_EQ(table.Find(id), nullptr) << "id " << id;
+  }
   EXPECT_TRUE(InvariantsClean());
 }
 

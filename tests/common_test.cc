@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <set>
 
 #include "src/common/backoff.h"
@@ -7,6 +8,7 @@
 #include "src/common/metrics.h"
 #include "src/common/rng.h"
 #include "src/common/status.h"
+#include "src/crypto/sha256.h"
 
 namespace erebor {
 namespace {
@@ -164,6 +166,46 @@ TEST(RngTest, FillByteStreamIsPinned) {
     rng.Fill(buf, len);
     EXPECT_EQ(HexEncode(buf, len), hex) << "len " << len;
   }
+}
+
+// Known answers from an independent xoshiro256** model (python3): every length
+// 0..17 in sequence (whole draws, the 8-byte boundary, and tails of every size),
+// then a 4096-byte run (pinned by its SHA-256 and its end bytes), then one Next()
+// that must continue the stream exactly where Fill left it.
+TEST(RngTest, FillKnownAnswersAndStreamContinuation) {
+  Rng rng(0xF111);
+  const char* const expected[] = {
+      "",
+      "ed",
+      "bb27",
+      "2b491c",
+      "0e230563",
+      "dbdcac2f56",
+      "5b847b2f2557",
+      "bdcb2e3a865bfa",
+      "df2458932f6b61f9",
+      "658c527a03d73e8a7c",
+      "092305a21e77ecc54976",
+      "0337e12a4dd50f3fdb440a",
+      "022cddd4aa304842b949da3d",
+      "a96e9e84477238271a2a12aac6",
+      "9f3722b76e0236ffcba8337a3fc6",
+      "ebcb7beeb84834b09b6ec5eff075db",
+      "e318efe677630eaa932e9600f1b2ba68",
+      "bea35468022cafb5d19b77d52e827c1a27",
+  };
+  for (size_t len = 0; len < std::size(expected); ++len) {
+    uint8_t buf[17] = {};
+    rng.Fill(buf, len);
+    EXPECT_EQ(HexEncode(buf, len), expected[len]) << "len " << len;
+  }
+  Bytes page(4096);
+  rng.Fill(page.data(), page.size());
+  EXPECT_EQ(HexEncode(page.data(), 16), "f5d4d1f01f10eb43a1a975103ca12faa");
+  EXPECT_EQ(HexEncode(page.data() + 4080, 16), "841d4f3bd48210ad230206e4f062ea46");
+  EXPECT_EQ(HexEncode(Sha256::Hash(page).data(), 32),
+            "5df4c815d8a2cbd6a867e9f352997b8ded434c24d9cf61226b38da53ad3cc435");
+  EXPECT_EQ(rng.Next(), 0x5a062c22cdad5c4bULL);
 }
 
 TEST(GraphGenTest, PowerLawGraphShape) {

@@ -84,6 +84,70 @@ TEST(HmacTest, KeyLongerThanBlockIsHashed) {
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
 }
 
+// HMAC straight from its definition (RFC 2104), sharing nothing with
+// HmacSha256Key: H((K' ^ opad) || H((K' ^ ipad) || m)), K' the key hashed if
+// longer than a block, then zero-padded to 64 bytes.
+Digest256 ReferenceHmac(const Bytes& key, const uint8_t* message, size_t len) {
+  Bytes block = key;
+  if (block.size() > 64) {
+    const Digest256 hashed = Sha256::Hash(key);
+    block.assign(hashed.begin(), hashed.end());
+  }
+  block.resize(64, 0);
+  Bytes inner(64);
+  Bytes outer(64);
+  for (size_t i = 0; i < 64; ++i) {
+    inner[i] = block[i] ^ 0x36;
+    outer[i] = block[i] ^ 0x5c;
+  }
+  inner.insert(inner.end(), message, message + len);
+  const Digest256 inner_hash = Sha256::Hash(inner);
+  outer.insert(outer.end(), inner_hash.begin(), inner_hash.end());
+  return Sha256::Hash(outer);
+}
+
+// One key schedule MACs many messages: each HmacSha256 started from it must
+// equal the definition and a one-shot HmacSha256 over the raw key, for a record
+// sized key and one longer than a block, at every length through 300 bytes
+// (every padding tail, one to five blocks) plus two long unaligned ones.
+TEST(HmacTest, KeyScheduleMatchesDefinitionAndOneShot) {
+  Rng rng(4231);
+  Bytes message(60013);
+  rng.Fill(message.data(), message.size());
+  std::vector<size_t> lengths;
+  for (size_t len = 0; len <= 300; ++len) {
+    lengths.push_back(len);
+  }
+  lengths.push_back(4109);
+  lengths.push_back(60013);
+  for (const size_t key_len : {32, 100}) {
+    Bytes key(key_len);
+    rng.Fill(key.data(), key.size());
+    const HmacSha256Key schedule(key);
+    for (const size_t len : lengths) {
+      HmacSha256 mac(schedule);
+      mac.Update(message.data(), len);
+      const Digest256 tag = mac.Finish();
+      EXPECT_EQ(tag, ReferenceHmac(key, message.data(), len))
+          << "key " << key_len << " B, message " << len << " B";
+      HmacSha256 one_shot(key);
+      one_shot.Update(message.data(), len);
+      EXPECT_EQ(tag, one_shot.Finish()) << "key " << key_len << " B, message " << len << " B";
+    }
+  }
+}
+
+TEST(HmacTest, KeyScheduleIsReusableRfc4231Case2) {
+  const HmacSha256Key schedule(ToBytes("Jefe"));
+  for (int use = 0; use < 3; ++use) {
+    HmacSha256 mac(schedule);
+    mac.Update("what do ya want for nothing?");
+    EXPECT_EQ(HexEncode(mac.Finish().data(), 32),
+              "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843")
+        << "use " << use;
+  }
+}
+
 // ---- HKDF (RFC 5869 test case 1) ----
 
 TEST(HkdfTest, Rfc5869Case1) {
@@ -390,12 +454,11 @@ TEST(Sha256Test, AcceleratedMatchesPortable) {
 // ---- AEAD records ----
 
 AeadKeys TestKeys() {
-  AeadKeys keys;
+  ChaChaKey cipher_key;
   for (int i = 0; i < 32; ++i) {
-    keys.cipher_key[i] = static_cast<uint8_t>(i * 3);
+    cipher_key[i] = static_cast<uint8_t>(i * 3);
   }
-  keys.mac_key = Bytes(32, 0x5A);
-  return keys;
+  return AeadKeys(cipher_key, Bytes(32, 0x5A));
 }
 
 // A representative record header (data record for sandbox 7).
@@ -502,6 +565,17 @@ TEST(AeadTest, OpenIntoAuthenticatesBeforeDecrypting) {
                 .code(),
             ErrorCode::kPermissionDenied);
   EXPECT_EQ(out, untouched);
+}
+
+// The record tag is HMAC-SHA256 under mac_key (through AeadKeys::mac, its key
+// schedule) over type || sandbox_id (LE32) || sequence (LE64) || ciphertext.
+TEST(AeadTest, TagIsHmacUnderMacKeyOverHeaderAndCiphertext) {
+  const AeadKeys keys = TestKeys();
+  const Sealed record = Seal(keys, kTestAad, 0x0102030405060708ULL, ToBytes("tagged"));
+  // kTestAad is {type 3, sandbox 7}.
+  Bytes mac_input = {3, 7, 0, 0, 0, 8, 7, 6, 5, 4, 3, 2, 1};
+  mac_input.insert(mac_input.end(), record.ciphertext.begin(), record.ciphertext.end());
+  EXPECT_EQ(record.tag, ReferenceHmac(keys.mac_key, mac_input.data(), mac_input.size()));
 }
 
 TEST(AeadTest, SessionKeysAreDirectional) {

@@ -513,6 +513,172 @@ TEST_F(TlbWorldTest, FlushOnExitHookIsLoadBearing) {
       << "the exit flush must have evicted the stale translation on the exiting CPU";
 }
 
+// ---- Layer 2 (continued): monitor reads of ioctl arguments ----
+
+// What one /dev/erebor kInput ioctl did.
+struct InputIoctlOutcome {
+  ErrorCode code = ErrorCode::kOk;
+  std::string message;
+  uint64_t n = 0;
+  Bytes received;
+  bool operator==(const InputIoctlOutcome&) const = default;
+};
+
+// The monitor reads a kInput request through the calling vCPU's TLB when it
+// holds the page. In one slice a sealed sandbox writes its request (which
+// primes that TLB entry) and issues the ioctl; the page holding the request then
+// moves on the other vCPU, and the sandbox issues the same ioctl again, as the
+// LibOS does when it polls. Three cases: a request straddling two resident
+// pages; a kernel remap of the page to a new frame (invlpg), whose copy of the
+// request is the one the second ioctl must read; and a monitor PTE revocation
+// (shootdown), after which the second ioctl must fail exactly as a fresh walk
+// does. Returns both outcomes of each case; `primed` reports whether the vCPU's
+// TLB held the request page after the write and again just before the move.
+std::vector<InputIoctlOutcome> RunMovedRequestCases(bool tlb_enabled, bool* primed) {
+  TlbStateGuard guard;
+  Tlb::SetEnabled(tlb_enabled);
+  WorldConfig config;
+  config.mode = SimMode::kEreborFull;
+  config.machine.num_cpus = 2;
+  World world(config);
+  EXPECT_TRUE(world.Boot().ok());
+
+  constexpr Pte kAnonFlags = pte::kPresent | pte::kUser | pte::kWritable | pte::kNoExecute;
+  const Vaddr dst = kLibosArenaBase + (512 << 10);  // confined: the input lands here
+  auto env = std::make_shared<LibosEnv>(
+      LibosManifest{.name = "moved", .heap_bytes = 1 << 20}, LibosBackend::kSandboxed);
+  Vaddr req_pages = 0;  // three anon pages, faulted in before the seal
+  std::function<void(SyscallContext&)> step;
+  SandboxSpec spec;
+  spec.name = "moved";
+  auto sandbox = world.LaunchSandboxProcess(
+      "moved", spec,
+      [&](SyscallContext& ctx) -> StepOutcome {
+        if (!env->initialized()) {
+          EXPECT_TRUE(env->Initialize(ctx).ok());
+          const auto va = ctx.task().aspace->CreateVma(3 * kPageSize, kAnonFlags,
+                                                       VmaKind::kAnon);
+          EXPECT_TRUE(va.ok());
+          const Bytes zeros(3 * kPageSize);
+          EXPECT_TRUE(ctx.WriteUser(*va, zeros.data(), zeros.size()).ok());
+          req_pages = *va;
+          return StepOutcome::kYield;
+        }
+        if (step) {
+          step(ctx);
+          step = nullptr;
+        }
+        return StepOutcome::kYield;
+      });
+  EXPECT_TRUE(sandbox.ok());
+  EXPECT_TRUE(world.RunUntil([&] { return req_pages != 0; }).ok());
+  ClientSession session(world, (*sandbox)->id, /*seed=*/5, &world.machine().cpu(0));
+  EXPECT_TRUE(session.Handshake().ok());
+
+  auto request = [](Vaddr to, uint64_t cap) {
+    Bytes req(16);
+    StoreLe64(req.data(), to);
+    StoreLe64(req.data() + 8, cap);
+    return req;
+  };
+  std::vector<InputIoctlOutcome> outcomes;
+  auto ioctl = [&](SyscallContext& ctx, Vaddr req_va) {
+    InputIoctlOutcome outcome;
+    const auto n = ctx.Syscall(sys::kIoctl, env->erebor_fd(), emc_ioctl::kInput, req_va);
+    outcome.code = n.status().code();
+    outcome.message = std::string(n.status().message());
+    if (n.ok()) {
+      outcome.n = *n;
+      outcome.received.resize(*n);
+      EXPECT_TRUE(ctx.ReadUser(dst, outcome.received.data(), *n).ok());
+    }
+    outcomes.push_back(outcome);
+  };
+  // Writes `req` at `req_va` and issues the ioctl, runs `move` on the other
+  // vCPU, then issues the ioctl again.
+  *primed = true;
+  auto run_case = [&](Vaddr req_va, const Bytes& req,
+                      const std::function<void(Cpu&, AddressSpace&)>& move) {
+    step = [&, req_va, req, move](SyscallContext& ctx) {
+      AddressSpace& aspace = *ctx.task().aspace;
+      auto cached = [&] {
+        return ctx.cpu().tlb().ProbeLeaf(aspace.root(), req_va, CpuMode::kUser) != nullptr;
+      };
+      ASSERT_TRUE(ctx.WriteUser(req_va, req.data(), req.size()).ok());
+      *primed &= cached();
+      ioctl(ctx, req_va);
+      *primed &= cached();
+      move(world.machine().cpu(1 - ctx.cpu().index()), aspace);
+      ioctl(ctx, req_va);
+    };
+    EXPECT_TRUE(world.RunUntil([&] { return !step; }).ok());
+  };
+
+  // Straddling two resident pages: nothing moves.
+  EXPECT_TRUE(session.Send(ToBytes("first input")).ok());
+  run_case(req_pages + kPageSize - 8, request(dst, 4096), [](Cpu&, AddressSpace&) {});
+
+  // Kernel remap: the primed page is unmapped (invlpg) and a new frame holding a
+  // different request is mapped at the same VA. The primed copy asks for a
+  // zero-byte buffer, so the first ioctl fails with kOutOfRange, and so would the
+  // second one if it read the old page.
+  EXPECT_TRUE(session.Send(ToBytes("second input")).ok());
+  const Vaddr remapped = req_pages + 2 * kPageSize + 0x100;
+  run_case(remapped, request(dst, 0), [&](Cpu& cpu, AddressSpace& aspace) {
+    const Vaddr page = remapped & ~kPageMask;
+    ASSERT_TRUE(aspace.UnmapPage(cpu, page).ok());
+    const auto frame = world.kernel().pool().Alloc();
+    ASSERT_TRUE(frame.ok());
+    const Bytes moved = request(dst, 4096);
+    ASSERT_TRUE(world.machine()
+                    .memory()
+                    .Write(AddrOf(*frame) + (remapped & kPageMask), moved.data(), moved.size())
+                    .ok());
+    ASSERT_TRUE(aspace.MapFrame(cpu, page, *frame, kAnonFlags).ok());
+  });
+
+  // Monitor revocation: the kernel clears the leaf through EmcWritePte without
+  // an invlpg, so only the monitor's shootdown evicts the primed entry. No input
+  // is queued, so the first ioctl reads the request and returns EAGAIN.
+  Status fresh_walk;
+  const Vaddr revoked = req_pages + kPageSize + 0x200;
+  run_case(revoked, request(dst, 4096), [&](Cpu& cpu, AddressSpace& aspace) {
+    const auto walk = aspace.Lookup(revoked);
+    ASSERT_TRUE(walk.ok());
+    ASSERT_TRUE(world.privops().WritePte(cpu, walk->leaf_entry_pa, 0).ok());
+    fresh_walk = aspace.Lookup(revoked).status();
+  });
+  EXPECT_FALSE(fresh_walk.ok());
+  if (outcomes.size() == 6) {
+    EXPECT_EQ(outcomes[5].code, fresh_walk.code());
+    EXPECT_EQ(outcomes[5].message, std::string(fresh_walk.message()));
+  }
+  return outcomes;
+}
+
+TEST(TlbGuestAccessTest, IoctlArgumentsFollowMovedPagesAndMatchTheUncachedWalk) {
+  bool primed_on = false;
+  bool primed_off = true;
+  const std::vector<InputIoctlOutcome> on = RunMovedRequestCases(true, &primed_on);
+  const std::vector<InputIoctlOutcome> off = RunMovedRequestCases(false, &primed_off);
+  EXPECT_TRUE(primed_on) << "the sandbox's write must leave the request page in its TLB";
+  EXPECT_FALSE(primed_off);
+  ASSERT_EQ(on.size(), 6u);
+  // Straddling, resident: the input, then EAGAIN.
+  EXPECT_EQ(on[0].code, ErrorCode::kOk) << on[0].message;
+  EXPECT_EQ(on[0].received, ToBytes("first input"));
+  EXPECT_EQ(on[1].code, ErrorCode::kUnavailable) << on[1].message;
+  // Remapped: the old request's zero-byte buffer, then the new request.
+  EXPECT_EQ(on[2].code, ErrorCode::kOutOfRange) << on[2].message;
+  EXPECT_EQ(on[3].code, ErrorCode::kOk) << "the remapped request must be read: "
+                                        << on[3].message;
+  EXPECT_EQ(on[3].received, ToBytes("second input"));
+  // Revoked: EAGAIN, then the fresh walk's error (checked in the runner).
+  EXPECT_EQ(on[4].code, ErrorCode::kUnavailable) << on[4].message;
+  EXPECT_NE(on[5].code, ErrorCode::kOk);
+  EXPECT_TRUE(on == off) << "TLB on and off must give identical ioctl results";
+}
+
 // ---- Layer 3: cycle-neutrality ----
 
 // Every LMBench microbenchmark, native and full Erebor: identical simulated counts
