@@ -34,13 +34,16 @@ void Cpu::StoreMsr(uint32_t index, uint64_t value) {
   }
 }
 
-void Cpu::FlushTlb() {
-  // Trace unconditionally (even TLB-off / hook-off) so per-phase summaries are
-  // bit-identical across EREBOR_TLB settings; the flush itself charges no cycles.
+void Cpu::SwitchTlbRoot() {
+  // No flush: TLB entries are tagged by root (the PCID analogue), and every PTE
+  // store already pairs with an invalidation keyed by (root, va), by entry pa or
+  // by root, so entries of the roots not loaded stay exact. The switch takes this
+  // CPU's queued peer invalidations instead, so a root switched back in never
+  // serves an entry a peer invalidated while another root was loaded. The
+  // kTlbFlush trace event marks the CR3 write for the per-phase summaries; nothing
+  // here charges cycles.
   Tracer::Global().Record(TraceEvent::kTlbFlush, index_, cycles_.now());
-  if (Tlb::Enabled() && Tlb::hooks().cr3_flush) {
-    tlb_.FlushAll();
-  }
+  DrainTlbInvalidations();
 }
 
 StatusOr<WalkResult> Cpu::WalkCached(Paddr root, Vaddr va, CpuMode mode) {
@@ -181,7 +184,7 @@ void Cpu::TrustedWriteCr(int reg, uint64_t value) {
       break;
     case 3:
       cr3_ = value;
-      FlushTlb();
+      SwitchTlbRoot();
       break;
     case 4:
       cr4_ = value;

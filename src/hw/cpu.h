@@ -313,7 +313,9 @@ class Cpu {
   uint64_t Msr(uint32_t index) const;
   Status CheckSensitive(const char* what);
   void StoreMsr(uint32_t index, uint64_t value);
-  void FlushTlb();
+  // The TLB side of a CR3 write (TrustedWriteCr(3)): keeps the root-tagged
+  // entries and drains queued peer invalidations.
+  void SwitchTlbRoot();
   void ApplyTlbInvalidation(const TlbInvalidation& inv);
 
   int index_;

@@ -26,7 +26,7 @@ Tlb::Tlb()
       leaf_tags_(kLeafEntries, 0),
       tag_buckets_(kLeafEntries),
       structure_(kStructureEntries),
-      structure_filter_(kStructureFilterBuckets, 0) {
+      path_set_(kPathSetSlots) {
   // Opportunistically (re-)register the aggregate counters; MetricsRegistry::Reset()
   // drops external registrations, and worlds construct Machines often, so the latest
   // construction re-binds them.
@@ -97,6 +97,8 @@ StatusOr<WalkResult> Tlb::WalkCached(const PhysMemory& memory, Paddr root, Vaddr
   // no invalidation to become visible.
   if (path.leaf_table != 0) {
     InsertStructure(root, va, path);
+  } else if (walk.ok()) {
+    NotePath(path, walk->level + 1);  // a huge leaf: no structure entry records it
   }
   if (walk.ok()) {
     Insert(root, va, mode, *walk);
@@ -133,23 +135,31 @@ void Tlb::ClearLeafSlot(size_t slot) {
   }
 }
 
-void Tlb::FilterAdd(const StructureEntry& se) {
-  for (Paddr pa : se.path_pa) {
-    if (pa != 0) {
-      ++structure_filter_[Mix(pa) & (kStructureFilterBuckets - 1)];
+void Tlb::NotePath(const WalkPath& path, int lowest) {
+  if (path_set_size_ + (kPagingLevels - 1) > kPathSetSlots / 2) {
+    FlushAll();  // empties the set; the caller's entries take the new generation
+  }
+  for (int level = lowest; level < kPagingLevels; ++level) {
+    const Paddr pa = path.entry_pa[level];
+    size_t i = Mix(pa) & (kPathSetSlots - 1);
+    while (path_set_[i].gen == generation_ && path_set_[i].pa != pa) {
+      i = (i + 1) & (kPathSetSlots - 1);
+    }
+    if (path_set_[i].gen != generation_) {
+      path_set_[i] = PathSlot{generation_, pa};
+      ++path_set_size_;
     }
   }
 }
 
-void Tlb::FilterRemove(const StructureEntry& se) {
-  for (Paddr pa : se.path_pa) {
-    if (pa != 0) {
-      uint16_t& count = structure_filter_[Mix(pa) & (kStructureFilterBuckets - 1)];
-      if (count > 0) {
-        --count;
-      }
+bool Tlb::PathSetContains(Paddr pa) const {
+  for (size_t i = Mix(pa) & (kPathSetSlots - 1); path_set_[i].gen == generation_;
+       i = (i + 1) & (kPathSetSlots - 1)) {
+    if (path_set_[i].pa == pa) {
+      return true;
     }
   }
+  return false;
 }
 
 void Tlb::Insert(Paddr root, Vaddr va, CpuMode mode, const WalkResult& result) {
@@ -175,30 +185,26 @@ void Tlb::Insert(Paddr root, Vaddr va, CpuMode mode, const WalkResult& result) {
 }
 
 void Tlb::InsertStructure(Paddr root, Vaddr va, const WalkPath& path) {
+  NotePath(path, 1);
   StructureEntry& se = structure_[StructureIndex(root, va)];
-  if (se.valid) {
-    FilterRemove(se);
-  }
   se.valid = true;
   se.gen = generation_;
   se.root = root;
   se.region = va >> 21;
   se.l1_table = path.leaf_table;
-  for (int i = 0; i < kPagingLevels - 1; ++i) {
-    se.path_pa[i] = path.entry_pa[i + 1];  // levels 1..3
-  }
   se.inter_user = path.inter_user;
   se.inter_writable = path.inter_writable;
   se.inter_nx = path.inter_nx;
-  FilterAdd(se);
 }
 
 void Tlb::FlushAll() {
-  // O(1): stamped entries go stale without being touched. Occupancy bookkeeping
-  // (tags, buckets, filter) survives and is reclaimed slot-by-slot on reuse.
+  // O(1): stamped entries and path-set slots go stale without being touched.
+  // Occupancy bookkeeping (tags, buckets) survives and is reclaimed slot-by-slot on
+  // reuse.
   CounterAdd(GlobalStats().flushes);
   ++generation_;
   ++epoch_;
+  path_set_size_ = 0;
 }
 
 void Tlb::FlushRoot(Paddr root) {
@@ -210,7 +216,6 @@ void Tlb::FlushRoot(Paddr root) {
   for (StructureEntry& se : structure_) {
     if (se.valid && se.root == root) {
       se.valid = false;
-      FilterRemove(se);
     }
   }
 }
@@ -247,20 +252,8 @@ void Tlb::ShootdownEntry(Paddr entry_pa) {
       }
     }
   }
-  if (structure_filter_[Mix(entry_pa) & (kStructureFilterBuckets - 1)] == 0) {
-    return;  // no cached intermediate path traverses this entry
-  }
-  for (StructureEntry& se : structure_) {
-    if (!se.valid) {
-      continue;
-    }
-    for (Paddr pa : se.path_pa) {
-      if (pa == entry_pa) {
-        se.valid = false;
-        FilterRemove(se);
-        break;
-      }
-    }
+  if (PathSetContains(entry_pa)) {
+    FlushAll();
   }
 }
 

@@ -9,17 +9,28 @@
 // stack) always re-run on the cached WalkResult, so IA32_PKRS updates on the EMC
 // gate hot path need no flush.
 //
-// Invalidation mirrors what the paper's threat model requires the hardware+monitor
-// pair to provide (and which was previously modeled only as a cycle charge):
-//   - CR3 writes flush the writing CPU's TLB (Cpu::WriteCr3 / TrustedWriteCr).
-//   - The kernel's invlpg-equivalent broadcasts a single-page invalidation on
-//     unmap/protect (PrivilegedOps::InvlPg via AddressSpace).
-//   - The monitor shoots down by leaf-PTE physical address on every
-//     permission-revoking EmcWritePte and ring PTE descriptor, on RetrofitKey, and on the
-//     trusted sandbox-manager PTE writes (confinement unmaps, seal-time W strips).
-//   - flush_on_exit really flushes the exiting CPU's TLB (same cycle charge).
-// Each hook has a test-only disable toggle so the stale-TLB security test can show
-// every hook is load-bearing.
+// Entries are tagged by root, so, like PCID-tagged hardware entries, they survive
+// CR3 writes: a context switch back to a root finds its entries still cached. The
+// cache stays equal to WalkPageTables because every PTE store pairs with one of
+// three invalidations, all broadcast to every CPU whatever root it has loaded:
+//   - the kernel's invlpg, keyed by (root, va), on unmap/protect
+//     (PrivilegedOps::InvlPg via AddressSpace), plus the kernel writer's
+//     by-entry-pa shootdown of every rewrite of a present entry;
+//   - the monitor's shootdown, keyed by entry physical address across all roots,
+//     on every present-entry rewrite through EmcWritePte and ring PTE descriptors,
+//     on RetrofitKey, and on the trusted sandbox-manager PTE writes (confinement
+//     unmaps, seal-time W strips);
+//   - FlushRoot when an address space is released (AddressSpace::ReleaseUserFrames):
+//     its root frame may come back as a new PML4, whose keys must start empty.
+// Stores into non-present slots need none: failed walks are never cached. A by-pa
+// shootdown of an intermediate entry that a cached walk traversed flushes the whole
+// TLB, since every translation under it may have changed, so relinks and huge-page
+// splits are covered by the same broadcast (DESIGN.md, "Software TLB"). The other
+// whole-TLB flushes are where the machine really flushes: the flush_on_exit
+// mitigation and an untrusted IA32_PKRS/IA32_S_CET WRMSR. A CR3 write drains the
+// CPU's queued peer invalidations (real-thread engine) instead of flushing. Each
+// invalidation hook has a test-only disable toggle so the stale-TLB security tests
+// can show it is load-bearing.
 #ifndef EREBOR_SRC_HW_TLB_H_
 #define EREBOR_SRC_HW_TLB_H_
 
@@ -46,16 +57,18 @@ class Tlb {
     uint64_t hits = 0;        // full leaf-TLB hits (zero page-table reads)
     uint64_t psc_hits = 0;    // structure-cache hits (one leaf read instead of four)
     uint64_t misses = 0;      // full walks
-    uint64_t flushes = 0;     // whole-TLB flushes (CR3 writes, flush_on_exit, ...)
+    uint64_t flushes = 0;     // whole-TLB flushes (flush_on_exit, untrusted PKRS/S_CET
+                              // WRMSR, shootdown of a cached intermediate entry;
+                              // CR3 writes keep the root-tagged entries)
     uint64_t invlpg = 0;      // single-page invalidations
     uint64_t shootdowns = 0;  // by-leaf-entry-pa shootdowns
   };
 
   // Test-only toggles: each shipped invalidation hook consults its flag so the
-  // stale-TLB security test can demonstrate the hook is load-bearing. All true in
-  // production; never disable outside tests.
+  // stale-TLB security tests can demonstrate the hook is load-bearing. All true in
+  // production; never disable outside tests. A CR3 write has no hook: it keeps the
+  // root-tagged entries, so nothing depends on it for coherence.
   struct Hooks {
-    bool cr3_flush = true;           // Cpu::WriteCr3 / TrustedWriteCr(3)
     bool invlpg = true;              // kernel-side unmap/protect invalidation
     bool pte_shootdown = true;       // monitor EmcWritePte/ring PTEs + trusted writes
     bool retrofit_shootdown = true;  // MmuPolicy::RetrofitKey
@@ -109,9 +122,11 @@ class Tlb {
   // invlpg: drops the leaf entry for (root, page of va). Structure-cache entries
   // survive — a leaf-level change never alters the intermediate levels.
   void InvalidatePage(Paddr root, Vaddr va);
-  // Monitor shootdown: drops every leaf entry whose cached PTE lives at `entry_pa`
-  // and every structure-cache entry whose walk path traversed `entry_pa` (covers
-  // intermediate-entry rewrites such as huge-page split relinks and U/S widening).
+  // Monitor shootdown: drops every leaf entry whose cached PTE lives at `entry_pa`.
+  // If a walk cached since the last flush traversed `entry_pa` as an intermediate
+  // entry (a relink, huge-page split or U/S widening rewrote it), every translation
+  // under it may have changed, so it flushes the whole TLB, as x86 software does
+  // after changing a paging-structure entry.
   void ShootdownEntry(Paddr entry_pa);
 
  private:
@@ -133,7 +148,6 @@ class Tlb {
     Paddr root = 0;
     Vaddr region = 0;       // va >> 21 (2 MiB region covered by one level-1 table)
     Paddr l1_table = 0;     // base of the level-1 table
-    Paddr path_pa[kPagingLevels - 1] = {0, 0, 0};  // entry pas at levels 3, 2, 1
     bool inter_user = true;      // AND of U across levels 3..1
     bool inter_writable = true;  // AND of W across levels 3..1
     bool inter_nx = false;       // OR of NX across levels 3..1
@@ -148,10 +162,16 @@ class Tlb {
     bool overflow = false;
     uint16_t slot[kTagWays] = {};
   };
-  // Counting filter over the structure-cache path pas: most shootdowns target leaf
-  // PTEs that appear on no cached intermediate path, so the 128-entry scan is skipped
-  // unless the filter says a path might contain the address.
-  static constexpr size_t kStructureFilterBuckets = 4096;
+  // The intermediate entries (levels 3..1) traversed by every walk cached since the
+  // last FlushAll: an insert-only open-addressing set that FlushAll empties in O(1)
+  // (its slots are generation-stamped like the entries). It tells ShootdownEntry a
+  // rewritten intermediate entry, which changes every translation under it, from a
+  // leaf PTE. Kept at most half full; a walk that would fill it further flushes.
+  static constexpr size_t kPathSetSlots = 2048;
+  struct PathSlot {
+    uint64_t gen = 0;  // occupied only when gen == generation_
+    Paddr pa = 0;
+  };
 
   // Mixes the key bits so distinct (root, page, mode) triples spread across the
   // direct-mapped arrays; roots and pages are both 4 KiB-aligned.
@@ -172,8 +192,9 @@ class Tlb {
   void TagInsert(Paddr pa, size_t slot);
   void TagRemove(Paddr pa, size_t slot);
   void ClearLeafSlot(size_t slot);
-  void FilterAdd(const StructureEntry& se);
-  void FilterRemove(const StructureEntry& se);
+  // Adds the walk's intermediate entries at levels [lowest, 3] to the path set.
+  void NotePath(const WalkPath& path, int lowest);
+  bool PathSetContains(Paddr pa) const;
 
   static bool enabled_;  // EREBOR_TLB at startup, then SetEnabled
   static Stats stats_;
@@ -186,7 +207,8 @@ class Tlb {
   std::vector<Paddr> leaf_tags_;
   std::vector<TagBucket> tag_buckets_;
   std::vector<StructureEntry> structure_;
-  std::vector<uint16_t> structure_filter_;
+  std::vector<PathSlot> path_set_;
+  size_t path_set_size_ = 0;  // occupied slots in the current generation
 };
 
 // True when the old->new transition of a present PTE narrows what the translation

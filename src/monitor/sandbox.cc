@@ -641,10 +641,13 @@ Status SandboxManager::CopyFromSandbox(Cpu& cpu, Sandbox& sandbox, Vaddr va, uin
 
 Status SandboxManager::ValidateCommonMapping(Paddr root, FrameNum frame,
                                              bool writable) const {
-  // Find the sandbox owning this page-table root.
+  // Find the live sandbox owning this page-table root: a torn-down or quarantined
+  // one keeps its slot but owns nothing, and its root frame may be a new tenant's.
   const Sandbox* owner = nullptr;
   for (const auto& sandbox : sandboxes_) {
-    if (sandbox != nullptr && sandbox->aspace && sandbox->aspace->root() == root) {
+    if (sandbox != nullptr && sandbox->aspace && sandbox->aspace->root() == root &&
+        sandbox->state != SandboxState::kTornDown &&
+        sandbox->state != SandboxState::kQuarantined) {
       owner = sandbox.get();
       break;
     }

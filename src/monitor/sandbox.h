@@ -216,7 +216,8 @@ class SandboxManager {
   Status CopyFromSandbox(Cpu& cpu, Sandbox& sandbox, Vaddr va, uint8_t* out, uint64_t len);
 
   // Validates that a user mapping request (root, frame, writable) is a legitimate
-  // common-region mapping — the MmuPolicy hook.
+  // common-region mapping — the MmuPolicy hook. The owner is the live sandbox whose
+  // address space has that root: a torn-down or quarantined sandbox owns none.
   Status ValidateCommonMapping(Paddr root, FrameNum frame, bool writable) const;
 
   // The monitor's own PTE-writer state for one mapping call into `aspace`: every

@@ -401,6 +401,63 @@ TEST_F(SandboxTest, CommonRegionSharedReadOnlyAcrossSandboxes) {
   EXPECT_EQ(world_->monitor()->frame_table().CountType(FrameType::kSandboxCommon), 16u);
 }
 
+// The common-mapping owner is looked up among live sandboxes only: once torn
+// down, a sandbox's root owns no common frames, although its slot (and its list
+// of attached regions) stays in the table.
+TEST_F(SandboxTest, TornDownSandboxRootOwnsNoCommonFrames) {
+  Boot();
+  auto region = world_->monitor()->CreateCommonRegion("model", 4 * kPageSize);
+  ASSERT_TRUE(region.ok());
+  Sandbox* sandbox = Launch([](SyscallContext&) { return StepOutcome::kYield; });
+  ASSERT_NE(sandbox, nullptr);
+  Cpu& cpu = world_->machine().cpu(0);
+  ASSERT_TRUE(world_->monitor()
+                  ->AttachCommon(cpu, *sandbox, (*region)->id, kLibosCommonBase,
+                                 /*writable_until_seal=*/true)
+                  .ok());
+  SandboxManager& manager = world_->monitor()->sandboxes();
+  const Paddr root = sandbox->aspace->root();
+  const FrameNum frame = (*region)->first_frame;
+  EXPECT_TRUE(manager.ValidateCommonMapping(root, frame, true).ok());
+
+  ASSERT_TRUE(world_->monitor()->TeardownSandbox(cpu, *sandbox).ok());
+  ASSERT_FALSE(sandbox->attached_regions.empty());
+  EXPECT_EQ(manager.ValidateCommonMapping(root, frame, false).code(),
+            ErrorCode::kPermissionDenied);
+  EXPECT_EQ(manager.ValidateCommonMapping(root, frame, true).code(),
+            ErrorCode::kPermissionDenied);
+}
+
+// The proxy's fetch serves the lowest sandbox id with a wire queued, each
+// sandbox's wires in order, and nothing of a sandbox torn down meanwhile.
+TEST_F(SandboxTest, ProxyFetchServesQueuedSandboxesLowestIdFirst) {
+  Boot();
+  Sandbox* sb[3];
+  for (Sandbox*& sandbox : sb) {
+    sandbox = Launch([](SyscallContext&) { return StepOutcome::kYield; });
+    ASSERT_NE(sandbox, nullptr);
+  }
+  sb[2]->outbound_wire.push_back(Bytes{3});
+  sb[0]->outbound_wire.push_back(Bytes{1});
+  sb[1]->outbound_wire.push_back(Bytes{2});
+  sb[0]->outbound_wire.push_back(Bytes{4});
+  sb[0]->outbound_wire.push_front(Bytes{0});
+  Cpu& cpu = world_->machine().cpu(0);
+  ASSERT_TRUE(world_->monitor()->TeardownSandbox(cpu, *sb[1]).ok());
+
+  const std::pair<int, Bytes> expected[] = {
+      {sb[0]->id, Bytes{0}}, {sb[0]->id, Bytes{1}}, {sb[0]->id, Bytes{4}},
+      {sb[2]->id, Bytes{3}}};
+  for (const auto& [id, wire] : expected) {
+    int source = -1;
+    const auto fetched = world_->monitor()->ProxyFetch(cpu, &source);
+    ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
+    EXPECT_EQ(source, id);
+    EXPECT_EQ(*fetched, wire);
+  }
+  EXPECT_EQ(world_->monitor()->ProxyFetch(cpu).status().code(), ErrorCode::kNotFound);
+}
+
 TEST_F(SandboxTest, UintrDisabledAtSeal) {
   Boot();
   Cpu& cpu = world_->machine().cpu(0);

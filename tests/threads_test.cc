@@ -9,9 +9,11 @@
 // LockAudit rank discipline under real contention and exercises the cross-CPU
 // TLB invalidation queue directly. scripts/check.sh runs this binary twice:
 // once in the normal tree and once under -fsanitize=thread.
+#include <atomic>
 #include <cstring>
 #include <deque>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +24,8 @@
 #include "src/common/faultpoint.h"
 #include "src/common/metrics.h"
 #include "src/common/trace.h"
+#include "src/hw/tlb.h"
+#include "src/kernel/addrspace.h"
 #include "src/kernel/mmu_ring.h"
 #include "src/libos/libos.h"
 #include "src/monitor/monitor.h"
@@ -432,6 +436,134 @@ TEST(ThreadsTlbQueue, ConcurrentPostsAllDrain) {
   EXPECT_FALSE(machine.cpu(0).tlb_invalidations_pending());
   EXPECT_EQ(machine.cpu(0).tlb_invalidations_drained(),
             static_cast<uint64_t>(machine.num_cpus() - 1) * kPosts);
+}
+
+// Entries of roots that are not loaded survive CR3 writes, so a peer's invalidation
+// of such a root must reach them. Under real threads it only queues on the
+// receiving vCPU; the receiver's next CR3 write drains the queue, and from then on
+// every root it probes, loaded or not, matches a fresh walk. vCPU 0 mutates three
+// roots (demand faults, unmaps, revoking and granting protects, teardowns whose
+// root frame comes back as the replacement's PML4) while vCPU 1 caches all of
+// them; the two alternate in lockstep phases, so page-table stores and walks never
+// overlap and TSan sees only the queue itself shared.
+TEST(ThreadsTlbQueue, CrossRootCoherenceAfterQueuedPeerInvalidations) {
+  constexpr int kSpaces = 3;
+  constexpr int kPages = 16;
+  constexpr int kRounds = 60;
+  constexpr FrameNum kPoolFrames = 48;  // per space: a root, PTPs and data pages
+  const Pte flags = pte::kPresent | pte::kUser | pte::kWritable | pte::kNoExecute;
+  Machine machine(MachineConfig{.memory_frames = 1024, .num_cpus = 2});
+  NativePrivOps ops;
+  std::unique_ptr<FrameAllocator> pools[kSpaces];
+  std::unique_ptr<AddressSpace> spaces[kSpaces];
+  Vaddr base[kSpaces] = {};
+  // A fresh allocator over a fully released range hands the old root frame out
+  // again as the new PML4, at the same VMA addresses.
+  auto build = [&](int s, Cpu& cpu) {
+    spaces[s].reset();
+    pools[s] = std::make_unique<FrameAllocator>(256 + s * kPoolFrames, kPoolFrames);
+    spaces[s] = std::move(
+        AddressSpace::Create(cpu, &machine, &ops, pools[s].get(), nullptr).value());
+    base[s] = spaces[s]->CreateVma(kPages * kPageSize, flags, VmaKind::kAnon).value();
+  };
+  for (int s = 0; s < kSpaces; ++s) {
+    build(s, machine.cpu(0));
+  }
+
+  std::atomic<int> phase{0};
+  const auto await = [&phase](int value) {
+    while (phase.load() != value) {
+      std::this_thread::yield();
+    }
+  };
+  int reused_roots = 0;
+  int queued_rounds = 0;
+  int unloaded_probes = 0;
+  int mismatches = 0;
+  std::string first_mismatch;
+  {
+    ExecutionEngine::RealThreadsScope scope;
+    std::thread mutator([&] {
+      ExecutionEngine::CpuBinding bind(0);
+      Cpu& cpu = machine.cpu(0);
+      std::mt19937_64 rng(7);
+      for (int round = 0; round < kRounds; ++round) {
+        await(2 * round + 1);
+        for (int op = 0; op < 8; ++op) {
+          const int s = static_cast<int>(rng() % kSpaces);
+          AddressSpace& space = *spaces[s];
+          const Vaddr va = base[s] + (rng() % kPages) * kPageSize;
+          switch (rng() % 6) {
+            case 0:
+            case 1:
+              (void)space.HandleDemandFault(cpu, va);
+              break;
+            case 2:
+              (void)space.UnmapPage(cpu, va);
+              break;
+            case 3:
+              (void)space.ProtectPage(cpu, va, pte::kPresent | pte::kUser | pte::kNoExecute);
+              break;
+            case 4:
+              (void)space.ProtectPage(cpu, va, flags);
+              break;
+            case 5:
+              if (rng() % 4 == 0) {
+                const Paddr old_root = space.root();
+                space.ReleaseUserFrames(cpu);
+                build(s, cpu);
+                reused_roots += spaces[s]->root() == old_root ? 1 : 0;
+              }
+              break;
+          }
+        }
+        phase.store(2 * round + 2);
+      }
+    });
+    std::thread cacher([&] {
+      ExecutionEngine::CpuBinding bind(1);
+      Cpu& cpu = machine.cpu(1);
+      for (int round = 0; round < kRounds; ++round) {
+        await(2 * round);
+        if (round > 0) {
+          queued_rounds += cpu.tlb_invalidations_pending() ? 1 : 0;
+          cpu.TrustedWriteCr(3, spaces[round % kSpaces]->root());
+          for (int s = 0; s < kSpaces; ++s) {
+            unloaded_probes += spaces[s]->root() != cpu.cr3() ? kPages : 0;
+            for (int p = 0; p < kPages; ++p) {
+              const Vaddr va = base[s] + AddrOf(p);
+              const auto cached = spaces[s]->LookupCached(cpu, va);
+              const auto fresh = spaces[s]->Lookup(va);
+              const bool same =
+                  cached.ok() == fresh.ok() &&
+                  (!fresh.ok() || (cached->pa == fresh->pa &&
+                                   cached->writable == fresh->writable &&
+                                   cached->leaf == fresh->leaf));
+              if (!same && mismatches++ == 0) {
+                first_mismatch = "round " + std::to_string(round) + " space " +
+                                 std::to_string(s) + " page " + std::to_string(p);
+              }
+            }
+          }
+        } else {
+          for (int s = 0; s < kSpaces; ++s) {
+            for (int p = 0; p < kPages; ++p) {
+              (void)spaces[s]->LookupCached(cpu, base[s] + AddrOf(p));
+            }
+          }
+        }
+        // Leave one root loaded while vCPU 0 mutates all three.
+        cpu.TrustedWriteCr(3, spaces[(round + 1) % kSpaces]->root());
+        phase.store(2 * round + 1);
+      }
+    });
+    mutator.join();
+    cacher.join();
+  }
+  EXPECT_EQ(mismatches, 0) << "first stale entry: " << first_mismatch;
+  EXPECT_GT(queued_rounds, 0);
+  EXPECT_GT(reused_roots, 0);
+  EXPECT_GT(unloaded_probes, 0);
 }
 
 // ---- MMU rings under real threads ----

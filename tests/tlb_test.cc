@@ -2,8 +2,9 @@
 //
 // Three layers:
 //   1. Machine-level coherence: a cached translation must always agree with a fresh
-//      page-table walk under randomized map/unmap/protect/CR3-switch/revoke traffic
-//      across two vCPUs (the TLB is an optimization, never an oracle).
+//      page-table walk under randomized map/unmap/protect/CR3-switch/revoke/teardown
+//      traffic over three roots and two vCPUs, probing roots that are not loaded too
+//      (the TLB is an optimization, never an oracle).
 //   2. Stale-TLB security regressions: each invalidation hook (Tlb::hooks()) is
 //      disabled in turn, the mutation it guards is replayed, and the test asserts the
 //      TLB really does go stale — proving the shipped hook is load-bearing, not
@@ -13,12 +14,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <optional>
 #include <random>
 #include <sstream>
 #include <thread>
 
 #include "src/common/metrics.h"
+#include "src/fleet/supervisor.h"
 #include "src/hw/tlb.h"
 #include "src/kernel/addrspace.h"
 #include "src/kernel/kernel.h"
@@ -145,41 +148,65 @@ TEST_F(TlbMachineTest, CachedErrorTextMatchesFreshWalk) {
   EXPECT_EQ(cached.status().code(), fresh.status().code());
 }
 
+// CR3 writes keep the root-tagged entries, so entries of roots that are not loaded
+// live on across context switches. Three roots, each in its own frame range, take
+// demand faults, unmaps, revoking and granting protects (RO->RW: the case a flush at
+// CR3 used to heal), monitor-style revocations and teardowns whose root frame comes
+// straight back as the replacement's PML4; every vCPU probes every root, loaded or
+// not. The invalidations the stores issue are all that keeps the cache exact.
 TEST_F(TlbMachineTest, CoherencePropertyUnderRandomMmuTraffic) {
-  auto a = Create();
-  auto b = Create();
-  ASSERT_TRUE(a.ok() && b.ok());
-  AddressSpace* spaces[2] = {a->get(), b->get()};
+  constexpr int kSpaces = 3;
   constexpr int kPages = 24;
-  const Pte flags =
-      pte::kPresent | pte::kUser | pte::kWritable | pte::kNoExecute;
-  Vaddr base[2];
-  for (int s = 0; s < 2; ++s) {
+  constexpr FrameNum kPoolFrames = 64;  // per space: a root, PTPs and its data pages
+  const Pte flags = pte::kPresent | pte::kUser | pte::kWritable | pte::kNoExecute;
+  std::vector<std::unique_ptr<FrameAllocator>> pools(kSpaces);
+  std::unique_ptr<AddressSpace> spaces[kSpaces];
+  Vaddr base[kSpaces];
+  auto build = [&](int s) {
+    spaces[s].reset();
+    pools[s] = std::make_unique<FrameAllocator>(6144 + s * kPoolFrames, kPoolFrames);
+    auto space = AddressSpace::Create(machine_.cpu(0), &machine_, &ops_, pools[s].get(),
+                                      nullptr);
+    ASSERT_TRUE(space.ok());
+    spaces[s] = std::move(*space);
     const auto va = spaces[s]->CreateVma(kPages * kPageSize, flags, VmaKind::kAnon);
     ASSERT_TRUE(va.ok());
     base[s] = *va;
+  };
+  for (int s = 0; s < kSpaces; ++s) {
+    build(s);
+    ASSERT_FALSE(HasFatalFailure());
   }
 
   std::mt19937_64 rng(42);
-  for (int step = 0; step < 400; ++step) {
-    const int s = rng() & 1;
+  int reused_roots = 0;
+  int grants = 0;
+  int unloaded_probes = 0;
+  for (int step = 0; step < 1200; ++step) {
+    const int s = static_cast<int>(rng() % kSpaces);
     AddressSpace& space = *spaces[s];
     Cpu& cpu = machine_.cpu(rng() & 1);
     const Vaddr va = base[s] + (rng() % kPages) * kPageSize;
-    switch (rng() % 5) {
+    switch (rng() % 8) {
       case 0:
+      case 1:
         (void)space.HandleDemandFault(cpu, va);
         break;
-      case 1:
+      case 2:
         (void)space.UnmapPage(cpu, va);
         break;
-      case 2:
+      case 3:
         (void)space.ProtectPage(cpu, va, pte::kPresent | pte::kUser | pte::kNoExecute);
         break;
-      case 3:
+      case 4:
+        if (space.ProtectPage(cpu, va, flags).ok()) {
+          ++grants;
+        }
+        break;
+      case 5:
         ASSERT_TRUE(cpu.WriteCr3(space.root()).ok());
         break;
-      case 4: {
+      case 6: {
         // Monitor-style revocation: rewrite the leaf in place (permission narrowing
         // the kernel never invlpg'd) and rely on the shootdown broadcast alone.
         const auto walk = space.Lookup(va);
@@ -190,51 +217,44 @@ TEST_F(TlbMachineTest, CoherencePropertyUnderRandomMmuTraffic) {
         }
         break;
       }
+      case 7: {
+        // Teardown: every frame goes back, and a fresh allocator over the same range
+        // hands the old root frame out again as the replacement's PML4, at the same
+        // VMA addresses.
+        if (rng() % 4 != 0) {
+          break;
+        }
+        const Paddr old_root = space.root();
+        space.ReleaseUserFrames(cpu);
+        ASSERT_EQ(pools[s]->used(), 0u);
+        build(s);
+        ASSERT_FALSE(HasFatalFailure());
+        ASSERT_EQ(spaces[s]->root(), old_root);
+        ++reused_roots;
+        break;
+      }
     }
-    // Every op is followed by coherence probes on both vCPUs.
-    for (int probe = 0; probe < 3; ++probe) {
-      const int ps = rng() & 1;
-      const Vaddr pva = base[ps] + (rng() % kPages) * kPageSize;
-      ExpectCoherent(*spaces[ps], machine_.cpu(rng() & 1), pva);
-      if (HasFatalFailure()) {
-        return;
+    // Every op is followed by coherence probes on both vCPUs, of every root.
+    for (int c = 0; c < 2; ++c) {
+      Cpu& probe_cpu = machine_.cpu(c);
+      for (int ps = 0; ps < kSpaces; ++ps) {
+        const Vaddr pva = base[ps] + (rng() % kPages) * kPageSize;
+        if (spaces[ps]->root() != probe_cpu.cr3()) {
+          ++unloaded_probes;
+        }
+        ExpectCoherent(*spaces[ps], probe_cpu, pva);
+        if (HasFatalFailure()) {
+          return;
+        }
       }
     }
   }
+  EXPECT_GT(reused_roots, 0);
+  EXPECT_GT(grants, 0);
+  EXPECT_GT(unloaded_probes, 0);
 }
 
 // ---- Layer 2: each invalidation hook is load-bearing ----
-
-TEST_F(TlbMachineTest, Cr3FlushHookIsLoadBearing) {
-  const Vaddr va = 0x123456789000;
-  const Paddr root_a = BuildTree(7000, va, 7004);
-  const Paddr root_b = BuildTree(7010, va, 7014);
-  Cpu& cpu = machine_.cpu(0);
-  ASSERT_TRUE(cpu.WriteCr3(root_a).ok());
-
-  // Prime, then redirect the leaf with a raw store (hardware-invisible): only the
-  // CR3-write flush can bring the TLB back in sync.
-  ASSERT_EQ(cpu.WalkCached(root_a, va, CpuMode::kSupervisor)->pa, AddrOf(7004));
-  machine_.memory().Write64(
-      LeafPa(7000, va),
-      pte::Make(7005, pte::kPresent | pte::kWritable | pte::kNoExecute));
-  ASSERT_TRUE(cpu.WriteCr3(root_b).ok());
-  ASSERT_TRUE(cpu.WriteCr3(root_a).ok());
-  EXPECT_EQ(cpu.WalkCached(root_a, va, CpuMode::kSupervisor)->pa, AddrOf(7005))
-      << "context switch must flush the TLB";
-
-  // Same scenario with the hook disabled: the stale frame survives the switches.
-  Tlb::hooks().cr3_flush = false;
-  ASSERT_EQ(cpu.WalkCached(root_a, va, CpuMode::kSupervisor)->pa, AddrOf(7005));
-  machine_.memory().Write64(
-      LeafPa(7000, va),
-      pte::Make(7006, pte::kPresent | pte::kWritable | pte::kNoExecute));
-  ASSERT_TRUE(cpu.WriteCr3(root_b).ok());
-  ASSERT_TRUE(cpu.WriteCr3(root_a).ok());
-  EXPECT_EQ(cpu.WalkCached(root_a, va, CpuMode::kSupervisor)->pa, AddrOf(7005))
-      << "with cr3_flush disabled the stale translation must persist "
-         "(otherwise the hook is not what provides coherence)";
-}
 
 TEST_F(TlbMachineTest, InvlpgHookIsLoadBearing) {
   auto space = Create();
@@ -403,6 +423,168 @@ TEST_F(TlbWorldTest, PteShootdownHookIsLoadBearing) {
   EXPECT_GT(world_->monitor()->counters().tlb_shootdowns, 0u);
 }
 
+// CR3 writes keep the root-tagged entries (the PCID analogue): after A -> B -> A,
+// A's entry still hits with zero walker reads. What evicts an entry of a root that
+// is not loaded is the invalidation its PTE store issues: the kernel's unmap
+// (invlpg) and the monitor's shootdown on a revoking EmcWritePte.
+TEST_F(TlbWorldTest, Cr3SwitchKeepsRootTaggedEntries) {
+  Cpu& cpu = world_->machine().cpu(0);
+  const uint64_t saved_cr3 = cpu.cr3();
+  const Pte flags = pte::kPresent | pte::kUser | pte::kWritable | pte::kNoExecute;
+  std::unique_ptr<AddressSpace> spaces[2];
+  Vaddr base[2];
+  for (int s = 0; s < 2; ++s) {
+    auto space = AddressSpace::Create(cpu, &world_->machine(), &world_->privops(),
+                                      &world_->kernel().pool(), nullptr);
+    ASSERT_TRUE(space.ok());
+    spaces[s] = std::move(*space);
+    const auto va = spaces[s]->CreateVma(3 * kPageSize, flags, VmaKind::kAnon);
+    ASSERT_TRUE(va.ok());
+    base[s] = *va;
+    for (int p = 0; p < 3; ++p) {
+      ASSERT_TRUE(spaces[s]->HandleDemandFault(cpu, base[s] + AddrOf(p)).ok());
+    }
+  }
+  AddressSpace& a = *spaces[0];
+  AddressSpace& b = *spaces[1];
+  const auto cached = [&](Vaddr va) {
+    return cpu.tlb().ProbeLeaf(a.root(), va, CpuMode::kSupervisor) != nullptr;
+  };
+
+  // A -> B -> A: A's entry survives both switches and hits without a walker read.
+  cpu.TrustedWriteCr(3, a.root());
+  const auto primed = a.LookupCached(cpu, base[0]);
+  ASSERT_TRUE(primed.ok());
+  cpu.TrustedWriteCr(3, b.root());
+  ASSERT_TRUE(b.LookupCached(cpu, base[1]).ok());
+  cpu.TrustedWriteCr(3, a.root());
+  const uint64_t reads = PageTableWalkReads();
+  const uint64_t hits = Tlb::GlobalStats().hits;
+  const auto again = a.LookupCached(cpu, base[0]);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(PageTableWalkReads(), reads) << "the switch back to A must not re-walk";
+  EXPECT_EQ(Tlb::GlobalStats().hits, hits + 1);
+  EXPECT_EQ(again->pa, primed->pa);
+
+  // While B is loaded, a kernel unmap of A's page evicts A's entry through the
+  // kernel's invalidation (the monitor's is off here). With both off the entry
+  // survives: nothing else, the switches included, evicts it.
+  const Vaddr unmapped = base[0] + AddrOf(1);
+  const Vaddr kept = base[0] + AddrOf(2);
+  ASSERT_TRUE(a.LookupCached(cpu, unmapped).ok());
+  ASSERT_TRUE(a.LookupCached(cpu, kept).ok());
+  cpu.TrustedWriteCr(3, b.root());
+  Tlb::hooks().pte_shootdown = false;
+  Tlb::hooks().invlpg = false;
+  ASSERT_TRUE(a.UnmapPage(cpu, kept).ok());
+  cpu.TrustedWriteCr(3, a.root());
+  cpu.TrustedWriteCr(3, b.root());
+  EXPECT_TRUE(cached(kept)) << "with every invalidation disabled the entry must survive";
+  Tlb::hooks().invlpg = true;
+  ASSERT_TRUE(a.UnmapPage(cpu, unmapped).ok());
+  EXPECT_FALSE(cached(unmapped));
+  EXPECT_FALSE(a.LookupCached(cpu, unmapped).ok());
+  Tlb::hooks().pte_shootdown = true;
+  cpu.tlb().FlushRoot(a.root());  // drop the deliberately-staled entry
+
+  // While B is loaded, a revoking EmcWritePte (W strip) on A's page evicts A's
+  // entry through the monitor's shootdown alone.
+  ASSERT_TRUE(a.LookupCached(cpu, base[0]).ok());
+  cpu.TrustedWriteCr(3, b.root());
+  ASSERT_TRUE(cached(base[0]));
+  const auto leaf = a.Lookup(base[0]);
+  ASSERT_TRUE(leaf.ok());
+  ASSERT_TRUE(world_->privops()
+                  .WritePte(cpu, leaf->leaf_entry_pa, leaf->leaf & ~pte::kWritable)
+                  .ok());
+  EXPECT_FALSE(cached(base[0]));
+  const auto revoked = a.LookupCached(cpu, base[0]);
+  ASSERT_TRUE(revoked.ok());
+  EXPECT_FALSE(revoked->writable);
+
+  cpu.TrustedWriteCr(3, saved_cr3);
+  for (auto& space : spaces) {
+    space->ReleaseUserFrames(cpu);
+  }
+}
+
+// A rewrite of a present intermediate entry changes every translation under it, so
+// its by-PA shootdown must drop the leaf entries below it, not only the structure
+// paths through it. Two hostile-kernel rewrites of a primed leaf's PDE: a relink to
+// another level-0 table through EmcWritePte, and a huge-page write the monitor
+// splits. Each happens while another root is loaded, so only the shootdown can
+// evict the leaf that the switch back would find.
+TEST_F(TlbWorldTest, IntermediateRewritesEvictTheLeavesBelow) {
+  const Vaddr va = 0x5A5A5A5A5000;
+  auto tree = BuildEmcTree(va);
+  ASSERT_TRUE(tree.ok());
+  Machine& machine = world_->machine();
+  PhysMemory& memory = machine.memory();
+  PrivilegedOps& priv = world_->privops();
+  FrameAllocator& pool = world_->kernel().pool();
+  Cpu& cpu = machine.cpu(0);
+  const uint64_t other_root = cpu.cr3();
+  WalkPath path;
+  ASSERT_TRUE(WalkPageTables(memory, tree->root, va, &path).ok());
+  const Paddr pde = path.entry_pa[1];
+
+  // Loads the tree's root on cpu, primes its leaf and switches away.
+  const auto prime = [&] {
+    cpu.TrustedWriteCr(3, tree->root);
+    ASSERT_TRUE(cpu.WalkCached(tree->root, va, CpuMode::kSupervisor).ok());
+    ASSERT_NE(cpu.tlb().ProbeLeaf(tree->root, va, CpuMode::kSupervisor), nullptr);
+    cpu.TrustedWriteCr(3, other_root);
+  };
+  // Switches back and compares the cached walk with a fresh one.
+  const auto expect_coherent = [&](Paddr expected_pa) {
+    cpu.TrustedWriteCr(3, tree->root);
+    const auto cached = cpu.WalkCached(tree->root, va, CpuMode::kSupervisor);
+    const auto fresh = WalkPageTables(memory, tree->root, va);
+    cpu.TrustedWriteCr(3, other_root);
+    ASSERT_EQ(cached.ok(), fresh.ok()) << "the TLB kept a leaf below a rewritten PDE";
+    if (fresh.ok()) {
+      EXPECT_EQ(cached->pa, fresh->pa);
+      EXPECT_EQ(cached->leaf_entry_pa, fresh->leaf_entry_pa);
+      EXPECT_EQ(fresh->pa, expected_pa);
+    }
+  };
+
+  // Relink: the PDE now points at an empty level-0 table, so the page is gone
+  // until a leaf is stored there (a store into a non-present slot).
+  prime();
+  ASSERT_FALSE(HasFatalFailure());
+  const auto table = pool.Alloc();
+  ASSERT_TRUE(table.ok());
+  ASSERT_TRUE(priv.RegisterPtp(cpu, *table, tree->root).ok());
+  ASSERT_TRUE(priv.WritePte(cpu, pde, pte::Make(*table, pte::kPresent | pte::kWritable))
+                  .ok());
+  expect_coherent(0);
+  ASSERT_FALSE(HasFatalFailure());
+  const auto data = pool.Alloc();
+  ASSERT_TRUE(data.ok());
+  ASSERT_TRUE(priv.WritePte(cpu, AddrOf(*table) + PteIndex(va, 0) * 8,
+                            pte::Make(*data, pte::kPresent | pte::kWritable |
+                                                 pte::kNoExecute))
+                  .ok());
+  expect_coherent(AddrOf(*data));
+  ASSERT_FALSE(HasFatalFailure());
+
+  // Huge-page write over the present PDE: the monitor links a fresh level-0 table
+  // mapping the 2 MiB range 4 KiB-wise in place of the relinked one.
+  prime();
+  ASSERT_FALSE(HasFatalFailure());
+  const auto range = pool.AllocContiguous(1024);
+  ASSERT_TRUE(range.ok());
+  const FrameNum huge = (*range + 511) & ~0x1FFULL;
+  const uint64_t splits = world_->monitor()->counters().huge_splits;
+  ASSERT_TRUE(priv.WritePte(cpu, pde,
+                            pte::Make(huge, pte::kPresent | pte::kWritable |
+                                                pte::kNoExecute | pte::kPageSize))
+                  .ok());
+  ASSERT_EQ(world_->monitor()->counters().huge_splits, splits + 1);
+  expect_coherent(AddrOf(huge + PteIndex(va, 0)));
+}
+
 TEST_F(TlbWorldTest, RetrofitShootdownHookIsLoadBearing) {
   Cpu& cpu = world_->machine().cpu(0);
   FrameAllocator& pool = world_->kernel().pool();
@@ -461,9 +643,8 @@ TEST_F(TlbWorldTest, FlushOnExitHookIsLoadBearing) {
   world_->kernel().Run(20);
   ASSERT_TRUE(InstallClientData(*world_, **sandbox, ToBytes("x")).ok());
 
-  // Synthetic root, raw tables: nothing but a whole-TLB flush can evict it. CR3
-  // flushes would also do that, so disable them to isolate the exit flush.
-  Tlb::hooks().cr3_flush = false;
+  // Synthetic root, raw tables: nothing but a whole-TLB flush can evict it (CR3
+  // writes keep the root-tagged entries).
   const Vaddr va = 0x6A6A6A6000;
   PhysMemory& m = world_->machine().memory();
   const FrameNum base = 40 * 1024;  // above the kernel pool
@@ -729,6 +910,70 @@ TEST(TlbCycleNeutralityTest, PaperAppsAreBitIdenticalOffAndOn) {
     EXPECT_EQ(off.emc_total, on.emc_total) << name;
     EXPECT_EQ(off.output, on.output) << name;
   }
+}
+
+// A counter struct of uint64_t fields as a word list, so a mismatch prints both.
+template <typename T>
+std::vector<uint64_t> Words(const T& value) {
+  static_assert(sizeof(T) % sizeof(uint64_t) == 0);
+  std::vector<uint64_t> words(sizeof(T) / sizeof(uint64_t));
+  std::memcpy(words.data(), &value, sizeof(T));
+  return words;
+}
+
+// The serve shape at a small size: fleet vCPUs switch between tenant sandboxes on
+// every request, so much of what the TLB serves are entries kept across CR3
+// writes. Off and on must agree on every simulated number.
+TEST(TlbCycleNeutralityTest, ServingFleetIsBitIdenticalOffAndOn) {
+  TlbStateGuard guard;
+  struct Run {
+    std::vector<uint64_t> tenant_latency;  // per tenant: count, sum, max (ns)
+    std::vector<uint64_t> cpu_cycles;
+    std::vector<uint64_t> monitor;
+    std::vector<uint64_t> kernel;
+    uint64_t fingerprint = 0;
+  };
+  const auto serve = [](bool tlb) {
+    Tlb::SetEnabled(tlb);
+    FleetConfig config;
+    config.num_vcpus = 4;
+    config.num_tenants = 4;
+    config.standby_pool = 1;
+    config.requests_per_tenant = 1;  // one round per RunServing call
+    config.payload_bytes = 256;
+    FleetSupervisor fleet(config);
+    Run run;
+    EXPECT_TRUE(fleet.Start().ok());
+    for (int call = 0; call < 6; ++call) {
+      EXPECT_TRUE(fleet.RunServing().ok());
+    }
+    const FleetReport report = fleet.Report();
+    EXPECT_TRUE(report.ok) << report.error;
+    EXPECT_EQ(report.total_served, 24u);
+    for (int t = 0; t < config.num_tenants; ++t) {
+      const LatencyHistogram& h = *MetricsRegistry::Global().GetLatencyHistogram(
+          "serving.latency.tenant" + std::to_string(t), 2'000, 4096);
+      run.tenant_latency.insert(run.tenant_latency.end(), {h.count(), h.sum(), h.max()});
+    }
+    World& world = fleet.world();
+    for (int c = 0; c < world.machine().num_cpus(); ++c) {
+      run.cpu_cycles.push_back(world.machine().cpu(c).cycles().now());
+    }
+    run.monitor = Words(world.monitor()->counters());
+    run.kernel = Words(world.kernel().stats());
+    run.fingerprint = report.fingerprint;
+    return run;
+  };
+  const uint64_t hits = Tlb::GlobalStats().hits;
+  const Run off = serve(false);
+  EXPECT_EQ(Tlb::GlobalStats().hits, hits);
+  const Run on = serve(true);
+  EXPECT_GT(Tlb::GlobalStats().hits, hits);
+  EXPECT_EQ(off.tenant_latency, on.tenant_latency);
+  EXPECT_EQ(off.cpu_cycles, on.cpu_cycles);
+  EXPECT_EQ(off.monitor, on.monitor);
+  EXPECT_EQ(off.kernel, on.kernel);
+  EXPECT_EQ(off.fingerprint, on.fingerprint);
 }
 
 // ---- Hit path vs full path: every access check, every counter ----
@@ -1169,9 +1414,9 @@ TEST_F(TlbHitPathTest, StaleCursorMatchesPagePtrAfterEachStateChange) {
 
 // Every change to what the TLB's leaf probe returns — a fill that evicts the
 // cursor's page and each invalidation primitive — makes the next cursor access
-// re-walk exactly as PagePtr would: no hit, one walk. A CR3 switch that flushes
-// nothing (hook off) leaves the TLB intact; the cursor must still follow the new
-// root and fail as PagePtr does.
+// re-walk exactly as PagePtr would: no hit, one walk. A CR3 switch leaves the
+// root-tagged TLB intact; the cursor must still follow the new root and fail as
+// PagePtr does.
 TEST_F(TlbHitPathTest, TlbChangesForceTheCursorToRewalk) {
   constexpr Vaddr kAliasBase = 0x80000000;
   AccessCase c = ShapeCase(2);  // supervisor read/write page
@@ -1222,7 +1467,6 @@ TEST_F(TlbHitPathTest, TlbChangesForceTheCursorToRewalk) {
     EXPECT_EQ(after.misses + after.psc_hits - before.misses - before.psc_hits, 1u) << name;
   }
 
-  Tlb::hooks().cr3_flush = false;
   const Paddr empty_root = AddrOf(next_ptp_++);  // never written: maps nothing
   {
     PageCursor pages(ctx_);
