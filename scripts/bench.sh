@@ -25,7 +25,7 @@ BUILD_DIR="${1:-build}"
 OUT_DIR="${2:-bench_out}"
 
 cmake -B "$BUILD_DIR" -S .
-cmake --build "$BUILD_DIR" -j
+cmake --build "$BUILD_DIR" -j "$(nproc)"
 
 mkdir -p "$OUT_DIR"
 export EREBOR_BENCH_JSON="$OUT_DIR"

@@ -16,18 +16,18 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
 
 cmake -B "$BUILD_DIR" -S .
-cmake --build "$BUILD_DIR" -j
+cmake --build "$BUILD_DIR" -j "$(nproc)"
 # Fast signal first: the tier-1 suite, then the real-thread oracle-equivalence
 # tests, then the long-running chaos soaks.
-(cd "$BUILD_DIR" && ctest --output-on-failure -j -L tier1)
-(cd "$BUILD_DIR" && ctest --output-on-failure -j -L threads)
+(cd "$BUILD_DIR" && ctest --output-on-failure -j "$(nproc)" -L tier1)
+(cd "$BUILD_DIR" && ctest --output-on-failure -j "$(nproc)" -L threads)
 # Fleet-serving soak: hostile tenants interleaved with benign load on both
 # execution engines, with containment and journal-replay assertions.
-(cd "$BUILD_DIR" && ctest --output-on-failure -j -L serving)
+(cd "$BUILD_DIR" && ctest --output-on-failure -j "$(nproc)" -L serving)
 # Fleet-churn soak: warm-clone-pool serving with quarantine-and-replace under
 # the chaos engine, plus the pool-mode engine-equivalence oracle.
-(cd "$BUILD_DIR" && ctest --output-on-failure -j -L churn)
-(cd "$BUILD_DIR" && ctest --output-on-failure -j -L chaos)
+(cd "$BUILD_DIR" && ctest --output-on-failure -j "$(nproc)" -L churn)
+(cd "$BUILD_DIR" && ctest --output-on-failure -j "$(nproc)" -L chaos)
 
 # Sanitizer pass: the whole suite again with AddressSanitizer + UBSan. The chaos
 # tests drive every injected-fault recovery path, which is exactly where lifetime
@@ -35,8 +35,8 @@ cmake --build "$BUILD_DIR" -j
 if [[ "${EREBOR_SKIP_SANITIZE:-0}" != "1" ]]; then
   ASAN_DIR="${BUILD_DIR}-asan"
   cmake -B "$ASAN_DIR" -S . -DEREBOR_SANITIZE=ON
-  cmake --build "$ASAN_DIR" -j
-  (cd "$ASAN_DIR" && ctest --output-on-failure -j)
+  cmake --build "$ASAN_DIR" -j "$(nproc)"
+  (cd "$ASAN_DIR" && ctest --output-on-failure -j "$(nproc)")
 
   # ThreadSanitizer pass over the real-thread engine tests. Only threads_test,
   # fleet_test and churn_test are built and run here (TSan slows everything
@@ -47,7 +47,7 @@ if [[ "${EREBOR_SKIP_SANITIZE:-0}" != "1" ]]; then
   # same threaded path with the warm-clone pool on.
   TSAN_DIR="${BUILD_DIR}-tsan"
   cmake -B "$TSAN_DIR" -S . -DEREBOR_SANITIZE=tsan
-  cmake --build "$TSAN_DIR" -j --target threads_test fleet_test churn_test
+  cmake --build "$TSAN_DIR" -j "$(nproc)" --target threads_test fleet_test churn_test
   "$TSAN_DIR/tests/threads_test"
   "$TSAN_DIR/tests/fleet_test"
   "$TSAN_DIR/tests/churn_test"

@@ -36,12 +36,11 @@ void Cpu::StoreMsr(uint32_t index, uint64_t value) {
 
 void Cpu::SwitchTlbRoot() {
   // No flush: TLB entries are tagged by root (the PCID analogue), and every PTE
-  // store already pairs with an invalidation keyed by (root, va), by entry pa or
-  // by root, so entries of the roots not loaded stay exact. The switch takes this
-  // CPU's queued peer invalidations instead, so a root switched back in never
-  // serves an entry a peer invalidated while another root was loaded. The
-  // kTlbFlush trace event marks the CR3 write for the per-phase summaries; nothing
-  // here charges cycles.
+  // store already pairs with an invalidation keyed by entry pa or by root, so
+  // entries of the roots not loaded stay exact. The switch takes this CPU's queued
+  // peer invalidations instead, so a root switched back in never serves an entry a
+  // peer invalidated while another root was loaded. The kTlbFlush trace event marks
+  // the CR3 write for the per-phase summaries; nothing here charges cycles.
   Tracer::Global().Record(TraceEvent::kTlbFlush, index_, cycles_.now());
   DrainTlbInvalidations();
 }
@@ -50,20 +49,9 @@ StatusOr<WalkResult> Cpu::WalkCached(Paddr root, Vaddr va, CpuMode mode) {
   return tlb_.WalkCached(*memory_, root, va, mode);
 }
 
-void Cpu::InvlpgBroadcast(Paddr root, Vaddr va) {
+void Cpu::RecordInvlpg(Vaddr va) {
   Tracer::Global().Record(TraceEvent::kTlbInvlpg, index_, cycles_.now(), -1, va);
   CounterAdd(Tlb::GlobalStats().invlpg);
-  if (!Tlb::Enabled() || !Tlb::hooks().invlpg) {
-    return;
-  }
-  const TlbInvalidation inv{TlbInvalidation::Kind::kPage, root, va, 0};
-  if (tlb_peers_.empty()) {
-    ApplyTlbInvalidation(inv);
-    return;
-  }
-  for (Cpu* peer : tlb_peers_) {
-    peer->RequestTlbInvalidation(inv);
-  }
 }
 
 void Cpu::RequestTlbInvalidation(const TlbInvalidation& inv) {
@@ -99,9 +87,6 @@ void Cpu::DrainTlbInvalidations() {
 
 void Cpu::ApplyTlbInvalidation(const TlbInvalidation& inv) {
   switch (inv.kind) {
-    case TlbInvalidation::Kind::kPage:
-      tlb_.InvalidatePage(inv.root, inv.va);
-      break;
     case TlbInvalidation::Kind::kRoot:
       tlb_.FlushRoot(inv.root);
       break;

@@ -94,14 +94,12 @@ using FaultHandler = std::function<void(Cpu&, const Fault&)>;
 // IPI-based shootdown where the handler runs at the next interruptible point.
 struct TlbInvalidation {
   enum class Kind : uint8_t {
-    kPage,   // invlpg: (root, va)
     kRoot,   // address-space teardown: all entries under root
     kAll,    // full flush
-    kEntry,  // monitor shootdown by leaf-PTE physical address
+    kEntry,  // shootdown by PTE physical address
   };
-  Kind kind = Kind::kPage;
+  Kind kind = Kind::kAll;
   Paddr root = 0;
-  Vaddr va = 0;
   Paddr entry_pa = 0;
 };
 
@@ -267,15 +265,12 @@ class Cpu {
   // Walk with this CPU's TLB (no permission checks; what TranslateAs and the
   // kernel/monitor lookup helpers use instead of a raw WalkPageTables).
   StatusOr<WalkResult> WalkCached(Paddr root, Vaddr va, CpuMode mode);
-  // Machine wires every CPU (including this one) so invlpg-style invalidations can
-  // broadcast without a Machine back-pointer. Empty peers = invalidate locally only.
-  void SetTlbPeers(std::vector<Cpu*> peers) { tlb_peers_ = std::move(peers); }
-  // Kernel-initiated single-page invalidation (PrivilegedOps::InvlPg): invlpg is
-  // ring-0 but not in the paper's sensitive set, so the deprivileged kernel runs it
-  // directly in both worlds. Records a trace event; charges no cycles (the cost is
-  // already folded into the page-op cycle constants). Under real threads, peer
-  // invalidations are posted to each peer's pending queue instead of applied.
-  void InvlpgBroadcast(Paddr root, Vaddr va);
+  // Records the kernel's invlpg after an unmap/protect of `va` (invlpg is ring-0 but
+  // not in the paper's sensitive set, so the deprivileged kernel runs it directly in
+  // both worlds): a trace event and the tlb.invlpg counter, no cycles (the cost is
+  // folded into the page-op cycle constants). The host cache needs nothing here: the
+  // kernel's PTE writer already shot down every present entry the call rewrote.
+  void RecordInvlpg(Vaddr va);
 
   // ---- Cross-CPU TLB invalidation queue (real-thread engine) ----
   // Applies `inv` to this CPU's TLB right now, or queues it when a *peer* thread
@@ -339,7 +334,6 @@ class Cpu {
   uint64_t pkrs_ = 0;                   // IA32_PKRS
   uint64_t s_cet_ = 0;                  // IA32_S_CET
   Tlb tlb_;
-  std::vector<Cpu*> tlb_peers_;
   // Pending cross-CPU invalidations (posted by peers under the real-thread
   // engine; drained by this CPU's own thread at gate boundaries).
   std::mutex tlb_queue_mu_;

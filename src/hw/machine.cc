@@ -13,22 +13,13 @@ Machine::Machine(const MachineConfig& config)
   for (int i = 0; i < config.num_cpus; ++i) {
     cpus_.push_back(std::make_unique<Cpu>(i, &memory_, &registry_, &config_.cycles));
   }
-  // Every CPU sees every TLB (its own included) so kernel invlpg broadcasts reach
-  // all cores without a Machine back-pointer in Cpu.
-  std::vector<Cpu*> peers;
-  for (auto& cpu : cpus_) {
-    peers.push_back(cpu.get());
-  }
-  for (auto& cpu : cpus_) {
-    cpu->SetTlbPeers(peers);
-  }
 }
 
 void Machine::FlushAllTlbs() {
   if (!Tlb::Enabled()) {
     return;  // the caches are empty; skip the per-CPU scans
   }
-  const TlbInvalidation inv{TlbInvalidation::Kind::kAll, 0, 0, 0};
+  const TlbInvalidation inv{TlbInvalidation::Kind::kAll, 0, 0};
   for (auto& cpu : cpus_) {
     cpu->RequestTlbInvalidation(inv);
   }
@@ -38,7 +29,7 @@ void Machine::FlushTlbRoot(Paddr root) {
   if (!Tlb::Enabled()) {
     return;
   }
-  const TlbInvalidation inv{TlbInvalidation::Kind::kRoot, root, 0, 0};
+  const TlbInvalidation inv{TlbInvalidation::Kind::kRoot, root, 0};
   for (auto& cpu : cpus_) {
     cpu->RequestTlbInvalidation(inv);
   }
@@ -54,7 +45,7 @@ void Machine::ShootdownTlbLeaf(Paddr entry_pa, int initiating_cpu) {
   if (!Tlb::Enabled()) {
     return;
   }
-  const TlbInvalidation inv{TlbInvalidation::Kind::kEntry, 0, 0, entry_pa};
+  const TlbInvalidation inv{TlbInvalidation::Kind::kEntry, 0, entry_pa};
   for (auto& cpu : cpus_) {
     cpu->RequestTlbInvalidation(inv);
   }

@@ -9,24 +9,6 @@ uint64_t& PageTableWalkReads() {
   return reads;
 }
 
-namespace {
-// Static failure messages: demand paging takes the non-present path constantly, so the
-// reason must not be assembled with std::to_string/concatenation per fault. Text is
-// identical to the historical "non-present PTE at level N" output.
-const char* NonPresentMessage(int level) {
-  switch (level) {
-    case 0:
-      return "non-present PTE at level 0";
-    case 1:
-      return "non-present PTE at level 1";
-    case 2:
-      return "non-present PTE at level 2";
-    default:
-      return "non-present PTE at level 3";
-  }
-}
-}  // namespace
-
 StatusOr<WalkResult> WalkPageTables(const PhysMemory& memory, Paddr root, Vaddr va) {
   return WalkPageTables(memory, root, va, nullptr);
 }
@@ -53,7 +35,7 @@ StatusOr<WalkResult> WalkPageTables(const PhysMemory& memory, Paddr root, Vaddr 
       }
     }
     if (!pte::Present(entry)) {
-      return NotFoundError(NonPresentMessage(level));
+      return NotFoundError(kPteNotPresent);
     }
     result.user_accessible = result.user_accessible && pte::User(entry);
     result.writable = result.writable && pte::Writable(entry);

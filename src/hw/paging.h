@@ -103,8 +103,13 @@ struct WalkPath {
   bool inter_nx = false;
 };
 
+// The message of every non-present walk failure (full walks and the TLB's
+// structure-cache leaf reads alike). It fits the small-string buffer, so demand-fault
+// probes, which take this path constantly, allocate nothing.
+inline constexpr char kPteNotPresent[] = "PTE not present";
+
 // Walks the tables rooted at `root` (physical address of the PML4 frame). Returns
-// kNotFound if a level is non-present, with the failing level in the message.
+// kNotFound with kPteNotPresent if a level is non-present.
 StatusOr<WalkResult> WalkPageTables(const PhysMemory& memory, Paddr root, Vaddr va);
 StatusOr<WalkResult> WalkPageTables(const PhysMemory& memory, Paddr root, Vaddr va,
                                     WalkPath* path);

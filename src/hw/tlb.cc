@@ -66,13 +66,13 @@ StatusOr<WalkResult> Tlb::WalkCached(const PhysMemory& memory, Paddr root, Vaddr
   if (se.valid && se.gen == generation_ && se.root == root && se.region == (va >> 21)) {
     // One leaf read instead of a four-level descent. The structure entry is only
     // created from a walk that reached a level-0 table, so a non-present leaf here
-    // fails exactly like the full walk: at level 0.
+    // fails exactly like the full walk would.
     CounterAdd(GlobalStats().psc_hits);
     const Paddr slot = se.l1_table + PteIndex(va, 0) * sizeof(Pte);
     const Pte entry = memory.Read64(slot);
     CounterAdd(PageTableWalkReads());
     if (!pte::Present(entry)) {
-      return NotFoundError("non-present PTE at level 0");
+      return NotFoundError(kPteNotPresent);
     }
     WalkResult result;
     result.leaf = entry;
@@ -220,17 +220,6 @@ void Tlb::FlushRoot(Paddr root) {
   }
 }
 
-void Tlb::InvalidatePage(Paddr root, Vaddr va) {
-  const Vaddr va_page = va & ~kPageMask;
-  for (CpuMode mode : {CpuMode::kSupervisor, CpuMode::kUser}) {
-    const size_t index = LeafIndex(root, va, mode);
-    LeafEntry& le = leaf_[index];
-    if (le.valid && le.root == root && le.va_page == va_page && le.mode == mode) {
-      ClearLeafSlot(index);
-    }
-  }
-}
-
 void Tlb::ShootdownEntry(Paddr entry_pa) {
   if (entry_pa == 0) {
     return;  // 0 doubles as the "empty" tag
@@ -255,39 +244,6 @@ void Tlb::ShootdownEntry(Paddr entry_pa) {
   if (PathSetContains(entry_pa)) {
     FlushAll();
   }
-}
-
-bool PteRevokesPermissions(Pte old_value, Pte new_value) {
-  if (!pte::Present(old_value)) {
-    return false;
-  }
-  if (!pte::Present(new_value)) {
-    return true;
-  }
-  if ((old_value & pte::kFrameMask) != (new_value & pte::kFrameMask)) {
-    return true;
-  }
-  if (pte::Writable(old_value) && !pte::Writable(new_value)) {
-    return true;
-  }
-  if (pte::User(old_value) != pte::User(new_value)) {
-    return true;
-  }
-  if (!pte::NoExecute(old_value) && pte::NoExecute(new_value)) {
-    return true;
-  }
-  if (pte::Pkey(old_value) != pte::Pkey(new_value)) {
-    return true;
-  }
-  // A keyID change (TME-MK, bits 52..62; superset of the pkey field) changes
-  // what an access through a cached translation does — treat as a revocation.
-  if (pte::KeyId(old_value) != pte::KeyId(new_value)) {
-    return true;
-  }
-  if (pte::IsShadowStack(old_value) != pte::IsShadowStack(new_value)) {
-    return true;
-  }
-  return false;
 }
 
 }  // namespace erebor

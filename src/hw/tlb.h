@@ -12,14 +12,12 @@
 // Entries are tagged by root, so, like PCID-tagged hardware entries, they survive
 // CR3 writes: a context switch back to a root finds its entries still cached. The
 // cache stays equal to WalkPageTables because every PTE store pairs with one of
-// three invalidations, all broadcast to every CPU whatever root it has loaded:
-//   - the kernel's invlpg, keyed by (root, va), on unmap/protect
-//     (PrivilegedOps::InvlPg via AddressSpace), plus the kernel writer's
-//     by-entry-pa shootdown of every rewrite of a present entry;
-//   - the monitor's shootdown, keyed by entry physical address across all roots,
-//     on every present-entry rewrite through EmcWritePte and ring PTE descriptors,
-//     on RetrofitKey, and on the trusted sandbox-manager PTE writes (confinement
-//     unmaps, seal-time W strips);
+// two invalidations, both broadcast to every CPU whatever root it has loaded:
+//   - a shootdown keyed by entry physical address across all roots, on every
+//     rewrite of a present entry: by the kernel's PTE writer (AddressSpace, for
+//     its unmaps, protects and intermediate U/S widenings) and by the monitor
+//     (EmcWritePte, ring PTE descriptors, RetrofitKey and the trusted
+//     sandbox-manager PTE stores);
 //   - FlushRoot when an address space is released (AddressSpace::ReleaseUserFrames):
 //     its root frame may come back as a new PML4, whose keys must start empty.
 // Stores into non-present slots need none: failed walks are never cached. A by-pa
@@ -60,7 +58,8 @@ class Tlb {
     uint64_t flushes = 0;     // whole-TLB flushes (flush_on_exit, untrusted PKRS/S_CET
                               // WRMSR, shootdown of a cached intermediate entry;
                               // CR3 writes keep the root-tagged entries)
-    uint64_t invlpg = 0;      // single-page invalidations
+    uint64_t invlpg = 0;      // kernel invlpgs recorded (the simulated instruction;
+                              // the host cache relies on the by-pa shootdowns)
     uint64_t shootdowns = 0;  // by-leaf-entry-pa shootdowns
   };
 
@@ -69,7 +68,7 @@ class Tlb {
   // production; never disable outside tests. A CR3 write has no hook: it keeps the
   // root-tagged entries, so nothing depends on it for coherence.
   struct Hooks {
-    bool invlpg = true;              // kernel-side unmap/protect invalidation
+    bool kernel_shootdown = true;    // kernel PTE writer's by-pa shootdown
     bool pte_shootdown = true;       // monitor EmcWritePte/ring PTEs + trusted writes
     bool retrofit_shootdown = true;  // MmuPolicy::RetrofitKey
     bool flush_on_exit = true;       // sandbox-exit mitigation flush
@@ -103,8 +102,8 @@ class Tlb {
   }
 
   // Advances on every change to what ProbeLeaf can return: each leaf fill, each
-  // cleared leaf slot (InvalidatePage, FlushRoot and ShootdownEntry clear through
-  // one helper) and each FlushAll. Part of Cpu::access_epoch().
+  // cleared leaf slot (FlushRoot and ShootdownEntry clear through one helper) and
+  // each FlushAll. Part of Cpu::access_epoch().
   uint64_t epoch() const { return epoch_; }
 
   // The cached walk: leaf probe, then structure-cache-assisted leaf read, then a
@@ -119,10 +118,7 @@ class Tlb {
   // Drops every entry keyed by `root` (address-space teardown: the root frame may be
   // recycled as a new PML4, so its keys must die with it).
   void FlushRoot(Paddr root);
-  // invlpg: drops the leaf entry for (root, page of va). Structure-cache entries
-  // survive — a leaf-level change never alters the intermediate levels.
-  void InvalidatePage(Paddr root, Vaddr va);
-  // Monitor shootdown: drops every leaf entry whose cached PTE lives at `entry_pa`.
+  // By-pa shootdown: drops every leaf entry whose cached PTE lives at `entry_pa`.
   // If a walk cached since the last flush traversed `entry_pa` as an intermediate
   // entry (a relink, huge-page split or U/S widening rewrote it), every translation
   // under it may have changed, so it flushes the whole TLB, as x86 software does
@@ -210,13 +206,6 @@ class Tlb {
   std::vector<PathSlot> path_set_;
   size_t path_set_size_ = 0;  // occupied slots in the current generation
 };
-
-// True when the old->new transition of a present PTE narrows what the translation
-// allows (frame change, P cleared, W cleared, U changed, NX set, pkey change,
-// shadow-stack encoding change). Grant-only changes still invalidate conservatively
-// at the mutation sites; this predicate identifies the security-critical subset the
-// monitor must shoot down even for a kernel that skips its own invlpg.
-bool PteRevokesPermissions(Pte old_value, Pte new_value);
 
 // Deferred shootdown coalescing for batched MMU updates: the monitor's ring
 // drain collects the leaf-entry addresses that need invalidation across a whole

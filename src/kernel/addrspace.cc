@@ -39,11 +39,12 @@ Status AddressSpace::KernelWriter::operator()(Paddr entry_pa, Pte value) const {
   }
   const Pte old = space_->machine_->memory().Read64(entry_pa);
   EREBOR_RETURN_IF_ERROR(space_->ops_->WritePte(cpu_, entry_pa, value));
-  // Kernel-side TLB maintenance: rewriting a previously present entry (remap,
-  // U/S widening of an intermediate, unmap, protect) invalidates any cached
-  // translation that depends on it. MapRange's leaf writes skip this writer
-  // but only ever target non-present slots.
-  if (Tlb::hooks().invlpg && pte::Present(old) && old != value) {
+  // Kernel-side TLB maintenance (UnmapPage/ProtectPage's invlpg only records the
+  // instruction): rewriting a previously present entry (remap, U/S widening of an
+  // intermediate, unmap, protect) shoots down every cached translation that
+  // depends on it, in every root and on every vCPU. MapRange's leaf writes skip
+  // this writer but only ever target non-present slots.
+  if (Tlb::hooks().kernel_shootdown && pte::Present(old) && old != value) {
     space_->machine_->ShootdownTlbLeaf(entry_pa, cpu_.index());
   }
   return OkStatus();
@@ -255,7 +256,7 @@ Status AddressSpace::PopulateVma(Cpu& cpu, Vaddr start) {
 Status AddressSpace::UnmapPage(Cpu& cpu, Vaddr va) {
   const KernelWriter kernel(this, cpu);
   EREBOR_RETURN_IF_ERROR(erebor::UnmapPage(machine_->memory(), root_, va, kernel.writer()));
-  ops_->InvlPg(cpu, root_, va);
+  cpu.RecordInvlpg(va);
   return OkStatus();
 }
 
@@ -263,7 +264,7 @@ Status AddressSpace::ProtectPage(Cpu& cpu, Vaddr va, Pte flags) {
   const KernelWriter kernel(this, cpu);
   EREBOR_RETURN_IF_ERROR(
       erebor::ProtectPage(machine_->memory(), root_, va, flags, kernel.writer()));
-  ops_->InvlPg(cpu, root_, va);
+  cpu.RecordInvlpg(va);
   return OkStatus();
 }
 
@@ -303,7 +304,7 @@ StatusOr<Vaddr> AddressSpace::CreateVma(uint64_t len, Pte flags, VmaKind kind, V
 Status AddressSpace::DestroyVmaRing(Cpu& cpu, EmcRing* ring, const Vma& vma) {
   // Zero every mapped leaf through the ring; the monitor defers the shootdown
   // for each present-entry rewrite and flushes the coalesced set once per
-  // drain, replacing the per-page InvlPg of the synchronous path.
+  // drain, replacing the per-store shootdowns of the synchronous path.
   MmuRingBatch batch(ring);
   for (Vaddr va = vma.start; va < vma.end; va += kPageSize) {
     const auto walk = LookupCached(cpu, va);

@@ -2,16 +2,10 @@
 
 namespace erebor {
 
-void PrivilegedOps::InvlPg(Cpu& cpu, Paddr root, Vaddr va) {
-  // No cycle charge: invlpg cost is already folded into the page-op cycle constants,
-  // and the software TLB must stay cycle-neutral.
-  cpu.InvlpgBroadcast(root, va);
-}
-
 Status NativePrivOps::WritePte(Cpu& cpu, Paddr entry_pa, Pte value) {
   // native_set_pte: a plain store into the page-table page. Deliberately no TLB
-  // shootdown here — hardware does not snoop PTE stores; coherence is the kernel's
-  // job via InvlPg (which is what the stale-TLB tests rely on).
+  // shootdown here — hardware does not snoop PTE stores; the kernel's PTE writer
+  // (AddressSpace) shoots down every present entry it rewrites.
   cpu.cycles().Charge(cpu.costs().native_pte_write);
   cpu.memory().Write64(entry_pa, value);
   return OkStatus();

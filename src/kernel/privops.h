@@ -21,10 +21,6 @@ class PrivilegedOps {
 
   // Page-table entry store (native_set_pte / EMC.WritePte).
   virtual Status WritePte(Cpu& cpu, Paddr entry_pa, Pte value) = 0;
-  // Single-page TLB invalidation after unmap/protect. invlpg is privileged but not
-  // in the paper's sensitive set (Table 2), so both backends execute it directly on
-  // the vCPUs — no EMC round trip. Overridable so tests can interpose.
-  virtual void InvlPg(Cpu& cpu, Paddr root, Vaddr va);
   // Declares a freshly allocated frame as a page-table page rooted at `root_pa` (the
   // monitor re-types the frame and write-protects it with the PTP protection key).
   virtual Status RegisterPtp(Cpu& cpu, FrameNum frame, Paddr root_pa) = 0;

@@ -263,9 +263,8 @@ void EreborMonitor::NoteDenial(Cpu& cpu) {
 
 void EreborMonitor::ShootdownAfterPteWrite(Cpu& cpu, Paddr entry_pa, Pte old_value,
                                            Pte new_value) {
-  // Conservative predicate: any change to a previously present entry. The security-
-  // critical subset is PteRevokesPermissions(), but grant-only rewrites are also
-  // invalidated so cached WalkResults never diverge from the tables.
+  // Any change to a previously present entry, grant-only rewrites included, so
+  // cached WalkResults never diverge from the tables.
   if (!pte::Present(old_value) || old_value == new_value) {
     return;
   }

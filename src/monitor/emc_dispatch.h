@@ -55,8 +55,7 @@ struct MonitorCounters {
 };
 
 // One value per EMC entry point. The first ten mirror the PrivilegedOps
-// virtuals (InvlPg is deliberately absent: it is a non-EMC hint the kernel may
-// issue directly); the last three are the monitor's own gated surfaces.
+// virtuals; the last three are the monitor's own gated surfaces.
 enum class EmcOp : uint8_t {
   kWritePte,
   kRegisterPtp,

@@ -42,8 +42,10 @@ Status SandboxManager::TrustedWriter::operator()(Paddr entry_pa, Pte value) cons
   cpu_.cycles().Charge(cpu_.costs().monitor_pte_op);
   manager_->policy_->NoteTrustedLink(entry_pa, value);
   manager_->policy_->NoteLeafWrite(old, value, entry_pa);
-  // Trusted mapping into a live address space can rewrite present entries (e.g.
-  // U/S-widening an intermediate); cached walks through them must die.
+  // A rewrite of a present entry (an unmap, a W strip, U/S-widening an
+  // intermediate) must reach every cached translation through it before the
+  // caller goes on: single mapping and W revocation are only real once no CPU
+  // can still hit the old translation.
   if (Tlb::hooks().pte_shootdown && pte::Present(old) && old != value) {
     manager_->machine_->ShootdownTlbLeaf(entry_pa, cpu_.index());
   }
@@ -103,20 +105,14 @@ Status SandboxManager::UnmapFromDirectMap(Cpu& cpu, FrameNum first, uint64_t cou
   // Single-mapping enforcement: once a frame is confined, the kernel's direct-map view
   // disappears. (The walk may legitimately fail if the direct map never covered it.)
   AddressSpace& kas = kernel_->kernel_aspace();
+  const TrustedWriter trusted(this, cpu, kas);
   for (uint64_t i = 0; i < count; ++i) {
     const Vaddr dm_va = layout::DirectMap(AddrOf(first + i));
     const auto walk = kas.Lookup(dm_va);
     if (!walk.ok()) {
       continue;
     }
-    const Pte old = machine_->memory().Read64(walk->leaf_entry_pa);
-    machine_->memory().Write64(walk->leaf_entry_pa, 0);
-    cpu.cycles().Charge(cpu.costs().monitor_pte_op);
-    policy_->NoteLeafWrite(old, 0, walk->leaf_entry_pa);
-    // Single-mapping is only real if no CPU can still hit the direct-map translation.
-    if (Tlb::hooks().pte_shootdown && pte::Present(old)) {
-      machine_->ShootdownTlbLeaf(walk->leaf_entry_pa, cpu.index());
-    }
+    EREBOR_RETURN_IF_ERROR(trusted(walk->leaf_entry_pa, 0));
   }
   return OkStatus();
 }
@@ -177,7 +173,10 @@ Status SandboxManager::SnapshotTemplate(Cpu& cpu, Sandbox& sandbox) {
   }
   // Freeze every confined mapping read-only and untagged, recording the layout
   // for clones. Confined VMAs are physically contiguous (DeclareConfined uses
-  // AllocContiguous), so one (va, first, count) triple per VMA suffices.
+  // AllocContiguous), so one (va, first, count) triple per VMA suffices. The W
+  // revocation reaches cached translations before any clone shares the frame, or
+  // the template itself could keep scribbling on it.
+  const TrustedWriter trusted(this, cpu, *sandbox.aspace);
   for (const auto& [start, vma] : sandbox.aspace->vmas()) {
     if (vma.kind != VmaKind::kConfined) {
       continue;
@@ -190,14 +189,8 @@ Status SandboxManager::SnapshotTemplate(Cpu& cpu, Sandbox& sandbox) {
       if (va == vma.start) {
         range.first = FrameOf(walk.pa);
       }
-      const Pte updated = isolation_->WithTag(walk.leaf & ~pte::kWritable, 0);
-      machine_->memory().Write64(walk.leaf_entry_pa, updated);
-      cpu.cycles().Charge(cpu.costs().monitor_pte_op);
-      // W revocation must reach cached translations before any clone shares
-      // the frame, or the template itself could keep scribbling on it.
-      if (Tlb::hooks().pte_shootdown && updated != walk.leaf) {
-        machine_->ShootdownTlbLeaf(walk.leaf_entry_pa, cpu.index());
-      }
+      EREBOR_RETURN_IF_ERROR(trusted(walk.leaf_entry_pa,
+                                     isolation_->WithTag(walk.leaf & ~pte::kWritable, 0)));
     }
     Vma* mutable_vma = sandbox.aspace->FindVma(start);
     mutable_vma->flags &= ~pte::kWritable;
@@ -420,6 +413,7 @@ Status SandboxManager::Seal(Cpu& cpu, Sandbox& sandbox) {
     EREBOR_RETURN_IF_ERROR(ActivateClone(cpu, sandbox));
   }
   // Revoke write permission on any common pages already mapped.
+  const TrustedWriter trusted(this, cpu, *sandbox.aspace);
   for (const auto& [start, vma] : sandbox.aspace->vmas()) {
     if (vma.kind != VmaKind::kCommon) {
       continue;
@@ -429,13 +423,7 @@ Status SandboxManager::Seal(Cpu& cpu, Sandbox& sandbox) {
       if (!walk.ok()) {
         continue;
       }
-      const Pte updated = walk->leaf & ~pte::kWritable;
-      machine_->memory().Write64(walk->leaf_entry_pa, updated);
-      cpu.cycles().Charge(cpu.costs().monitor_pte_op);
-      // Seal-time W revocation on common pages must reach cached translations too.
-      if (Tlb::hooks().pte_shootdown && updated != walk->leaf) {
-        machine_->ShootdownTlbLeaf(walk->leaf_entry_pa, cpu.index());
-      }
+      EREBOR_RETURN_IF_ERROR(trusted(walk->leaf_entry_pa, walk->leaf & ~pte::kWritable));
     }
     // Future demand-mappings of this VMA must be read-only too.
     Vma* mutable_vma = sandbox.aspace->FindVma(start);
@@ -475,6 +463,7 @@ Status SandboxManager::Teardown(Cpu& cpu, Sandbox& sandbox) {
         confined_starts.push_back(start);
       }
     }
+    const TrustedWriter trusted(this, cpu, *sandbox.aspace);
     for (const Vaddr start : confined_starts) {
       const Vma* vma = sandbox.aspace->FindVma(start);
       for (Vaddr va = vma->start; va < vma->end; va += kPageSize) {
@@ -482,13 +471,7 @@ Status SandboxManager::Teardown(Cpu& cpu, Sandbox& sandbox) {
         if (!walk.ok()) {
           continue;
         }
-        const Pte old = machine_->memory().Read64(walk->leaf_entry_pa);
-        machine_->memory().Write64(walk->leaf_entry_pa, 0);
-        cpu.cycles().Charge(cpu.costs().monitor_pte_op);
-        policy_->NoteLeafWrite(old, 0, walk->leaf_entry_pa);
-        if (Tlb::hooks().pte_shootdown && pte::Present(old)) {
-          machine_->ShootdownTlbLeaf(walk->leaf_entry_pa, cpu.index());
-        }
+        EREBOR_RETURN_IF_ERROR(trusted(walk->leaf_entry_pa, 0));
       }
     }
   }

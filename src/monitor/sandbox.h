@@ -221,8 +221,9 @@ class SandboxManager {
   Status ValidateCommonMapping(Paddr root, FrameNum frame, bool writable) const;
 
   // The monitor's own PTE-writer state for one mapping call into `aspace`: every
-  // trusted sandbox mapping (confined pre-population, clone layout, CoW break)
-  // goes through it. It lives in the caller's frame; writer() hands out
+  // PTE store of the sandbox manager goes through it (confined pre-population and
+  // teardown unmaps, direct-map unmaps, template and seal-time W strips, clone
+  // layout, CoW break). It lives in the caller's frame; writer() hands out
   // non-owning references to it.
   class TrustedWriter {
    public:

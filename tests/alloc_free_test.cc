@@ -111,6 +111,22 @@ TEST_F(AllocFreeTest, MapFrameIntoExistingLeafTableAllocatesNothing) {
   EXPECT_EQ(pte::Frame(walk->leaf), frame_);
 }
 
+TEST_F(AllocFreeTest, WalkOfUnmappedPageInBuiltRegionAllocatesNothing) {
+  // A demand-fault probe: the page's leaf table exists, its slot is empty. The
+  // cached walk takes the structure-cache leaf read after its first call; the
+  // plain walk reaches the empty slot the long way.
+  AddressSpace& aspace = world_->kernel().kernel_aspace();
+  const Vaddr va = layout::DirectMap(AddrOf(frame_));
+  ASSERT_TRUE(aspace.UnmapPage(cpu(), va).ok());
+  bool failed = true;
+  const uint64_t allocations = SteadyStateAllocations([&] {
+    failed &= !aspace.LookupCached(cpu(), va).ok();
+    failed &= !aspace.Lookup(va).ok();
+  });
+  EXPECT_TRUE(failed);
+  EXPECT_EQ(allocations, 0u);
+}
+
 TEST_F(AllocFreeTest, TrustedSandboxMapPageAllocatesNothing) {
   SandboxSpec spec;
   spec.name = "alloc-free";

@@ -42,9 +42,7 @@ namespace {
 
 // ---- 1. Completeness ----
 
-// PrivilegedOps' virtuals in declaration order (src/kernel/privops.h). InvlPg
-// is deliberately absent: it is not in the paper's Table-2 sensitive set and
-// executes directly on the vCPU, no EMC.
+// PrivilegedOps' virtuals in declaration order (src/kernel/privops.h).
 const std::vector<std::string>& PrivOpsVirtualRows() {
   static const std::vector<std::string> rows = {
       "write_pte", "register_ptp", "write_cr",       "write_msr",

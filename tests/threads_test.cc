@@ -384,8 +384,7 @@ TEST(ThreadsTlbQueue, CrossCpuPostQueuesUntilDrain) {
   peer.RequestTlbInvalidation(
       TlbInvalidation{.kind = TlbInvalidation::Kind::kAll});
   peer.RequestTlbInvalidation(
-      TlbInvalidation{.kind = TlbInvalidation::Kind::kPage, .root = 0x1000,
-                      .va = 0x2000});
+      TlbInvalidation{.kind = TlbInvalidation::Kind::kEntry, .entry_pa = 0x2000});
   EXPECT_TRUE(peer.tlb_invalidations_pending());
   EXPECT_EQ(peer.tlb_invalidations_drained(), 0u);
 
@@ -422,9 +421,8 @@ TEST(ThreadsTlbQueue, ConcurrentPostsAllDrain) {
         ExecutionEngine::CpuBinding binding(cpu);
         for (int i = 0; i < kPosts; ++i) {
           machine.cpu(0).RequestTlbInvalidation(TlbInvalidation{
-              .kind = TlbInvalidation::Kind::kPage,
-              .root = 0x1000,
-              .va = static_cast<Vaddr>(i) * 0x1000});
+              .kind = TlbInvalidation::Kind::kEntry,
+              .entry_pa = 0x1000 + static_cast<Paddr>(i) * sizeof(Pte)});
         }
       });
     }

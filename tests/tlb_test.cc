@@ -208,7 +208,7 @@ TEST_F(TlbMachineTest, CoherencePropertyUnderRandomMmuTraffic) {
         break;
       case 6: {
         // Monitor-style revocation: rewrite the leaf in place (permission narrowing
-        // the kernel never invlpg'd) and rely on the shootdown broadcast alone.
+        // the kernel's writer never saw) and rely on the shootdown broadcast alone.
         const auto walk = space.Lookup(va);
         if (walk.ok()) {
           machine_.memory().Write64(walk->leaf_entry_pa,
@@ -256,7 +256,7 @@ TEST_F(TlbMachineTest, CoherencePropertyUnderRandomMmuTraffic) {
 
 // ---- Layer 2: each invalidation hook is load-bearing ----
 
-TEST_F(TlbMachineTest, InvlpgHookIsLoadBearing) {
+TEST_F(TlbMachineTest, KernelShootdownHookIsLoadBearing) {
   auto space = Create();
   ASSERT_TRUE(space.ok());
   const Pte flags = pte::kPresent | pte::kUser | pte::kWritable | pte::kNoExecute;
@@ -265,19 +265,20 @@ TEST_F(TlbMachineTest, InvlpgHookIsLoadBearing) {
   Cpu& cpu0 = machine_.cpu(0);
   Cpu& cpu1 = machine_.cpu(1);
 
-  // A buggy/hostile kernel path that skips invlpg: unmap with the hook disabled.
+  // A buggy/hostile kernel path that skips its TLB maintenance: unmap with the
+  // kernel writer's shootdown disabled.
   ASSERT_TRUE((*space)->HandleDemandFault(cpu0, *va).ok());
   ASSERT_TRUE((*space)->LookupCached(cpu0, *va).ok());
   ASSERT_TRUE((*space)->LookupCached(cpu1, *va).ok());
-  Tlb::hooks().invlpg = false;
+  Tlb::hooks().kernel_shootdown = false;
   ASSERT_TRUE((*space)->UnmapPage(cpu0, *va).ok());
   ASSERT_FALSE((*space)->Lookup(*va).ok());
   EXPECT_TRUE((*space)->LookupCached(cpu0, *va).ok())
-      << "without invlpg the unmapped translation must stay cached";
+      << "without the shootdown the unmapped translation must stay cached";
   EXPECT_TRUE((*space)->LookupCached(cpu1, *va).ok());
 
-  // Shipped behaviour: the unmap broadcast invalidates every vCPU.
-  Tlb::hooks().invlpg = true;
+  // Shipped behaviour: the unmap's shootdown invalidates every vCPU.
+  Tlb::hooks().kernel_shootdown = true;
   machine_.FlushAllTlbs();  // drop the deliberately-staled entries
   ASSERT_TRUE((*space)->HandleDemandFault(cpu0, *va).ok());
   ASSERT_TRUE((*space)->LookupCached(cpu0, *va).ok());
@@ -285,7 +286,7 @@ TEST_F(TlbMachineTest, InvlpgHookIsLoadBearing) {
   ASSERT_TRUE((*space)->UnmapPage(cpu0, *va).ok());
   EXPECT_FALSE((*space)->LookupCached(cpu0, *va).ok());
   EXPECT_FALSE((*space)->LookupCached(cpu1, *va).ok())
-      << "invlpg must broadcast to all vCPUs";
+      << "the shootdown must broadcast to all vCPUs";
 }
 
 // Under the real-thread engine a peer's shootdown only queues on the owner: until
@@ -400,7 +401,8 @@ TEST_F(TlbWorldTest, PteShootdownHookIsLoadBearing) {
   Cpu& cpu = world_->machine().cpu(0);
 
   // Malicious-kernel scenario: revoke a mapping straight through EmcWritePte,
-  // skipping the kernel's own invlpg. Only the monitor's shootdown protects the TLB.
+  // skipping the kernel writer's shootdown. Only the monitor's shootdown protects
+  // the TLB.
   ASSERT_EQ(cpu.WalkCached(tree->root, va, CpuMode::kSupervisor)->pa,
             AddrOf(tree->data));
   Tlb::hooks().pte_shootdown = false;
@@ -425,8 +427,8 @@ TEST_F(TlbWorldTest, PteShootdownHookIsLoadBearing) {
 
 // CR3 writes keep the root-tagged entries (the PCID analogue): after A -> B -> A,
 // A's entry still hits with zero walker reads. What evicts an entry of a root that
-// is not loaded is the invalidation its PTE store issues: the kernel's unmap
-// (invlpg) and the monitor's shootdown on a revoking EmcWritePte.
+// is not loaded is the invalidation its PTE store issues: the kernel writer's
+// shootdown on an unmap and the monitor's on a revoking EmcWritePte.
 TEST_F(TlbWorldTest, Cr3SwitchKeepsRootTaggedEntries) {
   Cpu& cpu = world_->machine().cpu(0);
   const uint64_t saved_cr3 = cpu.cr3();
@@ -475,12 +477,12 @@ TEST_F(TlbWorldTest, Cr3SwitchKeepsRootTaggedEntries) {
   ASSERT_TRUE(a.LookupCached(cpu, kept).ok());
   cpu.TrustedWriteCr(3, b.root());
   Tlb::hooks().pte_shootdown = false;
-  Tlb::hooks().invlpg = false;
+  Tlb::hooks().kernel_shootdown = false;
   ASSERT_TRUE(a.UnmapPage(cpu, kept).ok());
   cpu.TrustedWriteCr(3, a.root());
   cpu.TrustedWriteCr(3, b.root());
   EXPECT_TRUE(cached(kept)) << "with every invalidation disabled the entry must survive";
-  Tlb::hooks().invlpg = true;
+  Tlb::hooks().kernel_shootdown = true;
   ASSERT_TRUE(a.UnmapPage(cpu, unmapped).ok());
   EXPECT_FALSE(cached(unmapped));
   EXPECT_FALSE(a.LookupCached(cpu, unmapped).ok());
@@ -710,10 +712,10 @@ struct InputIoctlOutcome {
 // primes that TLB entry) and issues the ioctl; the page holding the request then
 // moves on the other vCPU, and the sandbox issues the same ioctl again, as the
 // LibOS does when it polls. Three cases: a request straddling two resident
-// pages; a kernel remap of the page to a new frame (invlpg), whose copy of the
-// request is the one the second ioctl must read; and a monitor PTE revocation
-// (shootdown), after which the second ioctl must fail exactly as a fresh walk
-// does. Returns both outcomes of each case; `primed` reports whether the vCPU's
+// pages; a kernel remap of the page to a new frame (the kernel writer's
+// shootdown), whose copy of the request is the one the second ioctl must read;
+// and a monitor PTE revocation (the monitor's shootdown), after which the second
+// ioctl must fail exactly as a fresh walk does. Returns both outcomes of each case; `primed` reports whether the vCPU's
 // TLB held the request page after the write and again just before the move.
 std::vector<InputIoctlOutcome> RunMovedRequestCases(bool tlb_enabled, bool* primed) {
   TlbStateGuard guard;
@@ -799,10 +801,10 @@ std::vector<InputIoctlOutcome> RunMovedRequestCases(bool tlb_enabled, bool* prim
   EXPECT_TRUE(session.Send(ToBytes("first input")).ok());
   run_case(req_pages + kPageSize - 8, request(dst, 4096), [](Cpu&, AddressSpace&) {});
 
-  // Kernel remap: the primed page is unmapped (invlpg) and a new frame holding a
-  // different request is mapped at the same VA. The primed copy asks for a
-  // zero-byte buffer, so the first ioctl fails with kOutOfRange, and so would the
-  // second one if it read the old page.
+  // Kernel remap: the primed page is unmapped (the kernel writer's shootdown) and a
+  // new frame holding a different request is mapped at the same VA. The primed
+  // copy asks for a zero-byte buffer, so the first ioctl fails with kOutOfRange,
+  // and so would the second one if it read the old page.
   EXPECT_TRUE(session.Send(ToBytes("second input")).ok());
   const Vaddr remapped = req_pages + 2 * kPageSize + 0x100;
   run_case(remapped, request(dst, 0), [&](Cpu& cpu, AddressSpace& aspace) {
@@ -818,8 +820,8 @@ std::vector<InputIoctlOutcome> RunMovedRequestCases(bool tlb_enabled, bool* prim
     ASSERT_TRUE(aspace.MapFrame(cpu, page, *frame, kAnonFlags).ok());
   });
 
-  // Monitor revocation: the kernel clears the leaf through EmcWritePte without
-  // an invlpg, so only the monitor's shootdown evicts the primed entry. No input
+  // Monitor revocation: the kernel clears the leaf through EmcWritePte outside its
+  // writer, so only the monitor's shootdown evicts the primed entry. No input
   // is queued, so the first ioctl reads the request and returns EAGAIN.
   Status fresh_walk;
   const Vaddr revoked = req_pages + kPageSize + 0x200;
@@ -1445,7 +1447,6 @@ TEST_F(TlbHitPathTest, TlbChangesForceTheCursorToRewalk) {
        [&] { ASSERT_TRUE(cpu_.WalkCached(cpu_.cr3(), evictor, CpuMode::kSupervisor).ok()); }},
       {"FlushAll", [&] { cpu_.tlb().FlushAll(); }},
       {"FlushRoot", [&] { cpu_.tlb().FlushRoot(cpu_.cr3()); }},
-      {"InvalidatePage", [&] { cpu_.tlb().InvalidatePage(cpu_.cr3(), va); }},
       {"ShootdownEntry", [&] { cpu_.tlb().ShootdownEntry(leaf->leaf_entry_pa); }},
   };
   for (const auto& [name, change] : changes) {
@@ -1523,21 +1524,6 @@ TEST_F(TlbHitPathTest, CursorCachesNothingWithTheTlbOff) {
   }
   EXPECT_EQ(PageTableWalkReads() - reads, 4 * reads_per_walk);
   EXPECT_EQ(Tlb::GlobalStats().hits, hits);
-}
-
-// ---- PteRevokesPermissions classification ----
-
-TEST(PteRevokesPermissionsTest, ClassifiesTransitions) {
-  const Pte rw = pte::Make(100, pte::kPresent | pte::kWritable);
-  EXPECT_FALSE(PteRevokesPermissions(0, rw));              // fresh map
-  EXPECT_FALSE(PteRevokesPermissions(rw, rw));             // no change
-  EXPECT_TRUE(PteRevokesPermissions(rw, 0));               // unmap
-  EXPECT_TRUE(PteRevokesPermissions(rw, rw & ~pte::kWritable));
-  EXPECT_TRUE(PteRevokesPermissions(rw, pte::Make(101, pte::kPresent | pte::kWritable)));
-  EXPECT_TRUE(PteRevokesPermissions(rw, rw | pte::kUser));
-  EXPECT_TRUE(PteRevokesPermissions(rw, rw | pte::kNoExecute));
-  EXPECT_TRUE(PteRevokesPermissions(rw, pte::WithPkey(rw, layout::kPtpKey)));
-  EXPECT_FALSE(PteRevokesPermissions(rw, rw | pte::kAccessed));  // grant/no-op bits
 }
 
 }  // namespace
