@@ -42,9 +42,10 @@ class Machine {
   // Drop all entries keyed by `root` on every CPU (address-space teardown, where the
   // root frame may be recycled). Always on — not a test-toggleable hook.
   void FlushTlbRoot(Paddr root);
-  // Monitor/kernel shootdown by leaf-PTE physical address across every CPU.
-  // `initiating_cpu` only attributes the trace event.
-  void ShootdownTlbLeaf(Paddr entry_pa, int initiating_cpu = 0);
+  // Shootdown by PTE physical address across every CPU, issued by the code that
+  // stored the entry. `initiating_cpu` (the storing vCPU) only attributes the trace
+  // event.
+  void ShootdownTlbLeaf(Paddr entry_pa, int initiating_cpu);
 
  private:
   MachineConfig config_;

@@ -14,10 +14,11 @@
 // cache stays equal to WalkPageTables because every PTE store pairs with one of
 // two invalidations, both broadcast to every CPU whatever root it has loaded:
 //   - a shootdown keyed by entry physical address across all roots, on every
-//     rewrite of a present entry: by the kernel's PTE writer (AddressSpace, for
-//     its unmaps, protects and intermediate U/S widenings) and by the monitor
-//     (EmcWritePte, ring PTE descriptors, RetrofitKey and the trusted
-//     sandbox-manager PTE stores);
+//     rewrite of a present entry, issued by whoever makes the store: the native
+//     kernel's NativePrivOps::WritePte, or under Erebor the monitor's
+//     MmuPolicy::StorePte, through which EmcWritePte, ring PTE descriptors,
+//     huge-page relinks, RetrofitTag and the sandbox manager's trusted stores all
+//     write;
 //   - FlushRoot when an address space is released (AddressSpace::ReleaseUserFrames):
 //     its root frame may come back as a new PML4, whose keys must start empty.
 // Stores into non-present slots need none: failed walks are never cached. A by-pa
@@ -26,9 +27,9 @@
 // splits are covered by the same broadcast (DESIGN.md, "Software TLB"). The other
 // whole-TLB flushes are where the machine really flushes: the flush_on_exit
 // mitigation and an untrusted IA32_PKRS/IA32_S_CET WRMSR. A CR3 write drains the
-// CPU's queued peer invalidations (real-thread engine) instead of flushing. Each
-// invalidation hook has a test-only disable toggle so the stale-TLB security tests
-// can show it is load-bearing.
+// CPU's queued peer invalidations (real-thread engine) instead of flushing. The
+// store shootdown and the exit flush each have a test-only disable toggle so the
+// stale-TLB security tests can show they are load-bearing.
 #ifndef EREBOR_SRC_HW_TLB_H_
 #define EREBOR_SRC_HW_TLB_H_
 
@@ -68,10 +69,8 @@ class Tlb {
   // production; never disable outside tests. A CR3 write has no hook: it keeps the
   // root-tagged entries, so nothing depends on it for coherence.
   struct Hooks {
-    bool kernel_shootdown = true;    // kernel PTE writer's by-pa shootdown
-    bool pte_shootdown = true;       // monitor EmcWritePte/ring PTEs + trusted writes
-    bool retrofit_shootdown = true;  // MmuPolicy::RetrofitKey
-    bool flush_on_exit = true;       // sandbox-exit mitigation flush
+    bool store_shootdown = true;  // by-pa shootdown of a PTE store's rewritten entry
+    bool flush_on_exit = true;    // sandbox-exit mitigation flush
   };
 
   Tlb();

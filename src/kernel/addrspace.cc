@@ -21,7 +21,8 @@ class AddressSpace::KernelWriter {
  public:
   KernelWriter(AddressSpace* space, Cpu& cpu, int* pte_writes = nullptr)
       : space_(space), cpu_(cpu), pte_writes_(pte_writes) {}
-  // write_pte: one PrivilegedOps::WritePte plus kernel-side TLB maintenance.
+  // write_pte: counts the store and forwards it to PrivilegedOps::WritePte, whose
+  // backend invalidates what it stores.
   Status operator()(Paddr entry_pa, Pte value) const;
   // alloc_ptp: allocate, zero and register an intermediate page-table page.
   StatusOr<FrameNum> operator()() const;
@@ -37,17 +38,7 @@ Status AddressSpace::KernelWriter::operator()(Paddr entry_pa, Pte value) const {
   if (pte_writes_ != nullptr) {
     ++*pte_writes_;
   }
-  const Pte old = space_->machine_->memory().Read64(entry_pa);
-  EREBOR_RETURN_IF_ERROR(space_->ops_->WritePte(cpu_, entry_pa, value));
-  // Kernel-side TLB maintenance (UnmapPage/ProtectPage's invlpg only records the
-  // instruction): rewriting a previously present entry (remap, U/S widening of an
-  // intermediate, unmap, protect) shoots down every cached translation that
-  // depends on it, in every root and on every vCPU. MapRange's leaf writes skip
-  // this writer but only ever target non-present slots.
-  if (Tlb::hooks().kernel_shootdown && pte::Present(old) && old != value) {
-    space_->machine_->ShootdownTlbLeaf(entry_pa, cpu_.index());
-  }
-  return OkStatus();
+  return space_->ops_->WritePte(cpu_, entry_pa, value);
 }
 
 StatusOr<FrameNum> AddressSpace::KernelWriter::operator()() const {

@@ -36,7 +36,6 @@ enum class RingOp : uint8_t {
   kNop = 0,
   kWritePte,      // arg0 = entry_pa, arg1 = value
   kPteSpan,       // header; count payload slots follow, each (entry_pa, value)
-  kTlbShootdown,  // arg0 = leaf entry_pa (coalesced across the drained window)
   kRegisterPtp,   // arg0 = frame, arg1 = root_pa
   kFrameReclaim,  // arg0 = frame (monitor-side scrub of a released frame)
   kCount,

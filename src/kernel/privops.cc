@@ -3,11 +3,16 @@
 namespace erebor {
 
 Status NativePrivOps::WritePte(Cpu& cpu, Paddr entry_pa, Pte value) {
-  // native_set_pte: a plain store into the page-table page. Deliberately no TLB
-  // shootdown here — hardware does not snoop PTE stores; the kernel's PTE writer
-  // (AddressSpace) shoots down every present entry it rewrites.
+  // native_set_pte plus its flush: hardware does not snoop PTE stores, so a
+  // rewrite of a present entry (remap, U/S widening of an intermediate, unmap,
+  // protect) shoots down every cached translation that depends on it, in every
+  // root and on every vCPU. The shootdown charges nothing.
   cpu.cycles().Charge(cpu.costs().native_pte_write);
+  const Pte old = cpu.memory().Read64(entry_pa);
   cpu.memory().Write64(entry_pa, value);
+  if (Tlb::hooks().store_shootdown && pte::Present(old) && old != value) {
+    machine_->ShootdownTlbLeaf(entry_pa, cpu.index());
+  }
   return OkStatus();
 }
 

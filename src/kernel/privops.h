@@ -9,6 +9,7 @@
 #define EREBOR_SRC_KERNEL_PRIVOPS_H_
 
 #include "src/hw/cpu.h"
+#include "src/hw/machine.h"
 #include "src/hw/paging.h"
 
 namespace erebor {
@@ -61,6 +62,7 @@ class PrivilegedOps {
 // Direct execution on the vCPU (no Erebor).
 class NativePrivOps : public PrivilegedOps {
  public:
+  explicit NativePrivOps(Machine* machine) : machine_(machine) {}
   Status WritePte(Cpu& cpu, Paddr entry_pa, Pte value) override;
   Status RegisterPtp(Cpu& cpu, FrameNum frame, Paddr root_pa) override { return OkStatus(); }
   Status WriteCr(Cpu& cpu, int reg, uint64_t value) override;
@@ -71,6 +73,9 @@ class NativePrivOps : public PrivilegedOps {
   Status Tdcall(Cpu& cpu, uint64_t leaf, uint64_t* args, size_t nargs) override;
   Status TextPoke(Cpu& cpu, Paddr code_pa, const uint8_t* bytes, uint64_t len) override;
   uint64_t emc_count() const override { return 0; }
+
+ private:
+  Machine* machine_;  // the TLBs WritePte's shootdowns reach
 };
 
 }  // namespace erebor

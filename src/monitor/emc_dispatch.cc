@@ -261,24 +261,11 @@ void EreborMonitor::NoteDenial(Cpu& cpu) {
   Tracer::Global().Record(TraceEvent::kPolicyDenial, cpu.index(), cpu.cycles().now());
 }
 
-void EreborMonitor::ShootdownAfterPteWrite(Cpu& cpu, Paddr entry_pa, Pte old_value,
-                                           Pte new_value) {
-  // Any change to a previously present entry, grant-only rewrites included, so
-  // cached WalkResults never diverge from the tables.
-  if (!pte::Present(old_value) || old_value == new_value) {
-    return;
-  }
-  CounterAdd(counters_.tlb_shootdowns);
-  if (Tlb::hooks().pte_shootdown) {
-    machine_->ShootdownTlbLeaf(entry_pa, cpu.index());
-  }
-}
-
 // ---- MMU / monitor-state EMC bodies ----
 
 // The policy/apply sequence shared by the synchronous EmcWritePte and the ring
-// drain (emc_ring.cc). `deferred` non-null defers the post-write shootdown into
-// the batch for coalescing; null keeps the immediate per-write broadcast. The
+// drain (emc_ring.cc). `deferred` non-null defers the store's shootdown into the
+// batch for coalescing; null keeps the immediate per-write broadcast. The
 // ring path cannot take the huge-page split (it allocates and relinks under a
 // different lock footprint than the drain planned for), so it is refused there
 // and routed to the synchronous path.
@@ -299,14 +286,7 @@ Status EreborMonitor::WritePteBodyLocked(Cpu& cpu, Paddr entry_pa, Pte value,
   }
   LockAudit::Global().ExpectFrameShardHeld(cpu.index(),
                                            EmcLockTable::ShardOf(FrameOf(entry_pa)));
-  const Pte old = machine_->memory().Read64(entry_pa);
-  machine_->memory().Write64(entry_pa, decision.adjusted_value);
-  policy_->NoteLeafWrite(old, decision.adjusted_value, entry_pa);
-  if (deferred == nullptr) {
-    ShootdownAfterPteWrite(cpu, entry_pa, old, decision.adjusted_value);
-  } else if (pte::Present(old) && old != decision.adjusted_value) {
-    deferred->Add(entry_pa);
-  }
+  policy_->StorePte(cpu, entry_pa, decision.adjusted_value, deferred);
   return OkStatus();
 }
 
@@ -339,8 +319,7 @@ Status EreborMonitor::SplitHugePageLocked(Cpu& cpu, Paddr entry_pa, Pte huge_val
   ptp_info.ptp_root = frame_table_->info(FrameOf(entry_pa)).ptp_root;
   // The pool frame usually still has a default-key direct-map leaf: re-key it now or
   // the kernel could forge entries in the new table through that old mapping.
-  EREBOR_RETURN_IF_ERROR(
-      policy_->RetrofitTag(&cpu, machine_->memory(), ptp, ProtClass::kPtp, false));
+  EREBOR_RETURN_IF_ERROR(policy_->RetrofitTag(cpu, ptp, ProtClass::kPtp, false));
 
   // Validate + install every 4 KiB entry through the normal policy (this is the whole
   // point: per-page rules apply inside the former huge page).
@@ -350,12 +329,13 @@ Status EreborMonitor::SplitHugePageLocked(Cpu& cpu, Paddr entry_pa, Pte huge_val
     const PolicyDecision decision = policy_->CheckPteWrite(slot, small);
     if (!decision.allowed) {
       NoteDenial(cpu);
-      // Roll back the subpage entries already installed: their NoteLeafWrite map
-      // counts must be undone before the PTP frame is freed, or the frame table
-      // permanently over-counts mappings of frames in this range.
+      // Roll back the subpage entries already installed: their map counts must be
+      // undone before the PTP frame is freed, or the frame table permanently
+      // over-counts mappings of frames in this range.
       for (uint64_t j = 0; j < i; ++j) {
         const Paddr done_slot = AddrOf(ptp) + j * sizeof(Pte);
         const Pte installed = machine_->memory().Read64(done_slot);
+        // Raw store, no invalidation: the table was never linked, so no walk cached it.
         machine_->memory().Write64(done_slot, 0);
         policy_->NoteLeafWrite(installed, 0, done_slot);
       }
@@ -365,13 +345,12 @@ Status EreborMonitor::SplitHugePageLocked(Cpu& cpu, Paddr entry_pa, Pte huge_val
       ptp_info.type = FrameType::kNormal;
       ptp_info.ptp_level = 0;
       ptp_info.ptp_root = 0;
-      (void)policy_->RetrofitTag(&cpu, machine_->memory(), ptp, ProtClass::kDefault,
-                                 false);
+      (void)policy_->RetrofitTag(cpu, ptp, ProtClass::kDefault, false);
       return PermissionDeniedError("huge-page split refused at subpage " +
                                    std::to_string(i) + ": " + decision.denial_reason);
     }
-    machine_->memory().Write64(slot, decision.adjusted_value);
-    policy_->NoteLeafWrite(0, decision.adjusted_value, slot);
+    // Into the zeroed, unlinked table: the old entry is not present, so no shootdown.
+    policy_->StorePte(cpu, slot, decision.adjusted_value, /*deferred=*/nullptr);
   }
   cpu.cycles().Charge(kPteEntries * cpu.costs().monitor_pte_op);
 
@@ -380,12 +359,9 @@ Status EreborMonitor::SplitHugePageLocked(Cpu& cpu, Paddr entry_pa, Pte huge_val
   if (pte::User(huge_value)) {
     inter |= pte::kUser;
   }
-  const Pte old = machine_->memory().Read64(entry_pa);
-  machine_->memory().Write64(entry_pa, inter);
-  policy_->NoteLeafWrite(old, inter);
   // The former huge leaf may be cached; the relinked intermediate changes every
-  // translation under it.
-  ShootdownAfterPteWrite(cpu, entry_pa, old, inter);
+  // translation under it, so the store shoots it down.
+  policy_->StorePte(cpu, entry_pa, inter, /*deferred=*/nullptr);
   CounterAdd(counters_.huge_splits);
   return OkStatus();
 }
@@ -411,8 +387,8 @@ Status EreborMonitor::RegisterPtpBodyLocked(Cpu& cpu, FrameNum frame, Paddr root
   info.ptp_level = AddrOf(frame) == root_pa ? 4 : 0;
   // The frame may already be mapped (direct map, default key): retrofit the PTP key
   // so the kernel cannot write the new page table through the old mapping.
-  EREBOR_RETURN_IF_ERROR(policy_->RetrofitTag(&cpu, machine_->memory(), frame,
-                                              ProtClass::kPtp, /*strip_write=*/false));
+  EREBOR_RETURN_IF_ERROR(
+      policy_->RetrofitTag(cpu, frame, ProtClass::kPtp, /*strip_write=*/false));
   return OkStatus();
 }
 
@@ -591,8 +567,7 @@ StatusOr<Paddr> EreborMonitor::EmcLoadKernelModule(Cpu& cpu, const Bytes& code) 
       (void)frame_table_->SetType(first + i, FrameType::kKernelText);
       // W^X through *all* mappings: the direct-map view loses W and gets the
       // kernel-text key.
-      EREBOR_RETURN_IF_ERROR(policy_->RetrofitTag(&cpu, machine_->memory(), first + i,
-                                                  ProtClass::kKernelText,
+      EREBOR_RETURN_IF_ERROR(policy_->RetrofitTag(cpu, first + i, ProtClass::kKernelText,
                                                   /*strip_write=*/true));
     }
     EREBOR_RETURN_IF_ERROR(

@@ -78,7 +78,6 @@ Status EreborMonitor::EmcRingDoorbell(Cpu& cpu) {
     for (const RingSqe& sqe : window) {
       switch (sqe.op) {
         case RingOp::kWritePte:
-        case RingOp::kTlbShootdown:
           call.shard_mask |= 1ull << EmcLockTable::ShardOf(FrameOf(sqe.arg0));
           break;
         case RingOp::kRegisterPtp:
@@ -264,24 +263,8 @@ Status EreborMonitor::DrainRingLocked(Cpu& cpu, RingState& rs,
           const RingSqe& p = window[i + 1 + j];
           LockAudit::Global().ExpectFrameShardHeld(
               cpu.index(), EmcLockTable::ShardOf(FrameOf(p.arg0)));
-          const Pte old = machine_->memory().Read64(p.arg0);
-          machine_->memory().Write64(p.arg0, decisions[j].adjusted_value);
-          policy_->NoteLeafWrite(old, decisions[j].adjusted_value, p.arg0);
-          if (pte::Present(old) && old != decisions[j].adjusted_value) {
-            shootdowns.Add(p.arg0);
-          }
+          policy_->StorePte(cpu, p.arg0, decisions[j].adjusted_value, &shootdowns);
         }
-        applied(sqe);
-        break;
-      }
-
-      case RingOp::kTlbShootdown: {
-        if ((sqe.arg0 & 7) != 0 || FrameOf(sqe.arg0) >= frames) {
-          reject_shape(sqe, OutOfRangeError("shootdown target outside physical memory"));
-          break;
-        }
-        charge(TraceEvent::kEmcPte, cpu.costs().monitor_pte_op);
-        shootdowns.Add(sqe.arg0);
         applied(sqe);
         break;
       }
@@ -336,10 +319,7 @@ Status EreborMonitor::DrainRingLocked(Cpu& cpu, RingState& rs,
   rs.ring.cq_tail.store(rs.shadow_cq_tail, std::memory_order_relaxed);
 
   for (const Paddr entry_pa : shootdowns.entries()) {
-    CounterAdd(counters_.tlb_shootdowns);
-    if (Tlb::hooks().pte_shootdown) {
-      machine_->ShootdownTlbLeaf(entry_pa, cpu.index());
-    }
+    policy_->Shootdown(cpu, entry_pa);
   }
   if (shootdowns.coalesced() > 0) {
     CounterAdd(counters_.ring_shootdowns_coalesced, shootdowns.coalesced());

@@ -1,5 +1,6 @@
 #include "src/monitor/mmu_policy.h"
 
+#include "src/common/exec.h"
 #include "src/hw/cpu.h"
 
 namespace erebor {
@@ -240,17 +241,44 @@ void MmuPolicy::NoteLeafWrite(Pte old_value, Pte new_value, Paddr entry_pa) {
   }
 }
 
-Status MmuPolicy::RetrofitTag(Cpu* cpu, PhysMemory& memory, FrameNum frame,
-                              ProtClass cls, bool strip_write) {
+void MmuPolicy::StorePte(Cpu& cpu, Paddr entry_pa, Pte value,
+                         TlbShootdownBatch* deferred, bool counted) {
+  const Pte old = cpu.memory().Read64(entry_pa);
+  cpu.memory().Write64(entry_pa, value);
+  NoteLeafWrite(old, value, entry_pa);
+  // Any change to a previously present entry, grant-only rewrites included, so
+  // cached WalkResults never diverge from the tables.
+  if (!pte::Present(old) || old == value) {
+    return;
+  }
+  if (deferred != nullptr) {
+    deferred->Add(entry_pa);
+  } else {
+    Shootdown(cpu, entry_pa, counted);
+  }
+}
+
+void MmuPolicy::Shootdown(Cpu& cpu, Paddr entry_pa, bool counted) {
+  if (counted) {
+    CounterAdd(*shootdowns_);
+  }
+  if (Tlb::hooks().store_shootdown) {
+    machine_->ShootdownTlbLeaf(entry_pa, cpu.index());
+  }
+}
+
+Status MmuPolicy::RetrofitTag(Cpu& cpu, FrameNum frame, ProtClass cls,
+                              bool strip_write) {
   // Bind the frame at the backend's controller first (no-op under PKS): from here
   // on, accesses through any untagged view are refused by the binding even before
   // the PTE rewrite below lands.
-  isolation_->BindClass(cpu, frame, cls);
+  isolation_->BindClass(&cpu, frame, cls);
   FrameInfo& info = frames_->info(frame);
-  if (info.supervisor_leaf_pa == 0) {
+  const Paddr leaf_pa = info.supervisor_leaf_pa;
+  if (leaf_pa == 0) {
     return OkStatus();  // no pre-existing supervisor mapping
   }
-  const Pte current = memory.Read64(info.supervisor_leaf_pa);
+  const Pte current = cpu.memory().Read64(leaf_pa);
   if (!pte::Present(current) || pte::Frame(current) != frame) {
     info.supervisor_leaf_pa = 0;  // stale record
     return OkStatus();
@@ -259,12 +287,10 @@ Status MmuPolicy::RetrofitTag(Cpu* cpu, PhysMemory& memory, FrameNum frame,
   if (strip_write) {
     updated &= ~pte::kWritable;
   }
-  memory.Write64(info.supervisor_leaf_pa, updated);
-  // The direct-map leaf just changed tag/W under live translations: without this
-  // shootdown the kernel could keep writing the re-typed frame through a cached walk.
-  if (updated != current && tlb_shootdown_) {
-    tlb_shootdown_(info.supervisor_leaf_pa);
-  }
+  // The direct-map leaf changes tag/W under live translations: the store's
+  // shootdown keeps the kernel from writing the re-typed frame through a cached
+  // walk.
+  StorePte(cpu, leaf_pa, updated, /*deferred=*/nullptr);
   return OkStatus();
 }
 

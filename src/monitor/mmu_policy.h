@@ -10,6 +10,7 @@
 #ifndef EREBOR_SRC_MONITOR_MMU_POLICY_H_
 #define EREBOR_SRC_MONITOR_MMU_POLICY_H_
 
+#include "src/hw/machine.h"
 #include "src/hw/paging.h"
 #include "src/kernel/layout.h"
 #include "src/monitor/frame_table.h"
@@ -28,8 +29,11 @@ struct PolicyDecision {
 
 class MmuPolicy {
  public:
-  MmuPolicy(FrameTable* frames, IsolationBackend* isolation)
-      : frames_(frames), isolation_(isolation) {}
+  // `shootdowns` is the monitor counter that Shootdown bumps.
+  MmuPolicy(FrameTable* frames, IsolationBackend* isolation, Machine* machine,
+            uint64_t* shootdowns)
+      : frames_(frames), isolation_(isolation), machine_(machine),
+        shootdowns_(shootdowns) {}
 
   // Installed by the sandbox manager: approves user mappings of common-region frames
   // (root of the requesting address space, target frame, writability).
@@ -37,12 +41,6 @@ class MmuPolicy {
   void SetCommonValidator(CommonMappingValidator validator) {
     common_validator_ = std::move(validator);
   }
-
-  // Installed by the monitor: machine-wide software-TLB shootdown for a rewritten
-  // leaf entry (RetrofitTag changes a live supervisor mapping's tag/W in place, so
-  // cached walks of the direct map must be dropped).
-  using TlbShootdownFn = std::function<void(Paddr)>;
-  void SetTlbShootdown(TlbShootdownFn shootdown) { tlb_shootdown_ = std::move(shootdown); }
 
   // Validates a kernel-requested PTE store at `entry_pa` with `value`. Non-const:
   // allowed intermediate writes link the child PTP's paging level.
@@ -63,25 +61,41 @@ class MmuPolicy {
   // Validates a MapGPA shared conversion: only the shared-IO window may be shared.
   Status CheckSharedConversion(FrameNum first, uint64_t count, bool to_shared) const;
 
-  // Accounting hook: called after an allowed leaf write so single-mapping counts and
-  // the supervisor reverse map stay accurate. old_value is the previous entry
-  // contents; entry_pa is where the PTE lives.
-  void NoteLeafWrite(Pte old_value, Pte new_value, Paddr entry_pa = 0);
+  // The monitor's one PTE store, made for `cpu` with the decision already taken:
+  // writes `value` at `entry_pa`, keeps the frame table's map counts and supervisor
+  // reverse map accurate, and, when a present entry changed, invalidates it: added
+  // to `deferred` (a ring drain's batch, flushed through Shootdown at its end) or,
+  // with `deferred` null, shot down now. This invalidation is the monitor's own TLB
+  // obligation; it holds even for a kernel that skips its TLB maintenance.
+  // `counted` false keeps the shootdown out of the monitor counter (the sandbox
+  // manager's trusted stores).
+  void StorePte(Cpu& cpu, Paddr entry_pa, Pte value, TlbShootdownBatch* deferred,
+                bool counted = true);
+
+  // Frame-table accounting for one store: single-mapping counts and the supervisor
+  // reverse map. StorePte calls it; only a raw store into a table no walk can reach
+  // yet (the huge-page split's rollback) calls it directly. old_value is the
+  // previous entry contents; entry_pa is where the PTE lives.
+  void NoteLeafWrite(Pte old_value, Pte new_value, Paddr entry_pa);
+
+  // The shootdown sink: counts one monitor shootdown and broadcasts the by-pa
+  // invalidation of `entry_pa` from `cpu` to every vCPU's TLB.
+  void Shootdown(Cpu& cpu, Paddr entry_pa, bool counted = true);
 
   // Retrofits a protection class (and optionally strips W) onto a frame — binds the
-  // frame at the backend and rewrites any pre-existing supervisor mapping, closing
-  // the window where a frame is re-typed after its direct-map entry was created
-  // with the default tag. `cpu` may be null (no per-op cost accounting).
-  Status RetrofitTag(Cpu* cpu, PhysMemory& memory, FrameNum frame, ProtClass cls,
-                     bool strip_write);
+  // frame at the backend and rewrites any pre-existing supervisor mapping through
+  // StorePte, closing the window where a frame is re-typed after its direct-map
+  // entry was created with the default tag.
+  Status RetrofitTag(Cpu& cpu, FrameNum frame, ProtClass cls, bool strip_write);
 
   IsolationBackend& isolation() const { return *isolation_; }
 
  private:
   FrameTable* frames_;
   IsolationBackend* isolation_;
+  Machine* machine_;
+  uint64_t* shootdowns_;
   CommonMappingValidator common_validator_;
-  TlbShootdownFn tlb_shootdown_;
 };
 
 }  // namespace erebor

@@ -37,7 +37,8 @@ EreborMonitor::EreborMonitor(Machine* machine, TdxModule* tdx, HostVmm* host,
     : machine_(machine), tdx_(tdx), host_(host), rng_(0xE2EB02) {
   frame_table_ = std::make_unique<FrameTable>(machine->memory().num_frames());
   isolation_ = MakeIsolationBackend(isolation, machine->memory().num_frames());
-  policy_ = std::make_unique<MmuPolicy>(frame_table_.get(), isolation_.get());
+  policy_ = std::make_unique<MmuPolicy>(frame_table_.get(), isolation_.get(), machine,
+                                        &counters_.tlb_shootdowns);
   gates_ = std::make_unique<EmcGates>(machine, isolation_.get());
   sandbox_mgr_ = std::make_unique<SandboxManager>(machine, frame_table_.get(),
                                                   policy_.get(), isolation_.get());
@@ -126,14 +127,6 @@ Status EreborMonitor::BootStage1(const Bytes& firmware_image, bool arm_fence) {
   }
   policy_->SetCommonValidator([this](Paddr root, FrameNum frame, bool writable) {
     return sandbox_mgr_->ValidateCommonMapping(root, frame, writable);
-  });
-  // RetrofitKey rewrites live supervisor leaves behind the kernel's back, so the
-  // policy calls back here for the machine-wide shootdown.
-  policy_->SetTlbShootdown([this](Paddr entry_pa) {
-    CounterAdd(counters_.tlb_shootdowns);
-    if (Tlb::hooks().retrofit_shootdown) {
-      machine_->ShootdownTlbLeaf(entry_pa);
-    }
   });
   stage1_done_ = true;
   return OkStatus();

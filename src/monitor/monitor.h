@@ -194,12 +194,6 @@ class EreborMonitor {
   // Counts a policy denial and emits its trace event.
   void NoteDenial(Cpu& cpu);
 
-  // Software-TLB shootdown after a monitor PTE store: any rewrite of a previously
-  // present entry invalidates cached translations on every CPU. This is the monitor's
-  // own TLB obligation — it must hold even for a malicious kernel that skips its own
-  // TLB maintenance.
-  void ShootdownAfterPteWrite(Cpu& cpu, Paddr entry_pa, Pte old_value, Pte new_value);
-
   // Shared EMC bodies (locks held by the dispatcher): the synchronous EMCs and
   // the ring drain run the identical policy/apply sequence through these.
   // `deferred` non-null defers TLB shootdowns into the batch for coalescing

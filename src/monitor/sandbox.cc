@@ -33,22 +33,17 @@ void SandboxManager::Attach(Kernel* kernel, FrameNum cma_first, uint64_t cma_fra
   cma_ = std::make_unique<FrameAllocator>(cma_first, cma_frames);
 }
 
-// The monitor writes PTEs directly (it *is* the privileged mode) but keeps the
-// frame-table map counts accurate and charges the monitor-op cost.
+// The monitor writes PTEs directly (it *is* the privileged mode), skipping the
+// policy checks, but charges the monitor-op cost and links the PTP hierarchy.
+// StorePte keeps the map counts and shoots down a rewritten present entry (an
+// unmap, a W strip, U/S-widening an intermediate) before the caller goes on:
+// single mapping and W revocation are only real once no CPU can still hit the old
+// translation.
 Status SandboxManager::TrustedWriter::operator()(Paddr entry_pa, Pte value) const {
-  PhysMemory& memory = manager_->machine_->memory();
-  const Pte old = memory.Read64(entry_pa);
-  memory.Write64(entry_pa, value);
   cpu_.cycles().Charge(cpu_.costs().monitor_pte_op);
   manager_->policy_->NoteTrustedLink(entry_pa, value);
-  manager_->policy_->NoteLeafWrite(old, value, entry_pa);
-  // A rewrite of a present entry (an unmap, a W strip, U/S-widening an
-  // intermediate) must reach every cached translation through it before the
-  // caller goes on: single mapping and W revocation are only real once no CPU
-  // can still hit the old translation.
-  if (Tlb::hooks().pte_shootdown && pte::Present(old) && old != value) {
-    manager_->machine_->ShootdownTlbLeaf(entry_pa, cpu_.index());
-  }
+  manager_->policy_->StorePte(cpu_, entry_pa, value, /*deferred=*/nullptr,
+                              /*counted=*/false);
   return OkStatus();
 }
 
@@ -61,8 +56,7 @@ StatusOr<FrameNum> SandboxManager::TrustedWriter::operator()() const {
   frames.info(frame).ptp_level = 0;  // linked when first referenced
   // Pool frames keep their default-tag direct-map leaf: re-tag it so the kernel
   // cannot forge entries in the sandbox's page tables through the direct map.
-  EREBOR_RETURN_IF_ERROR(manager_->policy_->RetrofitTag(&cpu_, manager_->machine_->memory(),
-                                                        frame, ProtClass::kPtp, false));
+  EREBOR_RETURN_IF_ERROR(manager_->policy_->RetrofitTag(cpu_, frame, ProtClass::kPtp, false));
   return frame;
 }
 

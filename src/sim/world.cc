@@ -77,7 +77,7 @@ Status World::Boot() {
   const bool mmu_isolation = config_.mode == SimMode::kEreborMmuOnly ||
                              config_.mode == SimMode::kEreborFull;
 
-  native_ops_ = std::make_unique<NativePrivOps>();
+  native_ops_ = std::make_unique<NativePrivOps>(machine_.get());
   active_ops_ = native_ops_.get();
 
   if (with_monitor) {

@@ -19,7 +19,7 @@ class AddrSpaceTest : public testing::Test {
   }
 
   Machine machine_;
-  NativePrivOps ops_;
+  NativePrivOps ops_{&machine_};
   FrameAllocator pool_;
   Cpu* cpu_;
 };

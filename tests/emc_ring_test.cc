@@ -274,9 +274,9 @@ TEST_F(EmcRingTest, MisalignedAndOutOfRangeTargetsRejectedWithoutCharge) {
   RingSqe out_of_range;
   out_of_range.op = RingOp::kWritePte;
   out_of_range.arg0 = frames() * kPageSize;  // first byte past physical memory
-  RingSqe bogus_shootdown;
-  bogus_shootdown.op = RingOp::kTlbShootdown;
-  bogus_shootdown.arg0 = frames() * kPageSize + 8;
+  RingSqe past_end;
+  past_end.op = RingOp::kWritePte;
+  past_end.arg0 = frames() * kPageSize + 8;
   RingSqe bogus_ptp;
   bogus_ptp.op = RingOp::kRegisterPtp;
   bogus_ptp.arg0 = frames() + 1;
@@ -284,7 +284,7 @@ TEST_F(EmcRingTest, MisalignedAndOutOfRangeTargetsRejectedWithoutCharge) {
   bogus_reclaim.op = RingOp::kFrameReclaim;
   bogus_reclaim.arg0 = frames();
 
-  Publish({misaligned, out_of_range, bogus_shootdown, bogus_ptp, bogus_reclaim});
+  Publish({misaligned, out_of_range, past_end, bogus_ptp, bogus_reclaim});
   const Cycles before = cpu0().cycles().now();
   ASSERT_TRUE(Doorbell().ok());
   // Five structural rejects, zero per-descriptor Table-4 cost.

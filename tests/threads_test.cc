@@ -451,7 +451,7 @@ TEST(ThreadsTlbQueue, CrossRootCoherenceAfterQueuedPeerInvalidations) {
   constexpr FrameNum kPoolFrames = 48;  // per space: a root, PTPs and data pages
   const Pte flags = pte::kPresent | pte::kUser | pte::kWritable | pte::kNoExecute;
   Machine machine(MachineConfig{.memory_frames = 1024, .num_cpus = 2});
-  NativePrivOps ops;
+  NativePrivOps ops(&machine);
   std::unique_ptr<FrameAllocator> pools[kSpaces];
   std::unique_ptr<AddressSpace> spaces[kSpaces];
   Vaddr base[kSpaces] = {};

@@ -94,7 +94,7 @@ class TlbMachineTest : public testing::Test {
 
   TlbStateGuard guard_;
   Machine machine_;
-  NativePrivOps ops_;
+  NativePrivOps ops_{&machine_};
   FrameAllocator pool_;
 };
 
@@ -265,12 +265,12 @@ TEST_F(TlbMachineTest, KernelShootdownHookIsLoadBearing) {
   Cpu& cpu0 = machine_.cpu(0);
   Cpu& cpu1 = machine_.cpu(1);
 
-  // A buggy/hostile kernel path that skips its TLB maintenance: unmap with the
-  // kernel writer's shootdown disabled.
+  // A native store that skips its TLB maintenance: unmap with the store's
+  // shootdown disabled.
   ASSERT_TRUE((*space)->HandleDemandFault(cpu0, *va).ok());
   ASSERT_TRUE((*space)->LookupCached(cpu0, *va).ok());
   ASSERT_TRUE((*space)->LookupCached(cpu1, *va).ok());
-  Tlb::hooks().kernel_shootdown = false;
+  Tlb::hooks().store_shootdown = false;
   ASSERT_TRUE((*space)->UnmapPage(cpu0, *va).ok());
   ASSERT_FALSE((*space)->Lookup(*va).ok());
   EXPECT_TRUE((*space)->LookupCached(cpu0, *va).ok())
@@ -278,7 +278,7 @@ TEST_F(TlbMachineTest, KernelShootdownHookIsLoadBearing) {
   EXPECT_TRUE((*space)->LookupCached(cpu1, *va).ok());
 
   // Shipped behaviour: the unmap's shootdown invalidates every vCPU.
-  Tlb::hooks().kernel_shootdown = true;
+  Tlb::hooks().store_shootdown = true;
   machine_.FlushAllTlbs();  // drop the deliberately-staled entries
   ASSERT_TRUE((*space)->HandleDemandFault(cpu0, *va).ok());
   ASSERT_TRUE((*space)->LookupCached(cpu0, *va).ok());
@@ -287,6 +287,24 @@ TEST_F(TlbMachineTest, KernelShootdownHookIsLoadBearing) {
   EXPECT_FALSE((*space)->LookupCached(cpu0, *va).ok());
   EXPECT_FALSE((*space)->LookupCached(cpu1, *va).ok())
       << "the shootdown must broadcast to all vCPUs";
+}
+
+// The native store owns its invalidation: an unmap of a present, cached page is
+// shot down once, by NativePrivOps::WritePte, and the entry is gone.
+TEST_F(TlbMachineTest, NativeUnmapIsShotDownOnce) {
+  auto space = Create();
+  ASSERT_TRUE(space.ok());
+  const auto va = (*space)->CreateVma(
+      kPageSize, pte::kPresent | pte::kUser | pte::kWritable | pte::kNoExecute,
+      VmaKind::kAnon);
+  ASSERT_TRUE(va.ok());
+  Cpu& cpu = machine_.cpu(0);
+  ASSERT_TRUE((*space)->HandleDemandFault(cpu, *va).ok());
+  ASSERT_TRUE((*space)->LookupCached(cpu, *va).ok());
+  const uint64_t shootdowns = Tlb::GlobalStats().shootdowns;
+  ASSERT_TRUE((*space)->UnmapPage(cpu, *va).ok());
+  EXPECT_EQ(Tlb::GlobalStats().shootdowns, shootdowns + 1);
+  EXPECT_FALSE((*space)->LookupCached(cpu, *va).ok());
 }
 
 // Under the real-thread engine a peer's shootdown only queues on the owner: until
@@ -400,12 +418,12 @@ TEST_F(TlbWorldTest, PteShootdownHookIsLoadBearing) {
   ASSERT_TRUE(tree.ok());
   Cpu& cpu = world_->machine().cpu(0);
 
-  // Malicious-kernel scenario: revoke a mapping straight through EmcWritePte,
-  // skipping the kernel writer's shootdown. Only the monitor's shootdown protects
-  // the TLB.
+  // Malicious-kernel scenario: revoke a mapping straight through EmcWritePte. The
+  // kernel issues no invalidation of its own under Erebor; only the monitor
+  // store's shootdown protects the TLB.
   ASSERT_EQ(cpu.WalkCached(tree->root, va, CpuMode::kSupervisor)->pa,
             AddrOf(tree->data));
-  Tlb::hooks().pte_shootdown = false;
+  Tlb::hooks().store_shootdown = false;
   ASSERT_TRUE(world_->privops().WritePte(cpu, tree->leaf_pa, 0).ok());
   ASSERT_FALSE(WalkPageTables(world_->machine().memory(), tree->root, va).ok());
   EXPECT_TRUE(cpu.WalkCached(tree->root, va, CpuMode::kSupervisor).ok())
@@ -413,7 +431,7 @@ TEST_F(TlbWorldTest, PteShootdownHookIsLoadBearing) {
          "cached — the hook is load-bearing";
 
   // Shipped behaviour: remap, re-prime, revoke again — now the walk must fail.
-  Tlb::hooks().pte_shootdown = true;
+  Tlb::hooks().store_shootdown = true;
   ASSERT_TRUE(world_->privops()
                   .WritePte(cpu, tree->leaf_pa,
                             pte::Make(tree->data, pte::kPresent | pte::kWritable |
@@ -425,10 +443,34 @@ TEST_F(TlbWorldTest, PteShootdownHookIsLoadBearing) {
   EXPECT_GT(world_->monitor()->counters().tlb_shootdowns, 0u);
 }
 
+// Under Erebor the monitor makes the kernel's PTE stores, so the monitor alone
+// invalidates them: a kernel unmap of a present, cached page is shot down once,
+// and that shootdown is the monitor's.
+TEST_F(TlbWorldTest, KernelUnmapIsShotDownOnce) {
+  Cpu& cpu = world_->machine().cpu(0);
+  auto space = AddressSpace::Create(cpu, &world_->machine(), &world_->privops(),
+                                    &world_->kernel().pool(), nullptr);
+  ASSERT_TRUE(space.ok());
+  const auto va = (*space)->CreateVma(
+      kPageSize, pte::kPresent | pte::kUser | pte::kWritable | pte::kNoExecute,
+      VmaKind::kAnon);
+  ASSERT_TRUE(va.ok());
+  ASSERT_TRUE((*space)->HandleDemandFault(cpu, *va).ok());
+  ASSERT_TRUE((*space)->LookupCached(cpu, *va).ok());
+  const uint64_t shootdowns = Tlb::GlobalStats().shootdowns;
+  const uint64_t monitor_shootdowns = world_->monitor()->counters().tlb_shootdowns;
+  ASSERT_TRUE((*space)->UnmapPage(cpu, *va).ok());
+  EXPECT_EQ(Tlb::GlobalStats().shootdowns, shootdowns + 1)
+      << "the store's owner, the monitor, must be the only one to invalidate it";
+  EXPECT_EQ(world_->monitor()->counters().tlb_shootdowns, monitor_shootdowns + 1);
+  EXPECT_FALSE((*space)->LookupCached(cpu, *va).ok());
+  (*space)->ReleaseUserFrames(cpu);
+}
+
 // CR3 writes keep the root-tagged entries (the PCID analogue): after A -> B -> A,
 // A's entry still hits with zero walker reads. What evicts an entry of a root that
-// is not loaded is the invalidation its PTE store issues: the kernel writer's
-// shootdown on an unmap and the monitor's on a revoking EmcWritePte.
+// is not loaded is the shootdown its PTE store issues: under Erebor the monitor's,
+// for a kernel unmap and a revoking EmcWritePte alike.
 TEST_F(TlbWorldTest, Cr3SwitchKeepsRootTaggedEntries) {
   Cpu& cpu = world_->machine().cpu(0);
   const uint64_t saved_cr3 = cpu.cr3();
@@ -468,25 +510,23 @@ TEST_F(TlbWorldTest, Cr3SwitchKeepsRootTaggedEntries) {
   EXPECT_EQ(Tlb::GlobalStats().hits, hits + 1);
   EXPECT_EQ(again->pa, primed->pa);
 
-  // While B is loaded, a kernel unmap of A's page evicts A's entry through the
-  // kernel's invalidation (the monitor's is off here). With both off the entry
-  // survives: nothing else, the switches included, evicts it.
+  // While B is loaded, a kernel unmap of A's page is a monitor store. With the
+  // store's shootdown off the entry survives: nothing else, the switches included,
+  // evicts it. With it on the entry is evicted.
   const Vaddr unmapped = base[0] + AddrOf(1);
   const Vaddr kept = base[0] + AddrOf(2);
   ASSERT_TRUE(a.LookupCached(cpu, unmapped).ok());
   ASSERT_TRUE(a.LookupCached(cpu, kept).ok());
   cpu.TrustedWriteCr(3, b.root());
-  Tlb::hooks().pte_shootdown = false;
-  Tlb::hooks().kernel_shootdown = false;
+  Tlb::hooks().store_shootdown = false;
   ASSERT_TRUE(a.UnmapPage(cpu, kept).ok());
   cpu.TrustedWriteCr(3, a.root());
   cpu.TrustedWriteCr(3, b.root());
-  EXPECT_TRUE(cached(kept)) << "with every invalidation disabled the entry must survive";
-  Tlb::hooks().kernel_shootdown = true;
+  EXPECT_TRUE(cached(kept)) << "with the store's shootdown disabled the entry must survive";
+  Tlb::hooks().store_shootdown = true;
   ASSERT_TRUE(a.UnmapPage(cpu, unmapped).ok());
   EXPECT_FALSE(cached(unmapped));
   EXPECT_FALSE(a.LookupCached(cpu, unmapped).ok());
-  Tlb::hooks().pte_shootdown = true;
   cpu.tlb().FlushRoot(a.root());  // drop the deliberately-staled entry
 
   // While B is loaded, a revoking EmcWritePte (W strip) on A's page evicts A's
@@ -600,7 +640,7 @@ TEST_F(TlbWorldTest, RetrofitShootdownHookIsLoadBearing) {
   const auto before = cpu.WalkCached(cpu.cr3(), dm1, CpuMode::kSupervisor);
   ASSERT_TRUE(before.ok());
   ASSERT_NE(before->pkey, layout::kPtpKey);
-  Tlb::hooks().retrofit_shootdown = false;
+  Tlb::hooks().store_shootdown = false;
   ASSERT_TRUE(world_->privops().RegisterPtp(cpu, *f1, AddrOf(*f1)).ok());
   const auto fresh1 = WalkPageTables(world_->machine().memory(), cpu.cr3(), dm1);
   ASSERT_TRUE(fresh1.ok());
@@ -611,7 +651,7 @@ TEST_F(TlbWorldTest, RetrofitShootdownHookIsLoadBearing) {
          "must persist";
 
   // Shipped behaviour: the retrofit invalidates the cached translation.
-  Tlb::hooks().retrofit_shootdown = true;
+  Tlb::hooks().store_shootdown = true;
   const auto f2 = pool.Alloc();
   ASSERT_TRUE(f2.ok());
   const Vaddr dm2 = layout::DirectMap(AddrOf(*f2));
