@@ -45,7 +45,8 @@ struct MonitorCounters {
   uint64_t cache_flushes = 0;
   uint64_t quantized_outputs = 0;
   uint64_t huge_splits = 0;  // forced huge-page splits (section 7 future work)
-  uint64_t tlb_shootdowns = 0;  // monitor-initiated software-TLB shootdowns
+  uint64_t tlb_shootdowns = 0;  // monitor-initiated software-TLB shootdowns (all
+                                // through MmuPolicy::Shootdown)
   // MMU submission/completion rings (src/monitor/emc_ring.cc).
   uint64_t emc_ring = 0;                   // doorbell crossings (family counter)
   uint64_t ring_descriptors = 0;           // descriptors drained and applied

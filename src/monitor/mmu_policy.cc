@@ -242,7 +242,7 @@ void MmuPolicy::NoteLeafWrite(Pte old_value, Pte new_value, Paddr entry_pa) {
 }
 
 void MmuPolicy::StorePte(Cpu& cpu, Paddr entry_pa, Pte value,
-                         TlbShootdownBatch* deferred, bool counted) {
+                         TlbShootdownBatch* deferred) {
   const Pte old = cpu.memory().Read64(entry_pa);
   cpu.memory().Write64(entry_pa, value);
   NoteLeafWrite(old, value, entry_pa);
@@ -254,14 +254,12 @@ void MmuPolicy::StorePte(Cpu& cpu, Paddr entry_pa, Pte value,
   if (deferred != nullptr) {
     deferred->Add(entry_pa);
   } else {
-    Shootdown(cpu, entry_pa, counted);
+    Shootdown(cpu, entry_pa);
   }
 }
 
-void MmuPolicy::Shootdown(Cpu& cpu, Paddr entry_pa, bool counted) {
-  if (counted) {
-    CounterAdd(*shootdowns_);
-  }
+void MmuPolicy::Shootdown(Cpu& cpu, Paddr entry_pa) {
+  CounterAdd(*shootdowns_);
   if (Tlb::hooks().store_shootdown) {
     machine_->ShootdownTlbLeaf(entry_pa, cpu.index());
   }

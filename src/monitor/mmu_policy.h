@@ -67,10 +67,7 @@ class MmuPolicy {
   // to `deferred` (a ring drain's batch, flushed through Shootdown at its end) or,
   // with `deferred` null, shot down now. This invalidation is the monitor's own TLB
   // obligation; it holds even for a kernel that skips its TLB maintenance.
-  // `counted` false keeps the shootdown out of the monitor counter (the sandbox
-  // manager's trusted stores).
-  void StorePte(Cpu& cpu, Paddr entry_pa, Pte value, TlbShootdownBatch* deferred,
-                bool counted = true);
+  void StorePte(Cpu& cpu, Paddr entry_pa, Pte value, TlbShootdownBatch* deferred);
 
   // Frame-table accounting for one store: single-mapping counts and the supervisor
   // reverse map. StorePte calls it; only a raw store into a table no walk can reach
@@ -80,7 +77,7 @@ class MmuPolicy {
 
   // The shootdown sink: counts one monitor shootdown and broadcasts the by-pa
   // invalidation of `entry_pa` from `cpu` to every vCPU's TLB.
-  void Shootdown(Cpu& cpu, Paddr entry_pa, bool counted = true);
+  void Shootdown(Cpu& cpu, Paddr entry_pa);
 
   // Retrofits a protection class (and optionally strips W) onto a frame — binds the
   // frame at the backend and rewrites any pre-existing supervisor mapping through

@@ -42,8 +42,7 @@ void SandboxManager::Attach(Kernel* kernel, FrameNum cma_first, uint64_t cma_fra
 Status SandboxManager::TrustedWriter::operator()(Paddr entry_pa, Pte value) const {
   cpu_.cycles().Charge(cpu_.costs().monitor_pte_op);
   manager_->policy_->NoteTrustedLink(entry_pa, value);
-  manager_->policy_->StorePte(cpu_, entry_pa, value, /*deferred=*/nullptr,
-                              /*counted=*/false);
+  manager_->policy_->StorePte(cpu_, entry_pa, value, /*deferred=*/nullptr);
   return OkStatus();
 }
 

@@ -467,6 +467,31 @@ TEST_F(TlbWorldTest, KernelUnmapIsShotDownOnce) {
   (*space)->ReleaseUserFrames(cpu);
 }
 
+// The sandbox manager's trusted stores take the same sink as every other monitor
+// store, so their shootdowns count as monitor shootdowns.
+TEST_F(TlbWorldTest, TrustedStoreShootdownIsAMonitorShootdown) {
+  SandboxSpec spec;
+  spec.name = "trusted";
+  const auto sandbox = world_->LaunchSandboxProcess(
+      "sb", spec, [](SyscallContext&) { return StepOutcome::kExited; });
+  ASSERT_TRUE(sandbox.ok()) << sandbox.status().ToString();
+  AddressSpace& aspace = *(*sandbox)->aspace;
+  PhysMemory& memory = world_->machine().memory();
+  const auto frame = world_->kernel().pool().Alloc();
+  ASSERT_TRUE(frame.ok());
+  const Vaddr va = 0x7000'0000'0000ULL;
+  const SandboxManager::TrustedWriter trusted(&world_->monitor()->sandboxes(),
+                                              world_->machine().cpu(0), aspace);
+  ASSERT_TRUE(MapPage(memory, aspace.root(), va, *frame,
+                      pte::kPresent | pte::kUser | pte::kNoExecute, trusted.writer())
+                  .ok());
+  const uint64_t shootdowns = Tlb::GlobalStats().shootdowns;
+  const uint64_t monitor_shootdowns = world_->monitor()->counters().tlb_shootdowns;
+  ASSERT_TRUE(UnmapPage(memory, aspace.root(), va, trusted.writer()).ok());
+  EXPECT_EQ(Tlb::GlobalStats().shootdowns, shootdowns + 1);
+  EXPECT_EQ(world_->monitor()->counters().tlb_shootdowns, monitor_shootdowns + 1);
+}
+
 // CR3 writes keep the root-tagged entries (the PCID analogue): after A -> B -> A,
 // A's entry still hits with zero walker reads. What evicts an entry of a root that
 // is not loaded is the shootdown its PTE store issues: under Erebor the monitor's,
