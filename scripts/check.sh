@@ -53,10 +53,11 @@ if [[ "${EREBOR_SKIP_SANITIZE:-0}" != "1" ]]; then
   "$TSAN_DIR/tests/churn_test"
 fi
 
-# Dead-code ratchet: every test, bench, example and perfbench binary linked at
+# Dead-code ratchets: every test, bench, example and perfbench binary linked at
 # -O0 with --gc-sections in its own build trees; a src function that none of
-# them keeps fails the check unless scripts/dead_code_allowlist.txt names it.
-# About 2.5 minutes on a 4-core host.
+# them keeps fails the check unless scripts/dead_code_allowlist.txt names it,
+# and one that only tests keep fails unless scripts/test_only_allowlist.txt
+# names it with a reason. About 2.5 minutes on a 4-core host.
 scripts/dead_code.sh "${BUILD_DIR}-gc"
 
 # Trace smoke test: the end-to-end trace tests re-run with the env toggles set, and

@@ -15,16 +15,6 @@ Machine::Machine(const MachineConfig& config)
   }
 }
 
-void Machine::FlushAllTlbs() {
-  if (!Tlb::Enabled()) {
-    return;  // the caches are empty; skip the per-CPU scans
-  }
-  const TlbInvalidation inv{TlbInvalidation::Kind::kAll, 0, 0};
-  for (auto& cpu : cpus_) {
-    cpu->RequestTlbInvalidation(inv);
-  }
-}
-
 void Machine::FlushTlbRoot(Paddr root) {
   if (!Tlb::Enabled()) {
     return;

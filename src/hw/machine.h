@@ -37,8 +37,6 @@ class Machine {
   Cycles TotalCycles() const;
 
   // ---- Software-TLB broadcast helpers (no cycle charge; see src/hw/tlb.h) ----
-  // Flush every CPU's TLB.
-  void FlushAllTlbs();
   // Drop all entries keyed by `root` on every CPU (address-space teardown, where the
   // root frame may be recycled). Always on — not a test-toggleable hook.
   void FlushTlbRoot(Paddr root);

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "src/libos/libos.h"
-#include "src/libos/manifest.h"
 #include "src/sim/world.h"
 
 namespace erebor {
@@ -181,68 +180,20 @@ TEST_F(LibosTest, SandboxedRecvBeforeDataIsEagain) {
 }
 
 
-// ---- Text manifest parsing (the Gramine-style toolchain front end) ----
-
-TEST(ManifestTest, ParsesFullManifest) {
-  const auto manifest = ParseManifest(
-      "# llama service\n"
-      "name = \"llama\"\n"
-      "heap = \"6M\"\n"
-      "threads = 4\n"
-      "output_pad = 4096\n"
-      "preload = \"tokenizer.bin:4K\"\n"
-      "preload = \"labels.txt:100\"\n");
-  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
-  EXPECT_EQ(manifest->name, "llama");
-  EXPECT_EQ(manifest->heap_bytes, 6ull << 20);
-  EXPECT_EQ(manifest->num_threads, 4);
-  EXPECT_EQ(manifest->output_pad_bytes, 4096u);
-  ASSERT_EQ(manifest->preload_files.size(), 2u);
-  EXPECT_EQ(manifest->preload_files[0].first, "tokenizer.bin");
-  EXPECT_EQ(manifest->preload_files[0].second.size(), 4096u);
-  EXPECT_EQ(manifest->preload_files[1].second.size(), 100u);
-}
-
-TEST(ManifestTest, PreloadContentsAreDeterministic) {
-  const auto a = ParseManifest("name = \"x\"\npreload = \"f:64\"\n");
-  const auto b = ParseManifest("name = \"x\"\npreload = \"f:64\"\n");
-  ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_EQ(a->preload_files[0].second, b->preload_files[0].second);
-}
-
-TEST(ManifestTest, RejectsMalformedInput) {
-  EXPECT_FALSE(ParseManifest("heap = \"1M\"\n").ok());            // missing name
-  EXPECT_FALSE(ParseManifest("name = \"x\"\nbogus_key = 1\n").ok());
-  EXPECT_FALSE(ParseManifest("name = \"x\"\nheap = \"1Q\"\n").ok());
-  EXPECT_FALSE(ParseManifest("name = \"x\"\nthreads = 0\n").ok());
-  EXPECT_FALSE(ParseManifest("name = \"x\"\npreload = \"nosize\"\n").ok());
-  EXPECT_FALSE(ParseManifest("name = \"x\"\noutput_pad = 4\n").ok());
-  EXPECT_FALSE(ParseManifest("just a line\n").ok());
-}
-
-TEST(ManifestTest, SizeSuffixes) {
-  EXPECT_EQ(*ParseSize("4096"), 4096u);
-  EXPECT_EQ(*ParseSize("16K"), 16384u);
-  EXPECT_EQ(*ParseSize("6M"), 6ull << 20);
-  EXPECT_EQ(*ParseSize("1G"), 1ull << 30);
-  EXPECT_FALSE(ParseSize("").ok());
-  EXPECT_FALSE(ParseSize("M").ok());
-  EXPECT_FALSE(ParseSize("12x4").ok());
-}
+// ---- Manifests (built in code, as the apps build theirs) ----
 
 TEST(ManifestTest, ManifestDrivesARealSandbox) {
   WorldConfig config;
   config.mode = SimMode::kEreborFull;
   World world(config);
   ASSERT_TRUE(world.Boot().ok());
-  const auto manifest = ParseManifest(
-      "name = \"svc\"\nheap = \"2M\"\npreload = \"cfg:128\"\n");
-  ASSERT_TRUE(manifest.ok());
-  auto env = std::make_shared<LibosEnv>(*manifest, LibosBackend::kSandboxed);
+  LibosManifest manifest{.name = "svc", .heap_bytes = 2 << 20};
+  manifest.preload_files.emplace_back("cfg", Bytes(128, 0x5A));
+  auto env = std::make_shared<LibosEnv>(manifest, LibosBackend::kSandboxed);
   bool up = false;
   SandboxSpec spec;
-  spec.name = manifest->name;
-  spec.confined_budget_bytes = manifest->heap_bytes + (1 << 20);
+  spec.name = manifest.name;
+  spec.confined_budget_bytes = manifest.heap_bytes + (1 << 20);
   ASSERT_TRUE(world
                   .LaunchSandboxProcess(spec.name, spec,
                                         [env, &up](SyscallContext& ctx) -> StepOutcome {

@@ -279,7 +279,9 @@ TEST_F(TlbMachineTest, KernelShootdownHookIsLoadBearing) {
 
   // Shipped behaviour: the unmap's shootdown invalidates every vCPU.
   Tlb::hooks().store_shootdown = true;
-  machine_.FlushAllTlbs();  // drop the deliberately-staled entries
+  for (int i = 0; i < machine_.num_cpus(); ++i) {
+    machine_.cpu(i).tlb().FlushAll();  // drop the deliberately-staled entries
+  }
   ASSERT_TRUE((*space)->HandleDemandFault(cpu0, *va).ok());
   ASSERT_TRUE((*space)->LookupCached(cpu0, *va).ok());
   ASSERT_TRUE((*space)->LookupCached(cpu1, *va).ok());
