@@ -90,9 +90,6 @@ void Cpu::ApplyTlbInvalidation(const TlbInvalidation& inv) {
     case TlbInvalidation::Kind::kRoot:
       tlb_.FlushRoot(inv.root);
       break;
-    case TlbInvalidation::Kind::kAll:
-      tlb_.FlushAll();
-      break;
     case TlbInvalidation::Kind::kEntry:
       tlb_.ShootdownEntry(inv.entry_pa);
       break;

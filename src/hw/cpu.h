@@ -95,10 +95,9 @@ using FaultHandler = std::function<void(Cpu&, const Fault&)>;
 struct TlbInvalidation {
   enum class Kind : uint8_t {
     kRoot,   // address-space teardown: all entries under root
-    kAll,    // full flush
     kEntry,  // shootdown by PTE physical address
   };
-  Kind kind = Kind::kAll;
+  Kind kind = Kind::kEntry;
   Paddr root = 0;
   Paddr entry_pa = 0;
 };

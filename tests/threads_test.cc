@@ -382,7 +382,7 @@ TEST(ThreadsTlbQueue, CrossCpuPostQueuesUntilDrain) {
 
   EXPECT_FALSE(peer.tlb_invalidations_pending());
   peer.RequestTlbInvalidation(
-      TlbInvalidation{.kind = TlbInvalidation::Kind::kAll});
+      TlbInvalidation{.kind = TlbInvalidation::Kind::kRoot, .root = 0x1000});
   peer.RequestTlbInvalidation(
       TlbInvalidation{.kind = TlbInvalidation::Kind::kEntry, .entry_pa = 0x2000});
   EXPECT_TRUE(peer.tlb_invalidations_pending());
@@ -398,7 +398,7 @@ TEST(ThreadsTlbQueue, OwnCpuAndDeterministicApplyDirectly) {
 
   // Deterministic engine: no queueing even for a "remote" CPU.
   machine.cpu(1).RequestTlbInvalidation(
-      TlbInvalidation{.kind = TlbInvalidation::Kind::kAll});
+      TlbInvalidation{.kind = TlbInvalidation::Kind::kRoot, .root = 0x1000});
   EXPECT_FALSE(machine.cpu(1).tlb_invalidations_pending());
   EXPECT_EQ(machine.cpu(1).tlb_invalidations_drained(), 0u);
 
@@ -406,7 +406,7 @@ TEST(ThreadsTlbQueue, OwnCpuAndDeterministicApplyDirectly) {
   ExecutionEngine::RealThreadsScope scope;
   ExecutionEngine::CpuBinding binding(1);
   machine.cpu(1).RequestTlbInvalidation(
-      TlbInvalidation{.kind = TlbInvalidation::Kind::kAll});
+      TlbInvalidation{.kind = TlbInvalidation::Kind::kRoot, .root = 0x1000});
   EXPECT_FALSE(machine.cpu(1).tlb_invalidations_pending());
 }
 
