@@ -1,5 +1,7 @@
 #include "src/kernel/privops.h"
 
+#include "src/hw/machine.h"
+
 namespace erebor {
 
 Status NativePrivOps::WritePte(Cpu& cpu, Paddr entry_pa, Pte value) {

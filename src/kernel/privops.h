@@ -9,11 +9,11 @@
 #define EREBOR_SRC_KERNEL_PRIVOPS_H_
 
 #include "src/hw/cpu.h"
-#include "src/hw/machine.h"
 #include "src/hw/paging.h"
 
 namespace erebor {
 
+class Machine;
 struct EmcRing;  // src/kernel/mmu_ring.h
 
 class PrivilegedOps {

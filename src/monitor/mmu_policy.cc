@@ -2,6 +2,7 @@
 
 #include "src/common/exec.h"
 #include "src/hw/cpu.h"
+#include "src/hw/machine.h"
 
 namespace erebor {
 

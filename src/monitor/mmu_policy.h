@@ -10,13 +10,14 @@
 #ifndef EREBOR_SRC_MONITOR_MMU_POLICY_H_
 #define EREBOR_SRC_MONITOR_MMU_POLICY_H_
 
-#include "src/hw/machine.h"
 #include "src/hw/paging.h"
 #include "src/kernel/layout.h"
 #include "src/monitor/frame_table.h"
 #include "src/monitor/isolation.h"
 
 namespace erebor {
+
+class Machine;
 
 struct PolicyDecision {
   bool allowed = false;
