@@ -1,6 +1,7 @@
 #include "src/kernel/kernel.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 
 #include "src/common/backoff.h"
@@ -914,6 +915,15 @@ uint8_t* PageCursor::Miss(Vaddr va, bool write) {
                           write};
   }
   return *ptr;
+}
+
+void PageCursor::Refuse(Vaddr va, uint64_t bytes) {
+  if (status_.ok()) {
+    char buf[96];
+    std::snprintf(buf, sizeof(buf), "page run of %llu bytes at 0x%llx leaves its page",
+                  static_cast<unsigned long long>(bytes), static_cast<unsigned long long>(va));
+    status_ = OutOfRangeError(buf);
+  }
 }
 
 void SyscallContext::Compute(Cycles cycles) { cpu_->cycles().Charge(cycles); }

@@ -13,6 +13,7 @@
 #ifndef EREBOR_SRC_KERNEL_KERNEL_H_
 #define EREBOR_SRC_KERNEL_KERNEL_H_
 
+#include <algorithm>
 #include <array>
 #include <deque>
 #include <functional>
@@ -110,6 +111,10 @@ class SyscallContext {
 // exactly as PagePtr's TLB hit would (flushed when the cursor dies). With the TLB
 // disabled nothing is cached.
 //
+// Host pointers are valid to the end of their page only: the next simulated page
+// may live in any host frame. A loop over consecutive elements takes them a page
+// run at a time through Span, which refuses a run that would leave its page.
+//
 // Slice-local: a task may run on another vCPU in its next slice, so a cursor never
 // outlives the step function call that created it.
 class PageCursor {
@@ -135,6 +140,32 @@ class PageCursor {
     return Miss(va, write);
   }
 
+  // Host pointer to the n >= 1 elements of type T from va, all inside va's page:
+  // one At(va, write), then n - 1 accesses to a page this cursor has just checked,
+  // counted as the n - 1 hits that per-element At calls would count (with the TLB
+  // disabled At caches nothing, so the run is one translation). nullptr, with the
+  // failure kept in status(), when At fails or when the run is empty or would
+  // cross the page's end. The pointer is for the loop at hand: like At's, it does
+  // not follow a later change to the page's mapping.
+  template <typename T>
+  T* Span(Vaddr va, uint64_t n, bool write) {
+    if (n == 0 || n > PageRun<T>(va, n)) {
+      Refuse(va, n * sizeof(T));
+      return nullptr;
+    }
+    uint8_t* first = At(va, write);
+    if (first != nullptr && Tlb::Enabled()) {
+      hits_ += n - 1;
+    }
+    return reinterpret_cast<T*>(first);
+  }
+
+  // How many of the n elements of type T from va lie inside va's page.
+  template <typename T>
+  static uint64_t PageRun(Vaddr va, uint64_t n) {
+    return std::min<uint64_t>(n, (kPageSize - (va & kPageMask)) / sizeof(T));
+  }
+
   // The first failed access's status; OK while every access succeeded.
   bool ok() const { return status_.ok(); }
   const Status& status() const { return status_; }
@@ -151,6 +182,7 @@ class PageCursor {
 
   static size_t Slot(Vaddr va) { return (va >> kPageShift) & (kEntries - 1); }
   uint8_t* Miss(Vaddr va, bool write);
+  void Refuse(Vaddr va, uint64_t bytes);
 
   SyscallContext& ctx_;
   Cpu& cpu_;

@@ -54,7 +54,8 @@ ProgramFn GraphWorkload::MakeProgram(std::shared_ptr<AppState> state) {
   const GraphParams params = params_;
 
   // Typed confined-memory access through the slice's page cursor. All arrays are
-  // page-aligned and element accesses never straddle pages (4 | 8 divide 4096).
+  // page-aligned, so an element never straddles pages (4 | 8 divide 4096), and a
+  // loop over consecutive elements takes them a page run at a time.
   auto u32_at = [](PageCursor& pages, Vaddr base, uint64_t i, bool write) {
     return reinterpret_cast<uint32_t*>(pages.At(base + 4 * i, write));
   };
@@ -63,39 +64,59 @@ ProgramFn GraphWorkload::MakeProgram(std::shared_ptr<AppState> state) {
   };
 
   // Processes one node-range chunk of the current PageRank iteration: pushes each
-  // node's rank share along its out-edges into next_rank.
+  // node's rank share along its out-edges into next_rank. row_ptr, rank and col_idx
+  // are read a page run at a time; next_rank is indexed by edge destination.
   auto process_chunk = [state, run, u32_at, u64_at](SyscallContext& ctx,
                                                    PageCursor& pages, uint32_t chunk) {
     const uint32_t first = chunk * kNodesPerChunk;
     const uint32_t last = std::min(run->num_nodes, first + kNodesPerChunk);
+    const uint32_t* first_begin = u32_at(pages, run->row_ptr, first, false);
+    if (first_begin == nullptr) {
+      return;
+    }
+    uint32_t begin = *first_begin;  // row_ptr[node]
     uint64_t edges_touched = 0;
-    for (uint32_t node = first; node < last; ++node) {
-      uint32_t* rp0 = u32_at(pages, run->row_ptr, node, false);
-      uint32_t* rp1 = u32_at(pages, run->row_ptr, node + 1, false);
-      uint64_t* rank = u64_at(pages, run->rank, node, false);
-      if (rp0 == nullptr || rp1 == nullptr || rank == nullptr) {
+    for (uint32_t node = first; node < last;) {
+      // Nodes [node, node + n): their row ends row_ptr[node + 1 ..] and ranks.
+      const Vaddr ends_va = run->row_ptr + 4ull * (node + 1);
+      const Vaddr ranks_va = run->rank + 8ull * node;
+      const uint64_t n = PageCursor::PageRun<uint64_t>(
+          ranks_va, PageCursor::PageRun<uint32_t>(ends_va, last - node));
+      const uint32_t* ends = pages.Span<uint32_t>(ends_va, n, false);
+      const uint64_t* ranks = pages.Span<uint64_t>(ranks_va, n, false);
+      if (ends == nullptr || ranks == nullptr) {
         return;
       }
-      const uint32_t degree = *rp1 - *rp0;
-      if (degree == 0) {
-        continue;
-      }
-      const uint64_t share = *rank / degree;
-      for (uint32_t e = *rp0; e < *rp1; ++e) {
-        uint32_t* dst = u32_at(pages, run->col_idx, e, false);
-        if (dst == nullptr) {
-          return;
+      for (uint64_t k = 0; k < n; ++k) {
+        const uint32_t end = ends[k];
+        const uint32_t degree = end - begin;
+        if (degree == 0) {
+          continue;
         }
-        uint64_t* nr = u64_at(pages, run->next_rank, *dst, true);
-        if (nr == nullptr) {
-          return;
+        const uint64_t share = ranks[k] / degree;
+        for (uint32_t e = begin; e < end;) {
+          const Vaddr dst_va = run->col_idx + 4ull * e;
+          const uint64_t m = PageCursor::PageRun<uint32_t>(dst_va, end - e);
+          const uint32_t* dst = pages.Span<uint32_t>(dst_va, m, false);
+          if (dst == nullptr) {
+            return;
+          }
+          for (uint64_t i = 0; i < m; ++i) {
+            uint64_t* nr = u64_at(pages, run->next_rank, dst[i], true);
+            if (nr == nullptr) {
+              return;
+            }
+            // Threads own disjoint *source* ranges but destinations collide; the
+            // fixed-point addition is applied under the env lock by chunk
+            // (coarse-grained), so plain adds are safe in the cooperative schedule.
+            *nr += share;
+          }
+          e += static_cast<uint32_t>(m);
         }
-        // Threads own disjoint *source* ranges but destinations collide; the fixed-
-        // point addition is applied under the env lock by chunk (coarse-grained), so
-        // plain adds are safe in the cooperative schedule.
-        *nr += share;
-        ++edges_touched;
+        edges_touched += degree;
+        begin = end;
       }
+      node += static_cast<uint32_t>(n);
     }
     state->env->ChargeRuntime(ctx, edges_touched / 50 + 40);  // LibOS tax
     ctx.Compute(kCyclesPerEdge * edges_touched + 4000);
@@ -135,8 +156,8 @@ ProgramFn GraphWorkload::MakeProgram(std::shared_ptr<AppState> state) {
     }
     return StepOutcome::kYield;
   };
-  phases.install = [state, run, u32_at, u64_at](SyscallContext& ctx,
-                                                const Bytes& input) -> Status {
+  phases.install = [state, run, u32_at](SyscallContext& ctx,
+                                        const Bytes& input) -> Status {
     if (input.size() < 8) {
       return InvalidArgumentError("short graph input");
     }
@@ -174,16 +195,24 @@ ProgramFn GraphWorkload::MakeProgram(std::shared_ptr<AppState> state) {
       ++*deg;
     }
     uint32_t cursor = 0;
-    for (uint32_t n = 0; n < run->num_nodes; ++n) {
-      uint32_t* rp_n = u32_at(pages, run->row_ptr, n, true);
-      uint32_t* deg = u32_at(pages, run->out_degree, n, false);
-      uint64_t* rank = u64_at(pages, run->rank, n, true);
-      if (rp_n == nullptr || deg == nullptr || rank == nullptr) {
+    for (uint32_t n = 0; n < run->num_nodes;) {
+      const Vaddr rp_va = run->row_ptr + 4ull * n;
+      const Vaddr deg_va = run->out_degree + 4ull * n;
+      const Vaddr rank_va = run->rank + 8ull * n;
+      const uint64_t len = PageCursor::PageRun<uint64_t>(
+          rank_va, PageCursor::PageRun<uint32_t>(rp_va, run->num_nodes - n));
+      uint32_t* rp_run = pages.Span<uint32_t>(rp_va, len, true);
+      const uint32_t* deg_run = pages.Span<uint32_t>(deg_va, len, false);
+      uint64_t* rank_run = pages.Span<uint64_t>(rank_va, len, true);
+      if (rp_run == nullptr || deg_run == nullptr || rank_run == nullptr) {
         return pages.status();
       }
-      *rp_n = cursor;
-      cursor += *deg;
-      *rank = kFixedOne;
+      for (uint64_t k = 0; k < len; ++k) {
+        rp_run[k] = cursor;
+        cursor += deg_run[k];
+        rank_run[k] = kFixedOne;
+      }
+      n += static_cast<uint32_t>(len);
     }
     uint32_t* rp_end = u32_at(pages, run->row_ptr, run->num_nodes, true);
     if (rp_end == nullptr) {
@@ -212,7 +241,7 @@ ProgramFn GraphWorkload::MakeProgram(std::shared_ptr<AppState> state) {
   };
 
   // PageRank iterations; the leader participates in the chunk queue.
-  phases.step = [run, params, u64_at, work_one](
+  phases.step = [run, params, work_one](
                     SyscallContext& ctx, PageCursor& pages) -> std::optional<StepOutcome> {
     if (run->iteration >= params.iterations) {
       return std::nullopt;
@@ -228,14 +257,19 @@ ProgramFn GraphWorkload::MakeProgram(std::shared_ptr<AppState> state) {
       return StepOutcome::kYield;
     }
     // Iteration barrier: damp + swap rank arrays.
-    for (uint32_t n = 0; n < run->num_nodes; ++n) {
-      uint64_t* nr = u64_at(pages, run->next_rank, n, true);
-      uint64_t* rk = u64_at(pages, run->rank, n, true);
+    for (uint32_t n = 0; n < run->num_nodes;) {
+      const uint64_t len = PageCursor::PageRun<uint64_t>(run->rank + 8ull * n,
+                                                         run->num_nodes - n);
+      uint64_t* nr = pages.Span<uint64_t>(run->next_rank + 8ull * n, len, true);
+      uint64_t* rk = pages.Span<uint64_t>(run->rank + 8ull * n, len, true);
       if (nr == nullptr || rk == nullptr) {
         return StepOutcome::kExited;
       }
-      *rk = kFixedOne * 15 / 100 + (*nr * 85) / 100;
-      *nr = 0;
+      for (uint64_t k = 0; k < len; ++k) {
+        rk[k] = kFixedOne * 15 / 100 + (nr[k] * 85) / 100;
+        nr[k] = 0;
+      }
+      n += static_cast<uint32_t>(len);
     }
     ctx.Compute(static_cast<Cycles>(run->num_nodes) * 6);
     ++run->iteration;
@@ -248,15 +282,19 @@ ProgramFn GraphWorkload::MakeProgram(std::shared_ptr<AppState> state) {
   };
 
   // Top-8 ranked nodes.
-  phases.output = [run, u64_at](SyscallContext& ctx) -> StatusOr<Bytes> {
+  phases.output = [run](SyscallContext& ctx) -> StatusOr<Bytes> {
     PageCursor pages(ctx);
     std::vector<std::pair<uint64_t, uint32_t>> top;
-    for (uint32_t n = 0; n < run->num_nodes; ++n) {
-      uint64_t* rk = u64_at(pages, run->rank, n, false);
+    for (uint32_t n = 0; n < run->num_nodes;) {
+      const uint64_t len = PageCursor::PageRun<uint64_t>(run->rank + 8ull * n,
+                                                         run->num_nodes - n);
+      const uint64_t* rk = pages.Span<uint64_t>(run->rank + 8ull * n, len, false);
       if (rk == nullptr) {
         return pages.status();
       }
-      top.emplace_back(*rk, n);
+      for (uint64_t k = 0; k < len; ++k, ++n) {
+        top.emplace_back(rk[k], n);
+      }
     }
     std::partial_sort(top.begin(), top.begin() + 8, top.end(),
                       std::greater<std::pair<uint64_t, uint32_t>>());

@@ -10,6 +10,9 @@ namespace erebor {
 namespace {
 // Event record (16 bytes): actor(4) | object(4) | action(4) | ts(4).
 constexpr uint64_t kEventSize = 16;
+struct EventRecord {
+  uint8_t bytes[kEventSize];
+};
 
 struct IdsRun {
   Vaddr log_buf = 0;      // confined copy of the event log
@@ -70,38 +73,48 @@ ProgramFn IdsWorkload::MakeProgram(std::shared_ptr<AppState> state) {
     const uint64_t stripe =
         (window % static_cast<uint32_t>(params.threads)) * params.sketch_bins * 4ull;
 
-    // Clear the stripe.
-    for (uint64_t off = 0; off < params.sketch_bins * 4ull; off += kPageSize) {
-      uint8_t* page = pages.At(run->sketch + stripe + off, true);
+    // Clear the stripe a page run at a time: it starts mid-page unless
+    // sketch_bins * 4 is a multiple of 4096.
+    const uint64_t stripe_bytes = params.sketch_bins * 4ull;
+    for (uint64_t off = 0; off < stripe_bytes;) {
+      const Vaddr va = run->sketch + stripe + off;
+      const uint64_t n = PageCursor::PageRun<uint8_t>(va, stripe_bytes - off);
+      uint8_t* page = pages.At(va, true);
       if (page == nullptr) {
         return;
       }
-      const uint64_t n = std::min<uint64_t>(kPageSize, params.sketch_bins * 4ull - off);
       std::memset(page, 0, n);
+      off += n;
     }
 
     uint64_t max_bin = 0;
     uint64_t total = 0;
-    for (uint32_t e = first_event; e < last_event; ++e) {
-      uint8_t* event = pages.At(run->log_buf + e * kEventSize, false);
-      if (event == nullptr) {
+    for (uint32_t e = first_event; e < last_event;) {
+      const Vaddr events_va = run->log_buf + e * kEventSize;
+      const uint64_t n = PageCursor::PageRun<EventRecord>(events_va, last_event - e);
+      const EventRecord* events = pages.Span<EventRecord>(events_va, n, false);
+      if (events == nullptr) {
         return;
       }
-      const uint32_t actor = LoadLe32(event);
-      const uint32_t object = LoadLe32(event + 4);
-      const uint32_t action = LoadLe32(event + 8);
-      const uint64_t feature =
-          (static_cast<uint64_t>(actor) << 32) ^ (object * 2654435761u) ^ action;
-      SplitMix64 h(feature);
-      const uint32_t bin = static_cast<uint32_t>(h.Next() % params.sketch_bins);
-      uint8_t* cell = pages.At(run->sketch + stripe + bin * 4ull, true);
-      if (cell == nullptr) {
-        return;
+      for (uint64_t i = 0; i < n; ++i) {
+        const uint8_t* event = events[i].bytes;
+        const uint32_t actor = LoadLe32(event);
+        const uint32_t object = LoadLe32(event + 4);
+        const uint32_t action = LoadLe32(event + 8);
+        const uint64_t feature =
+            (static_cast<uint64_t>(actor) << 32) ^ (object * 2654435761u) ^ action;
+        SplitMix64 h(feature);
+        const uint32_t bin = static_cast<uint32_t>(h.Next() % params.sketch_bins);
+        uint8_t* cell = pages.At(run->sketch + stripe + bin * 4ull, true);
+        if (cell == nullptr) {
+          return;
+        }
+        const uint32_t count = LoadLe32(cell) + 1;
+        StoreLe32(cell, count);
+        total += 1;
+        max_bin = std::max<uint64_t>(max_bin, count);
       }
-      const uint32_t count = LoadLe32(cell) + 1;
-      StoreLe32(cell, count);
-      total += 1;
-      max_bin = std::max<uint64_t>(max_bin, count);
+      e += static_cast<uint32_t>(n);
     }
     state->env->ChargeRuntime(ctx, (last_event - first_event) / 6 + 60);
     ctx.Compute(kCyclesPerEvent * (last_event - first_event));

@@ -99,7 +99,11 @@ ProgramFn LlmWorkload::MakeProgram(std::shared_ptr<AppState> state) {
 
   AppPhases phases;
   phases.max_input = 64 * 1024;
-  phases.setup = [state, run](SyscallContext&) -> Status {
+  phases.setup = [state, run, params](SyscallContext&) -> Status {
+    // Each dot-product slice reads dim weight bytes from one model page.
+    if (params.dim > kPageSize) {
+      return InvalidArgumentError("llm dim exceeds one model page");
+    }
     EREBOR_ASSIGN_OR_RETURN(run->kv_cache, state->env->Alloc(4ull << 20));
     return OkStatus();
   };

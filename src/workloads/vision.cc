@@ -1,6 +1,7 @@
 #include "src/workloads/vision.h"
 
 #include <cstring>
+#include <vector>
 
 #include "src/common/rng.h"
 
@@ -71,23 +72,44 @@ ProgramFn VisionWorkload::MakeProgram(std::shared_ptr<AppState> state) {
       kernel[i] = static_cast<int8_t>(kpage[i * 5] % 7 - 3);
     }
 
-    // Real convolution over a sample of rows (full cost charged as cycles).
+    // Real convolution over a sample of rows (full cost charged as cycles). A row
+    // that crosses a page boundary is copied, a page run at a time, into `copies`.
+    std::vector<uint8_t> copies(3ull * dim);
+    auto row_at = [&pages, &copies, dim](Vaddr va, int slot) -> const uint8_t* {
+      uint64_t done = PageCursor::PageRun<uint8_t>(va, dim);
+      const uint8_t* head = pages.Span<uint8_t>(va, done, false);
+      if (head == nullptr || done == dim) {
+        return head;
+      }
+      uint8_t* copy = copies.data() + static_cast<uint64_t>(slot) * dim;
+      std::memcpy(copy, head, done);
+      while (done < dim) {
+        const uint64_t n = PageCursor::PageRun<uint8_t>(va + done, dim - done);
+        const uint8_t* part = pages.Span<uint8_t>(va + done, n, false);
+        if (part == nullptr) {
+          return nullptr;
+        }
+        std::memcpy(copy + done, part, n);
+        done += n;
+      }
+      return copy;
+    };
     uint64_t mass = 0;
     uint32_t segments = 0;
     for (uint32_t layer = 0; layer < params.conv_layers; ++layer) {
       for (uint32_t y = 1; y + 1 < dim; y += 4) {
-        // Page pointers for three consecutive rows (all within one page if the image
-        // is small enough; handle the general case per access).
+        const uint8_t* rows[3];
+        for (int dy = -1; dy <= 1; ++dy) {
+          rows[dy + 1] = row_at(src_va + static_cast<uint64_t>(y + dy) * dim, dy + 1);
+          if (rows[dy + 1] == nullptr) {
+            return;
+          }
+        }
         for (uint32_t x = 1; x + 1 < dim; ++x) {
           int32_t acc = 0;
-          for (int dy = -1; dy <= 1; ++dy) {
-            uint8_t* row = pages.At(src_va + (y + dy) * dim, false);
-            if (row == nullptr) {
-              return;
-            }
+          for (int dy = 0; dy < 3; ++dy) {
             for (int dx = -1; dx <= 1; ++dx) {
-              acc += kernel[(dy + 1) * 3 + (dx + 1)] *
-                     static_cast<int32_t>(row[x + dx]);
+              acc += kernel[dy * 3 + (dx + 1)] * static_cast<int32_t>(rows[dy][x + dx]);
             }
           }
           if (acc > 96) {
@@ -139,7 +161,7 @@ ProgramFn VisionWorkload::MakeProgram(std::shared_ptr<AppState> state) {
   phases.setup = [state, run, params](SyscallContext&) -> Status {
     const uint64_t batch_bytes =
         static_cast<uint64_t>(params.num_images) * params.image_dim * params.image_dim;
-    // Page-aligned so per-row accesses never straddle a frame boundary.
+    // Page-aligned; a row may still cross a page when dim does not divide 4096.
     EREBOR_ASSIGN_OR_RETURN(const Vaddr buf, state->env->Alloc(batch_bytes + kPageSize));
     run->image_buf = PageAlignUp(buf);
     return OkStatus();

@@ -13,6 +13,7 @@
 //      TLB off and on (EREBOR_TLB only changes host time, never the cost model).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstring>
 #include <optional>
@@ -1591,6 +1592,146 @@ TEST_F(TlbHitPathTest, CursorCachesNothingWithTheTlbOff) {
   }
   EXPECT_EQ(PageTableWalkReads() - reads, 4 * reads_per_walk);
   EXPECT_EQ(Tlb::GlobalStats().hits, hits);
+
+  // A span is one translation: the page's check, and no hits.
+  reads = PageTableWalkReads();
+  {
+    PageCursor pages(ctx_);
+    ASSERT_NE(pages.Span<uint64_t>(va, 4, true), nullptr);
+  }
+  EXPECT_EQ(PageTableWalkReads() - reads, reads_per_walk);
+  EXPECT_EQ(Tlb::GlobalStats().hits, hits);
+}
+
+// ---- PageCursor::Span: a page run of elements through one check ----
+
+// Supervisor mode on the shape-2 (supervisor, writable) page, its frame filled
+// with a byte pattern.
+class PageSpanTest : public TlbHitPathTest {
+ protected:
+  PageSpanTest() {
+    AccessCase c = ShapeCase(2);
+    c.mode = CpuMode::kSupervisor;
+    Apply(c, kFirstData + 2, 0);
+    uint8_t* frame = machine_.memory().FramePtr(kFirstData + 2);
+    for (uint64_t i = 0; i < kPageSize; ++i) {
+      frame[i] = static_cast<uint8_t>(i * 7 + 3);
+    }
+  }
+
+  static uint64_t Walks(const Tlb::Stats& s) { return s.misses + s.psc_hits; }
+
+  const Vaddr va_ = PageVa(2);
+};
+
+TEST_F(PageSpanTest, SpanServesTheBytesThatPerElementAtServes) {
+  PageCursor pages(ctx_);
+  const Vaddr first = va_ + 0x40;
+  const uint32_t* run = pages.Span<uint32_t>(first, 200, false);
+  ASSERT_NE(run, nullptr);
+  for (uint64_t i = 0; i < 200; ++i) {
+    const uint8_t* element = pages.At(first + 4 * i, false);
+    ASSERT_EQ(reinterpret_cast<const uint8_t*>(run + i), element) << i;
+    uint32_t value;
+    std::memcpy(&value, element, sizeof(value));
+    EXPECT_EQ(run[i], value) << i;
+  }
+  // A run that ends exactly at the page's end stays inside it.
+  EXPECT_NE(pages.Span<uint64_t>(va_ + kPageSize - 16, 2, false), nullptr);
+  EXPECT_TRUE(pages.ok());
+}
+
+TEST_F(PageSpanTest, RunThatCrossesAPageIsRefusedWithAStatus) {
+  const Tlb::Stats before = Tlb::GlobalStats();
+  {
+    PageCursor pages(ctx_);
+    EXPECT_EQ(pages.Span<uint32_t>(va_ + kPageSize - 4, 2, false), nullptr);
+    EXPECT_EQ(pages.status().code(), ErrorCode::kOutOfRange);
+    EXPECT_NE(pages.status().message().find("leaves its page"), std::string::npos)
+        << pages.status().message();
+  }
+  {
+    PageCursor pages(ctx_);
+    EXPECT_EQ(pages.Span<uint8_t>(va_, 0, false), nullptr);  // an empty run too
+    EXPECT_EQ(pages.status().code(), ErrorCode::kOutOfRange);
+  }
+  // Refused before any translation.
+  const Tlb::Stats& after = Tlb::GlobalStats();
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(Walks(after), Walks(before));
+}
+
+TEST_F(PageSpanTest, WriteSpanOnAReadOnlyPageFailsAsAtDoes) {
+  AccessCase c = ShapeCase(0);  // supervisor, read-only
+  c.mode = CpuMode::kSupervisor;
+  c.wp = true;
+  Apply(c, kFirstData, 0);
+  const Vaddr va = PageVa(0) + 0x80;
+  PageCursor at_pages(ctx_);
+  PageCursor span_pages(ctx_);
+  EXPECT_EQ(at_pages.At(va, true), nullptr);
+  EXPECT_EQ(span_pages.Span<uint64_t>(va, 8, true), nullptr);
+  EXPECT_EQ(span_pages.status().code(), ErrorCode::kPermissionDenied);
+  EXPECT_EQ(span_pages.status(), at_pages.status());
+  // A read span of the same page is served.
+  PageCursor read_pages(ctx_);
+  EXPECT_NE(read_pages.Span<uint64_t>(va, 8, false), nullptr);
+}
+
+// An access-epoch change between two spans of a page (here a remap of the page and
+// its shootdown) makes the second span translate afresh and follow the new frame.
+TEST_F(PageSpanTest, EpochChangeForcesAFreshTranslation) {
+  const auto leaf = cpu_.WalkCached(cpu_.cr3(), va_, CpuMode::kSupervisor);
+  ASSERT_TRUE(leaf.ok());
+  const FrameNum moved = kFirstData + 2 * kShapes;
+  const Tlb::Stats before = Tlb::GlobalStats();
+  {
+    PageCursor pages(ctx_);
+    const uint8_t* first = pages.Span<uint8_t>(va_, 64, false);
+    ASSERT_EQ(first, machine_.memory().FramePtr(kFirstData + 2));
+    machine_.memory().Write64(leaf->leaf_entry_pa, pte::Make(moved, leaf->leaf & ~pte::kFrameMask));
+    const uint64_t epoch = cpu_.access_epoch();
+    cpu_.tlb().ShootdownEntry(leaf->leaf_entry_pa);
+    ASSERT_NE(cpu_.access_epoch(), epoch);
+    EXPECT_EQ(pages.Span<uint8_t>(va_, 64, false), machine_.memory().FramePtr(moved));
+  }
+  // The warm first span is a TLB hit; the second walks. Each counts 63 more hits.
+  const Tlb::Stats& after = Tlb::GlobalStats();
+  EXPECT_EQ(after.hits - before.hits, 1u + 2 * 63);
+  EXPECT_EQ(Walks(after) - Walks(before), 1u);
+}
+
+// On a conflict-free pattern (nothing changes the epoch between accesses) a span
+// counts exactly what the per-element loop counts: from a cold TLB and a warm one,
+// in hits, structure-cache hits and misses.
+TEST_F(PageSpanTest, HitsEqualThePerElementLoop) {
+  for (const bool cold : {true, false}) {
+    const auto count = [&](const std::function<void(PageCursor&)>& body) {
+      if (cold) {
+        cpu_.tlb().FlushAll();
+      }
+      const Tlb::Stats before = Tlb::GlobalStats();
+      {
+        PageCursor pages(ctx_);
+        body(pages);
+        EXPECT_TRUE(pages.ok());
+      }
+      const Tlb::Stats& after = Tlb::GlobalStats();
+      return std::array<uint64_t, 3>{after.hits - before.hits,
+                                     after.psc_hits - before.psc_hits,
+                                     after.misses - before.misses};
+    };
+    const auto per_element = count([&](PageCursor& pages) {
+      for (uint64_t i = 0; i < 300; ++i) {
+        ASSERT_NE(pages.At(va_ + 0x100 + 8 * i, true), nullptr);
+      }
+    });
+    const auto span = count([&](PageCursor& pages) {
+      ASSERT_NE(pages.Span<uint64_t>(va_ + 0x100, 300, true), nullptr);
+    });
+    EXPECT_EQ(span, per_element) << (cold ? "cold" : "warm");
+    EXPECT_EQ(per_element[0], cold ? 299u : 300u);
+  }
 }
 
 }  // namespace

@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <utility>
+#include <vector>
+
+#include "src/common/rng.h"
 #include "src/common/trace.h"
+#include "src/crypto/sha256.h"
 #include "src/sim/world.h"
 #include "src/workloads/fileserver.h"
 #include "src/workloads/graph.h"
@@ -56,7 +63,7 @@ TEST(WorkloadRunnerTest, EreborRunAttestsExactlyOnce) {
 INSTANTIATE_TEST_SUITE_P(
     AllWorkloadsAllModes, WorkloadMatrixTest,
     testing::Combine(testing::Values("llama.cpp", "yolo", "drugbank", "graphchi",
-                                     "unicorn"),
+                         "unicorn"),
                      testing::Values(SimMode::kNative, SimMode::kLibosOnly,
                                      SimMode::kEreborFull)),
     [](const testing::TestParamInfo<std::tuple<std::string, SimMode>>& info) {
@@ -113,7 +120,7 @@ TEST_P(AppLifecycleTest, InputThatNeverArrivesFailsTheRunAndExitsEveryThread) {
 
 INSTANTIATE_TEST_SUITE_P(PaperWorkloads, AppLifecycleTest,
                          testing::Values("llama.cpp", "yolo", "drugbank", "graphchi",
-                                         "unicorn"),
+                             "unicorn"),
                          [](const testing::TestParamInfo<std::string>& info) {
                            std::string name = info.param;
                            for (char& c : name) {
@@ -145,6 +152,163 @@ TEST(AppLifecycleSetupTest, SetupFailureIsRecordedAndInitNeverCompletes) {
   EXPECT_TRUE(
       world.RunUntil([&] { return world.kernel().live_tasks() == live_before; }, 1000)
           .ok());
+}
+
+// Each paper app's result bytes at its default parameters under full Erebor with
+// input seed 42. Several CheckOutputs check only the output's shape, so these
+// digests are what catch a kernel rewrite that changes what an app computes.
+struct PinnedResult {
+  const char* app;
+  const char* sha256;
+};
+
+class PaperAppResultTest : public testing::TestWithParam<PinnedResult> {};
+
+TEST_P(PaperAppResultTest, DefaultRunGivesThePinnedResult) {
+  const PinnedResult& pinned = GetParam();
+  for (const auto& workload : MakePaperWorkloads()) {
+    if (workload->name() != pinned.app) {
+      continue;
+    }
+    RunnerOptions options;
+    options.input_seed = 42;
+    const RunReport report = RunWorkload(*workload, SimMode::kEreborFull, options);
+    ASSERT_TRUE(report.ok) << report.error;
+    EXPECT_EQ(HexEncode(Sha256::Hash(report.output).data(), 32), pinned.sha256);
+    return;
+  }
+  FAIL() << "no paper workload named " << pinned.app;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PaperWorkloads, PaperAppResultTest,
+    testing::Values(
+        PinnedResult{"llama.cpp",
+                     "d250f7ec442253ad55de7554d80f33d7fb748e1248841bccfd77bb7b1f8967bb"},
+        PinnedResult{"yolo",
+                     "eb5cf20f52cd6923c312eae0d4b11095d387f26a24ce51b51f95871f3886f886"},
+        PinnedResult{"drugbank",
+                     "f01f52dc35f49e6480f1845e154d9d45887ac975120dfe52250e4174d3f585e1"},
+        PinnedResult{"graphchi",
+                     "e42ffa13623e4b9b4708f8fece3a3cab5439956acdc5e1ecd8656018445053ad"},
+        PinnedResult{"unicorn",
+                     "f4cdf6fbf2a1d4382f00fd1a76abd25349e5f2b8c3e73874cf43adc29c73a353"}),
+    [](const testing::TestParamInfo<PinnedResult>& info) {
+      std::string name = info.param.app;
+      std::replace(name.begin(), name.end(), '.', '_');
+      return name;
+    });
+
+// 100-byte rows cross page boundaries (100 does not divide 4096), so the kernel's
+// rows come from two pages. Each image's {segments, mass} must equal a host
+// convolution over the same client input and model page.
+TEST(VisionWorkloadTest, RowsThatCrossPagesGiveTheHostResult) {
+  VisionParams p;
+  p.image_dim = 100;
+  p.num_images = 8;
+  VisionWorkload workload(p);
+  RunnerOptions options;
+  options.memory_frames = 32 * 1024;
+  const RunReport report = RunWorkload(workload, SimMode::kEreborFull, options);
+  ASSERT_TRUE(report.ok) << report.error;
+  ASSERT_EQ(report.output.size(), p.num_images * 12u);
+  std::map<uint32_t, std::pair<uint32_t, uint32_t>> results;
+  for (size_t off = 0; off < report.output.size(); off += 12) {
+    const uint8_t* record = report.output.data() + off;
+    results[LoadLe32(record)] = {LoadLe32(record + 4), LoadLe32(record + 8)};
+  }
+  ASSERT_EQ(results.size(), p.num_images);
+
+  const Bytes input = workload.MakeClientInput(options.input_seed);
+  const uint32_t dim = p.image_dim;
+  std::vector<uint8_t> model_page(kPageSize);
+  for (uint32_t img = 0; img < p.num_images; ++img) {
+    workload.FillCommonPage((img * 7) % (p.model_bytes >> kPageShift), model_page.data());
+    int kernel[9];
+    for (int i = 0; i < 9; ++i) {
+      kernel[i] = static_cast<int8_t>(model_page[i * 5] % 7 - 3);
+    }
+    const uint8_t* image = input.data() + static_cast<size_t>(img) * dim * dim;
+    uint64_t mass = 0;
+    uint32_t segments = 0;
+    for (uint32_t layer = 0; layer < p.conv_layers; ++layer) {
+      for (uint32_t y = 1; y + 1 < dim; y += 4) {
+        for (uint32_t x = 1; x + 1 < dim; ++x) {
+          int32_t acc = 0;
+          for (uint32_t ky = 0; ky < 3; ++ky) {
+            for (uint32_t kx = 0; kx < 3; ++kx) {
+              acc += kernel[ky * 3 + kx] * image[(y + ky - 1) * dim + x + kx - 1];
+            }
+          }
+          if (acc > 96) {
+            ++segments;
+            mass += static_cast<uint64_t>(acc);
+          }
+        }
+      }
+    }
+    EXPECT_EQ(results[img], std::make_pair(segments, static_cast<uint32_t>(mass)))
+        << "image " << img;
+  }
+}
+
+// 1000 bins make 4000-byte sketch stripes, so every stripe but the first starts
+// mid-page and the clear spans two pages. The flagged windows must equal a host
+// scoring of the same log.
+TEST(IdsWorkloadTest, StripesThatStartMidPageGiveTheHostResult) {
+  IdsParams p;
+  p.num_events = 40'000;
+  p.sketch_bins = 1'000;
+  IdsWorkload workload(p);
+  RunnerOptions options;
+  options.memory_frames = 32 * 1024;
+  const RunReport report = RunWorkload(workload, SimMode::kEreborFull, options);
+  ASSERT_TRUE(report.ok) << report.error;
+  ASSERT_EQ(report.output.size() % 8, 0u);
+  std::vector<std::pair<uint32_t, uint32_t>> flagged;
+  for (size_t off = 0; off < report.output.size(); off += 8) {
+    flagged.emplace_back(LoadLe32(report.output.data() + off),
+                         LoadLe32(report.output.data() + off + 4));
+  }
+  std::sort(flagged.begin(), flagged.end());
+
+  const Bytes input = workload.MakeClientInput(options.input_seed);
+  std::vector<std::pair<uint32_t, uint32_t>> expected;
+  for (uint32_t first = 0, window = 0; first < p.num_events;
+       first += p.window_events, ++window) {
+    const uint32_t last = std::min(p.num_events, first + p.window_events);
+    std::vector<uint32_t> bins(p.sketch_bins, 0);
+    uint32_t max_bin = 0;
+    for (uint32_t e = first; e < last; ++e) {
+      const uint8_t* event = input.data() + 16ull * e;
+      const uint64_t feature = (static_cast<uint64_t>(LoadLe32(event)) << 32) ^
+                               (LoadLe32(event + 4) * 2654435761u) ^ LoadLe32(event + 8);
+      SplitMix64 h(feature);
+      max_bin = std::max(max_bin, ++bins[h.Next() % p.sketch_bins]);
+    }
+    const uint32_t score = max_bin * 100 / (last - first);
+    if (score >= 5) {
+      expected.emplace_back(window, score);
+    }
+  }
+  ASSERT_FALSE(expected.empty());
+  EXPECT_EQ(flagged, expected);
+}
+
+// Each dot-product slice reads dim bytes of one model page, so a dim past a page
+// is refused before any compute.
+TEST(LlmWorkloadTest, DimLargerThanAModelPageIsRefused) {
+  LlmParams p;
+  p.dim = 5000;
+  p.generate_tokens = 4;
+  p.model_bytes = 4ull << 20;
+  LlmWorkload workload(p);
+  RunnerOptions options;
+  options.memory_frames = 32 * 1024;
+  const RunReport report = RunWorkload(workload, SimMode::kEreborFull, options);
+  EXPECT_FALSE(report.ok);
+  EXPECT_NE(report.error.find("llm dim exceeds one model page"), std::string::npos)
+      << report.error;
 }
 
 TEST(WorkloadEquivalenceTest, RetrievalResultsIdenticalAcrossModes) {
