@@ -6,7 +6,7 @@
 # cross-check must hold with the tracer enabled), then the deterministic halves
 # of the emc_scaling and batched_mmu bench gates, then short perfbench runs
 # (jobs, serve, ingest, and one traced serve run) whose correctness gates must
-# pass.
+# pass and whose simulated metrics must match scripts/sim_expected.json.
 #
 # Usage: scripts/check.sh [build-dir]   (default: build)
 #   EREBOR_SKIP_SANITIZE=1 skips the sanitizer passes (e.g. on memory-tight CI).
@@ -85,13 +85,15 @@ EREBOR_EXEC=deterministic "$BUILD_DIR/bench/batched_mmu"
 
 # Benchmark smoke test: short jobs, serve and ingest runs of perfbench, whose
 # end-to-end gates (quote verification, CheckOutput, replay, invariant audits)
-# must report "correct": true on the last line. ingest drives the
-# ReadVirt/WriteVirt usercopy path hardest.
+# must report "correct": true on the last line, and whose simulated percentiles
+# and overhead must equal scripts/sim_expected.json exactly (a simulated number
+# changes only on purpose). ingest drives the ReadVirt/WriteVirt usercopy path
+# hardest.
 for workload in jobs serve ingest; do
   python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 3 --trace 0 \
     | tail -n 1 \
-    | python3 -c 'import json, sys; sys.exit(0 if json.load(sys.stdin)["correct"] is True else 1)' || {
-      echo "check.sh: perfbench $workload run not correct" >&2
+    | python3 scripts/perfbench_gate.py "$workload" || {
+      echo "check.sh: perfbench $workload run not correct or its sim_* values moved" >&2
       exit 1
     }
 done
@@ -99,7 +101,7 @@ done
 # histogram) and the per-layer probes, under the same correctness gate.
 python3 perfbench/run.py --workload serve --seed 1 --seconds 3 --trace 1 \
   | tail -n 1 \
-  | python3 -c 'import json, sys; sys.exit(0 if json.load(sys.stdin)["correct"] is True else 1)' || {
+  | python3 scripts/perfbench_gate.py || {
     echo "check.sh: traced perfbench serve run not correct" >&2
     exit 1
   }
